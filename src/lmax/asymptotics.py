@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import ConfigError, DomainError, RangeError
 from .series import ProductSeries
-from .walk import ConstantWalk, PerturbedWalk, WalkSpec, iterated_log
+from .walk import ConstantWalk, PerturbedWalk, WalkSpec, iterated_log, rho
 
 __all__ = [
     "ShapeTarget",
@@ -100,7 +100,7 @@ def _n_min_valid(factors: tuple[tuple[int, float], ...]) -> int:
 def resolve_shape(spec: WalkSpec, target: ShapeTarget) -> AsymptoticShape:
     """Pick the decay branch for a walk; total over all parameter values."""
     if isinstance(spec, ConstantWalk):
-        r = (1.0 - spec.p) / spec.p
+        r = rho(spec, 1)
         if target is ShapeTarget.PRODUCT:
             return AsymptoticShape(target, spec, "product constant", 1, "geometric",
                                    n_coeff=math.log(r) if r != 1.0 else 0.0)
@@ -194,13 +194,6 @@ class ConstantFit:
     underflowed: bool
 
 
-def _log_exact(series: ProductSeries, target: ShapeTarget, n: int) -> float:
-    if target is ShapeTarget.PRODUCT:
-        return float(series.log_prod[n])
-    # Excursion-maximum pmf in log form, straight from the tabulated arrays.
-    return float(series.log_prod[n] - series.log_prefix_sum[n - 1] - series.log_prefix_sum[n])
-
-
 def estimate_constant(
     series: ProductSeries,
     s: AsymptoticShape,
@@ -221,16 +214,19 @@ def estimate_constant(
         )
     if n_hi // 2 < s.n_min_valid:
         raise RangeError(f"n_hi//2={n_hi // 2} below validity threshold {s.n_min_valid}")
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
     ns = np.unique(np.geomspace(n_lo, n_hi, samples).round().astype(np.int64))
-    log_c = np.array([_log_exact(series, s.target, n) - log_shape(s, n) for n in ns])
-    half = n_hi // 2
-    drift = abs(
-        math.expm1(
-            (_log_exact(series, s.target, n_hi) - log_shape(s, n_hi))
-            - (_log_exact(series, s.target, half) - log_shape(s, half))
-        )
-    )
-    underflowed = bool(np.any(np.array([_log_exact(series, s.target, n) for n in ns]) < _LOG_DBL_MIN))
+    # The samples, then the two points of the drift indicator.
+    at = np.append(ns, [n_hi, n_hi // 2])
+    if s.target is ShapeTarget.PRODUCT:
+        log_exact = series.log_prod[at]
+    else:
+        log_exact = series.log_max_pmf(at)
+    log_c_at = log_exact - np.array([log_shape(s, n) for n in at])
+    log_c = log_c_at[:-2]
+    drift = abs(math.expm1(log_c_at[-2] - log_c_at[-1]))
+    underflowed = bool(np.any(log_exact[:-2] < _LOG_DBL_MIN))
     with np.errstate(over="ignore"):
         c_hat = np.exp(log_c)
     return ConstantFit(

@@ -9,7 +9,8 @@ factors collapse into one closed form in the odds-ratio products:
                         --------------------------------------------
                         (1 + sum_{j<n} rho_1...rho_j)(1 + sum_{j<=n} ...)
 
-evaluated here as exp(log_prod[n] - log_prefix_sum[n-1] - log_prefix_sum[n]).
+evaluated as exp(log_prod[n] - log_prefix_sum[n-1] - log_prefix_sum[n]) by
+``ProductSeries.log_max_pmf``.
 
 Tables are built in one vectorized pass over a ``ProductSeries``; the
 linear pmf column flushes to 0 beneath double-precision underflow while
@@ -73,7 +74,7 @@ def log_max_pmf(series: ProductSeries, n: int) -> float:
     n = int(n)
     if not 1 <= n <= series.n_max:
         raise RangeError(f"n={n} outside tabulated range 1..{series.n_max}")
-    return float(series.log_prod[n] - series.log_prefix_sum[n - 1] - series.log_prefix_sum[n])
+    return float(series.log_max_pmf(n))
 
 
 def max_pmf(series: ProductSeries, n: int) -> float:
@@ -101,10 +102,7 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
         raise RangeError(f"n_max={n_max} outside series range 1..{series.n_max}")
     log_pmf = np.empty(n_max + 1)
     log_pmf[0] = -np.inf
-    lp = series.log_prod[1 : n_max + 1]
-    ls = series.log_prefix_sum
-    np.subtract(lp, ls[0:n_max], out=log_pmf[1:])
-    log_pmf[1:] -= ls[1 : n_max + 1]
+    series.log_max_pmf(range(1, n_max + 1), out=log_pmf[1:])
     with np.errstate(under="ignore"):
         pmf = np.exp(log_pmf)
     pmf[0] = 0.0

@@ -33,7 +33,7 @@ from .asymptotics import ShapeTarget, log_shape, resolve_shape
 from .classify import is_recurrent
 from .errors import ConvergenceWarning, RangeError
 from .series import ProductSeries
-from .walk import ConstantWalk, iterated_log
+from .walk import ConstantWalk, iterated_log, rho
 
 __all__ = [
     "HittingQuery",
@@ -122,7 +122,7 @@ def _log_tail_estimate(series: ProductSeries) -> float:
     n = series.n_max
     if isinstance(spec, ConstantWalk):
         # Exact geometric remainder: rho^(n+1) / (1 - rho).
-        r = (1.0 - spec.p) / spec.p
+        r = rho(spec, 1)
         return (n + 1) * math.log(r) - math.log1p(-r)
     shape = resolve_shape(spec, ShapeTarget.PRODUCT)
     deepest = max(d for d, _ in shape.factors)

@@ -23,9 +23,7 @@ unbiased up to step-censoring only, an excursion whose maximum stays
 below the cap never touches it; the comparison report widens its
 tolerance by the step-censored fraction to cover that residual bias.
 
-The inner loop is compiled with numba when available and falls back to
-the same function in pure Python; both consume identical uniforms and
-produce identical tallies.
+The inner loop ``_drive`` is plain Python; no compiled kernel is used.
 """
 
 from __future__ import annotations
@@ -34,11 +32,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .errors import ConfigError, RangeError
 from .excursion import MaxPmfTable
-from .walk import ConstantWalk, WalkSpec, signed_drift_array
+from .series import check_budget
+from .walk import WalkSpec, step_up_prob_array
 
 __all__ = ["BLOCK", "SimConfig", "SimResult", "run", "CompareReport", "compare"]
 
@@ -97,13 +96,9 @@ def _drive(u, state, counts, censored, p, cap_steps, cap_height):
     state[3] = m
 
 
+# perfbench/run.py reports ``kernel: python`` only when ``_drive is _drive_py``;
+# a compiled kernel would rebind ``_drive`` and keep this name for the reference.
 _drive_py = _drive
-try:
-    from numba import njit
-
-    _drive = njit(nogil=True, cache=True)(_drive_py)
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    pass
 
 
 @dataclass(frozen=True)
@@ -152,16 +147,6 @@ class SimResult:
         return self.counts / self.total
 
 
-def _p_table(spec: WalkSpec, cap_height: int) -> np.ndarray:
-    p = np.empty(cap_height)
-    p[0] = 1.0  # never consulted: hitting 0 ends the excursion first
-    if isinstance(spec, ConstantWalk):
-        p[1:] = spec.p
-    else:
-        p[1:] = 0.5 + signed_drift_array(spec, np.arange(1, cap_height, dtype=np.int64))
-    return p
-
-
 def _run_block(p, n_exc, seed, block_index, cap_steps, cap_height):
     key = np.array([seed, block_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -173,26 +158,19 @@ def _run_block(p, n_exc, seed, block_index, cap_steps, cap_height):
     return counts, censored
 
 
-def _warm_up(p):
-    # Compile (or no-op) the kernel once before threads fan out.
-    _drive(
-        np.zeros(1),
-        np.zeros(4, dtype=np.int64),
-        np.zeros(2, dtype=np.int64),
-        np.zeros(2, dtype=np.int64),
-        p[:2].copy(),
-        1,
-        2,
-    )
-
-
 def run(config: SimConfig) -> SimResult:
-    """Simulate the configured number of excursions; see the stream rules above."""
-    p = _p_table(config.spec, config.cap_height)
+    """Simulate the configured number of excursions; see the stream rules above.
+
+    Raises:
+        ResourceError: if the ``cap_height - 1`` bins exceed the table budget
+            (``series.check_budget``), the same limit ``compare`` needs.
+    """
+    check_budget("cap_height-1", config.cap_height - 1)
+    # p[0] is never consulted: hitting 0 ends the excursion first.
+    p = step_up_prob_array(config.spec, np.arange(config.cap_height))
     sizes = [BLOCK] * (config.excursions // BLOCK)
     if config.excursions % BLOCK:
         sizes.append(config.excursions % BLOCK)
-    _warm_up(p)
     if config.workers == 1 or len(sizes) == 1:
         parts = [
             _run_block(p, n, config.seed, j, config.cap_steps, config.cap_height)
@@ -274,7 +252,7 @@ def compare(
     if eligible.any():
         chi = float(np.sum((obs[eligible] - expected[eligible]) ** 2 / expected[eligible]))
         dof = int(eligible.sum())
-        pvalue = float(stats.chi2.sf(chi, dof))
+        pvalue = float(chdtrc(dof, chi))  # the chi-square survival function
     else:
         chi, dof, pvalue = 0.0, 0, float("nan")
     return CompareReport(

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError, ResourceError
+from .errors import ConfigError, RangeError, ResourceError
 from .walk import WalkSpec, log_rho_array
 
-__all__ = ["ProductSeries", "build", "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV"]
+__all__ = ["ProductSeries", "build", "check_budget", "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV"]
 
 # One table of length n holds two float64 arrays of n+1 entries; the
 # default budget (~320 MB per table) is deliberately conservative and can
@@ -67,12 +67,36 @@ class ProductSeries:
         """``log(1 + sum_{j=1..n} rho_1 ... rho_j)``; n=0 gives 0."""
         return float(self.log_prefix_sum[self._check(n)])
 
+    def log_max_pmf(self, n, out: np.ndarray | None = None):
+        """``log P(M = n, D < inf)`` at unchecked ``n >= 1``: an int, an int array or a ``range``.
 
-def _max_entries() -> int:
-    env = os.environ.get(MAX_TABLE_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_ENTRIES
+        A ``range`` is read through slice views, with no index arrays or gathers.
+        """
+        if isinstance(n, range):
+            cur, prev = slice(n.start, n.stop), slice(n.start - 1, n.stop - 1)
+        else:
+            cur, prev = n, np.subtract(n, 1)
+        head = np.subtract(self.log_prod[cur], self.log_prefix_sum[prev], out=out)
+        return np.subtract(head, self.log_prefix_sum[cur], out=out)
+
+
+def check_budget(what: str, n: int, max_entries: int | None = None) -> None:
+    """Raise ``ResourceError`` if ``n`` entries, named ``what``, exceed the budget.
+
+    The budget is ``max_entries``, else ``$LMAX_MAX_TABLE``, else ``DEFAULT_MAX_ENTRIES``.
+    """
+    limit = max_entries
+    if limit is None:
+        env = os.environ.get(MAX_TABLE_ENV, DEFAULT_MAX_ENTRIES)
+        try:
+            limit = int(env)
+        except ValueError:
+            raise ConfigError(f"${MAX_TABLE_ENV} must be an integer, got {env!r}") from None
+    if n > int(limit):
+        raise ResourceError(
+            f"{what}={n} exceeds the table budget of {limit} entries "
+            f"(override via max_entries or ${MAX_TABLE_ENV})"
+        )
 
 
 def build(spec: WalkSpec, n_max: int, max_entries: int | None = None) -> ProductSeries:
@@ -86,16 +110,12 @@ def build(spec: WalkSpec, n_max: int, max_entries: int | None = None) -> Product
 
     Raises:
         ResourceError: if ``n_max`` exceeds the budget.
+        ConfigError: if ``LMAX_MAX_TABLE`` is not an integer.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
-    limit = _max_entries() if max_entries is None else int(max_entries)
-    if n_max > limit:
-        raise ResourceError(
-            f"n_max={n_max} exceeds the table budget of {limit} entries "
-            f"(override via max_entries or ${MAX_TABLE_ENV})"
-        )
+    check_budget("n_max", n_max, max_entries)
     lr = log_rho_array(spec, np.arange(1, n_max + 1, dtype=np.int64))
     log_prod = np.empty(n_max + 1)
     log_prod[0] = 0.0

@@ -49,6 +49,7 @@ __all__ = [
     "rho",
     "log_rho",
     "signed_drift_array",
+    "step_up_prob_array",
     "log_rho_array",
     "spec_params",
     "spec_from_params",
@@ -91,18 +92,22 @@ def perturbation(k: int, i: float, b: float) -> float:
         raise DomainError("perturbation depth k must be >= 1")
     if not i > 0:
         raise DomainError(f"site index must be positive, got {i}")
-    total = 0.0
-    chain = float(i)        # running product i * log i * ... * log_t i
-    level = float(i)        # current iterate log_t i
+    if iterated_log(k - 1, float(i)) <= 0.0:
+        raise DomainError(f"perturbation(k={k}) undefined at i={i}: iterated log chain is not positive")
+    return float(_perturbation_array(k, np.array([float(i)]), b)[0])
+
+
+def _perturbation_array(k: int, x: np.ndarray, b: float) -> np.ndarray:
+    """lam(k, x, b) over a float array whose iterated-log chain is positive."""
+    total = np.zeros_like(x)
+    chain = x.copy()        # running product x * log x * ... * log_t x
+    level = x.copy()        # current iterate log_t x
     for _ in range(k - 1):
         total += 1.0 / chain
-        level = math.log(level)
-        if level <= 0.0:
-            raise DomainError(
-                f"perturbation(k={k}) undefined at i={i}: iterated log chain hit {level}"
-            )
+        np.log(level, out=level)
         chain *= level
-    return total + b / chain
+    total += b / chain
+    return total
 
 
 def _chain_start(k: int) -> int:
@@ -136,14 +141,16 @@ def compute_i0(k: int, b: float) -> int:
     if k < 1:
         raise ConfigError("perturbation depth k must be >= 1")
     i = _chain_start(k)
-    while True:
-        try:
-            if iterated_log(k - 1, float(i)) > 0.0:
-                if abs(perturbation(k, i, b)) / 4.0 < 0.5:
-                    return i
-        except DomainError:
-            pass
+    while iterated_log(k - 1, float(i)) <= 0.0:
         i += 1
+    # The chain is positive from here on; scan it in doubling blocks.
+    size = 64
+    while True:
+        lam = _perturbation_array(k, np.arange(i, i + size, dtype=np.float64), b)
+        small = np.abs(lam) / 4.0 < 0.5
+        if small.any():
+            return i + int(small.argmax())
+        i, size = i + size, 2 * size
 
 
 @dataclass(frozen=True)
@@ -187,31 +194,27 @@ class PerturbedWalk:
 WalkSpec = Union[ConstantWalk, PerturbedWalk]
 
 
+def _at(array_fn, spec: WalkSpec, i) -> float:
+    """Entry ``i`` of an array-path function: how the scalar API evaluates."""
+    return float(array_fn(spec, np.array([i]))[0])
+
+
 def drift_term(spec: PerturbedWalk, i: int) -> float:
     """Unsigned perturbation term ``r_i = lam(k, i, b)/4``, frozen at ``i0`` below it."""
     if not isinstance(spec, PerturbedWalk):
         raise ConfigError("drift_term is defined for PerturbedWalk specs only")
-    if i < 1:
-        raise DomainError(f"site index must be >= 1, got {i}")
-    j = i if i >= spec.i0 else spec.i0
-    return perturbation(spec.k, j, spec.b) / 4.0
+    d = _at(signed_drift_array, spec, i)
+    return d if spec.sign == "plus" else -d
 
 
 def signed_drift(spec: WalkSpec, i: int) -> float:
-    """Signed drift ``delta_i = p_i - 1/2`` for either family."""
-    if isinstance(spec, ConstantWalk):
-        return spec.p - 0.5
-    r = drift_term(spec, i)
-    return r if spec.sign == "plus" else -r
+    """Signed drift ``delta_i = p_i - 1/2`` for either family at site ``i >= 1``."""
+    return _at(signed_drift_array, spec, i)
 
 
 def step_up_prob(spec: WalkSpec, i: int) -> float:
     """Step-up probability ``p_i``; the origin reflects (``p_0 = 1``)."""
-    if i == 0:
-        return 1.0
-    if isinstance(spec, ConstantWalk):
-        return spec.p
-    return 0.5 + signed_drift(spec, i)
+    return _at(step_up_prob_array, spec, i)
 
 
 def rho(spec: WalkSpec, i: int) -> float:
@@ -232,13 +235,7 @@ def rho(spec: WalkSpec, i: int) -> float:
 
 def log_rho(spec: WalkSpec, i: int) -> float:
     """``log(q_i / p_i)``, kept accurate for drifts near zero via log1p."""
-    if i < 1:
-        raise DomainError(f"site index must be >= 1, got {i}")
-    if isinstance(spec, ConstantWalk):
-        d = spec.p - 0.5
-    else:
-        d = signed_drift(spec, i)
-    return math.log1p(-2.0 * d) - math.log1p(2.0 * d)
+    return _at(log_rho_array, spec, i)
 
 
 def signed_drift_array(spec: WalkSpec, i: np.ndarray) -> np.ndarray:
@@ -250,17 +247,25 @@ def signed_drift_array(spec: WalkSpec, i: np.ndarray) -> np.ndarray:
     if isinstance(spec, ConstantWalk):
         return np.full_like(x, spec.p - 0.5)
     # Frozen region: evaluate lam at i0; live region: vectorized chain.
-    x = np.maximum(x, float(spec.i0))
-    total = np.zeros_like(x)
-    chain = x.copy()
-    level = x.copy()
-    for _ in range(spec.k - 1):
-        total += 1.0 / chain
-        np.log(level, out=level)
-        chain *= level
-    total += spec.b / chain
-    r = total / 4.0
+    r = _perturbation_array(spec.k, np.maximum(x, float(spec.i0)), spec.b) / 4.0
     return r if spec.sign == "plus" else -r
+
+
+def step_up_prob_array(spec: WalkSpec, i: np.ndarray) -> np.ndarray:
+    """Vectorized ``p_i`` over an integer site array (all entries >= 0).
+
+    The origin reflects (``p_0 = 1``).  Constant walks return ``spec.p``
+    itself, since ``0.5 + (p - 0.5)`` is not exact (p = 0.1).
+    """
+    i = np.asarray(i)
+    if i.size and i.min() < 0:
+        raise DomainError("site indices must be >= 0")
+    if isinstance(spec, ConstantWalk):
+        p = np.full(i.shape, spec.p)
+    else:
+        p = 0.5 + signed_drift_array(spec, np.maximum(i, 1))
+    p[i == 0] = 1.0
+    return p
 
 
 def log_rho_array(spec: WalkSpec, i: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -186,6 +187,76 @@ def test_simulate_auto_seed_is_reported_and_reproducible(capsys):
     assert 0 <= meta["seed"] < 2**64
     _, again = _run(capsys, argv + ["--seed", str(meta["seed"])])
     assert json.loads(again)["rows"] == json.loads(first)["rows"]
+
+
+# SHA-256 of stdout, recorded from the implementation these pins guard.
+# JSON meta carries the package version, so a version bump re-records them.
+GOLDEN_STDOUT = [
+    ('dist --p 0.4 --n-max 300',
+     '65df49f9e0657088d61964359c544f3541635f41dc45a13bbf5d02e4d42f9993'),
+    ('dist --p 0.4 --n-max 300 --format json',
+     '1cc40ca423c4c3346dd352983cf408a99bd410d6de1498825316676492a30bc8'),
+    ('dist --sign plus --K 2 --B 1.5 --n-max 300',
+     '0f0bcbb60b0ac4e38ba0e4b7dcec5cb5e5d94d449021f1d8163796179d5d6eec'),
+    ('dist --sign plus --K 2 --B 1.5 --n-max 300 --format json',
+     '7a8f3b19f22e40c6519a1c6694e8993171a5c97473e29ea5e4a39263f77a1afc'),
+    ('dist --sign minus --K 3 --B -1 --n-max 300',
+     '6a6c3b80d542db82e2b70450d7c465766623b289642000041f7a2a8d6d9fd8a9'),
+    ('dist --sign minus --K 3 --B -1 --n-max 300 --format json',
+     'ccb2cc2df436264027bf0d71666bd4b98c2d86b31b567b531637da446501a7a3'),
+    ('asympt --sign plus --K 1 --B 0.5 --n-hi 20000 --format json',
+     '27bb6d7db664f65c92b3111fc2d711f27fa9550c34ec0602c7452c8dc8620a9f'),
+    ('asympt --p 0.4 --target product --n-hi 20000',
+     '925f19cf2e9236cdfe911865558331959eebf40c2afd82021cc575ef76ab79cc'),
+    ('hit --sign minus --K 2 --B 2 --a 0 --k 3 --b 500',
+     'b64e55894b01b8af52fac719e449f48045d68d550ad432404de2853a60c1ffc6'),
+    ('return --p 0.6 --format json',
+     '6ff11bf9e4d7a17841c1597f8703fa3e06309c28419dae8daf8abae9a32eb513'),
+    ('return --sign plus --K 1 --B 2',
+     '3716202b174680111253400baf1ecd19ebf881113b2cc32d0d936fa1ea7fa54f'),
+    ('simulate --p 0.5 --excursions 3000 --seed 5 --cap-steps 400 --cap-height 40 --format json',
+     '9660b71dcd2a9714715a475c0a8ca30f0f842ed23c76bad6b443353bb778c194'),
+    ('simulate --sign minus --K 2 --B 1 --excursions 3000 --seed 9 --cap-steps 400 --cap-height 30',
+     'ff2f2d780abfd37783d0aff41d72ea57b4ae39aa595222a0bb5099a038f70055'),
+    ('compare --p 0.45 --excursions 20000 --seed 3 --cap-height 32 --format json',
+     '6548977325ef864603b7a07b1bb49899d923ca580adade052f2cbd56c03d1f63'),
+]
+
+
+@pytest.mark.filterwarnings("ignore::lmax.errors.ConvergenceWarning")
+@pytest.mark.parametrize("cmd,digest", GOLDEN_STDOUT)
+def test_stdout_bytes_pinned(capsys, cmd, digest):
+    code, out = _run(capsys, cmd.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_bad_table_budget_env_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("LMAX_MAX_TABLE", "abc")
+    code = main(["dist", "--p", "0.5", "--n-max", "10"])
+    assert code == 2
+    assert "LMAX_MAX_TABLE" in capsys.readouterr().err
+
+
+def test_asympt_nonpositive_samples_exits_two(capsys):
+    code = main(["asympt", "--p", "0.4", "--n-hi", "1000", "--samples", "-1"])
+    assert code == 2
+    assert "samples" in capsys.readouterr().err
+
+
+def test_simulate_cap_height_over_budget_exits_one(capsys):
+    argv = ["simulate", "--p", "0.5", "--excursions", "10", "--seed", "1",
+            "--cap-height", "100000000000"]
+    code = main(argv)
+    assert code == 1
+    assert "table budget" in capsys.readouterr().err
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    code = "import sys, lmax; print(sorted({'numba', 'scipy.stats'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

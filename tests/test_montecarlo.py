@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
 
-import lmax.montecarlo as mc
 from lmax import (
     BLOCK,
     ConfigError,
     ConstantWalk,
     PerturbedWalk,
     RangeError,
+    ResourceError,
     SimConfig,
     build,
     compare,
@@ -63,16 +64,45 @@ def test_seed_changes_tallies():
     assert not np.array_equal(a.counts, b.counts)
 
 
-def test_python_kernel_matches_compiled(monkeypatch):
-    cfg = SimConfig(ConstantWalk(0.55), 4000, seed=11, cap_steps=1000, cap_height=40)
-    fast = run(cfg)
-    monkeypatch.setattr(mc, "_drive", mc._drive_py)
-    slow = run(cfg)
-    assert np.array_equal(fast.counts, slow.counts)
-    assert (fast.censored_height, fast.censored_steps) == (
-        slow.censored_height,
-        slow.censored_steps,
-    )
+# Exact tallies of the Python kernel, both censoring kinds included; any
+# other kernel must reproduce them from the same Philox stream.
+PINNED_TALLIES = [
+    (
+        SimConfig(ConstantWalk(0.55), 4000, seed=11, cap_steps=300, cap_height=24),
+        695,
+        43,
+        [0, 1825, 591, 270, 173, 92, 79, 49, 45, 32, 31, 21, 13, 10, 6, 4, 3, 4, 3, 3, 4, 2, 1, 1],
+    ),
+    (
+        SimConfig(PerturbedWalk(1, 2.0, "plus"), 4000, seed=12, cap_steps=300, cap_height=24),
+        2072,
+        345,
+        [0, 995, 251, 109, 51, 45, 25, 20, 14, 7, 8, 7, 10, 6, 7, 8, 7, 2, 4, 2, 1, 1, 1, 2],
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg,height,steps,counts", PINNED_TALLIES)
+def test_run_tallies_pinned(cfg, height, steps, counts):
+    r = run(cfg)
+    assert (r.censored_height, r.censored_steps) == (height, steps)
+    assert r.counts.tolist() == counts
+
+
+def test_cap_height_over_budget_is_resource_error(monkeypatch):
+    monkeypatch.setenv("LMAX_MAX_TABLE", "100")
+    with pytest.raises(ResourceError):
+        run(SimConfig(ConstantWalk(0.5), 10, seed=1, cap_height=102))
+    run(SimConfig(ConstantWalk(0.5), 10, seed=1, cap_height=101))
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 7, 40, 500])
+def test_chdtrc_is_chi2_sf(dof):
+    from scipy import stats
+
+    chi = np.concatenate([[0.0], np.geomspace(1e-3, 5 * dof + 100, 200)])
+    got = np.array([chdtrc(dof, c) for c in chi])
+    assert np.array_equal(got, stats.chi2.sf(chi, dof))
 
 
 def test_height_censoring_dominates_for_strong_updrift():

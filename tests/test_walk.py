@@ -20,7 +20,7 @@ from lmax import (
     spec_params,
     step_up_prob,
 )
-from lmax.walk import drift_term, log_rho_array, signed_drift_array
+from lmax.walk import drift_term, log_rho_array, signed_drift_array, step_up_prob_array
 
 
 def test_iterated_log_base_cases():
@@ -55,6 +55,8 @@ def test_compute_i0():
     assert compute_i0(1, 1.0) == 1
     assert compute_i0(1, 4.0) == 3  # need |4/i| < 2, first at i=3
     assert compute_i0(2, 0.0) == 2
+    assert compute_i0(1, 1000.0) == 501  # past the first scan blocks
+    assert compute_i0(5, 1.0) == 3_814_280  # chain start near exp(exp(e))
 
 
 def test_i0_strictness():
@@ -174,9 +176,22 @@ def test_array_paths_match_scalar_bitwise():
     ):
         d = signed_drift_array(spec, idx)
         lr = log_rho_array(spec, idx)
-        for i in (1, 2, 3, 50, 2999):
+        p = step_up_prob_array(spec, idx)
+        for i in idx.tolist():
             assert d[i - 1] == signed_drift(spec, i)
             assert lr[i - 1] == log_rho(spec, i)
+            assert p[i - 1] == step_up_prob(spec, i)
+
+
+def test_step_up_prob_array_reflects_and_keeps_constant_p():
+    # 0.5 + (0.1 - 0.5) != 0.1, so the constant family must not go through the drift.
+    p = step_up_prob_array(ConstantWalk(0.1), np.arange(4))
+    assert p.tolist() == [1.0, 0.1, 0.1, 0.1]
+    assert step_up_prob(ConstantWalk(0.1), 7) == 0.1
+    q = step_up_prob_array(PerturbedWalk(1, 1.0, "minus"), np.arange(3))
+    assert q.tolist() == [1.0, 0.25, 0.5 - 0.125]
+    with pytest.raises(DomainError):
+        step_up_prob_array(ConstantWalk(0.1), np.array([2, -1]))
 
 
 def test_numpy_scalar_parameters_accepted():
