@@ -6,13 +6,17 @@ Conventions shared by all subcommands:
   ``--format json`` writes one object ``{"meta": ..., "columns": ...,
   "rows": ...}``.  Floats are rendered with ``repr`` (shortest
   round-trip) in both formats, so the numeric strings are identical.
+* Output streams: rows are rendered column-wise and written in bounded
+  chunks, so memory for the text does not grow with the table, and the
+  bytes are exactly those of rendering the whole table at once.
 * The JSON meta block carries the full walk parameters plus everything
   needed to reproduce the run (seed included); re-running with the same
   parameters and package version reproduces the bytes.  Wall-clock
   timestamps and worker counts are deliberately absent: neither may
   change the output.
 * Exit codes: 0 success, 1 resource limits, 2 bad arguments.
-  Diagnostics go to stderr.
+  Diagnostics go to stderr.  A reader that closes stdout early ends
+  the output quietly, with exit code 0.
 * ``LMAX_MAX_TABLE`` caps every tabulation size globally.
 """
 
@@ -20,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import secrets
 import sys
 
@@ -69,24 +75,61 @@ def _walk_from_args(args) -> WalkSpec:
     raise ConfigError("no walk given: use --p or --family perturbed --sign ... --K ... --B ...")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+_CHUNK_ROWS = 65_536
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _emit(fmt: str, meta: dict, columns: list[str], rows: list[list]) -> int:
+def _cells(values, fmt: str):
+    """Render a non-empty chunk of a column: a numpy array, or a sequence of one type.
+
+    Floats are ``repr`` (``json.dumps`` spells the non-finite ones
+    Infinity/-Infinity/NaN), ints are decimal, bools ``true``/``false``;
+    anything else is ``str`` in CSV and a JSON value in JSON.
+    """
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    first = values[0]
+    if isinstance(first, bool):
+        return ["true" if v else "false" for v in values]
+    if isinstance(first, int):
+        return map(int.__repr__, values)
+    if isinstance(first, float):
+        cells = map(float.__repr__, values)
+        if fmt == "json" and not all(map(math.isfinite, values)):
+            return [_JSON_NONFINITE.get(c, c) for c in cells]
+        return cells
+    return map(json.dumps if fmt == "json" else str, values)
+
+
+def _emit(fmt: str, meta: dict, columns: dict) -> int:
+    """Write ``columns`` (name -> column, all of one length) to stdout.
+
+    The bytes are those of a CSV header plus one line per row, or of
+    ``json.dumps({"meta", "columns", "rows"}, indent=2, sort_keys=True)``
+    and a newline.  Rows are rendered _CHUNK_ROWS at a time, column by
+    column, so the text in memory does not grow with the row count.
+    """
+    names = list(columns)
+    n_rows = len(columns[names[0]])
+    out = sys.stdout
     if fmt == "json":
-        doc = {"meta": meta, "columns": columns, "rows": rows}
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        doc = json.dumps({"meta": meta, "columns": names, "rows": []}, indent=2, sort_keys=True)
+        if not n_rows:
+            out.write(doc + "\n")
+            return 0
+        # sort_keys puts "rows" last, so its empty list is the final "[]".
+        head, tail = doc[: doc.rindex("[]")] + "[\n", "\n  ]\n}\n"
+        row_open, cell_sep, row_close, row_sep = "    [\n      ", ",\n      ", "\n    ]", ",\n"
     else:
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        sys.stdout.write("\n".join(lines) + "\n")
+        head, tail = ",".join(names) + "\n", ""
+        row_open, cell_sep, row_close, row_sep = "", ",", "\n", ""
+    out.write(head)
+    between = row_close + row_sep + row_open
+    for lo in range(0, n_rows, _CHUNK_ROWS):
+        cols = [_cells(columns[name][lo : lo + _CHUNK_ROWS], fmt) for name in names]
+        rows = between.join(map(cell_sep.join, zip(*cols)))
+        out.write((row_sep if lo else "") + row_open + rows + row_close)
+    out.write(tail)
     return 0
 
 
@@ -102,19 +145,20 @@ def cmd_dist(args) -> int:
     spec = _walk_from_args(args)
     series = build(spec, args.n_max)
     table = max_pmf_table(series, args.n_max)
-    rows = [
-        [int(n), float(table.pmf[n]), float(table.log_pmf[n]), float(table.cumulative[n])]
-        for n in range(1, args.n_max + 1)
-    ]
-    meta = _meta(spec, "dist", n_max=args.n_max)
-    return _emit(args.format, meta, ["n", "pmf", "log_pmf", "cumulative"], rows)
+    # Index 0 of the table arrays is a placeholder; rows are n = 1..n_max.
+    columns = {
+        "n": range(1, args.n_max + 1),
+        "pmf": table.pmf[1:],
+        "log_pmf": table.log_pmf[1:],
+        "cumulative": table.cumulative[1:],
+    }
+    return _emit(args.format, _meta(spec, "dist", n_max=args.n_max), columns)
 
 
 def cmd_classify(args) -> int:
     spec = _walk_from_args(args)
     c = classify(spec)
     diag = series_diagnostic(build(spec, args.n_max))
-    rows = [[c.label.value, c.justification.value, diag.verdict]]
     meta = _meta(
         spec,
         "classify",
@@ -122,7 +166,12 @@ def cmd_classify(args) -> int:
         growth_exponent=diag.growth_exponent,
         log_sum_at_n_max=diag.log_sum_max,
     )
-    return _emit(args.format, meta, ["label", "justification", "diagnostic"], rows)
+    columns = {
+        "label": [c.label.value],
+        "justification": [c.justification.value],
+        "diagnostic": [diag.verdict],
+    }
+    return _emit(args.format, meta, columns)
 
 
 def cmd_asympt(args) -> int:
@@ -133,11 +182,14 @@ def cmd_asympt(args) -> int:
     n_lo = args.n_lo if args.n_lo is not None else max(shape.n_min_valid, n_hi // 100)
     series = build(spec, n_hi)
     fit = estimate_constant(series, shape, n_lo, n_hi, samples=args.samples)
-    rows = []
+    columns = {"n": [], "exact": [], "shape": [], "c_hat": []}
     with np.errstate(over="ignore", under="ignore"):
         for n, lc, c in zip(fit.ns, fit.log_c_hat, fit.c_hat):
             ls = log_shape(shape, int(n))
-            rows.append([int(n), float(np.exp(lc + ls)), float(np.exp(ls)), float(c)])
+            columns["n"].append(int(n))
+            columns["exact"].append(float(np.exp(lc + ls)))
+            columns["shape"].append(float(np.exp(ls)))
+            columns["c_hat"].append(float(c))
     meta = _meta(
         spec,
         "asympt",
@@ -150,7 +202,7 @@ def cmd_asympt(args) -> int:
         drift=fit.drift,
         underflowed=fit.underflowed,
     )
-    return _emit(args.format, meta, ["n", "exact", "shape", "c_hat"], rows)
+    return _emit(args.format, meta, columns)
 
 
 def cmd_hit(args) -> int:
@@ -159,7 +211,8 @@ def cmd_hit(args) -> int:
     series = build(spec, max(1, args.b - 1))
     p = hit_before(series, q)
     meta = _meta(spec, "hit", a=args.a, k=args.k, b=args.b)
-    return _emit(args.format, meta, ["a", "k", "b", "probability"], [[args.a, args.k, args.b, p]])
+    columns = {"a": [args.a], "k": [args.k], "b": [args.b], "probability": [p]}
+    return _emit(args.format, meta, columns)
 
 
 def cmd_return(args) -> int:
@@ -168,10 +221,15 @@ def cmd_return(args) -> int:
     series = build(spec, args.min_terms)
     rp = return_prob(series, opts)
     meta = _meta(spec, "return", min_terms=args.min_terms, tolerance=args.tolerance)
-    rows = [[rp.value, rp.lower, rp.upper, rp.n_terms, rp.method, rp.tolerance_met]]
-    return _emit(
-        args.format, meta, ["value", "lower", "upper", "n_terms", "method", "tolerance_met"], rows
-    )
+    columns = {
+        "value": [rp.value],
+        "lower": [rp.lower],
+        "upper": [rp.upper],
+        "n_terms": [rp.n_terms],
+        "method": [rp.method],
+        "tolerance_met": [rp.tolerance_met],
+    }
+    return _emit(args.format, meta, columns)
 
 
 def _sim_config(args, spec: WalkSpec) -> tuple[SimConfig, int]:
@@ -191,10 +249,6 @@ def cmd_simulate(args) -> int:
     spec = _walk_from_args(args)
     cfg, seed = _sim_config(args, spec)
     res = run(cfg)
-    rows = [
-        [int(n), int(res.counts[n]), float(res.counts[n] / res.total)]
-        for n in range(1, cfg.cap_height)
-    ]
     meta = _meta(
         spec,
         "simulate",
@@ -206,7 +260,9 @@ def cmd_simulate(args) -> int:
         censored_steps=res.censored_steps,
         total=res.total,
     )
-    return _emit(args.format, meta, ["n", "count", "empirical"], rows)
+    counts = res.counts[1:]
+    columns = {"n": range(1, cfg.cap_height), "count": counts, "empirical": counts / res.total}
+    return _emit(args.format, meta, columns)
 
 
 def cmd_compare(args) -> int:
@@ -216,10 +272,6 @@ def cmd_compare(args) -> int:
     table = max_pmf_table(series, cfg.cap_height - 1)
     res = run(cfg)
     rep = compare(res, table)
-    rows = [
-        [int(n), float(e), float(emp), float(se), float(z)]
-        for n, e, emp, se, z in zip(rep.n, rep.exact, rep.empirical, rep.stderr, rep.z)
-    ]
     meta = _meta(
         spec,
         "compare",
@@ -237,7 +289,14 @@ def cmd_compare(args) -> int:
         chi_square_pvalue=(rep.chi_square_pvalue if rep.chi_square_dof else None),
         censor_allowance=rep.censor_allowance,
     )
-    return _emit(args.format, meta, ["n", "exact", "empirical", "stderr", "z"], rows)
+    columns = {
+        "n": rep.n,
+        "exact": rep.exact,
+        "empirical": rep.empirical,
+        "stderr": rep.stderr,
+        "z": rep.z,
+    }
+    return _emit(args.format, meta, columns)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,3 +376,8 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed stdout early (``lmax dist ... | head``): stop
+        # quietly, and point stdout at devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .asymptotics import ShapeTarget, log_shape, resolve_shape
 from .classify import is_recurrent
@@ -57,6 +56,22 @@ class HittingQuery:
             raise RangeError(f"need 0 <= a <= k <= b, got a={self.a}, k={self.k}, b={self.b}")
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a finite, non-empty 1-D array.
+
+    Follows ``scipy.special.logsumexp`` (1.17) step for step, so results
+    are bitwise equal: the maximal entries are split out of the shifted
+    sum, which is scaled by their count m before ``log1p``.
+    """
+    a_max = a.max()
+    at_max = a == a_max
+    m = int(np.count_nonzero(at_max))
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum()
+    if s != 0:
+        s /= m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def hit_before(series: ProductSeries, q: HittingQuery) -> float:
     """Probability that the walk hits level ``q.a`` before ``q.b`` from ``q.k``.
 
@@ -74,8 +89,8 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
         raise RangeError(f"query needs products up to {q.b - 1}, table stops at {series.n_max}")
     # Numerator: j in [k, b); denominator: 1 + sum over j in (a, b), where
     # the leading 1 is the j = a term exp(log_prod[a] - log_prod[a]).
-    log_num = logsumexp(series.log_prod[q.k : q.b])
-    log_den = logsumexp(series.log_prod[q.a : q.b])
+    log_num = _logsumexp(series.log_prod[q.k : q.b])
+    log_den = _logsumexp(series.log_prod[q.a : q.b])
     return float(math.exp(log_num - log_den))
 
 

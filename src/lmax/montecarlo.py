@@ -28,11 +28,12 @@ The inner loop ``_drive`` is plain Python; no compiled kernel is used.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import ConfigError, RangeError
 from .excursion import MaxPmfTable
@@ -161,28 +162,30 @@ def _run_block(p, n_exc, seed, block_index, cap_steps, cap_height):
 def run(config: SimConfig) -> SimResult:
     """Simulate the configured number of excursions; see the stream rules above.
 
+    At most ``os.cpu_count()`` worker threads start, and never more than
+    there are blocks; the output does not depend on their number.
+
     Raises:
-        ResourceError: if the ``cap_height - 1`` bins exceed the table budget
-            (``series.check_budget``), the same limit ``compare`` needs.
+        ResourceError: if the ``cap_height - 1`` bins or the number of
+            blocks exceed the table budget (``series.check_budget``).
     """
     check_budget("cap_height-1", config.cap_height - 1)
+    n_blocks = -(-config.excursions // BLOCK)
+    check_budget("excursion blocks", n_blocks)
     # p[0] is never consulted: hitting 0 ends the excursion first.
     p = step_up_prob_array(config.spec, np.arange(config.cap_height))
-    sizes = [BLOCK] * (config.excursions // BLOCK)
-    if config.excursions % BLOCK:
-        sizes.append(config.excursions % BLOCK)
-    if config.workers == 1 or len(sizes) == 1:
-        parts = [
-            _run_block(p, n, config.seed, j, config.cap_steps, config.cap_height)
-            for j, n in enumerate(sizes)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(_run_block, p, n, config.seed, j, config.cap_steps, config.cap_height)
-                for j, n in enumerate(sizes)
-            ]
-            parts = [f.result() for f in futures]
+    sizes = (min(BLOCK, config.excursions - j * BLOCK) for j in range(n_blocks))
+    args = (repeat(p), sizes, repeat(config.seed), range(n_blocks),
+            repeat(config.cap_steps), repeat(config.cap_height))
+    workers = min(config.workers, n_blocks, os.cpu_count() or 1)
+    if workers == 1:
+        return _merge(map(_run_block, *args), config)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _merge(pool.map(_run_block, *args), config)
+
+
+def _merge(parts, config: SimConfig) -> SimResult:
+    """Sum per-block tallies in block order, consuming them one at a time."""
     counts = np.zeros(config.cap_height, dtype=np.int64)
     censored = np.zeros(2, dtype=np.int64)
     for c, z in parts:
@@ -252,7 +255,11 @@ def compare(
     if eligible.any():
         chi = float(np.sum((obs[eligible] - expected[eligible]) ** 2 / expected[eligible]))
         dof = int(eligible.sum())
-        pvalue = float(chdtrc(dof, chi))  # the chi-square survival function
+        # Imported here so that ``import lmax`` and the table commands never
+        # load scipy; chdtrc is the chi-square survival function.
+        from scipy.special import chdtrc
+
+        pvalue = float(chdtrc(dof, chi))
     else:
         chi, dof, pvalue = 0.0, 0, float("nan")
     return CompareReport(

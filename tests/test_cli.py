@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from lmax import cli
 from lmax.cli import main
 
 DIST_3 = ["dist", "--p", "0.5", "--n-max", "3"]
@@ -220,6 +225,15 @@ GOLDEN_STDOUT = [
      'ff2f2d780abfd37783d0aff41d72ea57b4ae39aa595222a0bb5099a038f70055'),
     ('compare --p 0.45 --excursions 20000 --seed 3 --cap-height 32 --format json',
      '6548977325ef864603b7a07b1bb49899d923ca580adade052f2cbd56c03d1f63'),
+    # One row past, and exactly on, the emitter's chunk seams (65536 rows).
+    ('dist --p 0.4 --n-max 65537',
+     '3c3b4b5f7cd18b297d83a4f0ba905e035ec7bb1db26a794c295ce8b451be1848'),
+    ('dist --p 0.4 --n-max 65537 --format json',
+     '913b7d1a26883e4b94992d9d2a26c89f462ab8e8b52bfae82f8c47eab4d3dd1b'),
+    ('dist --sign minus --K 2 --B 1 --n-max 131072',
+     '7f916f849125de5699802921eec3cc967ddcf8273683c9d836de428e34bc8270'),
+    ('dist --sign minus --K 2 --B 1 --n-max 131072 --format json',
+     '3754dfae07f7a244920fac86ee723230c353f2b5ac0e6f2219712044a104a177'),
 ]
 
 
@@ -229,6 +243,71 @@ def test_stdout_bytes_pinned(capsys, cmd, digest):
     code, out = _run(capsys, cmd.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _fmt_oracle(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _emit_oracle(fmt, meta, columns, rows) -> str:
+    """The row-list rendering the columnar emitter replaced, kept as its reference."""
+    if fmt == "json":
+        doc = {"meta": meta, "columns": columns, "rows": rows}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt_oracle(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = np.array([0.0, float("inf"), -0.0, float("-inf"), float("nan"), 1e-310, 0.1, -2.5e300])
+EMIT_CASES = {
+    "floats": {"n": range(1, 9), "x": SPECIAL, "y": SPECIAL[::-1].tolist()},
+    "return-shape": {"value": [0.5], "lower": [float("-inf")], "upper": [float("nan")],
+                     "n_terms": [100000], "method": ["shape-tail"], "tolerance_met": [False]},
+    "mixed": {"n": np.arange(5, dtype=np.int64), "ok": [True, False, True, True, False],
+              "label": ["a", "b,\"c\"", "\u00e9", "", "inf"], "x": SPECIAL[:5]},
+    "one-row": {"n": range(7, 8), "p": np.array([float("inf")])},
+    "empty": {"n": range(1, 1), "p": np.empty(0), "q": []},
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 65_536])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(EMIT_CASES))
+def test_emitter_matches_row_oracle(capsys, monkeypatch, case, fmt, chunk):
+    columns = EMIT_CASES[case]
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    meta = {"command": "test", "z": float("nan"), "a": [1, 2]}
+    assert cli._emit(fmt, meta, columns) == 0
+    out = capsys.readouterr().out
+    names = list(columns)
+    values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns.values()]
+    rows = [list(row) for row in zip(*values)]
+    assert out == _emit_oracle(fmt, meta, names, rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dist_memory_per_row_is_bounded(monkeypatch, fmt):
+    # Traced peak of a 3e5-row dist call, stdout discarded: 119 B/row (CSV)
+    # and 141 B/row (JSON) when rows stream in chunks, 500 and 751 B/row
+    # when every row was materialized first.
+    n = 300_000
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["dist", "--p", "0.5", "--n-max", str(n), "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak / n < 200
 
 
 def test_bad_table_budget_env_exits_two(capsys, monkeypatch):
@@ -252,11 +331,40 @@ def test_simulate_cap_height_over_budget_exits_one(capsys):
     assert "table budget" in capsys.readouterr().err
 
 
+def test_simulate_huge_excursion_count_exits_one(capsys):
+    argv = ["simulate", "--p", "0.5", "--excursions", "100000000000000000", "--seed", "1"]
+    t0 = time.perf_counter()
+    code = main(argv)
+    assert code == 1
+    assert "excursion blocks" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_import_leaves_heavy_modules_unloaded():
-    code = "import sys, lmax; print(sorted({'numba', 'scipy.stats'} & set(sys.modules)))"
+    code = (
+        "import sys, lmax\n"
+        "heavy = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('numba', 'scipy'))\n"
+        "after_import = heavy()\n"
+        "from lmax.cli import main\n"
+        "main(['dist', '--p', '0.5', '--n-max', '10', '--format', 'json'])\n"
+        "print(after_import, heavy(), file=sys.stderr)\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    assert out.stderr.strip() == "[] []"
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    argv = [sys.executable, "-m", "lmax", "dist", "--p", "0.5", "--n-max", "200000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"n,pmf,log_pmf,cumulative\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+    assert err == b""
 
 
 def test_module_entry_point():

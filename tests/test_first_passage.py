@@ -158,3 +158,19 @@ def test_return_prob_transient_minus_family():
     with pytest.warns(ConvergenceWarning):
         ref = return_prob(build(PerturbedWalk(1, 2.0, "plus"), 100_000))
     assert rp.value == ref.value  # bitwise sign symmetry carries through
+
+
+def test_logsumexp_is_scipy_bitwise():
+    from scipy.special import logsumexp
+
+    from lmax.first_passage import _logsumexp
+
+    rng = np.random.default_rng(20240)
+    arrays = [rng.normal(scale=10.0 ** rng.integers(-3, 4), size=rng.integers(1, 400))
+              for _ in range(2000)]
+    # Tied maxima, including an all-equal array and ties among many entries.
+    arrays += [np.array([1.5, 1.5, -2.0]), np.full(7, -3.25), np.array([0.0, 0.0]),
+               np.round(rng.normal(size=500), 1), -np.arange(50.0) ** 2 / 7]
+    arrays += [np.array([x]) for x in (0.0, -745.0, 3.7e5, -1e-300)]
+    for a in arrays:
+        assert _logsumexp(a) == float(logsumexp(a)), a

@@ -52,6 +52,42 @@ def test_workers_do_not_change_tallies():
     assert (a.censored_height, a.censored_steps) == (b.censored_height, b.censored_steps)
 
 
+def test_worker_threads_are_clamped(monkeypatch):
+    from lmax import montecarlo
+
+    seen = []
+
+    class SerialPool:
+        """Records the requested size and runs blocks inline: no thread starts."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    n = 2 * BLOCK + 5  # three blocks
+    cfg = dict(spec=ConstantWalk(0.3), excursions=n, seed=3, cap_steps=100, cap_height=16)
+    base = run(SimConfig(**cfg))
+    assert seen == []
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+    wide = run(SimConfig(**cfg, workers=10_000))
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    narrow = run(SimConfig(**cfg, workers=10_000))
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    single = run(SimConfig(**cfg, workers=10_000))
+    assert seen == [3, 2]
+    for r in (wide, narrow, single):
+        assert np.array_equal(r.counts, base.counts)
+        assert (r.censored_height, r.censored_steps) == (base.censored_height, base.censored_steps)
+
+
 def test_rerun_is_identical():
     cfg = SimConfig(PerturbedWalk(1, 1.0, "minus"), 20_000, seed=99, cap_steps=5000, cap_height=50)
     a, b = run(cfg), run(cfg)
