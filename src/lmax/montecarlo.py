@@ -23,15 +23,31 @@ unbiased up to step-censoring only, an excursion whose maximum stays
 below the cap never touches it; the comparison report widens its
 tolerance by the step-censored fraction to cover that residual bias.
 
-The inner loop ``_drive`` is plain Python; no compiled kernel is used.
+The inner loop is one C function (``_C_SOURCE``).  The first ``run`` in a
+process loads it, building it with the system ``gcc -O2 -shared -fPIC`` on
+a cache miss.  The shared object is cached in ``$XDG_CACHE_HOME/lmax`` (or
+``~/.cache/lmax``) under a name keyed by the SHA-256 of the source, the
+flags and the machine type; builds go through a temporary file and
+``os.replace``, so concurrent first runs are safe, and an unwritable cache
+falls back to a per-process temporary directory.  ctypes releases the GIL
+during the call, so ``workers`` threads run blocks in parallel.  If gcc is
+missing or fails, or the library will not load, the same loop runs in
+Python (``_drive_py``, also the reference the tests compare against);
+``kernel_info()`` names the kernel in use and the reason for a fallback.
+Both kernels consume the same stream, so tallies do not depend on which ran.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import platform
+import shutil
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,18 +56,22 @@ from .excursion import MaxPmfTable
 from .series import check_budget
 from .walk import WalkSpec, step_up_prob_array
 
-__all__ = ["BLOCK", "SimConfig", "SimResult", "run", "CompareReport", "compare"]
+__all__ = [
+    "BLOCK", "SimConfig", "SimResult", "run", "CompareReport", "compare",
+    "KernelInfo", "kernel_info",
+]
 
 BLOCK = 16_384
 _CHUNK = 65_536
 
 
-def _drive(u, state, counts, censored, p, cap_steps, cap_height):
+def _drive_py(u, state, counts, censored, p, cap_steps, cap_height):
     """Advance the block's walker state through one chunk of uniforms.
 
     state = [excursions remaining, position, steps taken, running max];
     mutated in place along with counts (tally by M) and censored
     ([height, steps]).  Returns when the chunk or the block is exhausted.
+    The reference for the C kernel below, and the fallback when it cannot load.
     """
     remaining = state[0]
     pos = state[1]
@@ -97,9 +117,145 @@ def _drive(u, state, counts, censored, p, cap_steps, cap_height):
     state[3] = m
 
 
-# perfbench/run.py reports ``kernel: python`` only when ``_drive is _drive_py``;
-# a compiled kernel would rebind ``_drive`` and keep this name for the reference.
-_drive_py = _drive
+# The compiled kernel: _drive_py line for line, cap_steps clamped to int64.
+_C_SOURCE = r"""
+#include <stdint.h>
+
+void lmax_drive(const double *u, int64_t n, int64_t *state, int64_t *counts,
+                int64_t *censored, const double *p, int64_t cap_steps, int64_t cap_height)
+{
+    int64_t remaining = state[0], pos = state[1], steps = state[2], m = state[3], i = 0;
+    while (remaining > 0) {
+        if (pos == 0) counts[m] += 1;
+        else if (pos >= cap_height) censored[0] += 1;
+        else if (steps >= cap_steps) censored[1] += 1;
+        else if (i >= n) break;
+        else {
+            if (u[i++] < p[pos]) { if (++pos > m) m = pos; } else pos -= 1;
+            steps += 1;
+            continue;
+        }
+        remaining -= 1; pos = 1; steps = 0; m = 1;
+    }
+    state[0] = remaining; state[1] = pos; state[2] = steps; state[3] = m;
+}
+"""
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+_INT64_MAX = 2**63 - 1
+
+
+class KernelInfo(NamedTuple):
+    """The simulator kernel in use: ``"c"`` or ``"python"``, and why not C."""
+
+    name: str
+    reason: str | None
+
+
+class _BuildError(Exception):
+    """gcc is missing or rejected the kernel source."""
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "lmax")
+
+
+def _compile(gcc: str, out_dir: str, name: str) -> str:
+    """Build ``out_dir/name`` in a private temporary directory, then move it into place.
+
+    ``os.replace`` is atomic, so processes building at once never see a
+    partial file.
+    """
+    import subprocess  # only a cache miss needs it; ``import lmax`` stays lean
+
+    with tempfile.TemporaryDirectory(dir=out_dir) as work:
+        src = os.path.join(work, "drive.c")
+        with open(src, "w") as f:
+            f.write(_C_SOURCE)
+        out = os.path.join(work, name)
+        proc = subprocess.run([gcc, *_CFLAGS, src, "-o", out], capture_output=True, text=True)
+        if proc.returncode:
+            raise _BuildError(f"gcc exited {proc.returncode}: {proc.stderr.strip()[:300]}")
+        path = os.path.join(out_dir, name)
+        os.replace(out, path)
+    return path
+
+
+def _load_c():
+    """Return the C kernel with ``_drive_py``'s signature, building it on a cache miss.
+
+    Raises:
+        _BuildError: gcc is missing or failed.
+        OSError: the library did not load.
+    """
+    import hashlib
+
+    key = "\0".join((_C_SOURCE, *_CFLAGS, platform.machine()))
+    name = f"drive-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
+    cache = _cache_dir()
+    path = os.path.join(cache, name)
+    lib = None
+    if not os.path.exists(path):
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            raise _BuildError("gcc not found on PATH")
+        try:
+            os.makedirs(cache, exist_ok=True)
+            _compile(gcc, cache, name)
+        except OSError:
+            # Unwritable cache: build per process; the mapping outlives the file.
+            with tempfile.TemporaryDirectory(prefix="lmax-") as tmp:
+                lib = ctypes.CDLL(_compile(gcc, tmp, name))
+    if lib is None:
+        lib = ctypes.CDLL(path)
+    fn = lib.lmax_drive
+    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    c64 = ctypes.c_int64
+    fn.argtypes = [f64, c64, i64, i64, i64, f64, c64, c64]
+    fn.restype = None
+
+    def drive_c(u, state, counts, censored, p, cap_steps, cap_height):
+        # ndpointer checks dtype and layout; C indexes these up to cap_height - 1.
+        if state.size != 4 or censored.size != 2 or min(counts.size, p.size) < cap_height:
+            raise ValueError("kernel arrays are shorter than the walker state needs")
+        # ctypes wraps ints past 64 bits silently; no excursion takes 2**63 steps.
+        fn(u, u.shape[0], state, counts, censored, p, min(cap_steps, _INT64_MAX), cap_height)
+
+    return drive_c
+
+
+_active = None  # (kernel, KernelInfo), set once per process by _load_kernel
+
+
+def _load_kernel():
+    """Return the kernel ``_drive`` dispatches to, loading it on the first call."""
+    global _active
+    if _active is None:
+        try:
+            _active = (_load_c(), KernelInfo("c", None))
+        except (_BuildError, OSError) as exc:
+            _active = (_drive_py, KernelInfo("python", f"{type(exc).__name__}: {exc}"))
+    return _active[0]
+
+
+def kernel_info() -> KernelInfo:
+    """Name the simulator kernel in use and the reason for a Python fallback.
+
+    Loads the kernel if no ``run`` has yet (building it on a cache miss);
+    writes nothing to stdout.
+    """
+    _load_kernel()
+    return _active[1]
+
+
+def _drive(u, state, counts, censored, p, cap_steps, cap_height):
+    """Advance one chunk with the active kernel (see ``_drive_py`` for the contract).
+
+    The stable entry ``_run_block`` calls per chunk; arrays must be
+    C-contiguous, ``counts`` and ``p`` at least ``cap_height`` long.
+    """
+    _load_kernel()(u, state, counts, censored, p, cap_steps, cap_height)
 
 
 @dataclass(frozen=True)
@@ -163,7 +319,8 @@ def run(config: SimConfig) -> SimResult:
     """Simulate the configured number of excursions; see the stream rules above.
 
     At most ``os.cpu_count()`` worker threads start, and never more than
-    there are blocks; the output does not depend on their number.
+    there are blocks; the output does not depend on their number.  The
+    first call in a process loads the kernel (see ``kernel_info``).
 
     Raises:
         ResourceError: if the ``cap_height - 1`` bins or the number of
@@ -174,6 +331,7 @@ def run(config: SimConfig) -> SimResult:
     check_budget("excursion blocks", n_blocks)
     # p[0] is never consulted: hitting 0 ends the excursion first.
     p = step_up_prob_array(config.spec, np.arange(config.cap_height))
+    _load_kernel()  # here, in the main thread, before any pool starts
     sizes = (min(BLOCK, config.excursions - j * BLOCK) for j in range(n_blocks))
     args = (repeat(p), sizes, repeat(config.seed), range(n_blocks),
             repeat(config.cap_steps), repeat(config.cap_height))

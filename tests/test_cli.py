@@ -340,10 +340,36 @@ def test_simulate_huge_excursion_count_exits_one(capsys):
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_python_kernel_keeps_simulator_pins(tmp_path):
+    # gcc off PATH and an empty cache: the simulator falls back to the Python kernel.
+    pins = [(c, d) for c, d in GOLDEN_STDOUT if c.split()[0] in ("simulate", "compare")]
+    code = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "from lmax.cli import main\n"
+        "from lmax.montecarlo import kernel_info\n"
+        "digests = []\n"
+        "for cmd in json.loads(sys.argv[1]):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        assert main(cmd.split()) == 0\n"
+        "    digests.append(hashlib.sha256(buf.getvalue().encode()).hexdigest())\n"
+        "print(json.dumps([kernel_info().name, digests]))\n"
+    )
+    env = {**os.environ, "PATH": str(tmp_path), "XDG_CACHE_HOME": str(tmp_path / "cache")}
+    argv = [sys.executable, "-c", code, json.dumps([c for c, _ in pins])]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    kernel, digests = json.loads(out.stdout)
+    assert kernel == "python"
+    assert len(pins) == 3 and digests == [d for _, d in pins]
+
+
 def test_import_leaves_heavy_modules_unloaded():
+    # subprocess is only needed to build the simulator kernel, never by dist.
     code = (
         "import sys, lmax\n"
-        "heavy = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('numba', 'scipy'))\n"
+        "heavy = lambda: sorted(m for m in sys.modules\n"
+        "                       if m.split('.')[0] in ('numba', 'scipy', 'subprocess'))\n"
         "after_import = heavy()\n"
         "from lmax.cli import main\n"
         "main(['dist', '--p', '0.5', '--n-max', '10', '--format', 'json'])\n"

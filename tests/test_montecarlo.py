@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 
@@ -15,8 +15,23 @@ from lmax import (
     build,
     compare,
     max_pmf_table,
+    montecarlo,
     run,
 )
+from lmax.montecarlo import KernelInfo, kernel_info
+
+
+def _loaded_kernels():
+    """Name -> kernel for every simulator kernel; fails unless both load, so parity is checked."""
+    try:
+        c = montecarlo._load_c()
+    except (montecarlo._BuildError, OSError) as exc:
+        pytest.fail(f"the C kernel did not load, so fewer than two kernels would be compared: {exc}")
+    return {"python": montecarlo._drive_py, "c": c}
+
+
+def _use(monkeypatch, name, impl):
+    monkeypatch.setattr(montecarlo, "_active", (impl, KernelInfo(name, None)))
 
 
 def test_config_validation():
@@ -42,14 +57,19 @@ def test_conservation():
     assert int(r.counts.sum()) + r.censored_height + r.censored_steps == r.total == 5000
 
 
-def test_workers_do_not_change_tallies():
-    # 3 full blocks plus a remainder, merged identically in block order.
+def test_workers_do_not_change_tallies(monkeypatch):
+    # 3 full blocks plus a remainder, merged identically in block order, on every kernel.
     n = 3 * BLOCK + 1234
     base = SimConfig(ConstantWalk(0.5), n, seed=7, cap_steps=2000, cap_height=64)
-    a = run(base)
-    b = run(SimConfig(ConstantWalk(0.5), n, seed=7, workers=5, cap_steps=2000, cap_height=64))
-    assert np.array_equal(a.counts, b.counts)
-    assert (a.censored_height, a.censored_steps) == (b.censored_height, b.censored_steps)
+    tallies = []
+    for name, impl in _loaded_kernels().items():
+        _use(monkeypatch, name, impl)
+        a = run(base)
+        b = run(SimConfig(ConstantWalk(0.5), n, seed=7, workers=5, cap_steps=2000, cap_height=64))
+        assert np.array_equal(a.counts, b.counts), name
+        assert (a.censored_height, a.censored_steps) == (b.censored_height, b.censored_steps), name
+        tallies.append((a.counts.tolist(), a.censored_height, a.censored_steps))
+    assert tallies[0] == tallies[1]
 
 
 def test_worker_threads_are_clamped(monkeypatch):
@@ -100,8 +120,8 @@ def test_seed_changes_tallies():
     assert not np.array_equal(a.counts, b.counts)
 
 
-# Exact tallies of the Python kernel, both censoring kinds included; any
-# other kernel must reproduce them from the same Philox stream.
+# Exact tallies of the Python kernel, both censoring kinds included; the C
+# kernel must reproduce them from the same Philox stream.
 PINNED_TALLIES = [
     (
         SimConfig(ConstantWalk(0.55), 4000, seed=11, cap_steps=300, cap_height=24),
@@ -119,10 +139,173 @@ PINNED_TALLIES = [
 
 
 @pytest.mark.parametrize("cfg,height,steps,counts", PINNED_TALLIES)
-def test_run_tallies_pinned(cfg, height, steps, counts):
+def test_run_tallies_pinned(monkeypatch, cfg, height, steps, counts):
+    for name, impl in _loaded_kernels().items():
+        _use(monkeypatch, name, impl)
+        r = run(cfg)
+        assert (r.censored_height, r.censored_steps) == (height, steps), name
+        assert r.counts.tolist() == counts, name
+
+
+@st.composite
+def _chunked_case(draw):
+    """A valid mid-block walker state, a p table and a few short uniform chunks.
+
+    Short chunks and small caps make excursions cross chunk seams and hit
+    cap_steps and cap_height mid-chunk; the grid values make u == p ties.
+    """
+    cap_height = draw(st.integers(2, 8))
+    cap_steps = draw(st.integers(1, 40))
+    grid = [0.0, 0.25, 0.5, 0.75]
+    probs = st.sampled_from(grid + [1.0]) | st.floats(0, 1)
+    p = np.array(draw(st.lists(probs, min_size=cap_height, max_size=cap_height)))
+    pos = draw(st.integers(1, cap_height - 1))
+    steps = draw(st.integers(0, cap_steps - 1))
+    state = [draw(st.integers(1, 30)), pos, steps, draw(st.integers(pos, cap_height - 1))]
+    uniforms = st.sampled_from(grid) | st.floats(0, 1, exclude_max=True)
+    chunks = draw(st.lists(st.lists(uniforms, max_size=40), min_size=1, max_size=6))
+    return p, state, cap_steps, cap_height, chunks
+
+
+@pytest.fixture(scope="module")
+def drive_c():
+    return _loaded_kernels()["c"]
+
+
+@given(case=_chunked_case())
+@example(case=(np.array([1.0, 0.5]), [3, 1, 0, 1], 5, 2, [[0.7, 0.2], [0.5, 0.1, 0.9]]))
+@example(case=(np.array([1.0, 0.5, 0.5]), [2, 2, 3, 2], 4, 3, [[0.9], [0.1, 0.9, 0.9, 0.9]]))
+@settings(max_examples=300, deadline=None)
+def test_c_kernel_matches_python_chunk_by_chunk(drive_c, case):
+    p, state, cap_steps, cap_height, chunks = case
+
+    def fresh():
+        return np.array(state, np.int64), np.zeros(cap_height, np.int64), np.zeros(2, np.int64)
+
+    ref, got = fresh(), fresh()
+    for chunk in chunks:
+        u = np.array(chunk, dtype=np.float64)
+        montecarlo._drive_py(u, *ref, p, cap_steps, cap_height)
+        drive_c(u, *got, p, cap_steps, cap_height)
+        for a, b in zip(ref, got):
+            assert a.tolist() == b.tolist()
+
+
+def test_c_kernel_rejects_arrays_it_would_overrun(drive_c):
+    import ctypes
+
+    u, p = np.full(8, 0.9), np.full(4, 0.5)
+    state, censored = np.array([1, 1, 0, 1], np.int64), np.zeros(2, np.int64)
+    with pytest.raises(ValueError):
+        drive_c(u, state, np.zeros(3, np.int64), censored, p, 100, 4)
+    with pytest.raises(ValueError):
+        drive_c(u, state, np.zeros(4, np.int64), censored, p[:3], 100, 4)
+    with pytest.raises(ctypes.ArgumentError):
+        drive_c(u, state, np.zeros(4, np.int32), censored, p, 100, 4)
+    with pytest.raises(ctypes.ArgumentError):
+        drive_c(u[::2], state, np.zeros(4, np.int64), censored, p, 100, 4)
+    assert state.tolist() == [1, 1, 0, 1]
+
+
+# 2**63 wraps to a negative int64 and 2**64 to 0, so unclamped every excursion
+# would be step-censored at once; 10**30 happens to wrap to a positive value.
+@pytest.mark.parametrize("cap_steps", [2**63, 2**64, 10**30])
+def test_oversized_cap_steps_is_clamped(monkeypatch, cap_steps):
+    cfg = dict(spec=ConstantWalk(0.45), excursions=3000, seed=4, cap_height=40)
+    ref = run(SimConfig(**cfg, cap_steps=10**9))
+    assert ref.censored_steps == 0
+    for name, impl in _loaded_kernels().items():
+        _use(monkeypatch, name, impl)
+        r = run(SimConfig(**cfg, cap_steps=cap_steps))
+        assert r.counts.tolist() == ref.counts.tolist(), name
+        assert (r.censored_height, r.censored_steps) == (ref.censored_height, 0), name
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path):
+    """An empty cache under tmp_path and no kernel loaded yet in this process."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(montecarlo, "_active", None)
+    return tmp_path / "cache" / "lmax"
+
+
+def _pinned_run_matches():
+    cfg, height, steps, counts = PINNED_TALLIES[0]
     r = run(cfg)
-    assert (r.censored_height, r.censored_steps) == (height, steps)
-    assert r.counts.tolist() == counts
+    return (r.censored_height, r.censored_steps, r.counts.tolist()) == (height, steps, counts)
+
+
+def test_kernel_builds_into_cache_and_reports_c(fresh_kernel, capsys):
+    assert kernel_info() == KernelInfo("c", None)
+    assert [f.suffix for f in fresh_kernel.iterdir()] == [".so"]
+    assert _pinned_run_matches()
+    assert capsys.readouterr().out == ""
+
+
+def test_missing_gcc_falls_back_to_python(fresh_kernel, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("PATH", str(tmp_path))
+    info = kernel_info()
+    assert info.name == "python"
+    assert "gcc not found" in info.reason
+    assert montecarlo._active[0] is montecarlo._drive_py
+    assert _pinned_run_matches()
+    assert capsys.readouterr().out == ""
+
+
+def test_gcc_failure_falls_back_to_python(fresh_kernel, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_C_SOURCE", "this is not C\n")
+    info = kernel_info()
+    assert info.name == "python"
+    assert "gcc exited" in info.reason
+
+
+def test_unloadable_library_falls_back_to_python(fresh_kernel, monkeypatch, tmp_path):
+    montecarlo._load_c()
+    (so,) = fresh_kernel.iterdir()
+    # A path this process never opened, so dlopen cannot reuse a loaded handle.
+    other = tmp_path / "other"
+    (other / "lmax").mkdir(parents=True)
+    (other / "lmax" / so.name).write_bytes(b"not an ELF file")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(other))
+    info = kernel_info()
+    assert info.name == "python"
+    assert info.reason.startswith("OSError")
+
+
+def test_unwritable_cache_builds_in_temp_dir(fresh_kernel, monkeypatch, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")  # a file where the cache directory would go
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    monkeypatch.setattr(montecarlo.tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    assert kernel_info() == KernelInfo("c", None)
+    assert _pinned_run_matches()
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def test_second_load_reuses_cached_file(fresh_kernel, monkeypatch):
+    import subprocess
+
+    montecarlo._load_c()
+    (so,) = fresh_kernel.iterdir()
+    stamp = so.stat().st_mtime_ns
+
+    def no_gcc(*args, **kwargs):
+        raise AssertionError("gcc ran on a cache hit")
+
+    monkeypatch.setattr(subprocess, "run", no_gcc)
+    monkeypatch.setattr(montecarlo.shutil, "which", lambda name: None)
+    assert kernel_info() == KernelInfo("c", None)
+    assert [f.name for f in fresh_kernel.iterdir()] == [so.name]
+    assert so.stat().st_mtime_ns == stamp
+
+
+def test_changed_source_gets_new_file_name(fresh_kernel, monkeypatch):
+    montecarlo._load_c()
+    monkeypatch.setattr(montecarlo, "_C_SOURCE", montecarlo._C_SOURCE + "/* changed */\n")
+    montecarlo._load_c()
+    names = sorted(f.name for f in fresh_kernel.iterdir())
+    assert len(names) == 2 and all(n.endswith(".so") for n in names)
 
 
 def test_cap_height_over_budget_is_resource_error(monkeypatch):
