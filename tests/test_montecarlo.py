@@ -51,6 +51,19 @@ def test_config_validation():
         SimConfig(**{**good, "cap_height": 1})
 
 
+@pytest.mark.parametrize("field", ["excursions", "seed", "workers", "cap_steps", "cap_height"])
+@pytest.mark.parametrize("value", [1e6, float("inf"), 100.0])
+def test_config_rejects_non_integers(field, value):
+    # Floats would run on the Python kernel but fail ctypes on the C one.
+    with pytest.raises(ConfigError, match=field):
+        SimConfig(**{"spec": ConstantWalk(0.5), "excursions": 10, "seed": 1, field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SimConfig(ConstantWalk(0.5), np.int64(10), seed=np.uint64(1), cap_steps=np.int32(50))
+    assert run(cfg).total == 10
+
+
 def test_conservation():
     r = run(SimConfig(ConstantWalk(0.5), 5000, seed=42, cap_steps=200))
     assert r.counts[0] == 0
