@@ -12,11 +12,16 @@ factors collapse into one closed form in the odds-ratio products:
 evaluated as exp(log_prod[n] - log_prefix_sum[n-1] - log_prefix_sum[n]) by
 ``ProductSeries.log_max_pmf``.
 
+The same factors make the running mass telescope: summing the pmf over
+m <= n leaves P(M <= n, D < inf) = 1 - 1/S_n with
+S_n = 1 + sum_{j<=n} rho_1...rho_j = exp(log_prefix_sum[n]), and the tail
+P(M >= n, D < inf) = 1/S_{n-1} - 1/S_inf.  The prefix sums give them as
+-expm1(-log S) and exp(-log S), not as sums of pmf terms or 1 minus such
+a sum, so the running mass holds to a few ulp at any table depth.
+
 Tables are built in one vectorized pass over a ``ProductSeries``; the
 linear pmf column flushes to 0 beneath double-precision underflow while
-the log column stays informative.  Cumulative mass uses compensated
-summation so that normalization checks hold at 1e-9 absolute even for
-multi-million-row tables.
+the log column stays informative.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ import numpy as np
 from .classify import is_recurrent
 from .errors import RangeError
 from .first_passage import TruncationOptions, return_prob
-from .numerics import compensated_cumsum
-from .series import ProductSeries
+from .series import ProductSeries, _escape_mass
 from .walk import spec_params, step_up_prob
 
 __all__ = [
@@ -107,14 +111,11 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
         pmf = np.exp(log_pmf)
     pmf[0] = 0.0
     pmf[1] = 1.0 - step_up_prob(series.spec, 1)
+    # 1 - 1/S_n is nondecreasing and <= 1 by construction; row 0 is
+    # -expm1(-0) = 0 and row 1 is pinned to q_1 like the pmf.
     cumulative = np.empty(n_max + 1)
-    cumulative[0] = 0.0
-    cumulative[1:] = compensated_cumsum(pmf[1:])
-    # Invariant: nondecreasing and <= 1.  Compensated partial sums of
-    # nonnegative terms can overshoot 1 by rounding and dip one ulp at
-    # chunk seams; clamp both ways.
-    np.minimum(cumulative, 1.0, out=cumulative)
-    np.maximum.accumulate(cumulative, out=cumulative)
+    _escape_mass(series.log_prefix_sum[: n_max + 1], complement=True, out=cumulative)
+    cumulative[1] = pmf[1]
     meta = dict(spec_params(series.spec))
     meta["n_max"] = n_max
     meta["built"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -141,22 +142,22 @@ class TailMass:
 
 
 def tail_mass(table: MaxPmfTable, n: int, opts: TruncationOptions = TruncationOptions()) -> TailMass:
-    """Mass at or above level n: return probability minus P(M <= n-1).
+    """Mass at or above level n: the escape mass 1/S_{n-1} less 1/S_inf.
 
-    Recurrent walks give the exact value 1 - cumulative[n-1] with a
-    degenerate bracket; transient walks inherit the truncation bracket
-    of ``return_prob`` (which needs ``opts.min_terms`` tabulated products).
+    Recurrent walks (1/S_inf = 0) give the exact value 1/S_{n-1} with a
+    degenerate bracket; transient walks take 1/S_inf = 1 - P(return) from
+    the truncation bracket of ``return_prob`` (which needs
+    ``opts.min_terms`` tabulated products).
     """
     n = table._check(n)
-    below = float(table.cumulative[n - 1])
+    escape = _escape_mass(float(table.series.log_prefix_sum[n - 1]))
     if is_recurrent(table.spec):
-        v = max(0.0, 1.0 - below)
-        return TailMass(n=n, value=v, lower=v, upper=v, exact=True)
+        return TailMass(n=n, value=escape, lower=escape, upper=escape, exact=True)
     rp = return_prob(table.series, opts)
     return TailMass(
         n=n,
-        value=max(0.0, rp.value - below),
-        lower=max(0.0, rp.lower - below),
-        upper=max(0.0, rp.upper - below),
+        value=max(0.0, escape - (1.0 - rp.value)),
+        lower=max(0.0, escape - (1.0 - rp.lower)),
+        upper=max(0.0, escape - (1.0 - rp.upper)),
         exact=False,
     )

@@ -31,7 +31,7 @@ import numpy as np
 from .asymptotics import ShapeTarget, log_shape, resolve_shape
 from .classify import is_recurrent
 from .errors import ConvergenceWarning, RangeError
-from .series import ProductSeries
+from .series import ProductSeries, _escape_mass
 from .walk import ConstantWalk, iterated_log, rho
 
 __all__ = [
@@ -170,9 +170,9 @@ def return_prob(series: ProductSeries, opts: TruncationOptions = TruncationOptio
         return ReturnProbability(1.0, 1.0, 1.0, n, "exact-recurrent", True)
     # S/(1+S) = 1 - exp(-log(1+S)), stable for both tiny and huge S.
     log_one_plus_s = float(series.log_prefix_sum[n])
-    lower = -math.expm1(-log_one_plus_s)
+    lower = _escape_mass(log_one_plus_s, complement=True)
     log_tail = _log_tail_estimate(series)
-    upper = -math.expm1(-float(np.logaddexp(log_one_plus_s, log_tail)))
+    upper = _escape_mass(float(np.logaddexp(log_one_plus_s, log_tail)), complement=True)
     method = "geometric-tail" if isinstance(series.spec, ConstantWalk) else "shape-tail"
     width = upper - lower
     met = width <= opts.tolerance

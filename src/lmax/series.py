@@ -18,6 +18,7 @@ with ``logaddexp(a, b) = max(a, b) + log1p(exp(-|a - b|))``, evaluated by
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -78,6 +79,24 @@ class ProductSeries:
             cur, prev = n, np.subtract(n, 1)
         head = np.subtract(self.log_prod[cur], self.log_prefix_sum[prev], out=out)
         return np.subtract(head, self.log_prefix_sum[cur], out=out)
+
+
+def _escape_mass(log_s, complement: bool = False, out: np.ndarray | None = None):
+    """Escape mass ``1/S = exp(-log S)``, or its complement ``1 - 1/S = -expm1(-log S)``.
+
+    With ``log S = log_prefix_sum[n]``, 1/S_n is the chance of reaching n+1
+    before 0 from 1 and its complement is P(M <= n, D < inf); with S = S_inf
+    they are 1 - P(return) and P(return).  Both come straight from log S,
+    so neither loses digits to cancellation at any depth.  A float goes
+    through ``math``; an array through numpy, into ``out`` when given.
+    """
+    if isinstance(log_s, float):
+        return -math.expm1(-log_s) if complement else math.exp(-log_s)
+    x = np.negative(log_s, out=out)
+    if not complement:
+        return np.exp(x, out=x)
+    np.expm1(x, out=x)
+    return np.negative(x, out=x)
 
 
 def check_budget(what: str, n: int, max_entries: int | None = None) -> None:

@@ -61,6 +61,26 @@ def telescoping_pmf(n: int) -> float:
     return 1.0 / n**2 - 1.0 / (n + 1.0) ** 2
 
 
+def closed_masses(kind: str, n: int, p: float = 0.5) -> tuple[float, float]:
+    """(P(M <= n, D < inf), 1/S_n) from S_n in closed form, in 40 digits.
+
+    S_n = 1 + sum_{j<=n} rho_1...rho_j, so the running mass of M is
+    1 - 1/S_n and the escape mass (reach n+1 before 0) is 1/S_n.  ``kind``
+    is "symmetric" (S_n = n + 1), "telescoping" (the depth-1 "minus" walk
+    with b=1, S_n = (n+1)^2) or "geometric" (constant p != 1/2,
+    S_n = (rho^(n+1) - 1)/(rho - 1)).  Both are rounded once, at the end.
+    """
+    with mp.workdps(40):
+        if kind == "symmetric":
+            s = mp.mpf(n + 1)
+        elif kind == "telescoping":
+            s = mp.mpf(n + 1) ** 2
+        else:
+            rho = (1 - mp.mpf(p)) / mp.mpf(p)
+            s = (rho ** (n + 1) - 1) / (rho - 1)
+        return float(1 - 1 / s), float(1 / s)
+
+
 def brute_prefix_sum(rhos) -> mp.mpf:
     """1 + sum of running products, summed naively in 50-digit arithmetic."""
     with mp.workdps(50):

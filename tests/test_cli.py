@@ -196,19 +196,21 @@ def test_simulate_auto_seed_is_reported_and_reproducible(capsys):
 
 # SHA-256 of stdout, recorded from the implementation these pins guard.
 # JSON meta carries the package version, so a version bump re-records them.
+# The dist pins were re-recorded when ``cumulative`` became 1 - 1/S_n read
+# off the prefix sums: n, pmf and log_pmf kept their bytes.
 GOLDEN_STDOUT = [
     ('dist --p 0.4 --n-max 300',
-     '65df49f9e0657088d61964359c544f3541635f41dc45a13bbf5d02e4d42f9993'),
+     'ab5f062ebf80d667c72df645a3a2cda45348719192b549a222084e9333cad98f'),
     ('dist --p 0.4 --n-max 300 --format json',
-     '1cc40ca423c4c3346dd352983cf408a99bd410d6de1498825316676492a30bc8'),
+     'e6e09982bc038fa82807bc10b1b35306ee7b378d71d63601d2a5958207563af9'),
     ('dist --sign plus --K 2 --B 1.5 --n-max 300',
-     '0f0bcbb60b0ac4e38ba0e4b7dcec5cb5e5d94d449021f1d8163796179d5d6eec'),
+     '12efcbb0cf641af0c98e9a928acd6bdf5982d7e7a6e7324fabbd40a12779d763'),
     ('dist --sign plus --K 2 --B 1.5 --n-max 300 --format json',
-     '7a8f3b19f22e40c6519a1c6694e8993171a5c97473e29ea5e4a39263f77a1afc'),
+     '5e8f6f1aec4b38c1b1385db608af95cd144a234be6f6d9499a84ab448ae22ca9'),
     ('dist --sign minus --K 3 --B -1 --n-max 300',
-     '6a6c3b80d542db82e2b70450d7c465766623b289642000041f7a2a8d6d9fd8a9'),
+     '9e5d63245f1e79c6df4f921092a49a698026656b2d136b7736db35567f0718a8'),
     ('dist --sign minus --K 3 --B -1 --n-max 300 --format json',
-     'ccb2cc2df436264027bf0d71666bd4b98c2d86b31b567b531637da446501a7a3'),
+     '2e34b709606c9f33245697b7884a69f46ae06b6a3758832d6749252dd2e02f7e'),
     ('asympt --sign plus --K 1 --B 0.5 --n-hi 20000 --format json',
      '27bb6d7db664f65c92b3111fc2d711f27fa9550c34ec0602c7452c8dc8620a9f'),
     ('asympt --p 0.4 --target product --n-hi 20000',
@@ -227,13 +229,13 @@ GOLDEN_STDOUT = [
      '6548977325ef864603b7a07b1bb49899d923ca580adade052f2cbd56c03d1f63'),
     # One row past, and exactly on, the emitter's chunk seams (65536 rows).
     ('dist --p 0.4 --n-max 65537',
-     '3c3b4b5f7cd18b297d83a4f0ba905e035ec7bb1db26a794c295ce8b451be1848'),
+     'fa2cc2dacde4af3b9acc51c2b04b491e51b03ba11004c25d79340252e17c7267'),
     ('dist --p 0.4 --n-max 65537 --format json',
-     '913b7d1a26883e4b94992d9d2a26c89f462ab8e8b52bfae82f8c47eab4d3dd1b'),
+     '610f40951e6c997df59436e503f0de611c35832540390ce455cd055acd065550'),
     ('dist --sign minus --K 2 --B 1 --n-max 131072',
-     '7f916f849125de5699802921eec3cc967ddcf8273683c9d836de428e34bc8270'),
+     '60dc0f004a744ed17d591335664a0049e1d1c254633c69883037965ab84a8787'),
     ('dist --sign minus --K 2 --B 1 --n-max 131072 --format json',
-     '3754dfae07f7a244920fac86ee723230c353f2b5ac0e6f2219712044a104a177'),
+     'd706ab97f559b8c2e2ea5192f21597d8dbe02cd5174d621e57eecbdc6268d8de'),
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from lmax import (
     tail_mass,
 )
 
-from _oracles import geometric_pmf, symmetric_pmf, telescoping_pmf
+from _oracles import closed_masses, geometric_pmf, symmetric_pmf, telescoping_pmf
 
 
 def test_one_step_excursion():
@@ -42,7 +43,7 @@ def test_upward_drift_by_hand():
 def test_table_small_values():
     t = max_pmf_table(build(ConstantWalk(0.5), 10), 4)
     assert t.pmf[1:5] == pytest.approx([1 / 2, 1 / 6, 1 / 12, 1 / 20], rel=1e-14)
-    assert t.cumulative[4] == pytest.approx(4 / 5, rel=1e-14)
+    assert abs(t.cumulative[4] - 4 / 5) <= 2 * math.ulp(4 / 5)
 
 
 def test_total_mass_transient():
@@ -130,6 +131,83 @@ def test_table_invariants(p, n):
     assert np.isfinite(t.log_pmf[1:]).all()
 
 
+# Walks whose prefix sums S_n have a closed form, so 1 - 1/S_n and 1/S_n
+# are exact oracles at any depth.
+CLOSED_WALKS = [
+    (ConstantWalk(0.5), "symmetric", 0.5),
+    (PerturbedWalk(1, 1.0, "minus"), "telescoping", 0.5),
+    (ConstantWalk(0.4), "geometric", 0.4),
+    (ConstantWalk(0.6), "geometric", 0.6),
+]
+ORACLE_DEPTHS = sorted(
+    set(range(1, 41)) | {int(round(10 ** (0.025 * i))) for i in range(64, 241)}
+)
+
+
+@pytest.mark.parametrize("spec, kind, p", CLOSED_WALKS, ids=lambda v: str(v))
+def test_cumulative_matches_closed_form_to_few_ulp(spec, kind, p):
+    n_max = ORACLE_DEPTHS[-1]
+    assert n_max == 1_000_000
+    t = max_pmf_table(build(spec, n_max), n_max)
+    worst = 0.0
+    for n in ORACLE_DEPTHS:
+        want, _ = closed_masses(kind, n, p)
+        worst = max(worst, abs(float(t.cumulative[n]) - want) / math.ulp(want))
+    assert worst <= 4.0, f"cumulative off by {worst:.1f} ulp"
+
+
+DEEP_TABLE_WALKS = [
+    ConstantWalk(0.43),
+    ConstantWalk(0.5),
+    PerturbedWalk(1, 2.0, "plus"),
+    PerturbedWalk(1, 1.0, "minus"),
+]
+
+
+@pytest.mark.parametrize("spec", DEEP_TABLE_WALKS, ids=str)
+def test_cumulative_monotone_and_at_most_one_at_1e7(spec):
+    n_max = 10_000_000
+    c = max_pmf_table(build(spec, n_max), n_max).cumulative
+    assert c[0] == 0.0 and c[1] > 0.0
+    assert np.all(c[1:] >= c[:-1])
+    assert c[-1] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "spec, kind, p, n",
+    [
+        (ConstantWalk(0.4), "geometric", 0.4, 50),
+        (ConstantWalk(0.4), "geometric", 0.4, 100),
+        (ConstantWalk(0.4), "geometric", 0.4, 200),
+        (ConstantWalk(0.5), "symmetric", 0.5, 1_000_000),
+        (PerturbedWalk(1, 1.0, "minus"), "telescoping", 0.5, 1_000_000),
+    ],
+    ids=lambda v: str(v),
+)
+def test_tail_mass_recurrent_deep_matches_closed_form(spec, kind, p, n):
+    # P(M >= n, D < inf) = 1/S_{n-1} on a recurrent walk; at p = 0.4 and
+    # n = 200 that is 3.0e-36, far below the rounding noise of 1 - P(M < n).
+    t = max_pmf_table(build(spec, n), n)
+    _, want = closed_masses(kind, n - 1, p)
+    tm = tail_mass(t, n)
+    assert tm.exact and tm.lower == tm.value == tm.upper
+    assert tm.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 10, 40])
+def test_tail_mass_transient_matches_closed_form(n):
+    # Constant p > 1/2: P(M >= n, D < inf) = 1/S_{n-1} - 1/S_inf, with
+    # 1/S_{n-1} = (rho - 1)/(rho^n - 1) and 1/S_inf = 1 - rho.
+    p = 2 / 3
+    t = max_pmf_table(build(ConstantWalk(p), 100_000), 200)
+    with mp.workdps(40):
+        r = (1 - mp.mpf(p)) / mp.mpf(p)
+        want = float((r - 1) / (r**n - 1) - (1 - r))
+    tm = tail_mass(t, n)
+    assert tm.value == pytest.approx(want, abs=1e-15)
+    assert tm.lower <= tm.value <= tm.upper
+
+
 def test_cumulative_below_return_upper():
     spec = PerturbedWalk(1, 2.0, "plus")
     s = build(spec, 100_000)
@@ -142,7 +220,7 @@ def test_tail_mass_recurrent():
     t = max_pmf_table(build(ConstantWalk(0.5), 100), 100)
     tm = tail_mass(t, 5)
     assert tm.exact
-    assert tm.value == pytest.approx(0.2, rel=1e-13)
+    assert abs(tm.value - 0.2) <= 2 * math.ulp(0.2)
     assert tm.lower == tm.value == tm.upper
 
 
