@@ -1,4 +1,8 @@
-"""Error-compensated summation helpers for long positive series."""
+"""Error-compensated summation helpers for long positive series.
+
+Nothing in the package calls this module any more: ``max_pmf_table`` reads
+its running mass off the prefix sums (see ``lmax.excursion``).
+"""
 
 from __future__ import annotations
 
