@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
 from .series import ProductSeries
-from .walk import ConstantWalk, PerturbedWalk, WalkSpec, iterated_log, rho
+from .walk import ConstantWalk, PerturbedWalk, WalkSpec, _first_site_above, iterated_log, rho
 
 __all__ = [
     "ShapeTarget",
@@ -84,21 +84,22 @@ def _chain(first_depth: int, last_depth: int) -> list[tuple[int, float]]:
 
 
 def _n_min_valid(factors: tuple[tuple[int, float], ...]) -> int:
+    """First n where every factor with a nonzero exponent exceeds ``_MIN_FACTOR``.
+
+    Shallower iterated logs are larger, so the deepest factor decides.
+    """
     depths = [d for d, e in factors if e != 0.0]
-    if not depths:
-        return 1
-    deepest = max(depths)
-    x = _MIN_FACTOR
-    for _ in range(deepest):
-        x = math.exp(x)
-    n = max(1, math.ceil(x))
-    while any(iterated_log(d, float(n)) < _MIN_FACTOR for d in depths):
-        n += 1
-    return n
+    return _first_site_above(max(depths), _MIN_FACTOR) if depths else 1
 
 
 def resolve_shape(spec: WalkSpec, target: ShapeTarget) -> AsymptoticShape:
-    """Pick the decay branch for a walk; total over all parameter values."""
+    """Pick the decay branch for a walk; every parameter value has one.
+
+    Raises:
+        ConfigError: if the shape's validity threshold ``n_min_valid`` lies
+            past any tabulable index (``PerturbedWalk(5, 1.0, "plus")``'s
+            pmf shape needs ``log_5 n > 0.1``, so n > exp(7.9e8)).
+    """
     if isinstance(spec, ConstantWalk):
         r = rho(spec, 1)
         if target is ShapeTarget.PRODUCT:

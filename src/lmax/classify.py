@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .series import ProductSeries
 from .walk import ConstantWalk, PerturbedWalk, WalkSpec
@@ -63,7 +62,6 @@ class Recurrence(enum.Enum):
 class Justification(enum.Enum):
     CRITERION = "criterion"
     ADJOINT = "adjoint"
-    SERIES_TEST = "series-test"
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,6 @@ class SeriesDiagnostic:
 class Classification:
     label: Recurrence
     justification: Justification
-    series_diagnostic: Optional[SeriesDiagnostic] = None
 
 
 def classify(spec: WalkSpec) -> Classification:

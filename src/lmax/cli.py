@@ -26,7 +26,6 @@ import argparse
 import json
 import math
 import os
-import secrets
 import sys
 
 import numpy as np
@@ -232,9 +231,10 @@ def cmd_return(args) -> int:
     return _emit(args.format, meta, columns)
 
 
-def _sim_config(args, spec: WalkSpec) -> tuple[SimConfig, int]:
-    seed = args.seed if args.seed is not None else secrets.randbits(64)
-    cfg = SimConfig(
+def _sim_config(args, spec: WalkSpec) -> SimConfig:
+    # os.urandom, not secrets: secrets imports hashlib, and with it OpenSSL.
+    seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "little")
+    return SimConfig(
         spec=spec,
         excursions=args.excursions,
         seed=seed,
@@ -242,18 +242,17 @@ def _sim_config(args, spec: WalkSpec) -> tuple[SimConfig, int]:
         cap_steps=args.cap_steps,
         cap_height=args.cap_height,
     )
-    return cfg, seed
 
 
 def cmd_simulate(args) -> int:
     spec = _walk_from_args(args)
-    cfg, seed = _sim_config(args, spec)
+    cfg = _sim_config(args, spec)
     res = run(cfg)
     meta = _meta(
         spec,
         "simulate",
         excursions=cfg.excursions,
-        seed=seed,
+        seed=cfg.seed,
         cap_steps=cfg.cap_steps,
         cap_height=cfg.cap_height,
         censored_height=res.censored_height,
@@ -267,7 +266,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     spec = _walk_from_args(args)
-    cfg, seed = _sim_config(args, spec)
+    cfg = _sim_config(args, spec)
     series = build(spec, cfg.cap_height - 1)
     table = max_pmf_table(series, cfg.cap_height - 1)
     res = run(cfg)
@@ -276,7 +275,7 @@ def cmd_compare(args) -> int:
         spec,
         "compare",
         excursions=cfg.excursions,
-        seed=seed,
+        seed=cfg.seed,
         cap_steps=cfg.cap_steps,
         cap_height=cfg.cap_height,
         censored_height=res.censored_height,

@@ -86,35 +86,26 @@ def _drive_py(u, state, counts, censored, p, cap_steps, cap_height):
     while remaining > 0:
         if pos == 0:
             counts[m] += 1
-            remaining -= 1
-            pos = 1
-            steps = 0
-            m = 1
-            continue
-        if pos >= cap_height:
+        elif pos >= cap_height:
             censored[0] += 1
-            remaining -= 1
-            pos = 1
-            steps = 0
-            m = 1
-            continue
-        if steps >= cap_steps:
+        elif steps >= cap_steps:
             censored[1] += 1
-            remaining -= 1
-            pos = 1
-            steps = 0
-            m = 1
-            continue
-        if i >= n:
+        elif i >= n:
             break
-        if u[i] < p[pos]:
-            pos += 1
-            if pos > m:
-                m = pos
         else:
-            pos -= 1
-        steps += 1
-        i += 1
+            if u[i] < p[pos]:
+                pos += 1
+                if pos > m:
+                    m = pos
+            else:
+                pos -= 1
+            steps += 1
+            i += 1
+            continue
+        remaining -= 1
+        pos = 1
+        steps = 0
+        m = 1
     state[0] = remaining
     state[1] = pos
     state[2] = steps

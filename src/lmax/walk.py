@@ -57,8 +57,9 @@ __all__ = [
 
 Sign = Literal["plus", "minus"]
 
-# Largest tolerable start index for the i0 scan.  Deeper iterated-log
-# towers put i0 beyond any tabulable range (k=6 needs i0 > exp(3.8e6)).
+# Largest tolerable start index for a threshold search (_first_site_above):
+# the i0 scan and every shape's n_min_valid.  Deeper iterated-log towers lie
+# beyond any tabulable range (k=6 needs i0 > exp(3.8e6)).
 _I0_SCAN_LIMIT = 2**53
 
 
@@ -110,25 +111,30 @@ def _perturbation_array(k: int, x: np.ndarray, b: float) -> np.ndarray:
     return total
 
 
-def _chain_start(k: int) -> int:
-    """Smallest integer with a positive (k-1)-fold iterated log.
+def _first_site_above(depth: int, floor: float) -> int:
+    """Least integer ``n >= 1`` with ``iterated_log(depth, n) > floor``.
 
-    ``log_{k-1} i > 0`` iff ``i`` exceeds the (k-2)-fold exponential of 1;
-    scanning from there skips the (possibly enormous) undefined range.
+    Iterated logs increase with ``n``, so the scan starts just below the
+    ``depth``-fold exponential of ``floor`` and skips the (possibly
+    enormous) range before it.
+
+    Raises:
+        ConfigError: if that exponential passes ``_I0_SCAN_LIMIT``.
     """
-    if k <= 2:
-        return 1
-    tower = 1.0
-    for _ in range(k - 2):
+    tower = floor
+    for _ in range(depth):
         # Guard before exponentiating: exp overflows long before the
         # comparison against the scan limit would.
         if tower >= math.log(_I0_SCAN_LIMIT):
             raise ConfigError(
-                f"perturbation depth k={k} is unusable: the drift term is "
-                f"undefined below exp({tower:.3g}), beyond any tabulable range"
+                f"the first n with log_{depth}(n) > {floor:g} lies beyond "
+                f"exp({tower:.3g}), past any tabulable index"
             )
         tower = math.exp(tower)
-    return max(1, math.floor(tower))
+    n = max(1, math.floor(tower))
+    while iterated_log(depth, float(n)) <= floor:
+        n += 1
+    return n
 
 
 def compute_i0(k: int, b: float) -> int:
@@ -140,9 +146,10 @@ def compute_i0(k: int, b: float) -> int:
     """
     if k < 1:
         raise ConfigError("perturbation depth k must be >= 1")
-    i = _chain_start(k)
-    while iterated_log(k - 1, float(i)) <= 0.0:
-        i += 1
+    try:
+        i = _first_site_above(k - 1, 0.0)
+    except ConfigError as exc:
+        raise ConfigError(f"perturbation depth k={k} is unusable: {exc}") from None
     # The chain is positive from here on; scan it in doubling blocks.
     size = 64
     while True:
@@ -282,10 +289,17 @@ def spec_params(spec: WalkSpec) -> dict:
 
 
 def spec_from_params(params) -> WalkSpec:
-    """Inverse of ``spec_params``; accepts any mapping with the same keys."""
+    """Inverse of ``spec_params``; accepts any mapping with the same keys.
+
+    Raises:
+        ConfigError: if the family is unknown or one of its keys is missing.
+    """
     family = params.get("family")
-    if family == "constant":
-        return ConstantWalk(float(params["p"]))
-    if family == "perturbed":
-        return PerturbedWalk(k=int(params["k"]), b=float(params["b"]), sign=params["sign"])
+    try:
+        if family == "constant":
+            return ConstantWalk(float(params["p"]))
+        if family == "perturbed":
+            return PerturbedWalk(k=int(params["k"]), b=float(params["b"]), sign=params["sign"])
+    except KeyError as exc:
+        raise ConfigError(f"{family} walk parameters lack {exc.args[0]!r}") from None
     raise ConfigError(f"unknown walk family {family!r}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lmax import (
+    ConfigError,
     ConstantWalk,
     DomainError,
     PerturbedWalk,
@@ -80,6 +81,18 @@ def test_validity_thresholds():
     assert resolve_shape(PerturbedWalk(1, 1.0, "plus"), PMF).n_min_valid == 2
     assert resolve_shape(PerturbedWalk(2, 1.0, "plus"), PMF).n_min_valid == 4
     assert resolve_shape(ConstantWalk(0.5), PMF).n_min_valid == 1
+    assert resolve_shape(PerturbedWalk(3, 1.0, "plus"), PMF).n_min_valid == 21
+    assert resolve_shape(PerturbedWalk(3, 2.0, "minus"), PMF).n_min_valid == 4
+    assert resolve_shape(PerturbedWalk(4, 0.5, "plus"), PMF).n_min_valid == 21
+    assert resolve_shape(PerturbedWalk(4, 1.0, "plus"), PMF).n_min_valid == 788_762_618
+    assert resolve_shape(PerturbedWalk(1, -1.0, "minus"), PMF).n_min_valid == 2
+    assert resolve_shape(PerturbedWalk(5, 2.0, "plus"), PROD).n_min_valid == 788_762_618
+
+
+def test_untabulable_threshold_rejected():
+    # log_5 n passes 0.1 only beyond exp(7.9e8).
+    with pytest.raises(ConfigError):
+        resolve_shape(PerturbedWalk(5, 1.0, "plus"), PMF)
 
 
 def test_below_threshold_rejected():

@@ -319,6 +319,16 @@ def test_bad_table_budget_env_exits_two(capsys, monkeypatch):
     assert "LMAX_MAX_TABLE" in capsys.readouterr().err
 
 
+def test_asympt_untabulable_threshold_exits_two():
+    argv = [sys.executable, "-m", "lmax", "asympt", "--sign", "plus", "--K", "5", "--B", "1",
+            "--n-hi", "1000"]
+    out = subprocess.run(argv, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:")
+    assert out.stderr.count("\n") == 1
+
+
 def test_asympt_nonpositive_samples_exits_two(capsys):
     code = main(["asympt", "--p", "0.4", "--n-hi", "1000", "--samples", "-1"])
     assert code == 2
@@ -367,11 +377,12 @@ def test_python_kernel_keeps_simulator_pins(tmp_path):
 
 
 def test_import_leaves_heavy_modules_unloaded():
-    # subprocess is only needed to build the simulator kernel, never by dist.
+    # subprocess is only needed to build the simulator kernel, never by dist;
+    # hashlib (and the OpenSSL it loads) only to name the kernel's cache file.
     code = (
         "import sys, lmax\n"
         "heavy = lambda: sorted(m for m in sys.modules\n"
-        "                       if m.split('.')[0] in ('numba', 'scipy', 'subprocess'))\n"
+        "                       if m.split('.')[0] in ('numba', 'scipy', 'subprocess', 'hashlib'))\n"
         "after_import = heavy()\n"
         "from lmax.cli import main\n"
         "main(['dist', '--p', '0.5', '--n-max', '10', '--format', 'json'])\n"
@@ -380,6 +391,19 @@ def test_import_leaves_heavy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stderr.strip() == "[] []"
+
+
+def test_every_module_is_reachable():
+    # A module that neither the package nor the CLI imports is dead code.
+    code = (
+        "import pathlib, sys, lmax, lmax.cli\n"
+        "names = sorted(p.stem for p in pathlib.Path(lmax.__file__).parent.glob('*.py'))\n"
+        "print([n for n in names if n not in ('__init__', '__main__')\n"
+        "       and f'lmax.{n}' not in sys.modules])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_closed_stdout_pipe_exits_quietly():

@@ -57,6 +57,8 @@ def test_compute_i0():
     assert compute_i0(2, 0.0) == 2
     assert compute_i0(1, 1000.0) == 501  # past the first scan blocks
     assert compute_i0(5, 1.0) == 3_814_280  # chain start near exp(exp(e))
+    assert compute_i0(3, 1.0) == 4
+    assert compute_i0(4, 1.0) == 16
 
 
 def test_i0_strictness():
@@ -106,6 +108,15 @@ def test_deep_tower_rejected():
 def test_spec_params_round_trip():
     for spec in (ConstantWalk(0.375), PerturbedWalk(2, -1.5, "minus")):
         assert spec_from_params(spec_params(spec)) == spec
+
+
+@pytest.mark.parametrize("key", ["p", "k", "b", "sign"])
+def test_spec_from_params_missing_key(key):
+    spec = ConstantWalk(0.375) if key == "p" else PerturbedWalk(2, -1.5, "minus")
+    params = spec_params(spec)
+    del params[key]
+    with pytest.raises(ConfigError, match=repr(key)):
+        spec_from_params(params)
 
 
 @given(
