@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 
 import numpy as np
@@ -36,8 +37,8 @@ from .classify import classify, series_diagnostic
 from .errors import ConfigError, DomainError, RangeError, ResourceError
 from .excursion import max_pmf_table
 from .first_passage import HittingQuery, TruncationOptions, hit_before, return_prob
-from .montecarlo import SimConfig, compare, run
-from .series import build
+from .montecarlo import SimConfig, compare, kernel_info, run
+from .series import build, table_budget
 from .walk import ConstantWalk, PerturbedWalk, WalkSpec, spec_params
 
 __all__ = ["main", "build_parser"]
@@ -298,6 +299,23 @@ def cmd_compare(args) -> int:
     return _emit(args.format, meta, columns)
 
 
+def cmd_info(args) -> int:
+    budget, source = table_budget()
+    kernel = kernel_info()
+    reason = kernel.reason or ""
+    if args.format == "csv" and any(ch in reason for ch in ',"\r\n'):
+        reason = '"' + reason.replace('"', '""') + '"'  # gcc's stderr holds commas and lines
+    columns = {
+        "kernel": [kernel.name],
+        "kernel_reason": [reason],
+        "python": [platform.python_version()],
+        "numpy": [np.__version__],
+        "table_budget": [budget],
+        "table_budget_source": [source],
+    }
+    return _emit(args.format, {"command": "info", "version": __version__}, columns)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lmax",
@@ -361,6 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_sim_args(sp)
     _add_format_arg(sp)
     sp.set_defaults(func=cmd_compare)
+
+    sp = sub.add_parser("info", help="simulator kernel, library versions and table budget")
+    _add_format_arg(sp)
+    sp.set_defaults(func=cmd_info)
 
     return parser
 

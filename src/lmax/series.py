@@ -27,7 +27,9 @@ import numpy as np
 from .errors import ConfigError, RangeError, ResourceError
 from .walk import WalkSpec, log_rho_array
 
-__all__ = ["ProductSeries", "build", "check_budget", "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV"]
+__all__ = [
+    "ProductSeries", "build", "check_budget", "table_budget", "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV",
+]
 
 # One table of length n holds two float64 arrays of n+1 entries; the
 # default budget (~320 MB per table) is deliberately conservative and can
@@ -99,18 +101,30 @@ def _escape_mass(log_s, complement: bool = False, out: np.ndarray | None = None)
     return np.negative(x, out=x)
 
 
+def table_budget() -> tuple[int, str]:
+    """The entry budget when a call gives no ``max_entries``, and where it comes from.
+
+    Returns ``(int($LMAX_MAX_TABLE), "LMAX_MAX_TABLE")`` when the variable is
+    set, else ``(DEFAULT_MAX_ENTRIES, "default")``.
+
+    Raises:
+        ConfigError: if ``LMAX_MAX_TABLE`` is not an integer.
+    """
+    env = os.environ.get(MAX_TABLE_ENV)
+    if env is None:
+        return DEFAULT_MAX_ENTRIES, "default"
+    try:
+        return int(env), MAX_TABLE_ENV
+    except ValueError:
+        raise ConfigError(f"${MAX_TABLE_ENV} must be an integer, got {env!r}") from None
+
+
 def check_budget(what: str, n: int, max_entries: int | None = None) -> None:
     """Raise ``ResourceError`` if ``n`` entries, named ``what``, exceed the budget.
 
-    The budget is ``max_entries``, else ``$LMAX_MAX_TABLE``, else ``DEFAULT_MAX_ENTRIES``.
+    The budget is ``max_entries``, else ``table_budget()``.
     """
-    limit = max_entries
-    if limit is None:
-        env = os.environ.get(MAX_TABLE_ENV, DEFAULT_MAX_ENTRIES)
-        try:
-            limit = int(env)
-        except ValueError:
-            raise ConfigError(f"${MAX_TABLE_ENV} must be an integer, got {env!r}") from None
+    limit = table_budget()[0] if max_entries is None else max_entries
     if n > int(limit):
         raise ResourceError(
             f"{what}={n} exceeds the table budget of {limit} entries "

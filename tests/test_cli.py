@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -10,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lmax import cli
+from lmax import cli, montecarlo
 from lmax.cli import main
 
 DIST_3 = ["dist", "--p", "0.5", "--n-max", "3"]
@@ -197,7 +199,10 @@ def test_simulate_auto_seed_is_reported_and_reproducible(capsys):
 # SHA-256 of stdout, recorded from the implementation these pins guard.
 # JSON meta carries the package version, so a version bump re-records them.
 # The dist pins were re-recorded when ``cumulative`` became 1 - 1/S_n read
-# off the prefix sums: n, pmf and log_pmf kept their bytes.
+# off the prefix sums: n, pmf and log_pmf kept their bytes.  The compare pin
+# was re-recorded when the package took over the chi-square p-value from
+# scipy.special.chdtrc: only chi_square_pvalue moved, from 0.7876610150786842
+# to 0.7876610150786841, the double nearest 0.78766101507868408843...
 GOLDEN_STDOUT = [
     ('dist --p 0.4 --n-max 300',
      'ab5f062ebf80d667c72df645a3a2cda45348719192b549a222084e9333cad98f'),
@@ -226,7 +231,7 @@ GOLDEN_STDOUT = [
     ('simulate --sign minus --K 2 --B 1 --excursions 3000 --seed 9 --cap-steps 400 --cap-height 30',
      'ff2f2d780abfd37783d0aff41d72ea57b4ae39aa595222a0bb5099a038f70055'),
     ('compare --p 0.45 --excursions 20000 --seed 3 --cap-height 32 --format json',
-     '6548977325ef864603b7a07b1bb49899d923ca580adade052f2cbd56c03d1f63'),
+     '6a3bbd3fb50ac00f7c44d77ddcc145db229893cb077224fe2b8f31a4c6af7089'),
     # One row past, and exactly on, the emitter's chunk seams (65536 rows).
     ('dist --p 0.4 --n-max 65537',
      'fa2cc2dacde4af3b9acc51c2b04b491e51b03ba11004c25d79340252e17c7267'),
@@ -378,7 +383,7 @@ def test_python_kernel_keeps_simulator_pins(tmp_path):
 
 def test_import_leaves_heavy_modules_unloaded():
     # subprocess is only needed to build the simulator kernel, never by dist;
-    # hashlib (and the OpenSSL it loads) only to name the kernel's cache file.
+    # hashlib would load OpenSSL, which no table command needs.
     code = (
         "import sys, lmax\n"
         "heavy = lambda: sorted(m for m in sys.modules\n"
@@ -391,6 +396,66 @@ def test_import_leaves_heavy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stderr.strip() == "[] []"
+
+
+def test_simulator_commands_leave_scipy_and_openssl_unloaded():
+    # The p-value is computed in the package and the kernel's cache file is
+    # named with zlib, so loading the kernel (which info does) needs neither
+    # scipy nor hashlib, with the OpenSSL that _hashlib loads.  simulate and
+    # compare still get hashlib from numpy.random, which imports secrets.
+    code = (
+        "import sys\n"
+        "from lmax.cli import main\n"
+        "loaded = lambda *names: sorted(m for m in sys.modules if m.split('.')[0] in names)\n"
+        "assert main(['info']) == 0\n"
+        "after_info = loaded('scipy', 'hashlib', '_hashlib')\n"
+        "assert main(['compare', '--p', '0.45', '--excursions', '2000', '--seed', '3',\n"
+        "             '--cap-height', '16']) == 0\n"
+        "assert main(['simulate', '--p', '0.5', '--excursions', '500', '--seed', '1',\n"
+        "             '--cap-height', '8']) == 0\n"
+        "print(after_info, loaded('scipy'), file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.strip() == "[] []"
+
+
+def test_info_reports_kernel_versions_and_budget(capsys, monkeypatch):
+    monkeypatch.delenv("LMAX_MAX_TABLE", raising=False)
+    code, out = _run(capsys, ["info", "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"] == {"command": "info", "version": cli.__version__}
+    row = dict(zip(doc["columns"], doc["rows"][0]))
+    kernel = montecarlo.kernel_info()
+    assert (row["kernel"], row["kernel_reason"]) == (kernel.name, kernel.reason or "")
+    assert row["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert row["numpy"] == np.__version__
+    assert (row["table_budget"], row["table_budget_source"]) == (20_000_000, "default")
+    monkeypatch.setenv("LMAX_MAX_TABLE", "12345")
+    code, out = _run(capsys, ["info"])
+    assert code == 0
+    header, (row,) = _csv_rows(out)
+    assert dict(zip(header, row))["table_budget"] == "12345"
+    assert dict(zip(header, row))["table_budget_source"] == "LMAX_MAX_TABLE"
+
+
+def test_info_quotes_a_multiline_fallback_reason_in_csv(capsys, monkeypatch):
+    reason = '_BuildError: gcc exited 1: drive.c:1:1: error: expected "=", ",", \nbefore'
+    monkeypatch.setattr(montecarlo, "_active", (montecarlo._drive_py, montecarlo.KernelInfo("python", reason)))
+    code, out = _run(capsys, ["info"])
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert dict(zip(header, row))["kernel_reason"] == reason
+
+
+def test_info_bad_table_budget_env_exits_two():
+    env = {**os.environ, "LMAX_MAX_TABLE": "2e7"}
+    out = subprocess.run([sys.executable, "-m", "lmax", "info"], env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:") and "LMAX_MAX_TABLE" in out.stderr
+    assert out.stderr.count("\n") == 1
 
 
 def test_every_module_is_reachable():

@@ -1,3 +1,9 @@
+import math
+import os
+import random
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -315,10 +321,38 @@ def test_second_load_reuses_cached_file(fresh_kernel, monkeypatch):
 
 def test_changed_source_gets_new_file_name(fresh_kernel, monkeypatch):
     montecarlo._load_c()
+    (first,) = fresh_kernel.iterdir()
     monkeypatch.setattr(montecarlo, "_C_SOURCE", montecarlo._C_SOURCE + "/* changed */\n")
     montecarlo._load_c()
-    names = sorted(f.name for f in fresh_kernel.iterdir())
-    assert len(names) == 2 and all(n.endswith(".so") for n in names)
+    # The build under the new name pruned the kernel no key points to any more.
+    (second,) = fresh_kernel.iterdir()
+    assert second.suffix == ".so" and second.name != first.name
+
+
+def test_prune_spares_other_files_and_builds_in_progress(fresh_kernel):
+    busy = fresh_kernel / "tmp-concurrent-build"
+    busy.mkdir(parents=True)
+    (busy / "drive-0123456789abcdef.so").write_bytes(b"half written")
+    (fresh_kernel / "notes.txt").write_text("kept")
+    (fresh_kernel / "drive-0123456789abcdef.so").write_bytes(b"stale")
+    montecarlo._load_c()
+    left = sorted(f.name for f in fresh_kernel.iterdir())
+    assert len(left) == 3 and "notes.txt" in left and busy.name in left
+    assert "drive-0123456789abcdef.so" not in left
+    assert [f.name for f in busy.iterdir()] == ["drive-0123456789abcdef.so"]
+
+
+def test_kernel_pruned_before_load_falls_back(fresh_kernel, monkeypatch):
+    # Another process prunes the file between the existence check and CDLL.
+    real_exists = os.path.exists
+    monkeypatch.setattr(
+        montecarlo.os.path, "exists",
+        lambda path: path.startswith(str(fresh_kernel)) or real_exists(path),
+    )
+    info = kernel_info()
+    assert info.name == "python"
+    assert info.reason.startswith("OSError")
+    assert _pinned_run_matches()
 
 
 def test_cap_height_over_budget_is_resource_error(monkeypatch):
@@ -335,6 +369,65 @@ def test_chdtrc_is_chi2_sf(dof):
     chi = np.concatenate([[0.0], np.geomspace(1e-3, 5 * dof + 100, 200)])
     got = np.array([chdtrc(dof, c) for c in chi])
     assert np.array_equal(got, stats.chi2.sf(chi, dof))
+
+
+def _chi2_grid(seed, dofs, per_dof):
+    """Seeded (dof, chi) points: the left tail, the bulk around the branch switch, the right tail."""
+    rng = random.Random(seed)
+    for dof in dofs:
+        for _ in range(per_dof):
+            u = rng.random()
+            if u < 0.2:
+                chi = dof * 10 ** rng.uniform(-4, 0)
+            elif u < 0.5:
+                chi = max(0.0, dof + rng.uniform(-4, 4) * math.sqrt(2 * dof + 4))
+            else:  # out to where Q falls below 1e-300
+                chi = rng.uniform(0, dof + 40 * math.sqrt(2 * dof) + 1400)
+            yield dof, chi
+
+
+@pytest.mark.parametrize("dofs,per_dof,bound", [
+    (range(1, 201), 12, 1e-14),
+    (random.Random(5).sample(range(201, 20_001), 12), 20, 1e-12),
+], ids=["dof-1-200", "dof-201-20000"])
+def test_chi2_sf_against_mpmath(dofs, per_dof, bound):
+    worst, checked = 0.0, 0
+    with mpmath.workdps(50):
+        for dof, chi in _chi2_grid(11, dofs, per_dof):
+            exact = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(chi) / 2, mpmath.inf,
+                                    regularized=True)
+            if exact < mpmath.mpf("1e-300"):
+                continue
+            err = float(abs(montecarlo._chi2_sf(dof, chi) - exact) / exact)
+            worst, checked = max(worst, err), checked + 1
+    assert checked >= 0.7 * len(dofs) * per_dof
+    assert worst <= bound
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 14, 199, 200, 201, 5000])
+def test_chi2_sf_edges(dof):
+    sf = montecarlo._chi2_sf
+    assert sf(dof, 0.0) == 1.0
+    assert sf(dof, math.inf) == 0.0
+    assert math.isnan(sf(dof, math.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sf(dof, 1e300) == 0.0
+        assert sf(dof, 5e-324) == 1.0
+        assert sf(dof, 1e-300) == 1.0  # x / a - 1 rounds to -1 above dof = 200
+    # Nonincreasing from 1 to 0 across every branch switch (x = a - 1/2, x = 1400).
+    chi = np.linspace(0.0, dof + 60 * math.sqrt(2 * dof) + 3000, 20_001)
+    q = np.array([sf(dof, c) for c in chi])
+    assert q[0] == 1.0 and q[-1] == 0.0
+    assert np.all(np.diff(q) <= 0)
+
+
+def test_chi2_sf_one_dof_is_erfc():
+    # chi = 2 r**2 makes sqrt(chi / 2) exact; elsewhere the package also
+    # corrects the rounding of that square root, which plain erfc does not.
+    for r in np.arange(1, 240) / 8:
+        want = math.erfc(r)
+        assert abs(montecarlo._chi2_sf(1, 2 * r * r) - want) <= math.ulp(want)
 
 
 def test_height_censoring_dominates_for_strong_updrift():
