@@ -1,5 +1,11 @@
 """Command-line front end; every subcommand emits CSV or JSON on stdout.
 
+Every call takes one path through ``main``: parse the arguments, parse
+the walk (``walk.spec_from_params`` decides what each family needs),
+run the subcommand's ``cmd_*(args, spec)``, which returns its meta fields
+and its columns, then emit them with the walk parameters, ``command``
+and ``version`` added to the meta.  No walk is parsed for ``info``.
+
 Conventions shared by all subcommands:
 
 * ``--format csv`` (default) writes a single header row then data rows;
@@ -37,9 +43,9 @@ from .classify import classify, series_diagnostic
 from .errors import ConfigError, DomainError, RangeError, ResourceError
 from .excursion import max_pmf_table
 from .first_passage import HittingQuery, TruncationOptions, hit_before, return_prob
-from .montecarlo import SimConfig, compare, kernel_info, run
+from .montecarlo import SimConfig, SimResult, compare, kernel_info, run
 from .series import build, table_budget
-from .walk import ConstantWalk, PerturbedWalk, WalkSpec, spec_params
+from .walk import WalkSpec, spec_from_params, spec_params
 
 __all__ = ["main", "build_parser"]
 
@@ -58,21 +64,13 @@ def _add_format_arg(sp: argparse.ArgumentParser) -> None:
 
 
 def _walk_from_args(args) -> WalkSpec:
-    family = args.family
-    if family is None:
-        if args.p is not None:
-            family = "constant"
-        elif args.sign is not None or args.k_depth is not None or args.b_coef is not None:
-            family = "perturbed"
-    if family == "constant":
-        if args.p is None:
-            raise ConfigError("--p is required for the constant family")
-        return ConstantWalk(args.p)
-    if family == "perturbed":
-        if args.sign is None or args.k_depth is None or args.b_coef is None:
-            raise ConfigError("--sign, --K and --B are all required for the perturbed family")
-        return PerturbedWalk(k=args.k_depth, b=args.b_coef, sign=args.sign)
-    raise ConfigError("no walk given: use --p or --family perturbed --sign ... --K ... --B ...")
+    """The walk the flags name; ``spec_from_params`` checks what its family needs."""
+    flags = {"p": args.p, "sign": args.sign, "k": args.k_depth, "b": args.b_coef}
+    params = {key: value for key, value in flags.items() if value is not None}
+    if not (params or args.family):
+        raise ConfigError("no walk given: use --p or --family perturbed --sign ... --K ... --B ...")
+    family = args.family or ("constant" if "p" in params else "perturbed")
+    return spec_from_params({"family": family, **params})
 
 
 _CHUNK_ROWS = 65_536
@@ -133,16 +131,7 @@ def _emit(fmt: str, meta: dict, columns: dict) -> int:
     return 0
 
 
-def _meta(spec: WalkSpec, command: str, **extra) -> dict:
-    meta = dict(spec_params(spec))
-    meta["command"] = command
-    meta["version"] = __version__
-    meta.update(extra)
-    return meta
-
-
-def cmd_dist(args) -> int:
-    spec = _walk_from_args(args)
+def cmd_dist(args, spec) -> tuple[dict, dict]:
     series = build(spec, args.n_max)
     table = max_pmf_table(series, args.n_max)
     # Index 0 of the table arrays is a placeholder; rows are n = 1..n_max.
@@ -152,30 +141,23 @@ def cmd_dist(args) -> int:
         "log_pmf": table.log_pmf[1:],
         "cumulative": table.cumulative[1:],
     }
-    return _emit(args.format, _meta(spec, "dist", n_max=args.n_max), columns)
+    return {"n_max": args.n_max}, columns
 
 
-def cmd_classify(args) -> int:
-    spec = _walk_from_args(args)
+def cmd_classify(args, spec) -> tuple[dict, dict]:
     c = classify(spec)
     diag = series_diagnostic(build(spec, args.n_max))
-    meta = _meta(
-        spec,
-        "classify",
-        n_max=args.n_max,
-        growth_exponent=diag.growth_exponent,
-        log_sum_at_n_max=diag.log_sum_max,
-    )
+    fields = {"n_max": args.n_max, "growth_exponent": diag.growth_exponent,
+              "log_sum_at_n_max": diag.log_sum_max}
     columns = {
         "label": [c.label.value],
         "justification": [c.justification.value],
         "diagnostic": [diag.verdict],
     }
-    return _emit(args.format, meta, columns)
+    return fields, columns
 
 
-def cmd_asympt(args) -> int:
-    spec = _walk_from_args(args)
+def cmd_asympt(args, spec) -> tuple[dict, dict]:
     target = ShapeTarget(args.target)
     shape = resolve_shape(spec, target)
     n_hi = args.n_hi
@@ -190,46 +172,32 @@ def cmd_asympt(args) -> int:
             columns["exact"].append(float(np.exp(lc + ls)))
             columns["shape"].append(float(np.exp(ls)))
             columns["c_hat"].append(float(c))
-    meta = _meta(
-        spec,
-        "asympt",
-        target=target.value,
-        branch=shape.branch,
-        n_min_valid=shape.n_min_valid,
-        n_lo=int(n_lo),
-        n_hi=int(n_hi),
-        samples=args.samples,
-        drift=fit.drift,
-        underflowed=fit.underflowed,
-    )
-    return _emit(args.format, meta, columns)
-
-
-def cmd_hit(args) -> int:
-    spec = _walk_from_args(args)
-    q = HittingQuery(a=args.a, k=args.k, b=args.b)
-    series = build(spec, max(1, args.b - 1))
-    p = hit_before(series, q)
-    meta = _meta(spec, "hit", a=args.a, k=args.k, b=args.b)
-    columns = {"a": [args.a], "k": [args.k], "b": [args.b], "probability": [p]}
-    return _emit(args.format, meta, columns)
-
-
-def cmd_return(args) -> int:
-    spec = _walk_from_args(args)
-    opts = TruncationOptions(min_terms=args.min_terms, tolerance=args.tolerance)
-    series = build(spec, args.min_terms)
-    rp = return_prob(series, opts)
-    meta = _meta(spec, "return", min_terms=args.min_terms, tolerance=args.tolerance)
-    columns = {
-        "value": [rp.value],
-        "lower": [rp.lower],
-        "upper": [rp.upper],
-        "n_terms": [rp.n_terms],
-        "method": [rp.method],
-        "tolerance_met": [rp.tolerance_met],
+    fields = {
+        "target": target.value,
+        "branch": shape.branch,
+        "n_min_valid": shape.n_min_valid,
+        "n_lo": int(n_lo),
+        "n_hi": int(n_hi),
+        "samples": args.samples,
+        "drift": fit.drift,
+        "underflowed": fit.underflowed,
     }
-    return _emit(args.format, meta, columns)
+    return fields, columns
+
+
+def cmd_hit(args, spec) -> tuple[dict, dict]:
+    q = HittingQuery(a=args.a, k=args.k, b=args.b)
+    p = hit_before(build(spec, max(1, args.b - 1)), q)
+    columns = {"a": [args.a], "k": [args.k], "b": [args.b], "probability": [p]}
+    return {"a": args.a, "k": args.k, "b": args.b}, columns
+
+
+def cmd_return(args, spec) -> tuple[dict, dict]:
+    opts = TruncationOptions(min_terms=args.min_terms, tolerance=args.tolerance)
+    rp = return_prob(build(spec, args.min_terms), opts)
+    names = ("value", "lower", "upper", "n_terms", "method", "tolerance_met")
+    columns = {name: [getattr(rp, name)] for name in names}
+    return {"min_terms": args.min_terms, "tolerance": args.tolerance}, columns
 
 
 def _sim_config(args, spec: WalkSpec) -> SimConfig:
@@ -245,43 +213,28 @@ def _sim_config(args, spec: WalkSpec) -> SimConfig:
     )
 
 
-def cmd_simulate(args) -> int:
-    spec = _walk_from_args(args)
-    cfg = _sim_config(args, spec)
+def _simulate(cfg: SimConfig) -> tuple[SimResult, dict]:
+    """Run ``cfg``; return the result and the meta fields ``simulate`` and ``compare`` share."""
     res = run(cfg)
-    meta = _meta(
-        spec,
-        "simulate",
-        excursions=cfg.excursions,
-        seed=cfg.seed,
-        cap_steps=cfg.cap_steps,
-        cap_height=cfg.cap_height,
-        censored_height=res.censored_height,
-        censored_steps=res.censored_steps,
-        total=res.total,
-    )
+    fields = dict(excursions=cfg.excursions, seed=cfg.seed, cap_steps=cfg.cap_steps,
+                  cap_height=cfg.cap_height, censored_height=res.censored_height,
+                  censored_steps=res.censored_steps, total=res.total)
+    return res, fields
+
+
+def cmd_simulate(args, spec) -> tuple[dict, dict]:
+    res, fields = _simulate(_sim_config(args, spec))
     counts = res.counts[1:]
-    columns = {"n": range(1, cfg.cap_height), "count": counts, "empirical": counts / res.total}
-    return _emit(args.format, meta, columns)
+    return fields, {"n": range(1, res.cap_height), "count": counts, "empirical": counts / res.total}
 
 
-def cmd_compare(args) -> int:
-    spec = _walk_from_args(args)
+def cmd_compare(args, spec) -> tuple[dict, dict]:
+    # The config first: a bad argument exits 2 before the table's budget check can exit 1.
     cfg = _sim_config(args, spec)
-    series = build(spec, cfg.cap_height - 1)
-    table = max_pmf_table(series, cfg.cap_height - 1)
-    res = run(cfg)
+    table = max_pmf_table(build(spec, cfg.cap_height - 1), cfg.cap_height - 1)
+    res, fields = _simulate(cfg)
     rep = compare(res, table)
-    meta = _meta(
-        spec,
-        "compare",
-        excursions=cfg.excursions,
-        seed=cfg.seed,
-        cap_steps=cfg.cap_steps,
-        cap_height=cfg.cap_height,
-        censored_height=res.censored_height,
-        censored_steps=res.censored_steps,
-        total=res.total,
+    fields.update(
         n_flagged=rep.n_flagged,
         flagged_bins=[int(n) for n in rep.n[rep.flagged]],
         chi_square=rep.chi_square,
@@ -289,17 +242,11 @@ def cmd_compare(args) -> int:
         chi_square_pvalue=(rep.chi_square_pvalue if rep.chi_square_dof else None),
         censor_allowance=rep.censor_allowance,
     )
-    columns = {
-        "n": rep.n,
-        "exact": rep.exact,
-        "empirical": rep.empirical,
-        "stderr": rep.stderr,
-        "z": rep.z,
-    }
-    return _emit(args.format, meta, columns)
+    columns = {name: getattr(rep, name) for name in ("n", "exact", "empirical", "stderr", "z")}
+    return fields, columns
 
 
-def cmd_info(args) -> int:
+def cmd_info(args, spec) -> tuple[dict, dict]:
     budget, source = table_budget()
     kernel = kernel_info()
     reason = kernel.reason or ""
@@ -313,7 +260,7 @@ def cmd_info(args) -> int:
         "table_budget": [budget],
         "table_budget_source": [source],
     }
-    return _emit(args.format, {"command": "info", "version": __version__}, columns)
+    return {}, columns
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,7 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        spec = _walk_from_args(args) if "family" in args else None
+        fields, columns = args.func(args, spec)
+        meta = spec_params(spec) if spec is not None else {}
+        meta.update(command=args.command, version=__version__, **fields)
+        return _emit(args.format, meta, columns)
     except (ConfigError, DomainError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,6 @@ the log column stays informative.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,7 +36,7 @@ from .classify import is_recurrent
 from .errors import RangeError
 from .first_passage import TruncationOptions, return_prob
 from .series import ProductSeries, _escape_mass
-from .walk import spec_params, step_up_prob
+from .walk import step_up_prob
 
 __all__ = [
     "MaxPmfTable",
@@ -64,7 +63,6 @@ class MaxPmfTable:
     pmf: np.ndarray
     cumulative: np.ndarray
     series: ProductSeries = field(repr=False)
-    meta: dict = field(repr=False)
 
     def _check(self, n: int) -> int:
         n = int(n)
@@ -116,9 +114,6 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     cumulative = np.empty(n_max + 1)
     _escape_mass(series.log_prefix_sum[: n_max + 1], complement=True, out=cumulative)
     cumulative[1] = pmf[1]
-    meta = dict(spec_params(series.spec))
-    meta["n_max"] = n_max
-    meta["built"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return MaxPmfTable(
         spec=series.spec,
         n_max=n_max,
@@ -126,7 +121,6 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
         pmf=pmf,
         cumulative=cumulative,
         series=series,
-        meta=meta,
     )
 
 

@@ -183,13 +183,15 @@ def _compile(gcc: str, out_dir: str, name: str) -> str:
 def _prune_cache(cache: str, keep: str) -> None:
     """Delete the cached kernels other than ``keep``, which no current key names.
 
-    Only top-level ``drive-*.so`` entries go; the temporary directories of
-    builds in progress are left alone.  Failures are skipped: the kernel
-    just built must still load.
+    Only top-level ``drive-*.so`` entries go, and ``_drive-*.so`` ones, the
+    names an older build used; the temporary directories of builds in
+    progress are left alone.  Failures are skipped: the kernel just built
+    must still load.
     """
     with contextlib.suppress(OSError), os.scandir(cache) as entries:
         for entry in entries:
-            if entry.name.startswith("drive-") and entry.name.endswith(".so") and entry.name != keep:
+            stem = entry.name.removeprefix("_")
+            if stem.startswith("drive-") and stem.endswith(".so") and entry.name != keep:
                 with contextlib.suppress(OSError):  # another process removed it first
                     os.remove(entry.path)
 
@@ -464,15 +466,20 @@ def _chi2_sf(dof: int, chi: float) -> float:
     return pre * a * f
 
 
+MIN_EXPECTED = 50.0
+Z_THRESHOLD = 4.0
+
+
 @dataclass(frozen=True, eq=False)
 class CompareReport:
     """Per-bin agreement between empirical frequencies and an exact table.
 
     Bins run 1..cap_height-1.  A bin is eligible when its expected count
-    is at least ``min_expected``; it is flagged when additionally
-    |empirical - exact| > z_threshold * stderr + censor_allowance, the
-    allowance being the step-censored fraction of the run.  chi_square
-    sums over eligible bins with dof equal to their number.
+    is at least ``MIN_EXPECTED`` (50); it is flagged when additionally
+    |empirical - exact| > ``Z_THRESHOLD`` * stderr + censor_allowance
+    (``Z_THRESHOLD`` is 4), the allowance being the step-censored
+    fraction of the run.  chi_square sums over eligible bins with dof
+    equal to their number.
     chi_square_pvalue is its chi-square survival function (``_chi2_sf``),
     within 3e-15 relative of a 50-digit value for dof <= 200 and within
     4e-13 up to dof = 20,000, wherever that value exceeds 1e-300.
@@ -493,12 +500,7 @@ class CompareReport:
     total: int
 
 
-def compare(
-    result: SimResult,
-    table: MaxPmfTable,
-    min_expected: float = 50.0,
-    z_threshold: float = 4.0,
-) -> CompareReport:
+def compare(result: SimResult, table: MaxPmfTable) -> CompareReport:
     """Score a simulation against an exact table covering every bin.
 
     Raises:
@@ -517,9 +519,9 @@ def compare(
     np.divide(empirical - exact, stderr, out=z, where=stderr > 0)
     z[(stderr == 0) & (empirical > exact)] = np.inf
     expected = exact * total
-    eligible = expected >= min_expected
+    eligible = expected >= MIN_EXPECTED
     allowance = result.censored_steps / total
-    flagged = eligible & (np.abs(empirical - exact) > z_threshold * stderr + allowance)
+    flagged = eligible & (np.abs(empirical - exact) > Z_THRESHOLD * stderr + allowance)
     if eligible.any():
         chi = float(np.sum((obs[eligible] - expected[eligible]) ** 2 / expected[eligible]))
         dof = int(eligible.sum())

@@ -33,7 +33,7 @@ __all__ = [
 
 # One table of length n holds two float64 arrays of n+1 entries; the
 # default budget (~320 MB per table) is deliberately conservative and can
-# be raised per call or globally through the environment variable below.
+# be changed only through the environment variable below.
 DEFAULT_MAX_ENTRIES = 20_000_000
 MAX_TABLE_ENV = "LMAX_MAX_TABLE"
 
@@ -102,7 +102,7 @@ def _escape_mass(log_s, complement: bool = False, out: np.ndarray | None = None)
 
 
 def table_budget() -> tuple[int, str]:
-    """The entry budget when a call gives no ``max_entries``, and where it comes from.
+    """The entry budget of every table, and where it comes from.
 
     Returns ``(int($LMAX_MAX_TABLE), "LMAX_MAX_TABLE")`` when the variable is
     set, else ``(DEFAULT_MAX_ENTRIES, "default")``.
@@ -119,36 +119,32 @@ def table_budget() -> tuple[int, str]:
         raise ConfigError(f"${MAX_TABLE_ENV} must be an integer, got {env!r}") from None
 
 
-def check_budget(what: str, n: int, max_entries: int | None = None) -> None:
-    """Raise ``ResourceError`` if ``n`` entries, named ``what``, exceed the budget.
-
-    The budget is ``max_entries``, else ``table_budget()``.
-    """
-    limit = table_budget()[0] if max_entries is None else max_entries
-    if n > int(limit):
+def check_budget(what: str, n: int) -> None:
+    """Raise ``ResourceError`` if ``n`` entries, named ``what``, exceed ``table_budget()``."""
+    limit = table_budget()[0]
+    if n > limit:
         raise ResourceError(
             f"{what}={n} exceeds the table budget of {limit} entries "
-            f"(override via max_entries or ${MAX_TABLE_ENV})"
+            f"(set ${MAX_TABLE_ENV} to change it)"
         )
 
 
-def build(spec: WalkSpec, n_max: int, max_entries: int | None = None) -> ProductSeries:
+def build(spec: WalkSpec, n_max: int) -> ProductSeries:
     """Tabulate log products and log prefix sums in one vectorized pass.
 
     Args:
         spec: walk to tabulate.
         n_max: last index (>= 1).
-        max_entries: memory budget override; defaults to the
-            ``LMAX_MAX_TABLE`` environment variable or 2e7 entries.
 
     Raises:
-        ResourceError: if ``n_max`` exceeds the budget.
+        ResourceError: if ``n_max`` exceeds ``table_budget()``: the
+            ``LMAX_MAX_TABLE`` environment variable, or 2e7 entries.
         ConfigError: if ``LMAX_MAX_TABLE`` is not an integer.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
-    check_budget("n_max", n_max, max_entries)
+    check_budget("n_max", n_max)
     lr = log_rho_array(spec, np.arange(1, n_max + 1, dtype=np.int64))
     log_prod = np.empty(n_max + 1)
     log_prod[0] = 0.0

@@ -288,18 +288,25 @@ def spec_params(spec: WalkSpec) -> dict:
     return {"family": "perturbed", "sign": spec.sign, "k": spec.k, "b": spec.b}
 
 
+_FAMILY_KEYS = {"constant": ("p",), "perturbed": ("sign", "k", "b")}
+
+
 def spec_from_params(params) -> WalkSpec:
     """Inverse of ``spec_params``; accepts any mapping with the same keys.
 
+    The one place that decides which parameters each family needs; keys
+    the family does not use are ignored.
+
     Raises:
-        ConfigError: if the family is unknown or one of its keys is missing.
+        ConfigError: if the family is unknown or any of its keys is missing
+            (the message names every missing key).
     """
     family = params.get("family")
-    try:
-        if family == "constant":
-            return ConstantWalk(float(params["p"]))
-        if family == "perturbed":
-            return PerturbedWalk(k=int(params["k"]), b=float(params["b"]), sign=params["sign"])
-    except KeyError as exc:
-        raise ConfigError(f"{family} walk parameters lack {exc.args[0]!r}") from None
-    raise ConfigError(f"unknown walk family {family!r}")
+    if family not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown walk family {family!r}")
+    missing = [key for key in _FAMILY_KEYS[family] if key not in params]
+    if missing:
+        raise ConfigError(f"{family} walk parameters lack {', '.join(map(repr, missing))}")
+    if family == "constant":
+        return ConstantWalk(float(params["p"]))
+    return PerturbedWalk(k=int(params["k"]), b=float(params["b"]), sign=params["sign"])

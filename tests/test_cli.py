@@ -77,8 +77,11 @@ def test_bad_probability_exits_two(capsys):
 
 
 def test_incomplete_perturbed_exits_two(capsys):
-    code, _ = _run(capsys, ["dist", "--family", "perturbed", "--sign", "plus", "--n-max", "5"])
+    code = main(["dist", "--family", "perturbed", "--sign", "plus", "--n-max", "5"])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'k'" in err and "'b'" in err and "'sign'" not in err
 
 
 def test_missing_walk_exits_two(capsys):
@@ -355,6 +358,15 @@ def test_simulate_huge_excursion_count_exits_one(capsys):
     assert code == 1
     assert "excursion blocks" in capsys.readouterr().err
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_compare_checks_config_before_table_budget(capsys):
+    # excursions=0 is a bad argument (2), found before the 3e7-entry table
+    # would exceed the budget (1).
+    argv = ["compare", "--p", "0.5", "--excursions", "0", "--cap-height", "30000000"]
+    code = main(argv)
+    assert code == 2
+    assert "excursions" in capsys.readouterr().err
 
 
 def test_python_kernel_keeps_simulator_pins(tmp_path):

@@ -240,12 +240,3 @@ def test_tail_mass_transient_by_hand():
     tm = tail_mass(t, 2)
     assert tm.value == pytest.approx(1 / 6, abs=1e-12)
     assert tm.lower <= tm.value <= tm.upper
-
-
-def test_meta_records_parameters():
-    t = max_pmf_table(build(PerturbedWalk(1, 4.0, "minus"), 8), 8)
-    assert t.meta["family"] == "perturbed"
-    assert t.meta["sign"] == "minus"
-    assert t.meta["k"] == 1 and t.meta["b"] == 4.0
-    assert t.meta["n_max"] == 8
-    assert "built" in t.meta

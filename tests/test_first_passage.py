@@ -130,7 +130,7 @@ def test_return_prob_needs_min_terms():
 
 def test_return_prob_transient_perturbed_bracket():
     spec = PerturbedWalk(1, 2.0, "plus")
-    s = build(spec, 200_000, max_entries=10**7)
+    s = build(spec, 200_000)
     with pytest.warns(ConvergenceWarning):
         rp = return_prob(s, TruncationOptions(min_terms=100_000, tolerance=1e-12))
     assert rp.method == "shape-tail"

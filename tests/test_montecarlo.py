@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import chdtrc
 
 from lmax import (
     BLOCK,
@@ -335,10 +334,12 @@ def test_prune_spares_other_files_and_builds_in_progress(fresh_kernel):
     (busy / "drive-0123456789abcdef.so").write_bytes(b"half written")
     (fresh_kernel / "notes.txt").write_text("kept")
     (fresh_kernel / "drive-0123456789abcdef.so").write_bytes(b"stale")
+    (fresh_kernel / "_drive-3bed7af3b9170495.so").write_bytes(b"older naming scheme")
     montecarlo._load_c()
     left = sorted(f.name for f in fresh_kernel.iterdir())
     assert len(left) == 3 and "notes.txt" in left and busy.name in left
     assert "drive-0123456789abcdef.so" not in left
+    assert "_drive-3bed7af3b9170495.so" not in left
     assert [f.name for f in busy.iterdir()] == ["drive-0123456789abcdef.so"]
 
 
@@ -360,15 +361,6 @@ def test_cap_height_over_budget_is_resource_error(monkeypatch):
     with pytest.raises(ResourceError):
         run(SimConfig(ConstantWalk(0.5), 10, seed=1, cap_height=102))
     run(SimConfig(ConstantWalk(0.5), 10, seed=1, cap_height=101))
-
-
-@pytest.mark.parametrize("dof", [1, 2, 3, 7, 40, 500])
-def test_chdtrc_is_chi2_sf(dof):
-    from scipy import stats
-
-    chi = np.concatenate([[0.0], np.geomspace(1e-3, 5 * dof + 100, 200)])
-    got = np.array([chdtrc(dof, c) for c in chi])
-    assert np.array_equal(got, stats.chi2.sf(chi, dof))
 
 
 def _chi2_grid(seed, dofs, per_dof):
@@ -484,7 +476,7 @@ def test_compare_eligibility_threshold():
     spec = ConstantWalk(0.5)
     cfg = SimConfig(spec, 2000, seed=17, cap_steps=50_000, cap_height=64)
     table = max_pmf_table(build(spec, 63), 63)
-    rep = compare(run(cfg), table, min_expected=50.0)
+    rep = compare(run(cfg), table)
     # pmf(n) = 1/(n(n+1)): expected counts fall below 50 past n = 5.
     assert rep.eligible[:5].all()
     assert not rep.eligible[5:].any()

@@ -47,8 +47,6 @@ def test_range_errors():
 
 
 def test_budget_enforced(monkeypatch):
-    with pytest.raises(ResourceError):
-        build(ConstantWalk(0.5), 1000, max_entries=999)
     monkeypatch.setenv(MAX_TABLE_ENV, "500")
     with pytest.raises(ResourceError):
         build(ConstantWalk(0.5), 501)
