@@ -8,10 +8,11 @@ and ``version`` added to the meta.  No walk is parsed for ``info``.
 
 Conventions shared by all subcommands:
 
-* ``--format csv`` (default) writes a single header row then data rows;
-  ``--format json`` writes one object ``{"meta": ..., "columns": ...,
-  "rows": ...}``.  Floats are rendered with ``repr`` (shortest
-  round-trip) in both formats, so the numeric strings are identical.
+* ``--format csv`` (default) writes a single header row then data rows,
+  quoting string cells per RFC 4180; ``--format json`` writes one object
+  ``{"meta": ..., "columns": ..., "rows": ...}``.  Floats are rendered
+  with ``repr`` (shortest round-trip) in both formats, so the numeric
+  strings are identical.
 * Output streams: rows are rendered column-wise and written in bounded
   chunks, so memory for the text does not grow with the table, and the
   bytes are exactly those of rendering the whole table at once.
@@ -50,19 +51,6 @@ from .walk import WalkSpec, spec_from_params, spec_params
 __all__ = ["main", "build_parser"]
 
 
-def _add_walk_args(sp: argparse.ArgumentParser) -> None:
-    g = sp.add_argument_group("walk selection")
-    g.add_argument("--p", type=float, help="constant step-up probability in (0, 1)")
-    g.add_argument("--family", choices=("constant", "perturbed"))
-    g.add_argument("--sign", choices=("plus", "minus"), help="perturbed drift direction")
-    g.add_argument("--K", type=int, dest="k_depth", help="perturbation depth (>= 1)")
-    g.add_argument("--B", type=float, dest="b_coef", help="leading perturbation coefficient")
-
-
-def _add_format_arg(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def _walk_from_args(args) -> WalkSpec:
     """The walk the flags name; ``spec_from_params`` checks what its family needs."""
     flags = {"p": args.p, "sign": args.sign, "k": args.k_depth, "b": args.b_coef}
@@ -82,7 +70,8 @@ def _cells(values, fmt: str):
 
     Floats are ``repr`` (``json.dumps`` spells the non-finite ones
     Infinity/-Infinity/NaN), ints are decimal, bools ``true``/``false``;
-    anything else is ``str`` in CSV and a JSON value in JSON.
+    anything else is ``str`` in CSV (quoted by ``_csv_cell``) and a JSON
+    value in JSON.
     """
     if isinstance(values, np.ndarray):
         values = values.tolist()
@@ -96,7 +85,15 @@ def _cells(values, fmt: str):
         if fmt == "json" and not all(map(math.isfinite, values)):
             return [_JSON_NONFINITE.get(c, c) for c in cells]
         return cells
-    return map(json.dumps if fmt == "json" else str, values)
+    return map(json.dumps if fmt == "json" else _csv_cell, values)
+
+
+def _csv_cell(value) -> str:
+    """``str(value)``, quoted per RFC 4180 if it holds a comma, a quote, CR or LF."""
+    text = str(value)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _emit(fmt: str, meta: dict, columns: dict) -> int:
@@ -189,7 +186,8 @@ def cmd_hit(args, spec) -> tuple[dict, dict]:
     q = HittingQuery(a=args.a, k=args.k, b=args.b)
     p = hit_before(build(spec, max(1, args.b - 1)), q)
     columns = {"a": [args.a], "k": [args.k], "b": [args.b], "probability": [p]}
-    return {"a": args.a, "k": args.k, "b": args.b}, columns
+    # hit_*: the walk's own "k" and "b" are in the meta too.
+    return {"hit_a": args.a, "hit_k": args.k, "hit_b": args.b}, columns
 
 
 def cmd_return(args, spec) -> tuple[dict, dict]:
@@ -224,8 +222,9 @@ def _simulate(cfg: SimConfig) -> tuple[SimResult, dict]:
 
 def cmd_simulate(args, spec) -> tuple[dict, dict]:
     res, fields = _simulate(_sim_config(args, spec))
-    counts = res.counts[1:]
-    return fields, {"n": range(1, res.cap_height), "count": counts, "empirical": counts / res.total}
+    columns = {"n": range(1, res.cap_height), "count": res.counts[1:],
+               "empirical": res.frequencies[1:]}
+    return fields, columns
 
 
 def cmd_compare(args, spec) -> tuple[dict, dict]:
@@ -249,12 +248,9 @@ def cmd_compare(args, spec) -> tuple[dict, dict]:
 def cmd_info(args, spec) -> tuple[dict, dict]:
     budget, source = table_budget()
     kernel = kernel_info()
-    reason = kernel.reason or ""
-    if args.format == "csv" and any(ch in reason for ch in ',"\r\n'):
-        reason = '"' + reason.replace('"', '""') + '"'  # gcc's stderr holds commas and lines
     columns = {
         "kernel": [kernel.name],
-        "kernel_reason": [reason],
+        "kernel_reason": [kernel.reason or ""],
         "python": [platform.python_version()],
         "numpy": [np.__version__],
         "table_budget": [budget],
@@ -264,6 +260,25 @@ def cmd_info(args, spec) -> tuple[dict, dict]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Flags shared by several subcommands, each declared once as a parent parser.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    walk = argparse.ArgumentParser(add_help=False)
+    g = walk.add_argument_group("walk selection")
+    g.add_argument("--p", type=float, help="constant step-up probability in (0, 1)")
+    g.add_argument("--family", choices=("constant", "perturbed"))
+    g.add_argument("--sign", choices=("plus", "minus"), help="perturbed drift direction")
+    g.add_argument("--K", type=int, dest="k_depth", help="perturbation depth (>= 1)")
+    g.add_argument("--B", type=float, dest="b_coef", help="leading perturbation coefficient")
+
+    sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("--excursions", type=int, required=True)
+    sim.add_argument("--seed", type=int, help="64-bit seed; generated and reported if absent")
+    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--cap-steps", type=int, default=1_000_000, dest="cap_steps")
+    sim.add_argument("--cap-height", type=int, default=1_000, dest="cap_height")
+
     parser = argparse.ArgumentParser(
         prog="lmax",
         description="Exact and simulated distribution of the maximum of a random-walk excursion.",
@@ -271,65 +286,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("dist", help="tabulate the excursion-maximum pmf")
-    _add_walk_args(sp)
-    sp.add_argument("--n-max", type=int, required=True, dest="n_max")
-    _add_format_arg(sp)
-    sp.set_defaults(func=cmd_dist)
+    def command(name, func, summary, parents=(walk, fmt)):
+        sp = sub.add_parser(name, parents=list(parents), help=summary)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("classify", help="transient / null / positive recurrent label")
-    _add_walk_args(sp)
+    sp = command("dist", cmd_dist, "tabulate the excursion-maximum pmf")
+    sp.add_argument("--n-max", type=int, required=True, dest="n_max")
+
+    sp = command("classify", cmd_classify, "transient / null / positive recurrent label")
     sp.add_argument("--n-max", type=int, default=100_000, dest="n_max",
                     help="series length for the advisory growth diagnostic")
-    _add_format_arg(sp)
-    sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("asympt", help="decay shape and fitted constant")
-    _add_walk_args(sp)
+    sp = command("asympt", cmd_asympt, "decay shape and fitted constant")
     sp.add_argument("--target", choices=("max-pmf", "product"), default="max-pmf")
     sp.add_argument("--n-lo", type=int, dest="n_lo")
     sp.add_argument("--n-hi", type=int, default=100_000, dest="n_hi")
     sp.add_argument("--samples", type=int, default=33)
-    _add_format_arg(sp)
-    sp.set_defaults(func=cmd_asympt)
 
-    sp = sub.add_parser("hit", help="probability of reaching a before b from k")
-    _add_walk_args(sp)
+    sp = command("hit", cmd_hit, "probability of reaching a before b from k")
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
-    _add_format_arg(sp)
-    sp.set_defaults(func=cmd_hit)
 
-    sp = sub.add_parser("return", help="probability of ever returning to the origin")
-    _add_walk_args(sp)
+    sp = command("return", cmd_return, "probability of ever returning to the origin")
     sp.add_argument("--min-terms", type=int, default=100_000, dest="min_terms")
     sp.add_argument("--tolerance", type=float, default=1e-6)
-    _add_format_arg(sp)
-    sp.set_defaults(func=cmd_return)
 
-    def add_sim_args(sp):
-        sp.add_argument("--excursions", type=int, required=True)
-        sp.add_argument("--seed", type=int, help="64-bit seed; generated and reported if absent")
-        sp.add_argument("--workers", type=int, default=1)
-        sp.add_argument("--cap-steps", type=int, default=1_000_000, dest="cap_steps")
-        sp.add_argument("--cap-height", type=int, default=1_000, dest="cap_height")
-
-    sp = sub.add_parser("simulate", help="Monte Carlo excursion maxima")
-    _add_walk_args(sp)
-    add_sim_args(sp)
-    _add_format_arg(sp)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("compare", help="simulate, then score against the exact pmf")
-    _add_walk_args(sp)
-    add_sim_args(sp)
-    _add_format_arg(sp)
-    sp.set_defaults(func=cmd_compare)
-
-    sp = sub.add_parser("info", help="simulator kernel, library versions and table budget")
-    _add_format_arg(sp)
-    sp.set_defaults(func=cmd_info)
+    command("simulate", cmd_simulate, "Monte Carlo excursion maxima", (walk, sim, fmt))
+    command("compare", cmd_compare, "simulate, then score against the exact pmf", (walk, sim, fmt))
+    command("info", cmd_info, "simulator kernel, library versions and table budget", (fmt,))
 
     return parser
 

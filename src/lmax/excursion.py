@@ -17,7 +17,10 @@ m <= n leaves P(M <= n, D < inf) = 1 - 1/S_n with
 S_n = 1 + sum_{j<=n} rho_1...rho_j = exp(log_prefix_sum[n]), and the tail
 P(M >= n, D < inf) = 1/S_{n-1} - 1/S_inf.  The prefix sums give them as
 -expm1(-log S) and exp(-log S), not as sums of pmf terms or 1 minus such
-a sum, so the running mass holds to a few ulp at any table depth.
+a sum.  They carry the rounding of the ``log_prefix_sum`` scan, which
+grows with depth: 3-5 ulp within 300 rows on ``PerturbedWalk(2, 1.5,
+"plus")``, and 1.2e-12 absolute at n = 1e6 on ``PerturbedWalk(1, 3.0,
+"plus")`` (ROADMAP item 1, a compensated scan, is the remedy).
 
 Tables are built in one vectorized pass over a ``ProductSeries``; the
 linear pmf column flushes to 0 beneath double-precision underflow while

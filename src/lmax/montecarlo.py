@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import operator
 import os
@@ -54,7 +55,6 @@ import tempfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -243,18 +243,13 @@ def _load_c():
     return drive_c
 
 
-_active = None  # (kernel, KernelInfo), set once per process by _load_kernel
-
-
-def _load_kernel():
-    """Return the kernel ``_drive`` dispatches to, loading it on the first call."""
-    global _active
-    if _active is None:
-        try:
-            _active = (_load_c(), KernelInfo("c", None))
-        except (_BuildError, OSError) as exc:
-            _active = (_drive_py, KernelInfo("python", f"{type(exc).__name__}: {exc}"))
-    return _active[0]
+@functools.cache
+def _kernel() -> tuple:
+    """The kernel ``_drive`` dispatches to and its ``KernelInfo``, chosen once per process."""
+    try:
+        return _load_c(), KernelInfo("c", None)
+    except (_BuildError, OSError) as exc:
+        return _drive_py, KernelInfo("python", f"{type(exc).__name__}: {exc}")
 
 
 def kernel_info() -> KernelInfo:
@@ -263,8 +258,7 @@ def kernel_info() -> KernelInfo:
     Loads the kernel if no ``run`` has yet (building it on a cache miss);
     writes nothing to stdout.
     """
-    _load_kernel()
-    return _active[1]
+    return _kernel()[1]
 
 
 def _drive(u, state, counts, censored, p, cap_steps, cap_height):
@@ -273,7 +267,7 @@ def _drive(u, state, counts, censored, p, cap_steps, cap_height):
     The stable entry ``_run_block`` calls per chunk; arrays must be
     C-contiguous, ``counts`` and ``p`` at least ``cap_height`` long.
     """
-    _load_kernel()(u, state, counts, censored, p, cap_steps, cap_height)
+    _kernel()[0](u, state, counts, censored, p, cap_steps, cap_height)
 
 
 @dataclass(frozen=True)
@@ -342,9 +336,10 @@ def _run_block(p, n_exc, seed, block_index, cap_steps, cap_height):
 def run(config: SimConfig) -> SimResult:
     """Simulate the configured number of excursions; see the stream rules above.
 
-    At most ``os.cpu_count()`` worker threads start, and never more than
-    there are blocks; the output does not depend on their number.  The
-    first call in a process loads the kernel (see ``kernel_info``).
+    Blocks run on a pool of ``workers`` threads, at most ``os.cpu_count()``
+    and never more than there are blocks; the output does not depend on
+    their number.  The first call in a process loads the kernel (see
+    ``kernel_info``).
 
     Raises:
         ResourceError: if the ``cap_height - 1`` bins or the number of
@@ -355,24 +350,19 @@ def run(config: SimConfig) -> SimResult:
     check_budget("excursion blocks", n_blocks)
     # p[0] is never consulted: hitting 0 ends the excursion first.
     p = step_up_prob_array(config.spec, np.arange(config.cap_height))
-    _load_kernel()  # here, in the main thread, before any pool starts
-    sizes = (min(BLOCK, config.excursions - j * BLOCK) for j in range(n_blocks))
-    args = (repeat(p), sizes, repeat(config.seed), range(n_blocks),
-            repeat(config.cap_steps), repeat(config.cap_height))
-    workers = min(config.workers, n_blocks, os.cpu_count() or 1)
-    if workers == 1:
-        return _merge(map(_run_block, *args), config)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _merge(pool.map(_run_block, *args), config)
-
-
-def _merge(parts, config: SimConfig) -> SimResult:
-    """Sum per-block tallies in block order, consuming them one at a time."""
+    _kernel()  # here, in the main thread, before any pool starts
     counts = np.zeros(config.cap_height, dtype=np.int64)
     censored = np.zeros(2, dtype=np.int64)
-    for c, z in parts:
-        counts += c
-        censored += z
+
+    def block(j):
+        size = min(BLOCK, config.excursions - j * BLOCK)
+        return _run_block(p, size, config.seed, j, config.cap_steps, config.cap_height)
+
+    workers = min(config.workers, n_blocks, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for c, z in pool.map(block, range(n_blocks)):  # in block order, one at a time
+            counts += c
+            censored += z
     return SimResult(
         counts=counts,
         censored_height=int(censored[0]),
@@ -513,7 +503,7 @@ def compare(result: SimResult, table: MaxPmfTable) -> CompareReport:
     exact = table.pmf[1 : n_bins + 1].copy()
     obs = result.counts[1 : n_bins + 1].astype(np.float64)
     total = result.total
-    empirical = obs / total
+    empirical = result.frequencies[1 : n_bins + 1]
     stderr = np.sqrt(exact * (1.0 - exact) / total)
     z = np.zeros(n_bins)
     np.divide(empirical - exact, stderr, out=z, where=stderr > 0)

@@ -12,8 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lmax import cli, montecarlo
+from lmax import ConstantWalk, PerturbedWalk, cli, montecarlo
 from lmax.cli import main
+from lmax.walk import spec_from_params
 
 DIST_3 = ["dist", "--p", "0.5", "--n-max", "3"]
 
@@ -127,6 +128,26 @@ def test_hit_output(capsys):
 def test_hit_bad_levels_exits_two(capsys):
     code, _ = _run(capsys, ["hit", "--p", "0.5", "--a", "3", "--k", "2", "--b", "9"])
     assert code == 2
+
+
+@pytest.mark.filterwarnings("ignore::lmax.errors.ConvergenceWarning")
+def test_json_meta_reads_back_as_the_same_walk(capsys):
+    # Command fields must not overwrite the walk's keys: hit's query once
+    # replaced the walk's "k" and "b" with its own.
+    walks = {"--p 0.45": ConstantWalk(0.45),
+             "--sign minus --K 2 --B 2": PerturbedWalk(2, 2.0, "minus")}
+    commands = ["dist --n-max 5", "classify --n-max 100", "asympt --n-hi 2000",
+                "hit --a 0 --k 3 --b 500", "return --min-terms 100",
+                "simulate --excursions 100 --seed 1 --cap-height 8",
+                "compare --excursions 100 --seed 1 --cap-height 8"]
+    for flags, spec in walks.items():
+        for cmd in commands:
+            code, out = _run(capsys, f"{cmd} {flags} --format json".split())
+            assert code == 0, cmd
+            meta = json.loads(out)["meta"]
+            assert spec_from_params(meta) == spec, (cmd, flags)
+            if cmd.startswith("hit"):
+                assert (meta["hit_a"], meta["hit_k"], meta["hit_b"]) == (0, 3, 500)
 
 
 def test_return_output(capsys):
@@ -270,9 +291,11 @@ def _emit_oracle(fmt, meta, columns, rows) -> str:
     if fmt == "json":
         doc = {"meta": meta, "columns": columns, "rows": rows}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt_oracle(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()  # the csv module quotes cells holding a comma, a quote or LF
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_fmt_oracle(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 SPECIAL = np.array([0.0, float("inf"), -0.0, float("-inf"), float("nan"), 1e-310, 0.1, -2.5e300])
@@ -300,6 +323,14 @@ def test_emitter_matches_row_oracle(capsys, monkeypatch, case, fmt, chunk):
     values = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns.values()]
     rows = [list(row) for row in zip(*values)]
     assert out == _emit_oracle(fmt, meta, names, rows)
+
+
+def test_csv_string_cells_read_back_through_the_csv_module(capsys):
+    # CR is quoted too: a CSV reader ends an unquoted row there.
+    labels = ["plain", "a,b", 'say "x"', "line\nbreak", "carriage\rreturn", "crlf\r\n", ""]
+    assert cli._emit("csv", {}, {"label": labels, "n": range(len(labels))}) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    assert rows == [["label", "n"], *([s, str(i)] for i, s in enumerate(labels))]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -454,7 +485,8 @@ def test_info_reports_kernel_versions_and_budget(capsys, monkeypatch):
 
 def test_info_quotes_a_multiline_fallback_reason_in_csv(capsys, monkeypatch):
     reason = '_BuildError: gcc exited 1: drive.c:1:1: error: expected "=", ",", \nbefore'
-    monkeypatch.setattr(montecarlo, "_active", (montecarlo._drive_py, montecarlo.KernelInfo("python", reason)))
+    info = montecarlo.KernelInfo("python", reason)
+    monkeypatch.setattr(montecarlo, "_kernel", lambda: (montecarlo._drive_py, info))
     code, out = _run(capsys, ["info"])
     assert code == 0
     header, row = csv.reader(io.StringIO(out))

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -36,7 +37,7 @@ def _loaded_kernels():
 
 
 def _use(monkeypatch, name, impl):
-    monkeypatch.setattr(montecarlo, "_active", (impl, KernelInfo(name, None)))
+    monkeypatch.setattr(montecarlo, "_kernel", lambda: (impl, KernelInfo(name, None)))
 
 
 def test_config_validation():
@@ -113,14 +114,14 @@ def test_worker_threads_are_clamped(monkeypatch):
     n = 2 * BLOCK + 5  # three blocks
     cfg = dict(spec=ConstantWalk(0.3), excursions=n, seed=3, cap_steps=100, cap_height=16)
     base = run(SimConfig(**cfg))
-    assert seen == []
+    assert seen == [1]
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
     wide = run(SimConfig(**cfg, workers=10_000))
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
     narrow = run(SimConfig(**cfg, workers=10_000))
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
     single = run(SimConfig(**cfg, workers=10_000))
-    assert seen == [3, 2]
+    assert seen == [1, 3, 2, 1]
     for r in (wide, narrow, single):
         assert np.array_equal(r.counts, base.counts)
         assert (r.censored_height, r.censored_steps) == (base.censored_height, base.censored_steps)
@@ -243,7 +244,7 @@ def test_oversized_cap_steps_is_clamped(monkeypatch, cap_steps):
 def fresh_kernel(monkeypatch, tmp_path):
     """An empty cache under tmp_path and no kernel loaded yet in this process."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(montecarlo, "_active", None)
+    monkeypatch.setattr(montecarlo, "_kernel", functools.cache(montecarlo._kernel.__wrapped__))
     return tmp_path / "cache" / "lmax"
 
 
@@ -265,7 +266,7 @@ def test_missing_gcc_falls_back_to_python(fresh_kernel, monkeypatch, tmp_path, c
     info = kernel_info()
     assert info.name == "python"
     assert "gcc not found" in info.reason
-    assert montecarlo._active[0] is montecarlo._drive_py
+    assert montecarlo._kernel()[0] is montecarlo._drive_py
     assert _pinned_run_matches()
     assert capsys.readouterr().out == ""
 
