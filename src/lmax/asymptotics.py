@@ -120,10 +120,7 @@ def resolve_shape(spec: WalkSpec, target: ShapeTarget) -> AsymptoticShape:
         if spec.sign == "minus":
             factors = [(d, -e) for d, e in factors]
         branch = f"product {spec.sign}"
-        ftup = tuple(factors)
-        return AsymptoticShape(target, spec, branch, _n_min_valid(ftup), "logchain", ftup)
-
-    if spec.sign == "plus":
+    elif spec.sign == "plus":
         if b == 1.0:
             factors = _chain(0, k - 1) + [(k, 2.0)]
             branch = "plus b=1"
@@ -157,13 +154,11 @@ def log_shape(s: AsymptoticShape, n: int) -> float:
         raise DomainError(f"n={n} below the shape's validity threshold {s.n_min_valid}")
     if s.kind == "simple-null":
         return -math.log(n) - math.log(n + 1.0)
-    if s.kind == "geometric":
-        return s.log_coeff + n * s.n_coeff
     total = 0.0
     for depth, exponent in s.factors:
         if exponent != 0.0:
-            total -= exponent * math.log(iterated_log(depth, float(n)))
-    return total
+            total += exponent * math.log(iterated_log(depth, float(n)))
+    return s.log_coeff + n * s.n_coeff - total
 
 
 def shape_value(s: AsymptoticShape, n: int) -> float:
@@ -184,6 +179,8 @@ class ConstantFit:
     varies slowly at the sampled scale.  This is a convergence *report*,
     never a limit claim.  ``underflowed`` records that some exact values
     left the linear double range and the fit ran purely in log space.
+    ``log_shape`` is the shape's log at each sample, so the exact value
+    there is ``exp(log_c_hat + log_shape)``.
     """
 
     target: ShapeTarget
@@ -193,6 +190,7 @@ class ConstantFit:
     c_hat: np.ndarray
     drift: float
     underflowed: bool
+    log_shape: np.ndarray
 
 
 def estimate_constant(
@@ -224,7 +222,8 @@ def estimate_constant(
         log_exact = series.log_prod[at]
     else:
         log_exact = series.log_max_pmf(at)
-    log_c_at = log_exact - np.array([log_shape(s, n) for n in at])
+    log_shape_at = np.array([log_shape(s, n) for n in at])
+    log_c_at = log_exact - log_shape_at
     log_c = log_c_at[:-2]
     drift = abs(math.expm1(log_c_at[-2] - log_c_at[-1]))
     underflowed = bool(np.any(log_exact[:-2] < _LOG_DBL_MIN))
@@ -238,4 +237,5 @@ def estimate_constant(
         c_hat=c_hat,
         drift=float(drift),
         underflowed=underflowed,
+        log_shape=log_shape_at[:-2],
     )

@@ -22,8 +22,9 @@ Conventions shared by all subcommands:
   timestamps and worker counts are deliberately absent: neither may
   change the output.
 * Exit codes: 0 success, 1 resource limits, 2 bad arguments.
-  Diagnostics go to stderr.  A reader that closes stdout early ends
-  the output quietly, with exit code 0.
+  Diagnostics go to stderr, one ``error: ...`` or ``warning: ...`` line
+  each.  A reader that closes stdout early ends the output quietly,
+  with exit code 0.
 * ``LMAX_MAX_TABLE`` caps every tabulation size globally.
 """
 
@@ -35,13 +36,14 @@ import math
 import os
 import platform
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import ShapeTarget, estimate_constant, log_shape, resolve_shape
+from .asymptotics import ShapeTarget, estimate_constant, resolve_shape
 from .classify import classify, series_diagnostic
-from .errors import ConfigError, DomainError, RangeError, ResourceError
+from .errors import ConfigError, ConvergenceWarning, DomainError, RangeError, ResourceError
 from .excursion import max_pmf_table
 from .first_passage import HittingQuery, TruncationOptions, hit_before, return_prob
 from .montecarlo import SimConfig, SimResult, compare, kernel_info, run
@@ -161,14 +163,13 @@ def cmd_asympt(args, spec) -> tuple[dict, dict]:
     n_lo = args.n_lo if args.n_lo is not None else max(shape.n_min_valid, n_hi // 100)
     series = build(spec, n_hi)
     fit = estimate_constant(series, shape, n_lo, n_hi, samples=args.samples)
-    columns = {"n": [], "exact": [], "shape": [], "c_hat": []}
     with np.errstate(over="ignore", under="ignore"):
-        for n, lc, c in zip(fit.ns, fit.log_c_hat, fit.c_hat):
-            ls = log_shape(shape, int(n))
-            columns["n"].append(int(n))
-            columns["exact"].append(float(np.exp(lc + ls)))
-            columns["shape"].append(float(np.exp(ls)))
-            columns["c_hat"].append(float(c))
+        columns = {
+            "n": fit.ns,
+            "exact": np.exp(fit.log_c_hat + fit.log_shape),
+            "shape": np.exp(fit.log_shape),
+            "c_hat": fit.c_hat,
+        }
     fields = {
         "target": target.value,
         "branch": shape.branch,
@@ -192,7 +193,14 @@ def cmd_hit(args, spec) -> tuple[dict, dict]:
 
 def cmd_return(args, spec) -> tuple[dict, dict]:
     opts = TruncationOptions(min_terms=args.min_terms, tolerance=args.tolerance)
-    rp = return_prob(build(spec, args.min_terms), opts)
+    with warnings.catch_warnings():
+        # The library's advice names its own argument; this one names the flag.
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        rp = return_prob(build(spec, args.min_terms), opts)
+    if not rp.tolerance_met:
+        warnings.warn(f"return-probability bracket width {rp.upper - rp.lower:.3g} exceeds "
+                      f"--tolerance {args.tolerance:.3g}; raise --min-terms to tighten it",
+                      ConvergenceWarning)
     names = ("value", "lower", "upper", "n_terms", "method", "tolerance_met")
     columns = {name: [getattr(rp, name)] for name in names}
     return {"min_terms": args.min_terms, "tolerance": args.tolerance}, columns
@@ -322,20 +330,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        spec = _walk_from_args(args) if "family" in args else None
-        fields, columns = args.func(args, spec)
-        meta = spec_params(spec) if spec is not None else {}
-        meta.update(command=args.command, version=__version__, **fields)
-        return _emit(args.format, meta, columns)
-    except (ConfigError, DomainError, RangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # The reader closed stdout early (``lmax dist ... | head``): stop
-        # quietly, and point stdout at devnull so the flush at exit cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            spec = _walk_from_args(args) if "family" in args else None
+            fields, columns = args.func(args, spec)
+            meta = spec_params(spec) if spec is not None else {}
+            meta.update(command=args.command, version=__version__, **fields)
+            return _emit(args.format, meta, columns)
+        except (ConfigError, DomainError, RangeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ResourceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except BrokenPipeError:
+            # The reader closed stdout early (``lmax dist ... | head``): stop
+            # quietly, and point stdout at devnull so the flush at exit cannot fail.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
+        finally:
+            # A warning is one stderr line, without Python's source location.
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)

@@ -29,7 +29,6 @@ the log column stays informative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -86,14 +85,15 @@ def max_pmf(series: ProductSeries, n: int) -> float:
     """P(M = n, D < inf) in linear scale.
 
     n = 1 is the one-step excursion and must equal q_1 exactly, not
-    through an exp/log round trip; larger n exponentiates the log form.
+    through an exp/log round trip; larger n exponentiates the log form
+    with the table's ``np.exp``, so it equals ``max_pmf_table``'s entry.
     """
     n = int(n)
     if n == 1:
         if series.n_max < 1:
             raise RangeError("series is empty")
         return 1.0 - step_up_prob(series.spec, 1)
-    return math.exp(log_max_pmf(series, n))
+    return float(np.exp(log_max_pmf(series, n)))
 
 
 def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:

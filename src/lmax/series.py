@@ -32,10 +32,14 @@ __all__ = [
 ]
 
 # One table of length n holds two float64 arrays of n+1 entries (~320 MB
-# at the default budget); a MaxPmfTable built on it adds three more
-# (log_pmf, pmf, cumulative), five in all: 412 MB peak RSS measured for
-# dist at 1e7, about 0.8 GB at the default (estimated, not measured).  The
-# budget can be changed only through the environment variable below.
+# at the default budget).  While ``build`` runs, four n-length arrays are
+# live at its peak for constant and k = 1 walks, six for k >= 2 (the
+# iterated-log chain's running product and iterate).  A MaxPmfTable built
+# on the table adds three more (log_pmf, pmf, cumulative), five in all.
+# Measured peak RSS of build + max_pmf_table at 1e7: 412 MB for p = 0.4
+# and plus k=1, 488 MB for plus k=2; at the 2e7 default about 0.8 and
+# 1.0 GB (estimated, not measured).  The budget can be changed only
+# through the environment variable below.
 DEFAULT_MAX_ENTRIES = 20_000_000
 MAX_TABLE_ENV = "LMAX_MAX_TABLE"
 

@@ -100,15 +100,13 @@ def perturbation(k: int, i: float, b: float) -> float:
 
 def _perturbation_array(k: int, x: np.ndarray, b: float) -> np.ndarray:
     """lam(k, x, b) over a float array whose iterated-log chain is positive."""
-    total = np.zeros_like(x)
-    chain = x.copy()        # running product x * log x * ... * log_t x
-    level = x.copy()        # current iterate log_t x
+    total = 0.0
+    chain = level = x       # running product x * log x * ... * log_t x; iterate log_t x
     for _ in range(k - 1):
-        total += 1.0 / chain
-        np.log(level, out=level)
-        chain *= level
-    total += b / chain
-    return total
+        total = total + 1.0 / chain
+        level = np.log(level)
+        chain = chain * level
+    return total + b / chain
 
 
 def _first_site_above(depth: int, floor: float) -> int:
@@ -250,11 +248,11 @@ def signed_drift_array(spec: WalkSpec, i: np.ndarray) -> np.ndarray:
     i = np.asarray(i)
     if i.size and i.min() < 1:
         raise DomainError("site indices must be >= 1")
-    x = i.astype(np.float64)
     if isinstance(spec, ConstantWalk):
-        return np.full_like(x, spec.p - 0.5)
+        return np.full(i.shape, spec.p - 0.5)
     # Frozen region: evaluate lam at i0; live region: vectorized chain.
-    r = _perturbation_array(spec.k, np.maximum(x, float(spec.i0)), spec.b) / 4.0
+    x = np.maximum(i, spec.i0).astype(np.float64)
+    r = _perturbation_array(spec.k, x, spec.b) / 4.0
     return r if spec.sign == "plus" else -r
 
 

@@ -194,6 +194,18 @@ def test_fit_sampling_grid():
     assert len(fit.log_c_hat) == len(fit.ns) == len(fit.c_hat)
 
 
+@pytest.mark.parametrize("spec,target", [
+    (ConstantWalk(0.5), PMF), (ConstantWalk(0.4), PROD), (PerturbedWalk(2, 1.5, "plus"), PMF),
+])
+def test_fit_carries_the_log_shape_of_each_sample(spec, target):
+    s = resolve_shape(spec, target)
+    series = build(spec, 5000)
+    fit = estimate_constant(series, s, 50, 5000)
+    assert fit.log_shape.tolist() == [log_shape(s, int(n)) for n in fit.ns]
+    exact = series.log_prod[fit.ns] if target is PROD else series.log_max_pmf(fit.ns)
+    assert np.array_equal(fit.log_c_hat, exact - fit.log_shape)
+
+
 def test_fit_range_errors():
     series = build(PerturbedWalk(2, 1.0, "plus"), 1000)
     s = resolve_shape(PerturbedWalk(2, 1.0, "plus"), PMF)

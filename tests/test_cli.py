@@ -130,7 +130,6 @@ def test_hit_bad_levels_exits_two(capsys):
     assert code == 2
 
 
-@pytest.mark.filterwarnings("ignore::lmax.errors.ConvergenceWarning")
 def test_json_meta_reads_back_as_the_same_walk(capsys):
     # Command fields must not overwrite the walk's keys: hit's query once
     # replaced the walk's "k" and "b" with its own.
@@ -232,6 +231,11 @@ GOLDEN_STDOUT = [
      'ab5f062ebf80d667c72df645a3a2cda45348719192b549a222084e9333cad98f'),
     ('dist --p 0.4 --n-max 300 --format json',
      'e6e09982bc038fa82807bc10b1b35306ee7b378d71d63601d2a5958207563af9'),
+    # k = 1: the iterated-log chain loop never runs.
+    ('dist --sign plus --K 1 --B 2 --n-max 300',
+     '9e77fc043ac8d3abb2e39f4b3199aa905993f8a43006bbd816ceeeaa8ab5292a'),
+    ('dist --sign plus --K 1 --B 2 --n-max 300 --format json',
+     '9af33270d8830183ff11307aaf321097f5e2ee88a78cc861b2b158444bc2a64f'),
     ('dist --sign plus --K 2 --B 1.5 --n-max 300',
      '12efcbb0cf641af0c98e9a928acd6bdf5982d7e7a6e7324fabbd40a12779d763'),
     ('dist --sign plus --K 2 --B 1.5 --n-max 300 --format json',
@@ -268,7 +272,6 @@ GOLDEN_STDOUT = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::lmax.errors.ConvergenceWarning")
 @pytest.mark.parametrize("cmd,digest", GOLDEN_STDOUT)
 def test_stdout_bytes_pinned(capsys, cmd, digest):
     code, out = _run(capsys, cmd.split())
@@ -333,12 +336,9 @@ def test_csv_string_cells_read_back_through_the_csv_module(capsys):
     assert rows == [["label", "n"], *([s, str(i)] for i, s in enumerate(labels))]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_dist_memory_per_row_is_bounded(monkeypatch, fmt):
-    # Traced peak of a 3e5-row dist call, stdout discarded: 119 B/row (CSV)
-    # and 141 B/row (JSON) when rows stream in chunks, 500 and 751 B/row
-    # when every row was materialized first.
-    n = 300_000
+def _dist_peak_per_row(monkeypatch, fmt, n, chunk):
+    """Traced peak bytes per row of a dist call with stdout discarded."""
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -348,7 +348,29 @@ def test_dist_memory_per_row_is_bounded(monkeypatch, fmt):
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert peak / n < 200
+    return peak / n
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_dist_memory_per_row_is_bounded(monkeypatch, fmt):
+    # 5e4 rows in chunks of 4096 keep the table-to-chunk ratio of the
+    # default 65536-row chunks at 8e5 rows.  Traced peak: 58 B/row (CSV)
+    # and 62 B/row (JSON) streamed, 321 and 441 B/row in one chunk.
+    n = 50_000
+    assert _dist_peak_per_row(monkeypatch, fmt, n, chunk=4096) < 200
+    # Control: with every row in one chunk the bound must fail.
+    assert _dist_peak_per_row(monkeypatch, fmt, n, chunk=n) > 200
+
+
+def test_return_warning_is_one_stderr_line():
+    cmd = "return --sign plus --K 1 --B 2"
+    argv = [sys.executable, "-m", "lmax", *cmd.split()]
+    out = subprocess.run(argv, capture_output=True, text=True)
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == dict(GOLDEN_STDOUT)[cmd]
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("warning: ") and "--min-terms" in line
+    assert ".py:" not in out.stderr
 
 
 def test_bad_table_budget_env_exits_two(capsys, monkeypatch):

@@ -107,6 +107,19 @@ def test_log_and_linear_agree():
         assert max_pmf(s, n) == pytest.approx(math.exp(log_max_pmf(s, n)), rel=1e-15)
 
 
+@pytest.mark.parametrize("spec", [
+    ConstantWalk(0.4), PerturbedWalk(2, 1.5, "plus"), PerturbedWalk(1, 1.0, "minus"),
+])
+def test_scalar_pmf_is_the_table_entry(spec):
+    # Both exponentiate with np.exp; math.exp differed in the last bit on
+    # 66, 885 and 909 of these 20000 entries.
+    n_max = 20_000
+    s = build(spec, n_max)
+    table = max_pmf_table(s, n_max)
+    scalar = np.array([max_pmf(s, n) for n in range(1, n_max + 1)])
+    assert np.array_equal(scalar, table.pmf[1:])
+
+
 def test_range_errors():
     s = build(ConstantWalk(0.5), 10)
     with pytest.raises(RangeError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,27 @@ def test_budget_enforced(monkeypatch):
     with pytest.raises(ResourceError):
         build(ConstantWalk(0.5), 501)
     assert build(ConstantWalk(0.5), 500).n_max == 500
+
+
+@pytest.mark.parametrize("spec,bound", [
+    (ConstantWalk(0.4), 40),
+    (PerturbedWalk(1, 2.0, "plus"), 40),
+    (PerturbedWalk(2, 1.5, "plus"), 56),
+])
+def test_build_peak_memory_per_entry(spec, bound):
+    # Traced peak of build: four n-length float64 arrays (32 B/entry) for
+    # constant and k = 1 walks, six (48 B/entry) for k >= 2, whose drift
+    # chain keeps its running product and iterate.  Scratch copies in the
+    # chain once made every perturbed build 56 B/entry.
+    n = 200_000
+    tracemalloc.start()
+    try:
+        series = build(spec, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.n_max == n
+    assert peak / n < bound
 
 
 BRUTE_SPECS = [
