@@ -50,7 +50,6 @@ from .excursion import (
 from .first_passage import (
     HittingQuery,
     ReturnProbability,
-    TruncationOptions,
     hit_before,
     return_prob,
 )
@@ -113,7 +112,6 @@ __all__ = [
     # first passage
     "HittingQuery",
     "hit_before",
-    "TruncationOptions",
     "ReturnProbability",
     "return_prob",
     # excursion maximum

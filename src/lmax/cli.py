@@ -45,7 +45,7 @@ from .asymptotics import ShapeTarget, estimate_constant, resolve_shape
 from .classify import classify, series_diagnostic
 from .errors import ConfigError, ConvergenceWarning, DomainError, RangeError, ResourceError
 from .excursion import max_pmf_table
-from .first_passage import HittingQuery, TruncationOptions, hit_before, return_prob
+from .first_passage import HittingQuery, hit_before, return_prob
 from .montecarlo import SimConfig, SimResult, compare, kernel_info, run
 from .series import build, table_budget
 from .walk import WalkSpec, spec_from_params, spec_params
@@ -192,11 +192,10 @@ def cmd_hit(args, spec) -> tuple[dict, dict]:
 
 
 def cmd_return(args, spec) -> tuple[dict, dict]:
-    opts = TruncationOptions(min_terms=args.min_terms, tolerance=args.tolerance)
     with warnings.catch_warnings():
         # The library's advice names its own argument; this one names the flag.
         warnings.simplefilter("ignore", ConvergenceWarning)
-        rp = return_prob(build(spec, args.min_terms), opts)
+        rp = return_prob(build(spec, args.min_terms), args.tolerance)
     if not rp.tolerance_met:
         warnings.warn(f"return-probability bracket width {rp.upper - rp.lower:.3g} exceeds "
                       f"--tolerance {args.tolerance:.3g}; raise --min-terms to tighten it",
@@ -331,6 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
+        # Record every warning whatever the interpreter's filters (-W error too).
+        warnings.simplefilter("default")
         try:
             spec = _walk_from_args(args) if "family" in args else None
             fields, columns = args.func(args, spec)

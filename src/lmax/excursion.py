@@ -34,9 +34,8 @@ from typing import Any
 
 import numpy as np
 
-from .classify import is_recurrent
 from .errors import RangeError
-from .first_passage import TruncationOptions, return_prob
+from .first_passage import return_prob
 from .series import ProductSeries, _escape_mass
 from .walk import step_up_prob
 
@@ -88,12 +87,10 @@ def max_pmf(series: ProductSeries, n: int) -> float:
     through an exp/log round trip; larger n exponentiates the log form
     with the table's ``np.exp``, so it equals ``max_pmf_table``'s entry.
     """
-    n = int(n)
-    if n == 1:
-        if series.n_max < 1:
-            raise RangeError("series is empty")
+    log_pmf = log_max_pmf(series, n)
+    if int(n) == 1:
         return 1.0 - step_up_prob(series.spec, 1)
-    return float(np.exp(log_max_pmf(series, n)))
+    return float(np.exp(log_pmf))
 
 
 def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
@@ -138,23 +135,21 @@ class TailMass:
     exact: bool
 
 
-def tail_mass(table: MaxPmfTable, n: int, opts: TruncationOptions = TruncationOptions()) -> TailMass:
+def tail_mass(table: MaxPmfTable, n: int, tolerance: float = 1e-6) -> TailMass:
     """Mass at or above level n: the escape mass 1/S_{n-1} less 1/S_inf.
 
-    Recurrent walks (1/S_inf = 0) give the exact value 1/S_{n-1} with a
-    degenerate bracket; transient walks take 1/S_inf = 1 - P(return) from
-    the truncation bracket of ``return_prob`` (which needs
-    ``opts.min_terms`` tabulated products).
+    1/S_inf = 1 - P(return) comes from the bracket of ``return_prob`` on
+    the table's series, with the same ``tolerance``.  Recurrent walks have
+    1/S_inf = 0 exactly, so they get the exact value 1/S_{n-1} with a
+    degenerate bracket.
     """
     n = table._check(n)
     escape = _escape_mass(float(table.series.log_prefix_sum[n - 1]))
-    if is_recurrent(table.spec):
-        return TailMass(n=n, value=escape, lower=escape, upper=escape, exact=True)
-    rp = return_prob(table.series, opts)
+    rp = return_prob(table.series, tolerance)
     return TailMass(
         n=n,
         value=max(0.0, escape - (1.0 - rp.value)),
         lower=max(0.0, escape - (1.0 - rp.lower)),
         upper=max(0.0, escape - (1.0 - rp.upper)),
-        exact=False,
+        exact=rp.method == "exact-recurrent",
     )

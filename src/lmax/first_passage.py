@@ -37,7 +37,6 @@ from .walk import ConstantWalk, iterated_log, rho
 __all__ = [
     "HittingQuery",
     "hit_before",
-    "TruncationOptions",
     "ReturnProbability",
     "return_prob",
 ]
@@ -61,12 +60,16 @@ def _logsumexp(a: np.ndarray) -> float:
 
     Follows ``scipy.special.logsumexp`` (1.17) step for step, so results
     are bitwise equal: the maximal entries are split out of the shifted
-    sum, which is scaled by their count m before ``log1p``.
+    sum, which is scaled by their count m before ``log1p``.  The shifted
+    copy is the only float scratch: 9 B per entry with the mask.
     """
     a_max = a.max()
-    at_max = a == a_max
+    t = a - a_max
+    at_max = t == 0  # a - a_max is 0 only where a == a_max
     m = int(np.count_nonzero(at_max))
-    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum()
+    np.exp(t, out=t)
+    t[at_max] = 0.0
+    s = t.sum()
     if s != 0:
         s /= m
     return float(np.log1p(s) + np.log(m) + a_max)
@@ -92,19 +95,6 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
     log_num = _logsumexp(series.log_prod[q.k : q.b])
     log_den = _logsumexp(series.log_prod[q.a : q.b])
     return float(math.exp(log_num - log_den))
-
-
-@dataclass(frozen=True)
-class TruncationOptions:
-    """Controls for the truncated series behind ``return_prob``.
-
-    min_terms is the number of tabulated products the estimate must rest
-    on; tolerance is the widest acceptable bracket before a
-    ConvergenceWarning is attached.
-    """
-
-    min_terms: int = 100_000
-    tolerance: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -146,25 +136,19 @@ def _log_tail_estimate(series: ProductSeries) -> float:
     return log_c + (1.0 - beta) * math.log(iterated_log(deepest, float(n))) - math.log(beta - 1.0)
 
 
-def return_prob(series: ProductSeries, opts: TruncationOptions = TruncationOptions()) -> ReturnProbability:
+def return_prob(series: ProductSeries, tolerance: float = 1e-6) -> ReturnProbability:
     """Probability of ever hitting the origin from site 1, with bracket.
 
     Recurrent walks (by the closed-form classification) return exactly 1.
     Transient walks get [S_N/(1+S_N), (S_N+T)/(1+S_N+T)] where S_N is the
-    tabulated partial sum and T the tail estimate; the bracket is a
-    documented heuristic, not a proven enclosure, since T uses a constant
-    fitted at n_max.
-
-    Raises:
-        RangeError: if the series has fewer than ``opts.min_terms`` terms.
+    partial sum over the whole table (N = ``series.n_max``) and T the tail
+    estimate; the bracket is exact for constant walks (T is the geometric
+    remainder) and a documented heuristic, not a proven enclosure, for
+    perturbed ones, since T uses a constant fitted at n_max.
 
     Warns:
-        ConvergenceWarning: when the bracket is wider than ``opts.tolerance``.
+        ConvergenceWarning: when the bracket is wider than ``tolerance``.
     """
-    if series.n_max < opts.min_terms:
-        raise RangeError(
-            f"series tabulated to {series.n_max} but opts.min_terms={opts.min_terms}"
-        )
     n = series.n_max
     if is_recurrent(series.spec):
         return ReturnProbability(1.0, 1.0, 1.0, n, "exact-recurrent", True)
@@ -175,11 +159,11 @@ def return_prob(series: ProductSeries, opts: TruncationOptions = TruncationOptio
     upper = _escape_mass(float(np.logaddexp(log_one_plus_s, log_tail)), complement=True)
     method = "geometric-tail" if isinstance(series.spec, ConstantWalk) else "shape-tail"
     width = upper - lower
-    met = width <= opts.tolerance
+    met = width <= tolerance
     if not met:
         warnings.warn(
             f"return-probability bracket width {width:.3g} exceeds tolerance "
-            f"{opts.tolerance:.3g}; raise n_max to tighten it",
+            f"{tolerance:.3g}; raise n_max to tighten it",
             ConvergenceWarning,
             stacklevel=2,
         )

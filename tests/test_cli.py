@@ -373,6 +373,23 @@ def test_return_warning_is_one_stderr_line():
     assert ".py:" not in out.stderr
 
 
+@pytest.mark.parametrize("flags, env", [
+    (["-W", "error"], {}),
+    (["-W", "ignore"], {}),
+    ([], {"PYTHONWARNINGS": "error"}),
+], ids=["W-error", "W-ignore", "PYTHONWARNINGS-error"])
+def test_return_warning_ignores_interpreter_filters(flags, env):
+    # The interpreter's warning filters change neither the exit code nor
+    # the one stderr line; an "error" filter must not become a traceback.
+    cmd = "return --sign plus --K 1 --B 2"
+    argv = [sys.executable, *flags, "-m", "lmax", *cmd.split()]
+    out = subprocess.run(argv, env={**os.environ, **env}, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == dict(GOLDEN_STDOUT)[cmd]
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("warning: ") and "--min-terms" in line
+
+
 def test_bad_table_budget_env_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("LMAX_MAX_TABLE", "abc")
     code = main(["dist", "--p", "0.5", "--n-max", "10"])

@@ -11,7 +11,6 @@ from lmax import (
     HittingQuery,
     PerturbedWalk,
     RangeError,
-    TruncationOptions,
     build,
     hit_before,
     log_max_pmf,
@@ -225,7 +224,7 @@ def test_cumulative_below_return_upper():
     spec = PerturbedWalk(1, 2.0, "plus")
     s = build(spec, 100_000)
     t = max_pmf_table(s, 100_000)
-    rp = return_prob(s, TruncationOptions(tolerance=1e-5))
+    rp = return_prob(s, tolerance=1e-5)
     assert t.cumulative[-1] <= rp.upper + 1e-15
 
 
@@ -244,6 +243,14 @@ def test_tail_mass_at_one_is_return_prob():
     rp = return_prob(s)
     assert tm.value == pytest.approx(rp.value, abs=1e-15)
     assert not tm.exact
+
+
+def test_tail_mass_short_constant_table():
+    # A constant walk's bracket is exact on a short table too.
+    short = max_pmf_table(build(ConstantWalk(2 / 3), 200), 200)
+    deep = max_pmf_table(build(ConstantWalk(2 / 3), 100_000), 200)
+    for n in (1, 2, 10, 200):
+        assert tail_mass(short, n) == tail_mass(deep, n)
 
 
 def test_tail_mass_transient_by_hand():

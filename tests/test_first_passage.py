@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from lmax import (
     HittingQuery,
     PerturbedWalk,
     RangeError,
-    TruncationOptions,
     build,
     hit_before,
     return_prob,
@@ -120,19 +121,30 @@ def test_return_prob_quarter():
 
 
 def test_return_prob_needs_min_terms():
+    # The bracket rests on the table it is given; 10 terms leave a
+    # geometric remainder near 1e-3, wider than the default tolerance.
     s = build(ConstantWalk(2 / 3), 10)
-    with pytest.raises(RangeError):
-        return_prob(s)
     with pytest.warns(ConvergenceWarning):
-        rp = return_prob(s, TruncationOptions(min_terms=10))
+        rp = return_prob(s)
     assert rp.value == pytest.approx(0.5, abs=1e-3)
+
+
+def test_return_prob_short_constant_table_is_exact():
+    # The geometric remainder is exact, so 200 terms give the bracket of 1e5.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        short = return_prob(build(ConstantWalk(2 / 3), 200))
+    deep = return_prob(build(ConstantWalk(2 / 3), 100_000))
+    assert (short.value, short.lower, short.upper) == (deep.value, deep.lower, deep.upper)
+    assert short.tolerance_met and short.n_terms == 200
+    assert short.method == "geometric-tail"
 
 
 def test_return_prob_transient_perturbed_bracket():
     spec = PerturbedWalk(1, 2.0, "plus")
     s = build(spec, 200_000)
     with pytest.warns(ConvergenceWarning):
-        rp = return_prob(s, TruncationOptions(min_terms=100_000, tolerance=1e-12))
+        rp = return_prob(s, tolerance=1e-12)
     assert rp.method == "shape-tail"
     assert 0.0 < rp.lower <= rp.value <= rp.upper < 1.0
     # the tail of sum c/j^2 from 2e5 is ~ c/2e5: the bracket must be narrow
@@ -143,7 +155,7 @@ def test_return_prob_warns_on_wide_bracket():
     spec = PerturbedWalk(2, 2.0, "plus")  # products ~ c/(n (log n)^2): slow tail
     s = build(spec, 100_000)
     with pytest.warns(ConvergenceWarning):
-        rp = return_prob(s, TruncationOptions(tolerance=1e-15))
+        rp = return_prob(s, tolerance=1e-15)
     assert not rp.tolerance_met
 
 
@@ -158,6 +170,20 @@ def test_return_prob_transient_minus_family():
     with pytest.warns(ConvergenceWarning):
         ref = return_prob(build(PerturbedWalk(1, 2.0, "plus"), 100_000))
     assert rp.value == ref.value  # bitwise sign symmetry carries through
+
+
+def test_hit_before_scratch_per_entry():
+    # Each log-sum-exp holds one shifted float copy of its slice and a bool
+    # mask: 9 B/entry of scratch on top of the table.
+    n = 10**6
+    series = build(ConstantWalk(0.4), n)
+    tracemalloc.start()
+    try:
+        hit_before(series, HittingQuery(0, 1, n + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 12
 
 
 def test_logsumexp_is_scipy_bitwise():
