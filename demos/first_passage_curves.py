@@ -33,7 +33,7 @@ returners = [
     ("up-perturbed K=1 B=2", PerturbedWalk(1, 2.0, "plus")),
 ]
 for label, spec in returners:
-    rp = return_prob(build(spec, 100_000), tolerance=1e-5)
+    rp = return_prob(build(spec, 100_000))
     print(
         f"  {label:<22} {rp.value:.8f}"
         f"  [{rp.lower:.8f}, {rp.upper:.8f}]  via {rp.method}"

@@ -192,16 +192,24 @@ def cmd_hit(args, spec) -> tuple[dict, dict]:
 
 
 def cmd_return(args, spec) -> tuple[dict, dict]:
-    with warnings.catch_warnings():
-        # The library's advice names its own argument; this one names the flag.
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        rp = return_prob(build(spec, args.min_terms), args.tolerance)
-    if not rp.tolerance_met:
-        warnings.warn(f"return-probability bracket width {rp.upper - rp.lower:.3g} exceeds "
+    # The library reports the bracket; judging its width is this command's job.
+    if not args.tolerance >= 0:
+        raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
+    series = build(spec, args.min_terms)
+    try:
+        rp = return_prob(series)
+    except DomainError:
+        least = resolve_shape(spec, ShapeTarget.PRODUCT).n_min_valid
+        raise ConfigError(f"--min-terms must be >= {least}, got {args.min_terms}") from None
+    width = rp.upper - rp.lower
+    met = width <= args.tolerance
+    if not met:
+        warnings.warn(f"return-probability bracket width {width:.3g} exceeds "
                       f"--tolerance {args.tolerance:.3g}; raise --min-terms to tighten it",
                       ConvergenceWarning)
-    names = ("value", "lower", "upper", "n_terms", "method", "tolerance_met")
+    names = ("value", "lower", "upper", "n_terms", "method")
     columns = {name: [getattr(rp, name)] for name in names}
+    columns["tolerance_met"] = [met]
     return {"min_terms": args.min_terms, "tolerance": args.tolerance}, columns
 
 

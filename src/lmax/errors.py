@@ -18,4 +18,4 @@ class ResourceError(RuntimeError):
 
 
 class ConvergenceWarning(RuntimeWarning):
-    """A truncation bracket is wider than the requested tolerance."""
+    """``lmax return``: the bracket is wider than ``--tolerance``; only the CLI warns it."""

@@ -135,17 +135,16 @@ class TailMass:
     exact: bool
 
 
-def tail_mass(table: MaxPmfTable, n: int, tolerance: float = 1e-6) -> TailMass:
+def tail_mass(table: MaxPmfTable, n: int) -> TailMass:
     """Mass at or above level n: the escape mass 1/S_{n-1} less 1/S_inf.
 
     1/S_inf = 1 - P(return) comes from the bracket of ``return_prob`` on
-    the table's series, with the same ``tolerance``.  Recurrent walks have
-    1/S_inf = 0 exactly, so they get the exact value 1/S_{n-1} with a
-    degenerate bracket.
+    the table's series.  Recurrent walks have 1/S_inf = 0 exactly, so they
+    get the exact value 1/S_{n-1} with a degenerate bracket.
     """
     n = table._check(n)
     escape = _escape_mass(float(table.series.log_prefix_sum[n - 1]))
-    rp = return_prob(table.series, tolerance)
+    rp = return_prob(table.series)
     return TailMass(
         n=n,
         value=max(0.0, escape - (1.0 - rp.value)),

@@ -23,14 +23,13 @@ bracket in the transient case.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import ShapeTarget, log_shape, resolve_shape
 from .classify import is_recurrent
-from .errors import ConvergenceWarning, RangeError
+from .errors import RangeError
 from .series import ProductSeries, _escape_mass
 from .walk import ConstantWalk, iterated_log, rho
 
@@ -112,7 +111,6 @@ class ReturnProbability:
     upper: float
     n_terms: int
     method: str
-    tolerance_met: bool
 
 
 def _log_tail_estimate(series: ProductSeries) -> float:
@@ -136,7 +134,7 @@ def _log_tail_estimate(series: ProductSeries) -> float:
     return log_c + (1.0 - beta) * math.log(iterated_log(deepest, float(n))) - math.log(beta - 1.0)
 
 
-def return_prob(series: ProductSeries, tolerance: float = 1e-6) -> ReturnProbability:
+def return_prob(series: ProductSeries) -> ReturnProbability:
     """Probability of ever hitting the origin from site 1, with bracket.
 
     Recurrent walks (by the closed-form classification) return exactly 1.
@@ -144,27 +142,19 @@ def return_prob(series: ProductSeries, tolerance: float = 1e-6) -> ReturnProbabi
     partial sum over the whole table (N = ``series.n_max``) and T the tail
     estimate; the bracket is exact for constant walks (T is the geometric
     remainder) and a documented heuristic, not a proven enclosure, for
-    perturbed ones, since T uses a constant fitted at n_max.
+    perturbed ones, since T uses a constant fitted at n_max.  The width
+    is reported, not judged: ``lmax return`` holds it to ``--tolerance``.
 
-    Warns:
-        ConvergenceWarning: when the bracket is wider than ``tolerance``.
+    Raises:
+        DomainError: if a shape-tail table stops below the shape's ``n_min_valid``.
     """
     n = series.n_max
     if is_recurrent(series.spec):
-        return ReturnProbability(1.0, 1.0, 1.0, n, "exact-recurrent", True)
+        return ReturnProbability(1.0, 1.0, 1.0, n, "exact-recurrent")
     # S/(1+S) = 1 - exp(-log(1+S)), stable for both tiny and huge S.
     log_one_plus_s = float(series.log_prefix_sum[n])
     lower = _escape_mass(log_one_plus_s, complement=True)
     log_tail = _log_tail_estimate(series)
     upper = _escape_mass(float(np.logaddexp(log_one_plus_s, log_tail)), complement=True)
     method = "geometric-tail" if isinstance(series.spec, ConstantWalk) else "shape-tail"
-    width = upper - lower
-    met = width <= tolerance
-    if not met:
-        warnings.warn(
-            f"return-probability bracket width {width:.3g} exceeds tolerance "
-            f"{tolerance:.3g}; raise n_max to tighten it",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    return ReturnProbability(0.5 * (lower + upper), lower, upper, n, method, met)
+    return ReturnProbability(0.5 * (lower + upper), lower, upper, n, method)

@@ -114,15 +114,18 @@ def table_budget() -> tuple[int, str]:
     set, else ``(DEFAULT_MAX_ENTRIES, "default")``.
 
     Raises:
-        ConfigError: if ``LMAX_MAX_TABLE`` is not an integer.
+        ConfigError: if ``LMAX_MAX_TABLE`` is not an integer >= 1.
     """
     env = os.environ.get(MAX_TABLE_ENV)
     if env is None:
         return DEFAULT_MAX_ENTRIES, "default"
     try:
-        return int(env), MAX_TABLE_ENV
+        budget = int(env)
     except ValueError:
-        raise ConfigError(f"${MAX_TABLE_ENV} must be an integer, got {env!r}") from None
+        budget = 0  # not an integer: refused below, with the same message
+    if budget < 1:
+        raise ConfigError(f"${MAX_TABLE_ENV} must be an integer >= 1, got {env!r}")
+    return budget, MAX_TABLE_ENV
 
 
 def check_budget(what: str, n: int) -> None:
@@ -145,7 +148,7 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
     Raises:
         ResourceError: if ``n_max`` exceeds ``table_budget()``: the
             ``LMAX_MAX_TABLE`` environment variable, or 2e7 entries.
-        ConfigError: if ``LMAX_MAX_TABLE`` is not an integer.
+        ConfigError: if ``LMAX_MAX_TABLE`` is not an integer >= 1.
     """
     n_max = int(n_max)
     if n_max < 1:

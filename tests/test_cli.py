@@ -391,10 +391,34 @@ def test_return_warning_ignores_interpreter_filters(flags, env):
 
 
 def test_bad_table_budget_env_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("LMAX_MAX_TABLE", "abc")
-    code = main(["dist", "--p", "0.5", "--n-max", "10"])
-    assert code == 2
-    assert "LMAX_MAX_TABLE" in capsys.readouterr().err
+    # A budget below 1 is a bad setting (exit 2), not a table too big (exit 1).
+    for value in ("abc", "-5"):
+        monkeypatch.setenv("LMAX_MAX_TABLE", value)
+        code = main(["dist", "--p", "0.5", "--n-max", "10"])
+        assert code == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "LMAX_MAX_TABLE" in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_return_bad_tolerance_exits_two(capsys, monkeypatch, tolerance):
+    # Checked before the table is built: a budget of 100 would exit 1.
+    monkeypatch.setenv("LMAX_MAX_TABLE", "100")
+    code = main(["return", "--p", "0.6", "--tolerance", tolerance])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tolerance must be >= 0") and err.count("\n") == 1
+
+
+def test_return_min_terms_below_shape_threshold_exits_two(capsys):
+    argv = ["return", "--sign", "plus", "--K", "3", "--B", "2", "--min-terms", "3"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: --min-terms must be >= 4, got 3\n"
+    code, out = _run(capsys, argv[:-1] + ["4"])
+    assert code == 0 and _csv_rows(out)[1][0][3] == "4"
 
 
 def test_asympt_untabulable_threshold_exits_two():
@@ -533,12 +557,14 @@ def test_info_quotes_a_multiline_fallback_reason_in_csv(capsys, monkeypatch):
 
 
 def test_info_bad_table_budget_env_exits_two():
-    env = {**os.environ, "LMAX_MAX_TABLE": "2e7"}
-    out = subprocess.run([sys.executable, "-m", "lmax", "info"], env=env, capture_output=True, text=True)
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert out.stderr.startswith("error:") and "LMAX_MAX_TABLE" in out.stderr
-    assert out.stderr.count("\n") == 1
+    for value in ("2e7", "0", "-5"):
+        env = {**os.environ, "LMAX_MAX_TABLE": value}
+        argv = [sys.executable, "-m", "lmax", "info"]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert out.returncode == 2, value
+        assert out.stdout == ""
+        assert out.stderr.startswith("error:") and "LMAX_MAX_TABLE" in out.stderr
+        assert out.stderr.count("\n") == 1
 
 
 def test_every_module_is_reachable():
@@ -556,14 +582,15 @@ def test_every_module_is_reachable():
 
 def test_closed_stdout_pipe_exits_quietly():
     argv = [sys.executable, "-m", "lmax", "dist", "--p", "0.5", "--n-max", "200000"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        assert proc.stdout.readline() == b"n,pmf,log_pmf,cumulative\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
-    finally:
-        proc.kill()
+    # The with block closes stderr and waits, so no pipe is left open.
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert proc.stdout.readline() == b"n,pmf,log_pmf,cumulative\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
     assert err == b""
 
 

@@ -224,7 +224,7 @@ def test_cumulative_below_return_upper():
     spec = PerturbedWalk(1, 2.0, "plus")
     s = build(spec, 100_000)
     t = max_pmf_table(s, 100_000)
-    rp = return_prob(s, tolerance=1e-5)
+    rp = return_prob(s)
     assert t.cumulative[-1] <= rp.upper + 1e-15
 
 
