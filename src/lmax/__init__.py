@@ -18,7 +18,6 @@ from .asymptotics import (
     estimate_constant,
     log_shape,
     resolve_shape,
-    shape_value,
 )
 from .classify import (
     APPARENTLY_CONVERGENT,
@@ -29,7 +28,6 @@ from .classify import (
     SeriesDiagnostic,
     classify,
     is_recurrent,
-    near_criterion_boundary,
     series_diagnostic,
 )
 from .errors import (
@@ -42,8 +40,6 @@ from .errors import (
 from .excursion import (
     MaxPmfTable,
     TailMass,
-    log_max_pmf,
-    max_pmf,
     max_pmf_table,
     tail_mass,
 )
@@ -61,10 +57,7 @@ from .walk import (
     WalkSpec,
     compute_i0,
     iterated_log,
-    log_rho,
-    perturbation,
     rho,
-    signed_drift,
     spec_from_params,
     spec_params,
     step_up_prob,
@@ -79,12 +72,9 @@ __all__ = [
     "PerturbedWalk",
     "WalkSpec",
     "iterated_log",
-    "perturbation",
     "compute_i0",
-    "signed_drift",
     "step_up_prob",
     "rho",
-    "log_rho",
     "spec_params",
     "spec_from_params",
     # series
@@ -99,14 +89,12 @@ __all__ = [
     "SeriesDiagnostic",
     "classify",
     "is_recurrent",
-    "near_criterion_boundary",
     "series_diagnostic",
     # asymptotics
     "ShapeTarget",
     "AsymptoticShape",
     "resolve_shape",
     "log_shape",
-    "shape_value",
     "ConstantFit",
     "estimate_constant",
     # first passage
@@ -116,8 +104,6 @@ __all__ = [
     "return_prob",
     # excursion maximum
     "MaxPmfTable",
-    "max_pmf",
-    "log_max_pmf",
     "max_pmf_table",
     "TailMass",
     "tail_mass",

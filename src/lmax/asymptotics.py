@@ -34,14 +34,13 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
 from .series import ProductSeries
-from .walk import ConstantWalk, PerturbedWalk, WalkSpec, _first_site_above, iterated_log, rho
+from .walk import ConstantWalk, WalkSpec, _first_site_above, iterated_log, rho
 
 __all__ = [
     "ShapeTarget",
     "AsymptoticShape",
     "resolve_shape",
     "log_shape",
-    "shape_value",
     "ConstantFit",
     "estimate_constant",
 ]
@@ -159,16 +158,6 @@ def log_shape(s: AsymptoticShape, n: int) -> float:
         if exponent != 0.0:
             total += exponent * math.log(iterated_log(depth, float(n)))
     return s.log_coeff + n * s.n_coeff - total
-
-
-def shape_value(s: AsymptoticShape, n: int) -> float:
-    """Decay shape at ``n`` in linear scale (may under/overflow; see log_shape)."""
-    n = int(n)
-    if n < s.n_min_valid:
-        raise DomainError(f"n={n} below the shape's validity threshold {s.n_min_valid}")
-    if s.kind == "simple-null":
-        return 1.0 / (n * (n + 1.0))
-    return math.exp(log_shape(s, n))
 
 
 @dataclass(frozen=True, eq=False)

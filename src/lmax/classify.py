@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .series import ProductSeries
-from .walk import ConstantWalk, PerturbedWalk, WalkSpec
+from .walk import ConstantWalk, WalkSpec
 
 __all__ = [
     "APPARENTLY_CONVERGENT",
@@ -43,7 +43,6 @@ __all__ = [
     "classify",
     "is_recurrent",
     "series_diagnostic",
-    "near_criterion_boundary",
 ]
 
 APPARENTLY_CONVERGENT = "apparently convergent"
@@ -66,12 +65,10 @@ class Justification(enum.Enum):
 
 @dataclass(frozen=True)
 class SeriesDiagnostic:
-    """Numeric growth summary of ``log(1 + sum of products)`` at three checkpoints."""
+    """Numeric growth summary of ``log(1 + sum of products)`` at two checkpoints, ``n_half`` and ``n_max``."""
 
-    n_quarter: int
     n_half: int
     n_max: int
-    log_sum_quarter: float
     log_sum_half: float
     log_sum_max: float
     growth_exponent: float
@@ -116,19 +113,6 @@ def is_recurrent(spec: WalkSpec) -> bool:
     return classify(spec).label is not Recurrence.TRANSIENT
 
 
-def near_criterion_boundary(spec: WalkSpec, tol: float = 1e-12) -> bool:
-    """True when the parameters sit within ``tol`` of a classification boundary.
-
-    Boundary cases are classified by literal comparison (closed intervals),
-    so a caller may want to warn that the label is knife-edge.
-    """
-    if isinstance(spec, ConstantWalk):
-        return abs(spec.p - 0.5) < tol
-    if spec.k == 1:
-        return abs(spec.b - 1.0) < tol or abs(spec.b + 1.0) < tol
-    return abs(spec.b - 1.0) < tol
-
-
 def series_diagnostic(series: ProductSeries) -> SeriesDiagnostic:
     """Advisory growth summary of the tabulated prefix sums.
 
@@ -138,20 +122,17 @@ def series_diagnostic(series: ProductSeries) -> SeriesDiagnostic:
     ``d log(1 + sum) / d log n`` over that half.
     """
     n = series.n_max
-    nq, nh = max(1, n // 4), max(1, n // 2)
-    lq = series.log_one_plus_sum(nq)
-    lh = series.log_one_plus_sum(nh)
-    lm = series.log_one_plus_sum(n)
+    nh = max(1, n // 2)
+    lh = float(series.log_prefix_sum[nh])
+    lm = float(series.log_prefix_sum[n])
     stalled = (lm - lh) < _STALL_TOL
     if n > nh:
         exponent = (lm - lh) / (math.log(n) - math.log(nh))
     else:
         exponent = 0.0
     return SeriesDiagnostic(
-        n_quarter=nq,
         n_half=nh,
         n_max=n,
-        log_sum_quarter=lq,
         log_sum_half=lh,
         log_sum_max=lm,
         growth_exponent=exponent,

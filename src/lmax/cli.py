@@ -47,7 +47,7 @@ from .errors import ConfigError, ConvergenceWarning, DomainError, RangeError, Re
 from .excursion import max_pmf_table
 from .first_passage import HittingQuery, hit_before, return_prob
 from .montecarlo import SimConfig, SimResult, compare, kernel_info, run
-from .series import build, table_budget
+from .series import build, check_budget, table_budget
 from .walk import WalkSpec, spec_from_params, spec_params
 
 __all__ = ["main", "build_parser"]
@@ -130,8 +130,16 @@ def _emit(fmt: str, meta: dict, columns: dict) -> int:
     return 0
 
 
+def _depth(flag: str, n: int) -> int:
+    """``n`` as a table depth: at least 1 and within the table budget, or an error naming ``flag``."""
+    if n < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {n}")
+    check_budget(flag, n)
+    return n
+
+
 def cmd_dist(args, spec) -> tuple[dict, dict]:
-    series = build(spec, args.n_max)
+    series = build(spec, _depth("--n-max", args.n_max))
     table = max_pmf_table(series, args.n_max)
     # Index 0 of the table arrays is a placeholder; rows are n = 1..n_max.
     columns = {
@@ -145,7 +153,7 @@ def cmd_dist(args, spec) -> tuple[dict, dict]:
 
 def cmd_classify(args, spec) -> tuple[dict, dict]:
     c = classify(spec)
-    diag = series_diagnostic(build(spec, args.n_max))
+    diag = series_diagnostic(build(spec, _depth("--n-max", args.n_max)))
     fields = {"n_max": args.n_max, "growth_exponent": diag.growth_exponent,
               "log_sum_at_n_max": diag.log_sum_max}
     columns = {
@@ -161,7 +169,7 @@ def cmd_asympt(args, spec) -> tuple[dict, dict]:
     shape = resolve_shape(spec, target)
     n_hi = args.n_hi
     n_lo = args.n_lo if args.n_lo is not None else max(shape.n_min_valid, n_hi // 100)
-    series = build(spec, n_hi)
+    series = build(spec, _depth("--n-hi", n_hi))
     fit = estimate_constant(series, shape, n_lo, n_hi, samples=args.samples)
     with np.errstate(over="ignore", under="ignore"):
         columns = {
@@ -195,7 +203,7 @@ def cmd_return(args, spec) -> tuple[dict, dict]:
     # The library reports the bracket; judging its width is this command's job.
     if not args.tolerance >= 0:
         raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
-    series = build(spec, args.min_terms)
+    series = build(spec, _depth("--min-terms", args.min_terms))
     try:
         rp = return_prob(series)
     except DomainError:

@@ -22,9 +22,11 @@ grows with depth: 3-5 ulp within 300 rows on ``PerturbedWalk(2, 1.5,
 "plus")``, and 1.2e-12 absolute at n = 1e6 on ``PerturbedWalk(1, 3.0,
 "plus")`` (ROADMAP item 1, a compensated scan, is the remedy).
 
-Tables are built in one vectorized pass over a ``ProductSeries``; the
-linear pmf column flushes to 0 beneath double-precision underflow while
-the log column stays informative.
+``max_pmf_table`` is the only path to the law: P(M = n, D < inf) is
+``table.pmf[n]`` and its log ``table.log_pmf[n]``, and only the table pins
+row 1 to q_1.  It is built in one vectorized pass over a ``ProductSeries``;
+the linear pmf column flushes to 0 beneath double-precision underflow
+while the log column stays informative.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ from .walk import step_up_prob
 
 __all__ = [
     "MaxPmfTable",
-    "max_pmf",
-    "log_max_pmf",
     "max_pmf_table",
     "TailMass",
     "tail_mass",
@@ -70,27 +70,6 @@ class MaxPmfTable:
         if not 1 <= n <= self.n_max:
             raise RangeError(f"n={n} outside table range 1..{self.n_max}")
         return n
-
-
-def log_max_pmf(series: ProductSeries, n: int) -> float:
-    """log P(M = n, D < inf); finite for every tabulated n."""
-    n = int(n)
-    if not 1 <= n <= series.n_max:
-        raise RangeError(f"n={n} outside tabulated range 1..{series.n_max}")
-    return float(series.log_max_pmf(n))
-
-
-def max_pmf(series: ProductSeries, n: int) -> float:
-    """P(M = n, D < inf) in linear scale.
-
-    n = 1 is the one-step excursion and must equal q_1 exactly, not
-    through an exp/log round trip; larger n exponentiates the log form
-    with the table's ``np.exp``, so it equals ``max_pmf_table``'s entry.
-    """
-    log_pmf = log_max_pmf(series, n)
-    if int(n) == 1:
-        return 1.0 - step_up_prob(series.spec, 1)
-    return float(np.exp(log_pmf))
 
 
 def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:

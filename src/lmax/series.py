@@ -62,20 +62,6 @@ class ProductSeries:
     log_prod: np.ndarray
     log_prefix_sum: np.ndarray
 
-    def _check(self, n: int) -> int:
-        n = int(n)
-        if not 0 <= n <= self.n_max:
-            raise RangeError(f"n={n} outside tabulated range 0..{self.n_max}")
-        return n
-
-    def log_product(self, n: int) -> float:
-        """``log(rho_1 ... rho_n)``; the empty product at n=0 gives 0."""
-        return float(self.log_prod[self._check(n)])
-
-    def log_one_plus_sum(self, n: int) -> float:
-        """``log(1 + sum_{j=1..n} rho_1 ... rho_j)``; n=0 gives 0."""
-        return float(self.log_prefix_sum[self._check(n)])
-
     def log_max_pmf(self, n, out: np.ndarray | None = None):
         """``log P(M = n, D < inf)`` at unchecked ``n >= 1``: an int, an int array or a ``range``.
 

@@ -17,7 +17,8 @@ always steps to 1):
   (0, 1)) the term is frozen at its value at ``i0``.
 
 The down/up odds ratio ``rho(spec, i) = q_i / p_i`` drives every exact
-formula downstream; it is exposed here in linear and log form.
+formula downstream; ``rho`` gives one entry and ``log_rho_array`` the log
+over a site array.
 
 Sign-symmetry note: for ``k=1`` the walk ``("plus", b)`` coincides with
 ``("minus", -b)``.  All drift arithmetic is routed through the signed
@@ -41,13 +42,9 @@ __all__ = [
     "PerturbedWalk",
     "WalkSpec",
     "iterated_log",
-    "perturbation",
     "compute_i0",
-    "drift_term",
-    "signed_drift",
     "step_up_prob",
     "rho",
-    "log_rho",
     "signed_drift_array",
     "step_up_prob_array",
     "log_rho_array",
@@ -80,22 +77,6 @@ def iterated_log(m: int, x: float) -> float:
             raise DomainError(f"iterated log chain left (0, inf) at {value}")
         value = math.log(value)
     return value
-
-
-def perturbation(k: int, i: float, b: float) -> float:
-    """Drift series lam(k, i, b) = 1/i + 1/(i log i) + ... + b/(i log i ... log_{k-1} i).
-
-    For ``k=1`` this is just ``b/i``.  Requires every denominator in the
-    chain to be positive, i.e. the (k-1)-fold iterated log of ``i`` must
-    be positive.
-    """
-    if k < 1:
-        raise DomainError("perturbation depth k must be >= 1")
-    if not i > 0:
-        raise DomainError(f"site index must be positive, got {i}")
-    if iterated_log(k - 1, float(i)) <= 0.0:
-        raise DomainError(f"perturbation(k={k}) undefined at i={i}: iterated log chain is not positive")
-    return float(_perturbation_array(k, np.array([float(i)]), b)[0])
 
 
 def _perturbation_array(k: int, x: np.ndarray, b: float) -> np.ndarray:
@@ -204,19 +185,6 @@ def _at(array_fn, spec: WalkSpec, i) -> float:
     return float(array_fn(spec, np.array([i]))[0])
 
 
-def drift_term(spec: PerturbedWalk, i: int) -> float:
-    """Unsigned perturbation term ``r_i = lam(k, i, b)/4``, frozen at ``i0`` below it."""
-    if not isinstance(spec, PerturbedWalk):
-        raise ConfigError("drift_term is defined for PerturbedWalk specs only")
-    d = _at(signed_drift_array, spec, i)
-    return d if spec.sign == "plus" else -d
-
-
-def signed_drift(spec: WalkSpec, i: int) -> float:
-    """Signed drift ``delta_i = p_i - 1/2`` for either family at site ``i >= 1``."""
-    return _at(signed_drift_array, spec, i)
-
-
 def step_up_prob(spec: WalkSpec, i: int) -> float:
     """Step-up probability ``p_i``; the origin reflects (``p_0 = 1``)."""
     return _at(step_up_prob_array, spec, i)
@@ -234,13 +202,8 @@ def rho(spec: WalkSpec, i: int) -> float:
         raise DomainError(f"site index must be >= 1, got {i}")
     if isinstance(spec, ConstantWalk):
         return (1.0 - spec.p) / spec.p
-    d = signed_drift(spec, i)
+    d = _at(signed_drift_array, spec, i)
     return (1.0 - 2.0 * d) / (1.0 + 2.0 * d)
-
-
-def log_rho(spec: WalkSpec, i: int) -> float:
-    """``log(q_i / p_i)``, kept accurate for drifts near zero via log1p."""
-    return _at(log_rho_array, spec, i)
 
 
 def signed_drift_array(spec: WalkSpec, i: np.ndarray) -> np.ndarray:

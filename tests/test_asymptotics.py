@@ -13,9 +13,8 @@ from lmax import (
     build,
     estimate_constant,
     log_shape,
-    max_pmf,
+    max_pmf_table,
     resolve_shape,
-    shape_value,
 )
 
 PMF = ShapeTarget.MAX_PMF
@@ -30,20 +29,20 @@ def test_target_values():
 def test_symmetric_shape_by_hand():
     s = resolve_shape(ConstantWalk(0.5), PMF)
     assert s.kind == "simple-null"
-    assert shape_value(s, 10) == 1 / 110
+    assert log_shape(s, 10) == pytest.approx(math.log(1 / 110), rel=1e-15)
 
 
 def test_cubic_shape_by_hand():
     s = resolve_shape(PerturbedWalk(1, 1.0, "minus"), PMF)
     assert s.factors == ((0, 3.0),)
-    assert shape_value(s, 10) == pytest.approx(1e-3, rel=1e-15)
+    assert log_shape(s, 10) == pytest.approx(math.log(1e-3), rel=1e-15)
 
 
 def test_log_squared_shape_by_hand():
     s = resolve_shape(PerturbedWalk(1, 1.0, "plus"), PMF)
     assert s.factors == ((0, 1.0), (1, 2.0))
     want = 1 / (16 * math.log(16) ** 2)
-    assert shape_value(s, 16) == pytest.approx(want, rel=1e-15)
+    assert log_shape(s, 16) == pytest.approx(math.log(want), rel=1e-15)
     assert want == pytest.approx(0.0081303, abs=5e-8)
 
 
@@ -100,8 +99,6 @@ def test_below_threshold_rejected():
     assert math.isfinite(log_shape(s, 4))
     with pytest.raises(DomainError):
         log_shape(s, 3)
-    with pytest.raises(DomainError):
-        shape_value(s, 3)
 
 
 @pytest.mark.parametrize("p", [2 / 3, 0.25])
@@ -114,13 +111,13 @@ def test_geometric_branch_closed_form(p):
             want = (1 - r) ** 2 * r**n
         else:
             want = (r - 1) ** 2 * r ** -(n + 1)
-        assert shape_value(s, n) == pytest.approx(want, rel=1e-13)
+        assert log_shape(s, n) == pytest.approx(math.log(want), rel=1e-13)
 
 
 def test_product_shape_constant_drift():
     s = resolve_shape(ConstantWalk(0.25), PROD)
     r = 3.0
-    assert shape_value(s, 7) == pytest.approx(r**7, rel=1e-13)
+    assert log_shape(s, 7) == pytest.approx(7 * math.log(r), rel=1e-13)
 
 
 @pytest.mark.parametrize("b", [-2.0, -1.0, 0.5, 1.0, 2.0])
@@ -227,6 +224,7 @@ def test_shape_tracks_exact_pmf():
     s = resolve_shape(spec, PMF)
     fit = estimate_constant(series, s, 50, 10_000)
     mid = float(np.median(fit.c_hat))
+    pmf = max_pmf_table(series, 4096).pmf
     for n in (64, 512, 4096):
-        approx = mid * shape_value(s, n)
-        assert approx == pytest.approx(max_pmf(series, n), rel=0.2)
+        approx = mid * math.exp(log_shape(s, n))
+        assert approx == pytest.approx(pmf[n], rel=0.2)

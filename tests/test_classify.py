@@ -10,7 +10,6 @@ from lmax import (
     build,
     classify,
     is_recurrent,
-    near_criterion_boundary,
     return_prob,
     series_diagnostic,
 )
@@ -121,17 +120,6 @@ def test_classify_agrees_with_return_prob():
     assert rp.value < 1.0
 
 
-def test_near_criterion_boundary():
-    assert near_criterion_boundary(ConstantWalk(0.5))
-    assert near_criterion_boundary(ConstantWalk(0.5 + 1e-13))
-    assert not near_criterion_boundary(ConstantWalk(0.51))
-    assert near_criterion_boundary(PerturbedWalk(1, 1.0, "plus"))
-    assert near_criterion_boundary(PerturbedWalk(1, -1.0, "minus"))
-    assert not near_criterion_boundary(PerturbedWalk(1, -1.0 + 1e-6, "minus"))
-    assert near_criterion_boundary(PerturbedWalk(3, 1.0 - 1e-14, "minus"))
-    assert not near_criterion_boundary(PerturbedWalk(3, -1.0, "plus"))
-
-
 def test_diagnostic_positive_recurrent_stalls():
     d = series_diagnostic(build(ConstantWalk(2 / 3), 200))
     assert d.verdict == APPARENTLY_CONVERGENT
@@ -158,9 +146,11 @@ def test_diagnostic_down_perturbation_quadratic():
 
 
 def test_diagnostic_checkpoints_recorded():
-    d = series_diagnostic(build(ConstantWalk(0.5), 1000))
-    assert (d.n_quarter, d.n_half, d.n_max) == (250, 500, 1000)
-    assert d.log_sum_quarter < d.log_sum_half < d.log_sum_max
+    series = build(ConstantWalk(0.5), 1000)
+    d = series_diagnostic(series)
+    assert (d.n_half, d.n_max) == (500, 1000)
+    assert (d.log_sum_half, d.log_sum_max) == tuple(series.log_prefix_sum[[500, 1000]])
+    assert d.log_sum_half < d.log_sum_max
 
 
 def test_diagnostic_never_overrides_label():

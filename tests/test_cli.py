@@ -14,6 +14,7 @@ import pytest
 
 from lmax import ConstantWalk, PerturbedWalk, cli, montecarlo
 from lmax.cli import main
+from lmax.series import DEFAULT_MAX_ENTRIES
 from lmax.walk import spec_from_params
 
 DIST_3 = ["dist", "--p", "0.5", "--n-max", "3"]
@@ -399,6 +400,23 @@ def test_bad_table_budget_env_exits_two(capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "LMAX_MAX_TABLE" in err
+
+
+@pytest.mark.parametrize("depth", [0, DEFAULT_MAX_ENTRIES + 1])
+@pytest.mark.parametrize("cmd,flag", [
+    ("dist", "--n-max"), ("classify", "--n-max"), ("return", "--min-terms"), ("asympt", "--n-hi"),
+])
+def test_table_depth_error_names_the_flag(capsys, monkeypatch, cmd, flag, depth):
+    # Below 1 is a bad argument (2); past the budget, a resource limit (1).
+    monkeypatch.delenv("LMAX_MAX_TABLE", raising=False)
+    code = main([cmd, "--p", "0.4", flag, str(depth)])
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    if depth < 1:
+        assert (code, err) == (2, f"error: {flag} must be >= 1, got 0\n")
+    else:
+        assert code == 1
+        assert err.startswith(f"error: {flag}={depth} exceeds the table budget of {DEFAULT_MAX_ENTRIES}")
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1"])

@@ -13,7 +13,9 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_cleanly(demo):
-    out = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=300)
+    # -W error: pytest's warning filter does not reach the subprocess.
+    argv = [sys.executable, "-W", "error", str(demo)]
+    out = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
     assert out.stdout

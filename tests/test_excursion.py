@@ -13,8 +13,6 @@ from lmax import (
     RangeError,
     build,
     hit_before,
-    log_max_pmf,
-    max_pmf,
     max_pmf_table,
     return_prob,
     step_up_prob,
@@ -25,18 +23,18 @@ from _oracles import closed_masses, geometric_pmf, symmetric_pmf, telescoping_pm
 
 
 def test_one_step_excursion():
-    s = build(ConstantWalk(0.5), 5)
-    assert max_pmf(s, 1) == 0.5
+    t = max_pmf_table(build(ConstantWalk(0.5), 5), 5)
+    assert t.pmf[1] == 0.5
 
 
 def test_symmetric_by_hand():
-    s = build(ConstantWalk(0.5), 10)
-    assert max_pmf(s, 3) == pytest.approx(1 / 12, rel=1e-14)
+    t = max_pmf_table(build(ConstantWalk(0.5), 10), 10)
+    assert t.pmf[3] == pytest.approx(1 / 12, rel=1e-14)
 
 
 def test_upward_drift_by_hand():
-    s = build(ConstantWalk(2 / 3), 10)
-    assert max_pmf(s, 2) == pytest.approx(2 / 21, rel=1e-14)
+    t = max_pmf_table(build(ConstantWalk(2 / 3), 10), 10)
+    assert t.pmf[2] == pytest.approx(2 / 21, rel=1e-14)
 
 
 def test_table_small_values():
@@ -58,28 +56,27 @@ def test_pmf_one_is_exactly_q1():
     ):
         s = build(spec, 3)
         q1 = 1.0 - step_up_prob(spec, 1)
-        assert max_pmf(s, 1) == q1
         assert max_pmf_table(s, 3).pmf[1] == q1
 
 
 @pytest.mark.parametrize("p", [2 / 3, 1 / 3, 0.55, 0.21])
 def test_geometric_closed_form(p):
-    s = build(ConstantWalk(p), 100)
+    pmf = max_pmf_table(build(ConstantWalk(p), 100), 100).pmf
     for n in range(1, 101):
         want = float(geometric_pmf(p, n))
-        assert max_pmf(s, n) == pytest.approx(want, rel=1e-12)
+        assert pmf[n] == pytest.approx(want, rel=1e-12)
 
 
 def test_symmetric_closed_form():
-    s = build(ConstantWalk(0.5), 500)
+    pmf = max_pmf_table(build(ConstantWalk(0.5), 500), 500).pmf
     for n in (1, 2, 13, 499):
-        assert max_pmf(s, n) == pytest.approx(symmetric_pmf(n), rel=1e-13)
+        assert pmf[n] == pytest.approx(symmetric_pmf(n), rel=1e-13)
 
 
 def test_telescoping_closed_form():
-    s = build(PerturbedWalk(1, 1.0, "minus"), 1000)
+    pmf = max_pmf_table(build(PerturbedWalk(1, 1.0, "minus"), 1000), 1000).pmf
     for n in (1, 2, 10, 999):
-        assert max_pmf(s, n) == pytest.approx(telescoping_pmf(n), rel=1e-12)
+        assert pmf[n] == pytest.approx(telescoping_pmf(n), rel=1e-12)
 
 
 DECOMP_SPECS = [
@@ -94,37 +91,21 @@ DECOMP_SPECS = [
 def test_factorization_identity(spec):
     # pmf(n) must equal P(reach n before 0) * P(return before n+1).
     s = build(spec, 60)
+    pmf = max_pmf_table(s, 60).pmf
     for n in range(1, 51):
         reach = 1.0 - hit_before(s, HittingQuery(0, 1, n)) if n > 1 else 1.0
         fall = hit_before(s, HittingQuery(0, n, n + 1))
-        assert max_pmf(s, n) == pytest.approx(reach * fall, rel=1e-12)
+        assert pmf[n] == pytest.approx(reach * fall, rel=1e-12)
 
 
 def test_log_and_linear_agree():
-    s = build(PerturbedWalk(2, 1.0, "plus"), 100)
+    t = max_pmf_table(build(PerturbedWalk(2, 1.0, "plus"), 100), 100)
     for n in (2, 17, 100):
-        assert max_pmf(s, n) == pytest.approx(math.exp(log_max_pmf(s, n)), rel=1e-15)
-
-
-@pytest.mark.parametrize("spec", [
-    ConstantWalk(0.4), PerturbedWalk(2, 1.5, "plus"), PerturbedWalk(1, 1.0, "minus"),
-])
-def test_scalar_pmf_is_the_table_entry(spec):
-    # Both exponentiate with np.exp; math.exp differed in the last bit on
-    # 66, 885 and 909 of these 20000 entries.
-    n_max = 20_000
-    s = build(spec, n_max)
-    table = max_pmf_table(s, n_max)
-    scalar = np.array([max_pmf(s, n) for n in range(1, n_max + 1)])
-    assert np.array_equal(scalar, table.pmf[1:])
+        assert t.pmf[n] == pytest.approx(math.exp(t.log_pmf[n]), rel=1e-15)
 
 
 def test_range_errors():
     s = build(ConstantWalk(0.5), 10)
-    with pytest.raises(RangeError):
-        max_pmf(s, 11)
-    with pytest.raises(RangeError):
-        max_pmf(s, 0)
     with pytest.raises(RangeError):
         max_pmf_table(s, 11)
     t = max_pmf_table(s, 10)

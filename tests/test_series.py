@@ -14,35 +14,30 @@ from _oracles import brute_prefix_sum
 
 def test_symmetric_walk_table():
     s = build(ConstantWalk(0.5), 5)
-    assert s.log_product(5) == 0.0
-    assert s.log_one_plus_sum(5) == pytest.approx(math.log(6), rel=1e-15)
-    assert s.log_one_plus_sum(4) == pytest.approx(math.log(5), rel=1e-15)
+    assert s.log_prod[5] == 0.0
+    assert s.log_prefix_sum[5] == pytest.approx(math.log(6), rel=1e-15)
+    assert s.log_prefix_sum[4] == pytest.approx(math.log(5), rel=1e-15)
 
 
 def test_downward_drift_table():
     s = build(ConstantWalk(1 / 3), 10)  # rho = 2
-    assert s.log_product(3) == pytest.approx(3 * math.log(2), rel=1e-14)
-    assert math.exp(s.log_one_plus_sum(3)) == pytest.approx(15.0, rel=1e-14)
-    assert s.log_product(10) == pytest.approx(10 * math.log(2), rel=1e-14)
+    assert s.log_prod[3] == pytest.approx(3 * math.log(2), rel=1e-14)
+    assert math.exp(s.log_prefix_sum[3]) == pytest.approx(15.0, rel=1e-14)
+    assert s.log_prod[10] == pytest.approx(10 * math.log(2), rel=1e-14)
 
 
 def test_upward_drift_table():
     s = build(ConstantWalk(2 / 3), 2)  # rho = 1/2
-    assert math.exp(s.log_one_plus_sum(2)) == pytest.approx(1.75, rel=1e-14)
+    assert math.exp(s.log_prefix_sum[2]) == pytest.approx(1.75, rel=1e-14)
 
 
 def test_empty_product_and_sum():
     s = build(PerturbedWalk(1, 1.0, "plus"), 3)
-    assert s.log_product(0) == 0.0
-    assert s.log_one_plus_sum(0) == 0.0
+    assert s.log_prod[0] == 0.0
+    assert s.log_prefix_sum[0] == 0.0
 
 
 def test_range_errors():
-    s = build(ConstantWalk(0.5), 4)
-    with pytest.raises(RangeError):
-        s.log_product(5)
-    with pytest.raises(RangeError):
-        s.log_one_plus_sum(-1)
     with pytest.raises(RangeError):
         build(ConstantWalk(0.5), 0)
 
@@ -93,7 +88,7 @@ def test_prefix_sums_match_high_precision_brute_force(spec):
     rhos = [rho(spec, i) for i in range(1, n + 1)]
     for m in (1, 2, 7, 30):
         want = float(brute_prefix_sum(rhos[:m]))
-        got = math.exp(s.log_one_plus_sum(m))
+        got = math.exp(s.log_prefix_sum[m])
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -101,8 +96,8 @@ def test_telescoping_products():
     # Depth-1 minus with b=1 has rho_i = (2i+1)/(2i-1); products collapse to 2n+1.
     s = build(PerturbedWalk(1, 1.0, "minus"), 500)
     for n in (1, 5, 77, 500):
-        assert math.exp(s.log_product(n)) == pytest.approx(2 * n + 1, rel=1e-12)
-        assert math.exp(s.log_one_plus_sum(n)) == pytest.approx((n + 1) ** 2, rel=1e-12)
+        assert math.exp(s.log_prod[n]) == pytest.approx(2 * n + 1, rel=1e-12)
+        assert math.exp(s.log_prefix_sum[n]) == pytest.approx((n + 1) ** 2, rel=1e-12)
 
 
 @given(
@@ -135,8 +130,8 @@ def test_product_shape_slowly_varying_plus(k, b):
 
     def corrected(n):
         if k == 1:
-            return s.log_product(n) + b * math.log(n)
-        return s.log_product(n) + math.log(n) + b * math.log(math.log(n))
+            return s.log_prod[n] + b * math.log(n)
+        return s.log_prod[n] + math.log(n) + b * math.log(math.log(n))
 
     n = 1_000_000
     ratio = math.exp(corrected(2 * n) - corrected(n))
@@ -150,8 +145,8 @@ def test_product_shape_slowly_varying_minus(k, b):
 
     def corrected(n):
         if k == 1:
-            return s.log_product(n) - b * math.log(n)
-        return s.log_product(n) - math.log(n) - b * math.log(math.log(n))
+            return s.log_prod[n] - b * math.log(n)
+        return s.log_prod[n] - math.log(n) - b * math.log(math.log(n))
 
     n = 1_000_000
     ratio = math.exp(corrected(2 * n) - corrected(n))

@@ -12,15 +12,12 @@ from lmax import (
     PerturbedWalk,
     compute_i0,
     iterated_log,
-    log_rho,
-    perturbation,
     rho,
-    signed_drift,
     spec_from_params,
     spec_params,
     step_up_prob,
 )
-from lmax.walk import drift_term, log_rho_array, signed_drift_array, step_up_prob_array
+from lmax.walk import log_rho_array, signed_drift_array, step_up_prob_array
 
 
 def test_iterated_log_base_cases():
@@ -39,16 +36,13 @@ def test_iterated_log_domain():
 
 
 def test_perturbation_values():
-    assert perturbation(1, 4, 2.0) == 0.5
-    assert perturbation(1, 10, -1.0) == -0.1
-    assert perturbation(2, 10, 0.0) == pytest.approx(0.1, rel=1e-15)
+    # 4 * delta_i is lam(k, i, b) exactly on "plus" walks; each site is past i0.
+    def lam(k, b, i):
+        return 4 * signed_drift_array(PerturbedWalk(k, b, "plus"), np.array([i]))[0]
 
-
-def test_perturbation_domain():
-    with pytest.raises(DomainError):
-        perturbation(2, 1, 1.0)  # log 1 = 0 denominator
-    with pytest.raises(DomainError):
-        perturbation(1, 0, 1.0)
+    assert lam(1, 2.0, 4) == 0.5
+    assert lam(1, -1.0, 10) == -0.1
+    assert lam(2, 0.0, 10) == pytest.approx(0.1, rel=1e-15)
 
 
 def test_compute_i0():
@@ -67,12 +61,13 @@ def test_i0_strictness():
 
 
 def test_drift_term_freeze():
-    w = PerturbedWalk(1, 1.0, "plus")
-    assert drift_term(w, 1) == 0.25
-    assert drift_term(w, 10) == pytest.approx(0.025, rel=1e-15)
+    d = signed_drift_array(PerturbedWalk(1, 1.0, "plus"), np.array([1, 10]))
+    assert d[0] == 0.25
+    assert d[1] == pytest.approx(0.025, rel=1e-15)
     w4 = PerturbedWalk(1, 4.0, "plus")
     assert w4.i0 == 3
-    assert drift_term(w4, 1) == drift_term(w4, 3) == pytest.approx(1 / 3, rel=1e-15)
+    d1, d3 = signed_drift_array(w4, np.array([1, 3]))
+    assert d1 == d3 == pytest.approx(1 / 3, rel=1e-15)
 
 
 def test_rho_values():
@@ -139,7 +134,7 @@ def test_sign_symmetry_bitwise(b, i):
     assert plus.i0 == minus.i0
     assert step_up_prob(plus, i) == step_up_prob(minus, i)
     assert rho(plus, i) == rho(minus, i)
-    assert log_rho(plus, i) == log_rho(minus, i)
+    assert log_rho_array(plus, np.array([i]))[0] == log_rho_array(minus, np.array([i]))[0]
 
 
 @given(
@@ -152,7 +147,7 @@ def test_adjoint_inverts_log_rho_bitwise(b, k, i):
     # Swapping up/down probabilities negates log rho with no rounding at all.
     up = PerturbedWalk(k, b, "plus")
     down = PerturbedWalk(k, b, "minus")
-    assert log_rho(down, i) == -log_rho(up, i)
+    assert log_rho_array(down, np.array([i]))[0] == -log_rho_array(up, np.array([i]))[0]
 
 
 def test_adjoint_rho_reciprocal_to_an_ulp():
@@ -164,16 +159,15 @@ def test_adjoint_rho_reciprocal_to_an_ulp():
 
 def test_log_rho_bounded_by_frozen_drift():
     spec = PerturbedWalk(1, 4.0, "minus")
-    r0 = drift_term(spec, spec.i0)
+    r0 = abs(signed_drift_array(spec, np.array([spec.i0]))[0])
     bound = math.log((0.5 + r0) / (0.5 - r0)) * (1 + 1e-12)
-    for i in range(1, 2000):
-        assert abs(log_rho(spec, i)) <= bound
+    assert np.all(np.abs(log_rho_array(spec, np.arange(1, 2000))) <= bound)
 
 
 def test_rho_tends_to_one():
     for spec in (PerturbedWalk(1, 3.0, "plus"), PerturbedWalk(2, -2.0, "minus")):
         for i in (10_000, 1_000_000):
-            lam = abs(perturbation(spec.k, i, spec.b))
+            lam = 4 * abs(signed_drift_array(spec, np.array([i]))[0])
             assert abs(rho(spec, i) - 1.0) < 2.0 * lam + 1e-12
 
 
@@ -186,12 +180,11 @@ def test_array_paths_match_scalar_bitwise():
         PerturbedWalk(3, -1.0, "plus"),
     ):
         d = signed_drift_array(spec, idx)
-        lr = log_rho_array(spec, idx)
         p = step_up_prob_array(spec, idx)
         for i in idx.tolist():
-            assert d[i - 1] == signed_drift(spec, i)
-            assert lr[i - 1] == log_rho(spec, i)
             assert p[i - 1] == step_up_prob(spec, i)
+            if isinstance(spec, PerturbedWalk):
+                assert rho(spec, i) == (1.0 - 2.0 * d[i - 1]) / (1.0 + 2.0 * d[i - 1])
 
 
 def test_step_up_prob_array_reflects_and_keeps_constant_p():
