@@ -11,8 +11,12 @@ Conventions shared by all subcommands:
 * ``--format csv`` (default) writes a single header row then data rows,
   quoting string cells per RFC 4180; ``--format json`` writes one object
   ``{"meta": ..., "columns": ..., "rows": ...}``.  Floats are rendered
-  with ``repr`` (shortest round-trip) in both formats, so the numeric
-  strings are identical.
+  as ``repr`` renders them (shortest round-trip) in both formats, so the
+  numeric strings are identical.  Table columns (ranges and int64 or
+  float64 arrays) go through the compiled renderer in ``_native``, which
+  writes ``repr``'s bytes at a small part of its cost; other columns, and every
+  column when the library cannot load, go through ``_cells``, the
+  reference the renderer is tested against.
 * Output streams: rows are rendered column-wise and written in bounded
   chunks, so memory for the text does not grow with the table, and the
   bytes are exactly those of rendering the whole table at once.
@@ -40,7 +44,7 @@ import warnings
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _native
 from .asymptotics import ShapeTarget, estimate_constant, resolve_shape
 from .classify import classify, series_diagnostic
 from .errors import ConfigError, ConvergenceWarning, DomainError, RangeError, ResourceError
@@ -103,8 +107,10 @@ def _emit(fmt: str, meta: dict, columns: dict) -> int:
 
     The bytes are those of a CSV header plus one line per row, or of
     ``json.dumps({"meta", "columns", "rows"}, indent=2, sort_keys=True)``
-    and a newline.  Rows are rendered _CHUNK_ROWS at a time, column by
-    column, so the text in memory does not grow with the row count.
+    and a newline.  Rows are rendered _CHUNK_ROWS at a time, so the text
+    in memory does not grow with the row count: by the compiled renderer
+    when every column is numeric (``_numeric``) and the library loads, else
+    column by column through ``_cells``.
     """
     names = list(columns)
     n_rows = len(columns[names[0]])
@@ -122,12 +128,26 @@ def _emit(fmt: str, meta: dict, columns: dict) -> int:
         row_open, cell_sep, row_close, row_sep = "", ",", "\n", ""
     out.write(head)
     between = row_close + row_sep + row_open
+    lib = _native._kernel()[0] if n_rows and all(map(_numeric, columns.values())) else None
+    spellings = tuple(_JSON_NONFINITE.values() if fmt == "json" else _JSON_NONFINITE)
     for lo in range(0, n_rows, _CHUNK_ROWS):
-        cols = [_cells(columns[name][lo : lo + _CHUNK_ROWS], fmt) for name in names]
-        rows = between.join(map(cell_sep.join, zip(*cols)))
-        out.write((row_sep if lo else "") + row_open + rows + row_close)
+        lead = (row_sep if lo else "") + row_open
+        chunk = [columns[name][lo : lo + _CHUNK_ROWS] for name in names]
+        if lib is not None:
+            words = (lead, between, cell_sep, row_close, *spellings)
+            out.write(_native.render_rows(lib, chunk, words))
+        else:
+            rows = between.join(map(cell_sep.join, zip(*(_cells(c, fmt) for c in chunk))))
+            out.write(lead + rows + row_close)
     out.write(tail)
     return 0
+
+
+def _numeric(column) -> bool:
+    """Whether the compiled renderer takes ``column``: a range or a 1-D int64/float64 array."""
+    if isinstance(column, np.ndarray):
+        return column.ndim == 1 and column.dtype in (np.int64, np.float64)
+    return isinstance(column, range)
 
 
 def _depth(flag: str, n: int) -> int:
@@ -167,9 +187,15 @@ def cmd_classify(args, spec) -> tuple[dict, dict]:
 def cmd_asympt(args, spec) -> tuple[dict, dict]:
     target = ShapeTarget(args.target)
     shape = resolve_shape(spec, target)
-    n_hi = args.n_hi
+    n_hi = _depth("--n-hi", args.n_hi)
+    # The drift indicator compares c(n_hi) with c(n_hi // 2): both must be valid.
+    if n_hi // 2 < shape.n_min_valid:
+        raise ConfigError(f"--n-hi must be >= {2 * shape.n_min_valid} on this walk, got {n_hi}")
     n_lo = args.n_lo if args.n_lo is not None else max(shape.n_min_valid, n_hi // 100)
-    series = build(spec, _depth("--n-hi", n_hi))
+    if not shape.n_min_valid <= n_lo < n_hi:
+        raise ConfigError(f"--n-lo must be >= {shape.n_min_valid} and below --n-hi {n_hi}, "
+                          f"got {n_lo}")
+    series = build(spec, n_hi)
     fit = estimate_constant(series, shape, n_lo, n_hi, samples=args.samples)
     with np.errstate(over="ignore", under="ignore"):
         columns = {
@@ -193,7 +219,9 @@ def cmd_asympt(args, spec) -> tuple[dict, dict]:
 
 def cmd_hit(args, spec) -> tuple[dict, dict]:
     q = HittingQuery(a=args.a, k=args.k, b=args.b)
-    p = hit_before(build(spec, max(1, args.b - 1)), q)
+    depth = max(1, args.b - 1)  # the products reach index b - 1
+    check_budget(f"--b {args.b}: table depth", depth)
+    p = hit_before(build(spec, depth), q)
     columns = {"a": [args.a], "k": [args.k], "b": [args.b], "probability": [p]}
     # hit_*: the walk's own "k" and "b" are in the meta too.
     return {"hit_a": args.a, "hit_k": args.k, "hit_b": args.b}, columns
@@ -338,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("simulate", cmd_simulate, "Monte Carlo excursion maxima", (walk, sim, fmt))
     command("compare", cmd_compare, "simulate, then score against the exact pmf", (walk, sim, fmt))
-    command("info", cmd_info, "simulator kernel, library versions and table budget", (fmt,))
+    command("info", cmd_info, "native kernels, library versions and table budget", (fmt,))
 
     return parser
 

@@ -100,10 +100,12 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
 class ReturnProbability:
     """Return probability P(hit 0 | start 1) with a truncation bracket.
 
-    value is the midpoint of [lower, upper] (all three coincide for
-    recurrent walks, where the answer is exactly 1).  method records how
-    the upper end was obtained: "exact-recurrent", "geometric-tail" for
-    constant drift, or "shape-tail" for the fitted asymptotic tail.
+    value is the midpoint of [lower, upper].  All three coincide where the
+    answer is exact: 1 for recurrent walks, and rho = (1-p)/p for transient
+    constant walks, whose geometric remainder is summed in closed form.
+    method records how the bracket was obtained: "exact-recurrent",
+    "geometric-tail" for constant drift, or "shape-tail" for the fitted
+    asymptotic tail.
     """
 
     value: float
@@ -114,20 +116,15 @@ class ReturnProbability:
 
 
 def _log_tail_estimate(series: ProductSeries) -> float:
-    """log of an integral tail bound for the convergent product series.
+    """log of an integral tail bound for a convergent perturbed product series.
 
     The products decay like c * shape(n) with shape a product of
     iterated-log powers whose deepest exponent beta exceeds 1; the sum
     beyond n_max is estimated by the integral
     c * (log_{depth} n_max)^(1-beta) / (beta - 1), with c fitted at n_max.
     """
-    spec = series.spec
     n = series.n_max
-    if isinstance(spec, ConstantWalk):
-        # Exact geometric remainder: rho^(n+1) / (1 - rho).
-        r = rho(spec, 1)
-        return (n + 1) * math.log(r) - math.log1p(-r)
-    shape = resolve_shape(spec, ShapeTarget.PRODUCT)
+    shape = resolve_shape(series.spec, ShapeTarget.PRODUCT)
     deepest = max(d for d, _ in shape.factors)
     beta = next(e for d, e in shape.factors if d == deepest)
     log_c = float(series.log_prod[n]) - log_shape(shape, n)
@@ -138,12 +135,14 @@ def return_prob(series: ProductSeries) -> ReturnProbability:
     """Probability of ever hitting the origin from site 1, with bracket.
 
     Recurrent walks (by the closed-form classification) return exactly 1.
-    Transient walks get [S_N/(1+S_N), (S_N+T)/(1+S_N+T)] where S_N is the
-    partial sum over the whole table (N = ``series.n_max``) and T the tail
-    estimate; the bracket is exact for constant walks (T is the geometric
-    remainder) and a documented heuristic, not a proven enclosure, for
-    perturbed ones, since T uses a constant fitted at n_max.  The width
-    is reported, not judged: ``lmax return`` holds it to ``--tolerance``.
+    Transient constant walks return rho = (1-p)/p, the sum of the whole
+    geometric series S/(1+S), as one number: the remainder past the table
+    is exact, so the bracket has no width to report.  Transient perturbed
+    walks get [S_N/(1+S_N), (S_N+T)/(1+S_N+T)] where S_N is the partial
+    sum over the whole table (N = ``series.n_max``) and T the tail
+    estimate, a documented heuristic, not a proven enclosure, since T uses
+    a constant fitted at n_max.  The width is reported, not judged:
+    ``lmax return`` holds it to ``--tolerance``.
 
     Raises:
         DomainError: if a shape-tail table stops below the shape's ``n_min_valid``.
@@ -151,10 +150,12 @@ def return_prob(series: ProductSeries) -> ReturnProbability:
     n = series.n_max
     if is_recurrent(series.spec):
         return ReturnProbability(1.0, 1.0, 1.0, n, "exact-recurrent")
+    if isinstance(series.spec, ConstantWalk):
+        r = rho(series.spec, 1)  # (1 - p)/p, with 1 - p exact for p > 1/2
+        return ReturnProbability(r, r, r, n, "geometric-tail")
     # S/(1+S) = 1 - exp(-log(1+S)), stable for both tiny and huge S.
     log_one_plus_s = float(series.log_prefix_sum[n])
     lower = _escape_mass(log_one_plus_s, complement=True)
     log_tail = _log_tail_estimate(series)
     upper = _escape_mass(float(np.logaddexp(log_one_plus_s, log_tail)), complement=True)
-    method = "geometric-tail" if isinstance(series.spec, ConstantWalk) else "shape-tail"
-    return ReturnProbability(0.5 * (lower + upper), lower, upper, n, method)
+    return ReturnProbability(0.5 * (lower + upper), lower, upper, n, "shape-tail")

@@ -23,42 +23,28 @@ unbiased up to step-censoring only, an excursion whose maximum stays
 below the cap never touches it; the comparison report widens its
 tolerance by the step-censored fraction to cover that residual bias.
 
-The inner loop is one C function (``_C_SOURCE``).  The first ``run`` in a
-process loads it, building it with the system ``gcc -O2 -shared -fPIC`` on
-a cache miss.  The shared object is cached in ``$XDG_CACHE_HOME/lmax`` (or
-``~/.cache/lmax``) under a name keyed by a 64-bit checksum (CRC-32 and
-Adler-32) of the source, the flags and the machine type; builds go through
-a temporary file and ``os.replace``, so concurrent first runs are safe, a
-build deletes the kernels of other keys, and an unwritable cache falls
-back to a per-process temporary directory.  The cache exists because
-every CLI call is a fresh process: a build costs about 60 ms there, against
-about 5 ms to load a cached library (2-core x86_64, gcc 12).  ctypes
-releases the GIL during the call, so ``workers`` threads run blocks in
-parallel.  If gcc is missing or fails, or the library will not load, the
-same loop runs in Python (``_drive_py``, also the reference the tests
-compare against); ``kernel_info()`` names the kernel in use and the reason
-for a fallback.  Both kernels consume the same stream, so tallies do not
-depend on which ran.
+The inner loop is one C function, ``lmax_drive`` in the package's native
+library (``_native``, which builds, caches and loads it).  The first ``run``
+in a process loads the library.  ctypes releases the GIL during the call,
+so ``workers`` threads run blocks in parallel.  If the library cannot be
+built or loaded, the same loop runs in Python (``_drive_py``, also the
+reference the tests compare against); ``kernel_info()`` names the kernel
+in use and the reason for a fallback.  Both kernels consume the same
+stream, so tallies do not depend on which ran.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
 import operator
 import os
-import platform
-import shutil
-import tempfile
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
+from . import _native
+from ._native import KernelInfo, kernel_info
 from .errors import ConfigError, RangeError
 from .excursion import MaxPmfTable
 from .series import check_budget
@@ -79,7 +65,7 @@ def _drive_py(u, state, counts, censored, p, cap_steps, cap_height):
     state = [excursions remaining, position, steps taken, running max];
     mutated in place along with counts (tally by M) and censored
     ([height, steps]).  Returns when the chunk or the block is exhausted.
-    The reference for the C kernel below, and the fallback when it cannot load.
+    The reference for the C kernel, and the fallback when it cannot load.
     """
     remaining = state[0]
     pos = state[1]
@@ -116,149 +102,17 @@ def _drive_py(u, state, counts, censored, p, cap_steps, cap_height):
     state[3] = m
 
 
-# The compiled kernel: _drive_py line for line, cap_steps clamped to int64.
-_C_SOURCE = r"""
-#include <stdint.h>
-
-void lmax_drive(const double *u, int64_t n, int64_t *state, int64_t *counts,
-                int64_t *censored, const double *p, int64_t cap_steps, int64_t cap_height)
-{
-    int64_t remaining = state[0], pos = state[1], steps = state[2], m = state[3], i = 0;
-    while (remaining > 0) {
-        if (pos == 0) counts[m] += 1;
-        else if (pos >= cap_height) censored[0] += 1;
-        else if (steps >= cap_steps) censored[1] += 1;
-        else if (i >= n) break;
-        else {
-            if (u[i++] < p[pos]) { if (++pos > m) m = pos; } else pos -= 1;
-            steps += 1;
-            continue;
-        }
-        remaining -= 1; pos = 1; steps = 0; m = 1;
-    }
-    state[0] = remaining; state[1] = pos; state[2] = steps; state[3] = m;
-}
-"""
-_CFLAGS = ("-O2", "-shared", "-fPIC")
 _INT64_MAX = 2**63 - 1
 
 
-class KernelInfo(NamedTuple):
-    """The simulator kernel in use: ``"c"`` or ``"python"``, and why not C."""
-
-    name: str
-    reason: str | None
-
-
-class _BuildError(Exception):
-    """gcc is missing or rejected the kernel source."""
-
-
-def _cache_dir() -> str:
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "lmax")
-
-
-def _compile(gcc: str, out_dir: str, name: str) -> str:
-    """Build ``out_dir/name`` in a private temporary directory, then move it into place.
-
-    ``os.replace`` is atomic, so processes building at once never see a
-    partial file.
-    """
-    import subprocess  # only a cache miss needs it; ``import lmax`` stays lean
-
-    with tempfile.TemporaryDirectory(dir=out_dir) as work:
-        src = os.path.join(work, "drive.c")
-        with open(src, "w") as f:
-            f.write(_C_SOURCE)
-        out = os.path.join(work, name)
-        proc = subprocess.run([gcc, *_CFLAGS, src, "-o", out], capture_output=True, text=True)
-        if proc.returncode:
-            raise _BuildError(f"gcc exited {proc.returncode}: {proc.stderr.strip()[:300]}")
-        path = os.path.join(out_dir, name)
-        os.replace(out, path)
-    return path
-
-
-def _prune_cache(cache: str, keep: str) -> None:
-    """Delete the cached kernels other than ``keep``, which no current key names.
-
-    Only top-level ``drive-*.so`` entries go, and ``_drive-*.so`` ones, the
-    names an older build used; the temporary directories of builds in
-    progress are left alone.  Failures are skipped: the kernel just built
-    must still load.
-    """
-    with contextlib.suppress(OSError), os.scandir(cache) as entries:
-        for entry in entries:
-            stem = entry.name.removeprefix("_")
-            if stem.startswith("drive-") and stem.endswith(".so") and entry.name != keep:
-                with contextlib.suppress(OSError):  # another process removed it first
-                    os.remove(entry.path)
-
-
-def _load_c():
-    """Return the C kernel with ``_drive_py``'s signature, building it on a cache miss.
-
-    Raises:
-        _BuildError: gcc is missing or failed.
-        OSError: the library did not load.
-    """
-    key = "\0".join((_C_SOURCE, *_CFLAGS, platform.machine())).encode()
-    # zlib is in sys.modules once numpy is imported; hashlib would load OpenSSL.
-    name = f"drive-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
-    cache = _cache_dir()
-    path = os.path.join(cache, name)
-    lib = None
-    if not os.path.exists(path):
-        gcc = shutil.which("gcc")
-        if gcc is None:
-            raise _BuildError("gcc not found on PATH")
-        try:
-            os.makedirs(cache, exist_ok=True)
-            _compile(gcc, cache, name)
-        except OSError:
-            # Unwritable cache: build per process; the mapping outlives the file.
-            with tempfile.TemporaryDirectory(prefix="lmax-") as tmp:
-                lib = ctypes.CDLL(_compile(gcc, tmp, name))
-        else:
-            _prune_cache(cache, name)
-    if lib is None:
-        # A process running other kernel source may prune the file before
-        # this call; CDLL then raises OSError and the Python kernel runs.
-        lib = ctypes.CDLL(path)
-    fn = lib.lmax_drive
-    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    c64 = ctypes.c_int64
-    fn.argtypes = [f64, c64, i64, i64, i64, f64, c64, c64]
-    fn.restype = None
-
-    def drive_c(u, state, counts, censored, p, cap_steps, cap_height):
-        # ndpointer checks dtype and layout; C indexes these up to cap_height - 1.
-        if state.size != 4 or censored.size != 2 or min(counts.size, p.size) < cap_height:
-            raise ValueError("kernel arrays are shorter than the walker state needs")
-        # ctypes wraps ints past 64 bits silently; no excursion takes 2**63 steps.
-        fn(u, u.shape[0], state, counts, censored, p, min(cap_steps, _INT64_MAX), cap_height)
-
-    return drive_c
-
-
-@functools.cache
-def _kernel() -> tuple:
-    """The kernel ``_drive`` dispatches to and its ``KernelInfo``, chosen once per process."""
-    try:
-        return _load_c(), KernelInfo("c", None)
-    except (_BuildError, OSError) as exc:
-        return _drive_py, KernelInfo("python", f"{type(exc).__name__}: {exc}")
-
-
-def kernel_info() -> KernelInfo:
-    """Name the simulator kernel in use and the reason for a Python fallback.
-
-    Loads the kernel if no ``run`` has yet (building it on a cache miss);
-    writes nothing to stdout.
-    """
-    return _kernel()[1]
+def _drive_c(lib, u, state, counts, censored, p, cap_steps, cap_height):
+    """``_drive_py`` on ``lib.lmax_drive``, the same loop in C (see ``_native``)."""
+    # ndpointer checks dtype and layout; C indexes these up to cap_height - 1.
+    if state.size != 4 or censored.size != 2 or min(counts.size, p.size) < cap_height:
+        raise ValueError("kernel arrays are shorter than the walker state needs")
+    # ctypes wraps ints past 64 bits silently; no excursion takes 2**63 steps.
+    lib.lmax_drive(u, u.shape[0], state, counts, censored, p, min(cap_steps, _INT64_MAX),
+                   cap_height)
 
 
 def _drive(u, state, counts, censored, p, cap_steps, cap_height):
@@ -267,7 +121,11 @@ def _drive(u, state, counts, censored, p, cap_steps, cap_height):
     The stable entry ``_run_block`` calls per chunk; arrays must be
     C-contiguous, ``counts`` and ``p`` at least ``cap_height`` long.
     """
-    _kernel()[0](u, state, counts, censored, p, cap_steps, cap_height)
+    lib = _native._kernel()[0]
+    if lib is None:
+        _drive_py(u, state, counts, censored, p, cap_steps, cap_height)
+    else:
+        _drive_c(lib, u, state, counts, censored, p, cap_steps, cap_height)
 
 
 @dataclass(frozen=True)
@@ -350,7 +208,7 @@ def run(config: SimConfig) -> SimResult:
     check_budget("excursion blocks", n_blocks)
     # p[0] is never consulted: hitting 0 ends the excursion first.
     p = step_up_prob_array(config.spec, np.arange(config.cap_height))
-    _kernel()  # here, in the main thread, before any pool starts
+    _native._kernel()  # here, in the main thread, before any pool starts
     counts = np.zeros(config.cap_height, dtype=np.int64)
     censored = np.zeros(2, dtype=np.int64)
 

@@ -8,11 +8,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lmax import ConstantWalk, PerturbedWalk, cli, montecarlo
+from lmax import ConstantWalk, PerturbedWalk, _native, cli, montecarlo
 from lmax.cli import main
 from lmax.series import DEFAULT_MAX_ENTRIES
 from lmax.walk import spec_from_params
@@ -251,8 +252,10 @@ GOLDEN_STDOUT = [
      '925f19cf2e9236cdfe911865558331959eebf40c2afd82021cc575ef76ab79cc'),
     ('hit --sign minus --K 2 --B 2 --a 0 --k 3 --b 500',
      'b64e55894b01b8af52fac719e449f48045d68d550ad432404de2853a60c1ffc6'),
+    # value, lower and upper moved from 0.6666666666666665 to 0.6666666666666667,
+    # the double nearest (1 - p)/p (test_return_constant_walk_is_the_float_of_q_over_p).
     ('return --p 0.6 --format json',
-     '6ff11bf9e4d7a17841c1597f8703fa3e06309c28419dae8daf8abae9a32eb513'),
+     'c88ca14a2e3d7effb7c801b15557857be577d71c507661d4e8a5b0833044c7e4'),
     ('return --sign plus --K 1 --B 2',
      '3716202b174680111253400baf1ecd19ebf881113b2cc32d0d936fa1ea7fa54f'),
     ('simulate --p 0.5 --excursions 3000 --seed 5 --cap-steps 400 --cap-height 40 --format json',
@@ -275,6 +278,16 @@ GOLDEN_STDOUT = [
 
 @pytest.mark.parametrize("cmd,digest", GOLDEN_STDOUT)
 def test_stdout_bytes_pinned(capsys, cmd, digest):
+    code, out = _run(capsys, cmd.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cmd,digest", GOLDEN_STDOUT)
+def test_stdout_bytes_pinned_on_python_path(capsys, monkeypatch, cmd, digest):
+    # Every native kernel forced off: _cells renders, _drive_py simulates.
+    info = montecarlo.KernelInfo("python", "forced")
+    monkeypatch.setattr(_native, "_kernel", lambda: (None, info))
     code, out = _run(capsys, cmd.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -449,6 +462,41 @@ def test_asympt_untabulable_threshold_exits_two():
     assert out.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--p", "0.4", "--n-hi", "1000", "--n-lo", "5000"],
+     "error: --n-lo must be >= 1 and below --n-hi 1000, got 5000\n"),
+    (["--sign", "plus", "--K", "2", "--B", "1", "--n-hi", "6"],
+     "error: --n-hi must be >= 8 on this walk, got 6\n"),
+], ids=["n-lo-above-n-hi", "n-hi-below-twice-threshold"])
+def test_asympt_bad_fit_range_names_the_flag(capsys, argv, err):
+    code = main(["asympt", *argv])
+    assert (code, capsys.readouterr()) == (2, ("", err))
+
+
+def test_hit_past_the_budget_names_b(capsys, monkeypatch):
+    monkeypatch.delenv("LMAX_MAX_TABLE", raising=False)
+    code = main(["hit", "--p", "0.5", "--a", "0", "--k", "3", "--b", "30000000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: --b 30000000: table depth=29999999 exceeds the table budget "
+                          f"of {DEFAULT_MAX_ENTRIES} entries")
+    assert err.count("\n") == 1
+
+
+def test_return_constant_walk_is_the_float_of_q_over_p(capsys):
+    # The geometric remainder is exact, so value, lower and upper are all
+    # the double nearest (1 - p)/p, however few terms the table holds.
+    for p in (0.6, 2 / 3, 0.8, 0.5000001, 0.999):
+        oracle = float((1 - Fraction(p)) / Fraction(p))
+        code, out = _run(capsys, ["return", "--p", repr(p), "--min-terms", "10"])
+        header, (row,) = _csv_rows(out)
+        assert code == 0 and row[:3] == [repr(oracle)] * 3, p
+        assert row[4:] == ["geometric-tail", "true"]
+    assert capsys.readouterr().err == ""
+    code, out = _run(capsys, ["return", "--p", "0.6", "--format", "json"])
+    assert json.loads(out)["rows"] == [[0.6666666666666667] * 3 + [100000, "geometric-tail", True]]
+
+
 def test_asympt_nonpositive_samples_exits_two(capsys):
     code = main(["asympt", "--p", "0.4", "--n-hi", "1000", "--samples", "-1"])
     assert code == 2
@@ -506,8 +554,10 @@ def test_python_kernel_keeps_simulator_pins(tmp_path):
 
 
 def test_import_leaves_heavy_modules_unloaded():
-    # subprocess is only needed to build the simulator kernel, never by dist;
+    # subprocess is only needed to build the native library, never to load
+    # it, so the library is built here first (the child shares the cache);
     # hashlib would load OpenSSL, which no table command needs.
+    _native.kernel_info()
     code = (
         "import sys, lmax\n"
         "heavy = lambda: sorted(m for m in sys.modules\n"
@@ -567,7 +617,7 @@ def test_info_reports_kernel_versions_and_budget(capsys, monkeypatch):
 def test_info_quotes_a_multiline_fallback_reason_in_csv(capsys, monkeypatch):
     reason = '_BuildError: gcc exited 1: drive.c:1:1: error: expected "=", ",", \nbefore'
     info = montecarlo.KernelInfo("python", reason)
-    monkeypatch.setattr(montecarlo, "_kernel", lambda: (montecarlo._drive_py, info))
+    monkeypatch.setattr(_native, "_kernel", lambda: (None, info))
     code, out = _run(capsys, ["info"])
     assert code == 0
     header, row = csv.reader(io.StringIO(out))

@@ -120,11 +120,12 @@ def test_return_prob_quarter():
 
 
 def test_return_prob_needs_min_terms():
-    # The bracket rests on the table it is given; 10 terms leave a
-    # geometric remainder near 1e-3, and the bracket is that wide.
-    rp = return_prob(build(ConstantWalk(2 / 3), 10))
-    assert rp.upper - rp.lower > 1e-4
-    assert rp.value == pytest.approx(0.5, abs=1e-3)
+    # A perturbed bracket rests on the table it is given; 10 terms leave a
+    # tail near 2e-2 on this walk (whose return probability is 2/5), and the
+    # bracket is that wide.  A constant walk's needs no depth (below).
+    rp = return_prob(build(PerturbedWalk(1, 2.0, "plus"), 10))
+    assert rp.upper - rp.lower > 1e-2
+    assert rp.value == pytest.approx(0.4, abs=2e-2)
 
 
 def test_return_prob_short_constant_table_is_exact():
@@ -136,6 +137,9 @@ def test_return_prob_short_constant_table_is_exact():
     assert (short.value, short.lower, short.upper) == (deep.value, deep.lower, deep.upper)
     assert short.upper - short.lower <= 1e-6 and short.n_terms == 200
     assert short.method == "geometric-tail"
+    # The remainder is summed in closed form: one number, however short the table.
+    tiny = return_prob(build(ConstantWalk(0.6), 1))
+    assert tiny.value == tiny.lower == tiny.upper == (1 - 0.6) / 0.6
 
 
 def test_return_prob_transient_perturbed_bracket():

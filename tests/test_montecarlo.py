@@ -24,20 +24,21 @@ from lmax import (
     montecarlo,
     run,
 )
+from lmax import _native
 from lmax.montecarlo import KernelInfo, kernel_info
 
 
-def _loaded_kernels():
-    """Name -> kernel for every simulator kernel; fails unless both load, so parity is checked."""
+def _loaded_libs():
+    """Name -> library (None for Python); fails unless C loads, so parity is checked."""
     try:
-        c = montecarlo._load_c()
-    except (montecarlo._BuildError, OSError) as exc:
+        lib = _native._load_c()
+    except (_native._BuildError, OSError) as exc:
         pytest.fail(f"the C kernel did not load, so fewer than two kernels would be compared: {exc}")
-    return {"python": montecarlo._drive_py, "c": c}
+    return {"python": None, "c": lib}
 
 
-def _use(monkeypatch, name, impl):
-    monkeypatch.setattr(montecarlo, "_kernel", lambda: (impl, KernelInfo(name, None)))
+def _use(monkeypatch, name, lib):
+    monkeypatch.setattr(_native, "_kernel", lambda: (lib, KernelInfo(name, None)))
 
 
 def test_config_validation():
@@ -81,8 +82,8 @@ def test_workers_do_not_change_tallies(monkeypatch):
     n = 3 * BLOCK + 1234
     base = SimConfig(ConstantWalk(0.5), n, seed=7, cap_steps=2000, cap_height=64)
     tallies = []
-    for name, impl in _loaded_kernels().items():
-        _use(monkeypatch, name, impl)
+    for name, lib in _loaded_libs().items():
+        _use(monkeypatch, name, lib)
         a = run(base)
         b = run(SimConfig(ConstantWalk(0.5), n, seed=7, workers=5, cap_steps=2000, cap_height=64))
         assert np.array_equal(a.counts, b.counts), name
@@ -159,8 +160,8 @@ PINNED_TALLIES = [
 
 @pytest.mark.parametrize("cfg,height,steps,counts", PINNED_TALLIES)
 def test_run_tallies_pinned(monkeypatch, cfg, height, steps, counts):
-    for name, impl in _loaded_kernels().items():
-        _use(monkeypatch, name, impl)
+    for name, lib in _loaded_libs().items():
+        _use(monkeypatch, name, lib)
         r = run(cfg)
         assert (r.censored_height, r.censored_steps) == (height, steps), name
         assert r.counts.tolist() == counts, name
@@ -188,7 +189,7 @@ def _chunked_case(draw):
 
 @pytest.fixture(scope="module")
 def drive_c():
-    return _loaded_kernels()["c"]
+    return functools.partial(montecarlo._drive_c, _loaded_libs()["c"])
 
 
 @given(case=_chunked_case())
@@ -233,8 +234,8 @@ def test_oversized_cap_steps_is_clamped(monkeypatch, cap_steps):
     cfg = dict(spec=ConstantWalk(0.45), excursions=3000, seed=4, cap_height=40)
     ref = run(SimConfig(**cfg, cap_steps=10**9))
     assert ref.censored_steps == 0
-    for name, impl in _loaded_kernels().items():
-        _use(monkeypatch, name, impl)
+    for name, lib in _loaded_libs().items():
+        _use(monkeypatch, name, lib)
         r = run(SimConfig(**cfg, cap_steps=cap_steps))
         assert r.counts.tolist() == ref.counts.tolist(), name
         assert (r.censored_height, r.censored_steps) == (ref.censored_height, 0), name
@@ -244,7 +245,7 @@ def test_oversized_cap_steps_is_clamped(monkeypatch, cap_steps):
 def fresh_kernel(monkeypatch, tmp_path):
     """An empty cache under tmp_path and no kernel loaded yet in this process."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(montecarlo, "_kernel", functools.cache(montecarlo._kernel.__wrapped__))
+    monkeypatch.setattr(_native, "_kernel", functools.cache(_native._kernel.__wrapped__))
     return tmp_path / "cache" / "lmax"
 
 
@@ -266,20 +267,20 @@ def test_missing_gcc_falls_back_to_python(fresh_kernel, monkeypatch, tmp_path, c
     info = kernel_info()
     assert info.name == "python"
     assert "gcc not found" in info.reason
-    assert montecarlo._kernel()[0] is montecarlo._drive_py
+    assert _native._kernel()[0] is None
     assert _pinned_run_matches()
     assert capsys.readouterr().out == ""
 
 
 def test_gcc_failure_falls_back_to_python(fresh_kernel, monkeypatch):
-    monkeypatch.setattr(montecarlo, "_C_SOURCE", "this is not C\n")
+    monkeypatch.setattr(_native, "_C_SOURCE", "this is not C\n")
     info = kernel_info()
     assert info.name == "python"
     assert "gcc exited" in info.reason
 
 
 def test_unloadable_library_falls_back_to_python(fresh_kernel, monkeypatch, tmp_path):
-    montecarlo._load_c()
+    _native._load_c()
     (so,) = fresh_kernel.iterdir()
     # A path this process never opened, so dlopen cannot reuse a loaded handle.
     other = tmp_path / "other"
@@ -295,7 +296,7 @@ def test_unwritable_cache_builds_in_temp_dir(fresh_kernel, monkeypatch, tmp_path
     blocker = tmp_path / "blocker"
     blocker.write_text("")  # a file where the cache directory would go
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    monkeypatch.setattr(montecarlo.tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.setattr(_native.tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     assert kernel_info() == KernelInfo("c", None)
     assert _pinned_run_matches()
@@ -305,7 +306,7 @@ def test_unwritable_cache_builds_in_temp_dir(fresh_kernel, monkeypatch, tmp_path
 def test_second_load_reuses_cached_file(fresh_kernel, monkeypatch):
     import subprocess
 
-    montecarlo._load_c()
+    _native._load_c()
     (so,) = fresh_kernel.iterdir()
     stamp = so.stat().st_mtime_ns
 
@@ -313,17 +314,17 @@ def test_second_load_reuses_cached_file(fresh_kernel, monkeypatch):
         raise AssertionError("gcc ran on a cache hit")
 
     monkeypatch.setattr(subprocess, "run", no_gcc)
-    monkeypatch.setattr(montecarlo.shutil, "which", lambda name: None)
+    monkeypatch.setattr(_native.shutil, "which", lambda name: None)
     assert kernel_info() == KernelInfo("c", None)
     assert [f.name for f in fresh_kernel.iterdir()] == [so.name]
     assert so.stat().st_mtime_ns == stamp
 
 
 def test_changed_source_gets_new_file_name(fresh_kernel, monkeypatch):
-    montecarlo._load_c()
+    _native._load_c()
     (first,) = fresh_kernel.iterdir()
-    monkeypatch.setattr(montecarlo, "_C_SOURCE", montecarlo._C_SOURCE + "/* changed */\n")
-    montecarlo._load_c()
+    monkeypatch.setattr(_native, "_C_SOURCE", _native._C_SOURCE + "/* changed */\n")
+    _native._load_c()
     # The build under the new name pruned the kernel no key points to any more.
     (second,) = fresh_kernel.iterdir()
     assert second.suffix == ".so" and second.name != first.name
@@ -334,11 +335,13 @@ def test_prune_spares_other_files_and_builds_in_progress(fresh_kernel):
     busy.mkdir(parents=True)
     (busy / "drive-0123456789abcdef.so").write_bytes(b"half written")
     (fresh_kernel / "notes.txt").write_text("kept")
-    (fresh_kernel / "drive-0123456789abcdef.so").write_bytes(b"stale")
+    (fresh_kernel / "native-0123456789abcdef.so").write_bytes(b"stale")
+    (fresh_kernel / "drive-0123456789abcdef.so").write_bytes(b"simulator-only naming scheme")
     (fresh_kernel / "_drive-3bed7af3b9170495.so").write_bytes(b"older naming scheme")
-    montecarlo._load_c()
+    _native._load_c()
     left = sorted(f.name for f in fresh_kernel.iterdir())
     assert len(left) == 3 and "notes.txt" in left and busy.name in left
+    assert "native-0123456789abcdef.so" not in left
     assert "drive-0123456789abcdef.so" not in left
     assert "_drive-3bed7af3b9170495.so" not in left
     assert [f.name for f in busy.iterdir()] == ["drive-0123456789abcdef.so"]
@@ -348,7 +351,7 @@ def test_kernel_pruned_before_load_falls_back(fresh_kernel, monkeypatch):
     # Another process prunes the file between the existence check and CDLL.
     real_exists = os.path.exists
     monkeypatch.setattr(
-        montecarlo.os.path, "exists",
+        _native.os.path, "exists",
         lambda path: path.startswith(str(fresh_kernel)) or real_exists(path),
     )
     info = kernel_info()
