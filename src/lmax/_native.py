@@ -1,21 +1,22 @@
 """The package's compiled kernels: one C source, one build, one fallback reason.
 
-``_C_SOURCE`` holds every kernel: the simulator's stepping loop
-(``lmax_drive``, see ``montecarlo``) and the row renderer (``lmax_render``,
-see ``render_rows``).  The first call that needs either loads the library,
+``_C_SOURCE`` holds every kernel: the simulator (``lmax_block``, see
+``montecarlo``), which draws its uniforms from the Philox generator
+``lmax_uniforms``, and the row renderer (``lmax_render``, see
+``render_rows``).  The first call that needs either loads the library,
 building it with the system ``gcc -O2 -shared -fPIC`` on a cache miss.  The
 shared object is cached in ``$XDG_CACHE_HOME/lmax`` (or ``~/.cache/lmax``)
 under a name keyed by a 64-bit checksum (CRC-32 and Adler-32) of the source
 template, the flags and the machine type; builds go through a temporary
-file and ``os.replace``, so concurrent first calls are safe, a build deletes
-the libraries of other keys, and an unwritable cache falls back to a
-per-process temporary directory.  The cache exists because every CLI call is
-a fresh process: a build costs about 0.15-0.2 s there, against about
-1 ms to load a cached library (2-core x86_64, gcc 12).  ctypes releases the GIL
-during each call.  If gcc is missing or fails, or the library will not load,
-every caller runs its Python reference instead; ``kernel_info()`` names the
-kernel in use and the reason for a fallback.  Importing this module loads
-and builds nothing.
+file and ``os.replace``, so concurrent first calls are safe, a build keeps
+the ``_KEEP`` (4) most recently built libraries and deletes older ones, and
+an unwritable cache falls back to a per-process temporary directory.  The
+cache exists because every CLI call is a fresh process: a build costs about
+0.15-0.2 s there, against about 1 ms to load a cached library (2-core
+x86_64, gcc 12).  ctypes releases the GIL during each call.  If gcc is
+missing or fails, or the library will not load, every caller runs its
+Python reference instead; ``kernel_info()`` names the kernel in use and the
+reason for a fallback.  Importing this module loads and builds nothing.
 
 The renderer writes each float as ``repr`` does.  Its digits come from
 Giulietti's Schubfach algorithm ("The Schubfach way to render doubles",
@@ -47,24 +48,63 @@ _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-/* The simulator: montecarlo._drive_py line for line. */
-void lmax_drive(const double *u, int64_t n, int64_t *state, int64_t *counts,
-                int64_t *censored, const double *p, int64_t cap_steps, int64_t cap_height)
+/* Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+   3", SC'11) with Random123's constants, as numpy's Philox runs it: the
+   256-bit counter is incremented before each block of four words. */
+#define PHILOX_M0 0xD2E7470EE14C6C93ULL
+#define PHILOX_M1 0xCA5A826395121157ULL
+#define PHILOX_W0 0x9E3779B97F4A7C15ULL
+#define PHILOX_W1 0xBB67AE8584CAA73BULL
+
+/* u[0:n] = the doubles Generator(Philox(key, counter=ctr)).random(n)
+   returns, (x >> 11) 2^-53 of each word x.  ctr[0..3] holds the counter
+   last used and is advanced by ceil(n / 4); a last block's spare words
+   are dropped. */
+void lmax_uniforms(double *u, int64_t n, const uint64_t *key, uint64_t *ctr)
 {
-    int64_t remaining = state[0], pos = state[1], steps = state[2], m = state[3], i = 0;
-    while (remaining > 0) {
-        if (pos == 0) counts[m] += 1;
-        else if (pos >= cap_height) censored[0] += 1;
-        else if (steps >= cap_steps) censored[1] += 1;
-        else if (i >= n) break;
-        else {
+    for (int64_t i = 0; i < n; i += 4) {
+        if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0) ++ctr[3];
+        uint64_t x0 = ctr[0], x1 = ctr[1], x2 = ctr[2], x3 = ctr[3];
+        uint64_t k0 = key[0], k1 = key[1];
+        for (int r = 0; r < 10; r++) {
+            unsigned __int128 a = (unsigned __int128)PHILOX_M0 * x0;
+            unsigned __int128 b = (unsigned __int128)PHILOX_M1 * x2;
+            x0 = (uint64_t)(b >> 64) ^ x1 ^ k0;
+            x1 = (uint64_t)b;
+            x2 = (uint64_t)(a >> 64) ^ x3 ^ k1;
+            x3 = (uint64_t)a;
+            k0 += PHILOX_W0;
+            k1 += PHILOX_W1;
+        }
+        const uint64_t x[4] = {x0, x1, x2, x3};
+        for (int w = 0; w < 4 && i + w < n; w++) u[i + w] = (double)(x[w] >> 11) * 0x1p-53;
+    }
+}
+
+/* The simulator: block j's n_exc excursions on the stream keyed (seed, j),
+   drawn LMAX_DRAWS at a time; montecarlo._drive_py is the reference. */
+#define LMAX_DRAWS 256
+void lmax_block(uint64_t seed, uint64_t j, int64_t n_exc, int64_t *counts, int64_t *censored,
+                const double *p, int64_t cap_steps, int64_t cap_height)
+{
+    const uint64_t key[2] = {seed, j};
+    uint64_t ctr[4] = {0, 0, 0, 0};
+    double u[LMAX_DRAWS];
+    int64_t i = LMAX_DRAWS;
+    for (; n_exc > 0; n_exc--) {
+        int64_t pos = 1, steps = 0, m = 1;
+        while (pos > 0 && pos < cap_height && steps < cap_steps) {
+            if (i == LMAX_DRAWS) {
+                lmax_uniforms(u, LMAX_DRAWS, key, ctr);
+                i = 0;
+            }
             if (u[i++] < p[pos]) { if (++pos > m) m = pos; } else pos -= 1;
             steps += 1;
-            continue;
         }
-        remaining -= 1; pos = 1; steps = 0; m = 1;
+        if (pos == 0) counts[m] += 1;
+        else if (pos >= cap_height) censored[0] += 1;
+        else censored[1] += 1;
     }
-    state[0] = remaining; state[1] = pos; state[2] = steps; state[3] = m;
 }
 
 /* The renderer.  A double is c 2^q with c < 2^53; Schubfach scales its
@@ -276,6 +316,7 @@ int64_t lmax_render(char *out, int64_t cap, int64_t n_rows, int64_t n_cols,
 """
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 _CELL_MAX = 24  # CELL_MAX in the source
+_KEEP = 4  # cached libraries a build leaves in place, its own included
 _K_MIN, _K_MAX = -324, 292  # the range of k = floor(log10(2^q)) over finite doubles
 
 
@@ -334,20 +375,26 @@ def _compile(gcc: str, out_dir: str, name: str) -> str:
 
 
 def _prune_cache(cache: str, keep: str) -> None:
-    """Delete the cached libraries other than ``keep``, which no current key names.
+    """Keep ``keep`` and the newest other cached libraries, ``_KEEP`` in all; delete the rest.
 
-    Only top-level ``native-*.so`` entries go, and ``drive-*.so`` and
-    ``_drive-*.so`` ones, the names older builds used; the temporary
-    directories of builds in progress are left alone.  Failures are
-    skipped: the library just built must still load.
+    Two checkouts of different source (a benchmark's parent and change, two
+    virtualenvs) each keep their library, where deleting every other key
+    would make them rebuild on each switch.  Only top-level ``native-*.so``
+    entries count, and ``drive-*.so`` and ``_drive-*.so`` ones, the names
+    older builds used; the temporary directories of builds in progress are
+    left alone.  Failures are skipped: the library just built must still load.
     """
+    others = []
     with contextlib.suppress(OSError), os.scandir(cache) as entries:
         for entry in entries:
             stem = entry.name.removeprefix("_")
             if (stem.startswith(("native-", "drive-")) and stem.endswith(".so")
                     and entry.name != keep):
                 with contextlib.suppress(OSError):  # another process removed it first
-                    os.remove(entry.path)
+                    others.append((entry.stat().st_mtime_ns, entry.path))
+    for _, path in sorted(others, reverse=True)[_KEEP - 1:]:
+        with contextlib.suppress(OSError):
+            os.remove(path)
 
 
 def _load_c() -> ctypes.CDLL:
@@ -382,11 +429,13 @@ def _load_c() -> ctypes.CDLL:
         # A process running other kernel source may prune the file before
         # this call; CDLL then raises OSError and the Python kernels run.
         lib = ctypes.CDLL(path)
-    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    c64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.lmax_drive.argtypes = [f64, c64, i64, i64, i64, f64, c64, c64]
-    lib.lmax_drive.restype = None
+    f64, i64, u64 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS")
+                     for t in (np.float64, np.int64, np.uint64))
+    c64, cu64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
+    lib.lmax_uniforms.argtypes = [f64, c64, u64, u64]
+    lib.lmax_uniforms.restype = None
+    lib.lmax_block.argtypes = [cu64, cu64, c64, i64, i64, f64, c64, c64]
+    lib.lmax_block.restype = None
     lib.lmax_render.argtypes = [ptr, c64, c64, c64, ptr, ptr, ptr]
     lib.lmax_render.restype = c64
     return lib

@@ -7,12 +7,14 @@ reproduced elsewhere):
   block takes the remainder.  The grid depends only on the excursion
   count, never on the worker count, so ``workers`` is purely a throughput
   knob.
-* Block ``j`` draws from a Philox counter-based generator keyed
-  ``(seed, j)`` (two 64-bit words of the 4x64 key; the rest zero).
-* Uniforms are drawn in chunks of 65536 doubles and consumed
-  walker-major: each excursion eats values sequentially until it ends,
-  then the next excursion continues from the following value.  Philox is
-  counter-based, so chunk boundaries do not alter the stream.
+* Block ``j`` draws from Philox4x64-10 (Random123's constants) keyed
+  ``(seed, j)``: value ``i`` of its stream is word ``i mod 4`` of
+  ``philox(counter = i // 4 + 1, key = (seed, j))``, the 256-bit counter
+  little-endian in four words, and the uniform is ``(x >> 11) * 2**-53``
+  of that word ``x``.  This is ``Generator(Philox(key=[seed, j])).random()``.
+* The block's excursions consume the stream walker-major: each excursion
+  eats values in order until it ends, then the next excursion continues
+  from the following value.
 * One uniform per step, stepping up iff ``u < p_site``.
 * Per-block tallies are merged in block order.
 
@@ -23,14 +25,17 @@ unbiased up to step-censoring only, an excursion whose maximum stays
 below the cap never touches it; the comparison report widens its
 tolerance by the step-censored fraction to cover that residual bias.
 
-The inner loop is one C function, ``lmax_drive`` in the package's native
-library (``_native``, which builds, caches and loads it).  The first ``run``
-in a process loads the library.  ctypes releases the GIL during the call,
-so ``workers`` threads run blocks in parallel.  If the library cannot be
-built or loaded, the same loop runs in Python (``_drive_py``, also the
-reference the tests compare against); ``kernel_info()`` names the kernel
-in use and the reason for a fallback.  Both kernels consume the same
-stream, so tallies do not depend on which ran.
+Each block is one call of a C function, ``lmax_block`` in the package's
+native library (``_native``, which builds, caches and loads it).  It draws
+the stream itself, 256 values at a time into a buffer on the C stack, so
+the C path allocates no uniform array and never imports ``numpy.random``.
+The first ``run`` in a process loads the library.  ctypes releases the GIL
+during the call, so ``workers`` threads run blocks in parallel.  If the
+library cannot be built or loaded, the same loop runs in Python
+(``_drive_py``, also the reference the tests compare against) on numpy's
+Philox, in chunks of 65536 values; ``kernel_info()`` names the kernel in
+use and the reason for a fallback.  Both kernels consume the same stream,
+so tallies do not depend on which ran.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,27 +109,16 @@ def _drive_py(u, state, counts, censored, p, cap_steps, cap_height):
 _INT64_MAX = 2**63 - 1
 
 
-def _drive_c(lib, u, state, counts, censored, p, cap_steps, cap_height):
-    """``_drive_py`` on ``lib.lmax_drive``, the same loop in C (see ``_native``)."""
+def _block_c(lib, seed, j, n_exc, counts, censored, p, cap_steps, cap_height):
+    """Run block ``j`` whole on ``lib.lmax_block``, which draws its own stream (see ``_native``).
+
+    Tallies into ``counts`` and ``censored`` as ``_drive_py`` does.
+    """
     # ndpointer checks dtype and layout; C indexes these up to cap_height - 1.
-    if state.size != 4 or censored.size != 2 or min(counts.size, p.size) < cap_height:
+    if censored.size != 2 or min(counts.size, p.size) < cap_height:
         raise ValueError("kernel arrays are shorter than the walker state needs")
     # ctypes wraps ints past 64 bits silently; no excursion takes 2**63 steps.
-    lib.lmax_drive(u, u.shape[0], state, counts, censored, p, min(cap_steps, _INT64_MAX),
-                   cap_height)
-
-
-def _drive(u, state, counts, censored, p, cap_steps, cap_height):
-    """Advance one chunk with the active kernel (see ``_drive_py`` for the contract).
-
-    The stable entry ``_run_block`` calls per chunk; arrays must be
-    C-contiguous, ``counts`` and ``p`` at least ``cap_height`` long.
-    """
-    lib = _native._kernel()[0]
-    if lib is None:
-        _drive_py(u, state, counts, censored, p, cap_steps, cap_height)
-    else:
-        _drive_c(lib, u, state, counts, censored, p, cap_steps, cap_height)
+    lib.lmax_block(seed, j, n_exc, counts, censored, p, min(cap_steps, _INT64_MAX), cap_height)
 
 
 @dataclass(frozen=True)
@@ -181,13 +174,19 @@ class SimResult:
 
 
 def _run_block(p, n_exc, seed, block_index, cap_steps, cap_height):
-    key = np.array([seed, block_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
     counts = np.zeros(cap_height, dtype=np.int64)
     censored = np.zeros(2, dtype=np.int64)
+    lib = _native._kernel()[0]
+    if lib is not None:
+        _block_c(lib, seed, block_index, n_exc, counts, censored, p, cap_steps, cap_height)
+        return counts, censored
+    # Only the fallback needs numpy's generator, and with it hashlib and OpenSSL.
+    from numpy.random import Generator, Philox
+
+    rng = Generator(Philox(key=np.array([seed, block_index], dtype=np.uint64)))
     state = np.array([n_exc, 1, 0, 1], dtype=np.int64)
     while state[0] > 0:
-        _drive(rng.random(_CHUNK), state, counts, censored, p, cap_steps, cap_height)
+        _drive_py(rng.random(_CHUNK), state, counts, censored, p, cap_steps, cap_height)
     return counts, censored
 
 
@@ -215,6 +214,9 @@ def run(config: SimConfig) -> SimResult:
     def block(j):
         size = min(BLOCK, config.excursions - j * BLOCK)
         return _run_block(p, size, config.seed, j, config.cap_steps, config.cap_height)
+
+    # Here, not at module level: concurrent.futures brings logging and queue.
+    from concurrent.futures import ThreadPoolExecutor
 
     workers = min(config.workers, n_blocks, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:

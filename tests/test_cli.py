@@ -556,12 +556,13 @@ def test_python_kernel_keeps_simulator_pins(tmp_path):
 def test_import_leaves_heavy_modules_unloaded():
     # subprocess is only needed to build the native library, never to load
     # it, so the library is built here first (the child shares the cache);
-    # hashlib would load OpenSSL, which no table command needs.
+    # hashlib would load OpenSSL, which no table command needs, and
+    # concurrent.futures, with the logging it imports, only a simulator run.
     _native.kernel_info()
     code = (
         "import sys, lmax\n"
-        "heavy = lambda: sorted(m for m in sys.modules\n"
-        "                       if m.split('.')[0] in ('numba', 'scipy', 'subprocess', 'hashlib'))\n"
+        "heavy = lambda: sorted(m for m in sys.modules if m.split('.')[0] in\n"
+        "                       ('numba', 'scipy', 'subprocess', 'hashlib', 'concurrent', 'logging'))\n"
         "after_import = heavy()\n"
         "from lmax.cli import main\n"
         "main(['dist', '--p', '0.5', '--n-max', '10', '--format', 'json'])\n"
@@ -573,25 +574,30 @@ def test_import_leaves_heavy_modules_unloaded():
 
 
 def test_simulator_commands_leave_scipy_and_openssl_unloaded():
-    # The p-value is computed in the package and the kernel's cache file is
-    # named with zlib, so loading the kernel (which info does) needs neither
-    # scipy nor hashlib, with the OpenSSL that _hashlib loads.  simulate and
-    # compare still get hashlib from numpy.random, which imports secrets.
+    # The p-value is computed in the package, the kernel's cache file is
+    # named with zlib, and the C kernel draws its own Philox stream, so
+    # neither loading the kernel (which info does) nor simulate and compare
+    # need scipy, numpy.random or hashlib, with the OpenSSL that _hashlib
+    # loads.  The library is built here first, so the child runs on C.
+    assert _native.kernel_info().name == "c"
     code = (
         "import sys\n"
         "from lmax.cli import main\n"
-        "loaded = lambda *names: sorted(m for m in sys.modules if m.split('.')[0] in names)\n"
+        "from lmax.montecarlo import kernel_info\n"
+        "heavy = ('scipy', 'hashlib', '_hashlib')\n"
+        "loaded = lambda: sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] in heavy or m.startswith('numpy.random'))\n"
         "assert main(['info']) == 0\n"
-        "after_info = loaded('scipy', 'hashlib', '_hashlib')\n"
+        "after_info = loaded()\n"
         "assert main(['compare', '--p', '0.45', '--excursions', '2000', '--seed', '3',\n"
         "             '--cap-height', '16']) == 0\n"
         "assert main(['simulate', '--p', '0.5', '--excursions', '500', '--seed', '1',\n"
-        "             '--cap-height', '8']) == 0\n"
-        "print(after_info, loaded('scipy'), file=sys.stderr)\n"
+        "             '--cap-height', '8', '--workers', '2']) == 0\n"
+        "print(kernel_info().name, after_info, loaded(), file=sys.stderr)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stderr.strip() == "[] []"
+    assert out.stderr.strip() == "c [] []"
 
 
 def test_info_reports_kernel_versions_and_budget(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import math
 import os
@@ -111,7 +112,8 @@ def test_worker_threads_are_clamped(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    # run imports the pool class when it is called, from concurrent.futures.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     n = 2 * BLOCK + 5  # three blocks
     cfg = dict(spec=ConstantWalk(0.3), excursions=n, seed=3, cap_steps=100, cap_height=16)
     base = run(SimConfig(**cfg))
@@ -167,64 +169,105 @@ def test_run_tallies_pinned(monkeypatch, cfg, height, steps, counts):
         assert r.counts.tolist() == counts, name
 
 
-@st.composite
-def _chunked_case(draw):
-    """A valid mid-block walker state, a p table and a few short uniform chunks.
+@pytest.fixture(scope="module")
+def lib():
+    return _loaded_libs()["c"]
 
-    Short chunks and small caps make excursions cross chunk seams and hit
-    cap_steps and cap_height mid-chunk; the grid values make u == p ties.
+
+def _numpy_uniforms(seed, j, n, counter=(0, 0, 0, 0)):
+    from numpy.random import Generator, Philox
+
+    key = np.array([seed, j], dtype=np.uint64)
+    return Generator(Philox(key=key, counter=np.array(counter, np.uint64))).random(n)
+
+
+def _c_uniforms(lib, seed, j, sizes, counter=(0, 0, 0, 0)):
+    """Successive lmax_uniforms calls of the given sizes, joined, and the counter after them."""
+    key, ctr = np.array([seed, j], np.uint64), np.array(counter, np.uint64)
+    parts = []
+    for n in sizes:
+        parts.append(np.full(n, np.nan))
+        lib.lmax_uniforms(parts[-1], n, key, ctr)
+    return np.concatenate(parts), ctr
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("j", [0, 1, 2**40])
+def test_c_uniforms_match_numpy_philox(lib, seed, j):
+    # One call of a length that is no multiple of four, and the block
+    # kernel's 256-value refills run on past several buffer boundaries.
+    for sizes in ([1], [3], [1001], [256] * 5):
+        got, ctr = _c_uniforms(lib, seed, j, sizes)
+        want = _numpy_uniforms(seed, j, sum(sizes))
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), sizes
+        assert ctr.tolist() == [-(-sum(sizes) // 4), 0, 0, 0]
+
+
+@pytest.mark.parametrize("counter", [
+    (2**64 - 3, 0, 0, 0),
+    (2**64 - 1, 2**64 - 1, 0, 0),
+    (2**64 - 2, 2**64 - 1, 2**64 - 1, 9),
+    (2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1),  # wraps to zero
+])
+def test_c_uniforms_carry_across_counter_words(lib, counter):
+    got, ctr = _c_uniforms(lib, 2**64 - 1, 2**40, [256, 256], counter)
+    want = _numpy_uniforms(2**64 - 1, 2**40, 512, counter)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    value = sum(c << (64 * w) for w, c in enumerate(counter)) + 128
+    assert ctr.tolist() == [(value >> (64 * w)) % 2**64 for w in range(4)]
+
+
+def _block_on(lib, case):
+    """``_run_block``'s tallies with ``lib`` as the loaded library (None: the Python fallback)."""
+    p, seed, j, n_exc, cap_steps, cap_height = case
+    with pytest.MonkeyPatch.context() as mp:
+        _use(mp, "c" if lib else "python", lib)
+        counts, censored = montecarlo._run_block(p, n_exc, seed, j, cap_steps, cap_height)
+    return counts.tolist(), censored.tolist()
+
+
+@st.composite
+def _block_case(draw):
+    """A p table, a key and small caps, so excursions hit both caps.
+
+    p = 0 and p = 1 sites force a step; a run of 300 excursions draws
+    past several of the C kernel's 256-value refills.
     """
     cap_height = draw(st.integers(2, 8))
     cap_steps = draw(st.integers(1, 40))
-    grid = [0.0, 0.25, 0.5, 0.75]
-    probs = st.sampled_from(grid + [1.0]) | st.floats(0, 1)
+    probs = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0, 1)
     p = np.array(draw(st.lists(probs, min_size=cap_height, max_size=cap_height)))
-    pos = draw(st.integers(1, cap_height - 1))
-    steps = draw(st.integers(0, cap_steps - 1))
-    state = [draw(st.integers(1, 30)), pos, steps, draw(st.integers(pos, cap_height - 1))]
-    uniforms = st.sampled_from(grid) | st.floats(0, 1, exclude_max=True)
-    chunks = draw(st.lists(st.lists(uniforms, max_size=40), min_size=1, max_size=6))
-    return p, state, cap_steps, cap_height, chunks
+    seed = draw(st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1))
+    j = draw(st.sampled_from([0, 2**40]) | st.integers(0, 2**63 - 1))
+    return p, seed, j, draw(st.integers(1, 300)), cap_steps, cap_height
 
 
-@pytest.fixture(scope="module")
-def drive_c():
-    return functools.partial(montecarlo._drive_c, _loaded_libs()["c"])
-
-
-@given(case=_chunked_case())
-@example(case=(np.array([1.0, 0.5]), [3, 1, 0, 1], 5, 2, [[0.7, 0.2], [0.5, 0.1, 0.9]]))
-@example(case=(np.array([1.0, 0.5, 0.5]), [2, 2, 3, 2], 4, 3, [[0.9], [0.1, 0.9, 0.9, 0.9]]))
+@given(case=_block_case())
+@example(case=(np.array([1.0, 0.5]), 0, 0, 3, 5, 2))
+@example(case=(np.array([1.0, 0.5, 0.5]), 2**64 - 1, 2**40, 300, 40, 3))
 @settings(max_examples=300, deadline=None)
-def test_c_kernel_matches_python_chunk_by_chunk(drive_c, case):
-    p, state, cap_steps, cap_height, chunks = case
-
-    def fresh():
-        return np.array(state, np.int64), np.zeros(cap_height, np.int64), np.zeros(2, np.int64)
-
-    ref, got = fresh(), fresh()
-    for chunk in chunks:
-        u = np.array(chunk, dtype=np.float64)
-        montecarlo._drive_py(u, *ref, p, cap_steps, cap_height)
-        drive_c(u, *got, p, cap_steps, cap_height)
-        for a, b in zip(ref, got):
-            assert a.tolist() == b.tolist()
+def test_c_kernel_matches_python_block_by_block(lib, case):
+    got = _block_on(lib, case)
+    assert got == _block_on(None, case)
+    assert sum(got[0]) + sum(got[1]) == case[3]
 
 
-def test_c_kernel_rejects_arrays_it_would_overrun(drive_c):
+def test_c_kernel_rejects_arrays_it_would_overrun(lib):
     import ctypes
 
-    u, p = np.full(8, 0.9), np.full(4, 0.5)
-    state, censored = np.array([1, 1, 0, 1], np.int64), np.zeros(2, np.int64)
+    block = functools.partial(montecarlo._block_c, lib, 1, 0, 5)
+    p, censored = np.full(4, 0.5), np.zeros(2, np.int64)
     with pytest.raises(ValueError):
-        drive_c(u, state, np.zeros(3, np.int64), censored, p, 100, 4)
+        block(np.zeros(3, np.int64), censored, p, 100, 4)
     with pytest.raises(ValueError):
-        drive_c(u, state, np.zeros(4, np.int64), censored, p[:3], 100, 4)
+        block(np.zeros(4, np.int64), censored, p[:3], 100, 4)
+    with pytest.raises(ValueError):
+        block(np.zeros(4, np.int64), censored[:1], p, 100, 4)
     with pytest.raises(ctypes.ArgumentError):
-        drive_c(u, state, np.zeros(4, np.int32), censored, p, 100, 4)
+        block(np.zeros(4, np.int32), censored, p, 100, 4)
     with pytest.raises(ctypes.ArgumentError):
-        drive_c(u[::2], state, np.zeros(4, np.int64), censored, p, 100, 4)
-    assert state.tolist() == [1, 1, 0, 1]
+        block(np.zeros(4, np.int64), censored, np.full(8, 0.5)[::2], 100, 4)
+    assert censored.tolist() == [0, 0]
 
 
 # 2**63 wraps to a negative int64 and 2**64 to 0, so unclamped every excursion
@@ -325,9 +368,27 @@ def test_changed_source_gets_new_file_name(fresh_kernel, monkeypatch):
     (first,) = fresh_kernel.iterdir()
     monkeypatch.setattr(_native, "_C_SOURCE", _native._C_SOURCE + "/* changed */\n")
     _native._load_c()
-    # The build under the new name pruned the kernel no key points to any more.
-    (second,) = fresh_kernel.iterdir()
-    assert second.suffix == ".so" and second.name != first.name
+    # The first build stays: another checkout of the older source may load it.
+    names = {f.name for f in fresh_kernel.iterdir()}
+    assert len(names) == 2 and first.name in names
+    assert all(name.endswith(".so") for name in names)
+
+
+def _age(path, seconds):
+    stamp = path.stat().st_mtime - seconds
+    os.utime(path, (stamp, stamp))
+
+
+def test_fifth_key_prunes_the_oldest_library(fresh_kernel, monkeypatch):
+    source, built = _native._C_SOURCE, []
+    for i in range(5):
+        for name in built:  # each earlier build a second further in the past
+            _age(fresh_kernel / name, 1)
+        monkeypatch.setattr(_native, "_C_SOURCE", source + f"/* key {i} */\n")
+        _native._load_c()
+        (new,) = {f.name for f in fresh_kernel.iterdir()} - set(built)
+        built.append(new)
+    assert {f.name for f in fresh_kernel.iterdir()} == set(built[1:])
 
 
 def test_prune_spares_other_files_and_builds_in_progress(fresh_kernel):
@@ -335,15 +396,19 @@ def test_prune_spares_other_files_and_builds_in_progress(fresh_kernel):
     busy.mkdir(parents=True)
     (busy / "drive-0123456789abcdef.so").write_bytes(b"half written")
     (fresh_kernel / "notes.txt").write_text("kept")
-    (fresh_kernel / "native-0123456789abcdef.so").write_bytes(b"stale")
-    (fresh_kernel / "drive-0123456789abcdef.so").write_bytes(b"simulator-only naming scheme")
-    (fresh_kernel / "_drive-3bed7af3b9170495.so").write_bytes(b"older naming scheme")
+    stale = ["native-0000000000000001.so", "native-0000000000000002.so",
+             "native-0000000000000003.so", "drive-0123456789abcdef.so",
+             "_drive-3bed7af3b9170495.so"]  # newest first; the last two are older naming schemes
+    for age, name in enumerate(stale, start=1):
+        (fresh_kernel / name).write_bytes(b"stale")
+        _age(fresh_kernel / name, 60 * age)
     _native._load_c()
-    left = sorted(f.name for f in fresh_kernel.iterdir())
-    assert len(left) == 3 and "notes.txt" in left and busy.name in left
-    assert "native-0123456789abcdef.so" not in left
-    assert "drive-0123456789abcdef.so" not in left
-    assert "_drive-3bed7af3b9170495.so" not in left
+    left = {f.name for f in fresh_kernel.iterdir()}
+    # The new build and the three newest stale libraries stay; the older two go.
+    (new,) = left - set(stale) - {"notes.txt", busy.name}
+    assert new.startswith("native-") and new.endswith(".so")
+    assert left & set(stale) == set(stale[:3])
+    assert "notes.txt" in left and busy.name in left
     assert [f.name for f in busy.iterdir()] == ["drive-0123456789abcdef.so"]
 
 
