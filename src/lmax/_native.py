@@ -82,7 +82,8 @@ void lmax_uniforms(double *u, int64_t n, const uint64_t *key, uint64_t *ctr)
 }
 
 /* The simulator: block j's n_exc excursions on the stream keyed (seed, j),
-   drawn LMAX_DRAWS at a time; montecarlo._drive_py is the reference. */
+   drawn LMAX_DRAWS at a time; montecarlo._block_py, its reference, repeats
+   this loop line for line in Python. */
 #define LMAX_DRAWS 256
 void lmax_block(uint64_t seed, uint64_t j, int64_t n_exc, int64_t *counts, int64_t *censored,
                 const double *p, int64_t cap_steps, int64_t cap_height)

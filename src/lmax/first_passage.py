@@ -11,7 +11,10 @@ products:
 Both sums are evaluated as log-sum-exp over slices of the global
 ``ProductSeries`` table: each inner product is exp(log_prod[j] -
 log_prod[a]), and the common -log_prod[a] offset cancels between
-numerator and denominator, so the slices are used as they are.
+numerator and denominator, so the slices are used as they are.  The
+denominator reuses the numerator: it is the log-sum-exp of the j < k
+terms log-added to the numerator's, so the ratio cannot exceed 1 and each
+entry of [a, b) is summed once.
 
 Letting b grow to infinity turns the same ratio into the probability of
 ever returning to the origin from site 1: S/(1+S) with S the full series
@@ -90,10 +93,12 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
     if q.b - 1 > series.n_max:
         raise RangeError(f"query needs products up to {q.b - 1}, table stops at {series.n_max}")
     # Numerator: j in [k, b); denominator: 1 + sum over j in (a, b), where
-    # the leading 1 is the j = a term exp(log_prod[a] - log_prod[a]).
+    # the leading 1 is the j = a term exp(log_prod[a] - log_prod[a]).  The
+    # denominator adds the j in [a, k) terms to the numerator, so it is never
+    # smaller and the ratio is at most 1.
     log_num = _logsumexp(series.log_prod[q.k : q.b])
-    log_den = _logsumexp(series.log_prod[q.a : q.b])
-    return float(math.exp(log_num - log_den))
+    log_den = float(np.logaddexp(_logsumexp(series.log_prod[q.a : q.k]), log_num))
+    return math.exp(log_num - log_den)
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,11 @@ the stream itself, 256 values at a time into a buffer on the C stack, so
 the C path allocates no uniform array and never imports ``numpy.random``.
 The first ``run`` in a process loads the library.  ctypes releases the GIL
 during the call, so ``workers`` threads run blocks in parallel.  If the
-library cannot be built or loaded, the same loop runs in Python
-(``_drive_py``, also the reference the tests compare against) on numpy's
-Philox, in chunks of 65536 values; ``kernel_info()`` names the kernel in
-use and the reason for a fallback.  Both kernels consume the same stream,
-so tallies do not depend on which ran.
+library cannot be built or loaded, ``_block_py`` runs the same loop line
+for line in Python, on numpy's Philox drawn 65536 values at a time; it is
+also the reference the tests compare the C kernel against.
+``kernel_info()`` names the kernel in use and the reason for a fallback.
+Both kernels consume the same stream, so tallies do not depend on which ran.
 """
 
 from __future__ import annotations
@@ -63,47 +63,33 @@ BLOCK = 16_384
 _CHUNK = 65_536
 
 
-def _drive_py(u, state, counts, censored, p, cap_steps, cap_height):
-    """Advance the block's walker state through one chunk of uniforms.
+def _block_py(seed, j, n_exc, counts, censored, p, cap_steps, cap_height):
+    """Run block ``j`` as ``lmax_block`` does, on numpy's Philox, ``_CHUNK`` values at a time."""
+    # Only this path needs numpy's generator, and with it hashlib and OpenSSL.
+    from numpy.random import Generator, Philox
 
-    state = [excursions remaining, position, steps taken, running max];
-    mutated in place along with counts (tally by M) and censored
-    ([height, steps]).  Returns when the chunk or the block is exhausted.
-    The reference for the C kernel, and the fallback when it cannot load.
-    """
-    remaining = state[0]
-    pos = state[1]
-    steps = state[2]
-    m = state[3]
-    n = u.shape[0]
-    i = 0
-    while remaining > 0:
-        if pos == 0:
-            counts[m] += 1
-        elif pos >= cap_height:
-            censored[0] += 1
-        elif steps >= cap_steps:
-            censored[1] += 1
-        elif i >= n:
-            break
-        else:
+    rng = Generator(Philox(key=np.array([seed, j], dtype=np.uint64)))
+    p = p.tolist()
+    u, i = [], 0
+    for _ in range(n_exc):
+        pos, steps, m = 1, 0, 1
+        while 0 < pos < cap_height and steps < cap_steps:
+            if i == len(u):
+                u, i = rng.random(_CHUNK).tolist(), 0
             if u[i] < p[pos]:
                 pos += 1
                 if pos > m:
                     m = pos
             else:
                 pos -= 1
-            steps += 1
             i += 1
-            continue
-        remaining -= 1
-        pos = 1
-        steps = 0
-        m = 1
-    state[0] = remaining
-    state[1] = pos
-    state[2] = steps
-    state[3] = m
+            steps += 1
+        if pos == 0:
+            counts[m] += 1
+        elif pos >= cap_height:
+            censored[0] += 1
+        else:
+            censored[1] += 1
 
 
 _INT64_MAX = 2**63 - 1
@@ -112,7 +98,7 @@ _INT64_MAX = 2**63 - 1
 def _block_c(lib, seed, j, n_exc, counts, censored, p, cap_steps, cap_height):
     """Run block ``j`` whole on ``lib.lmax_block``, which draws its own stream (see ``_native``).
 
-    Tallies into ``counts`` and ``censored`` as ``_drive_py`` does.
+    Tallies into ``counts`` and ``censored`` as ``_block_py`` does.
     """
     # ndpointer checks dtype and layout; C indexes these up to cap_height - 1.
     if censored.size != 2 or min(counts.size, p.size) < cap_height:
@@ -179,14 +165,8 @@ def _run_block(p, n_exc, seed, block_index, cap_steps, cap_height):
     lib = _native._kernel()[0]
     if lib is not None:
         _block_c(lib, seed, block_index, n_exc, counts, censored, p, cap_steps, cap_height)
-        return counts, censored
-    # Only the fallback needs numpy's generator, and with it hashlib and OpenSSL.
-    from numpy.random import Generator, Philox
-
-    rng = Generator(Philox(key=np.array([seed, block_index], dtype=np.uint64)))
-    state = np.array([n_exc, 1, 0, 1], dtype=np.int64)
-    while state[0] > 0:
-        _drive_py(rng.random(_CHUNK), state, counts, censored, p, cap_steps, cap_height)
+    else:
+        _block_py(seed, block_index, n_exc, counts, censored, p, cap_steps, cap_height)
     return counts, censored
 
 

@@ -90,3 +90,18 @@ def brute_prefix_sum(rhos) -> mp.mpf:
             prod *= mp.mpf(r)
             total += prod
         return total
+
+
+def hit_prob_from_drifts(deltas, a: int, k: int, b: int) -> mp.mpf:
+    """P_k(a, b) from the ratio of product sums, in 50-digit arithmetic.
+
+    ``deltas[i - 1]`` is the double delta_i (``signed_drift_array``) for
+    sites i = 1..b-1; each rho_i = (1 - 2 delta_i)/(1 + 2 delta_i) is formed
+    from it in 50 digits, so the only rounding is in the walk's own drifts.
+    """
+    with mp.workdps(50):
+        prods = [mp.mpf(1)]  # prods[j - a] = rho_{a+1} ... rho_j
+        for d in deltas[a : b - 1]:
+            d = mp.mpf(float(d))
+            prods.append(prods[-1] * (1 - 2 * d) / (1 + 2 * d))
+        return mp.fsum(prods[k - a :]) / mp.fsum(prods)

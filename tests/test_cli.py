@@ -250,8 +250,12 @@ GOLDEN_STDOUT = [
      '27bb6d7db664f65c92b3111fc2d711f27fa9550c34ec0602c7452c8dc8620a9f'),
     ('asympt --p 0.4 --target product --n-hi 20000',
      '925f19cf2e9236cdfe911865558331959eebf40c2afd82021cc575ef76ab79cc'),
+    # probability moved from 0.999999523760653 to 0.9999995237606495 when
+    # hit_before's denominator came to reuse its numerator: 1.3e-15 from the
+    # 50-digit 0.99999952376065080472..., down from 2.2e-15
+    # (test_hit_before_matches_mpmath_sum_at_depth).
     ('hit --sign minus --K 2 --B 2 --a 0 --k 3 --b 500',
-     'b64e55894b01b8af52fac719e449f48045d68d550ad432404de2853a60c1ffc6'),
+     '836456d6e1c403f1cedfe0b333b829cd232639bca34b84b1d64f107d705a0ada'),
     # value, lower and upper moved from 0.6666666666666665 to 0.6666666666666667,
     # the double nearest (1 - p)/p (test_return_constant_walk_is_the_float_of_q_over_p).
     ('return --p 0.6 --format json',
@@ -285,7 +289,7 @@ def test_stdout_bytes_pinned(capsys, cmd, digest):
 
 @pytest.mark.parametrize("cmd,digest", GOLDEN_STDOUT)
 def test_stdout_bytes_pinned_on_python_path(capsys, monkeypatch, cmd, digest):
-    # Every native kernel forced off: _cells renders, _drive_py simulates.
+    # Every native kernel forced off: _cells renders, _block_py simulates.
     info = montecarlo.KernelInfo("python", "forced")
     monkeypatch.setattr(_native, "_kernel", lambda: (None, info))
     code, out = _run(capsys, cmd.split())

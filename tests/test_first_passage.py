@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,9 @@ from lmax import (
     hit_before,
     return_prob,
 )
+from lmax.walk import signed_drift_array
 
-from _oracles import hit_probs_banded
+from _oracles import hit_prob_from_drifts, hit_probs_banded
 
 
 def test_gamblers_ruin_midpoint():
@@ -95,6 +97,28 @@ def test_monotone_in_start(p, a, width):
     vals = [hit_before(s, HittingQuery(a, k, b)) for k in range(a, b + 1)]
     assert all(x >= y - 1e-15 for x, y in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+def test_hit_before_never_exceeds_one():
+    # Near-certain hits on a downward walk: when the denominator was summed
+    # apart from the numerator, 248 of these came out above 1, the named
+    # one at 1.000000000000007.
+    s = build(ConstantWalk(0.4), 150)
+    assert hit_before(s, HittingQuery(11, 16, 151)) == 1.0
+    for a in range(150):
+        for k in range(a + 1, 151):
+            assert hit_before(s, HittingQuery(a, k, 151)) <= 1.0, (a, k)
+
+
+def test_hit_before_matches_mpmath_sum_at_depth():
+    # The CLI's pinned hit query (GOLDEN_STDOUT in test_cli.py) against the
+    # 50-digit ratio of product sums, 0.99999952376065080472...: 1.3e-15 off.
+    spec = PerturbedWalk(2, 2.0, "minus")
+    a, k, b = 0, 3, 500
+    exact = hit_prob_from_drifts(signed_drift_array(spec, np.arange(1, b)), a, k, b)
+    got = hit_before(build(spec, b - 1), HittingQuery(a, k, b))
+    assert got == 0.9999995237606495
+    assert abs(mpmath.mpf(got) - exact) < 1.5e-15
 
 
 def test_return_prob_recurrent_exact():

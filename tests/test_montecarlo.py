@@ -245,6 +245,9 @@ def _block_case(draw):
 @given(case=_block_case())
 @example(case=(np.array([1.0, 0.5]), 0, 0, 3, 5, 2))
 @example(case=(np.array([1.0, 0.5, 0.5]), 2**64 - 1, 2**40, 300, 40, 3))
+# Every excursion draws at least one value, so this block runs the Python
+# path past its first refill of _CHUNK values.
+@example(case=(np.array([1.0, 0.5, 0.5, 0.5]), 7, 3, montecarlo._CHUNK + 1, 40, 4))
 @settings(max_examples=300, deadline=None)
 def test_c_kernel_matches_python_block_by_block(lib, case):
     got = _block_on(lib, case)
