@@ -8,8 +8,9 @@ product-series table.
 
 from lmax import ConstantWalk, PerturbedWalk, build, max_pmf_table, tail_mass
 
-# tail_mass brackets transient tails through return_prob, whose default
-# truncation wants at least 1e5 terms, so tabulate at least that far.
+# The rows printed reach n = 10,000.  tail_mass takes the return
+# probability from the same table; for these three walks it is exact at
+# any depth (a constant walk's is (1 - p)/p, a recurrent walk's 1).
 N_MAX = 100_000
 
 WALKS = [

@@ -8,15 +8,17 @@ building it with the system ``gcc -O2 -shared -fPIC`` on a cache miss.  The
 shared object is cached in ``$XDG_CACHE_HOME/lmax`` (or ``~/.cache/lmax``)
 under a name keyed by a 64-bit checksum (CRC-32 and Adler-32) of the source
 template, the flags and the machine type; builds go through a temporary
-file and ``os.replace``, so concurrent first calls are safe, a build keeps
-the ``_KEEP`` (4) most recently built libraries and deletes older ones, and
-an unwritable cache falls back to a per-process temporary directory.  The
-cache exists because every CLI call is a fresh process: a build costs about
-0.15-0.2 s there, against about 1 ms to load a cached library (2-core
-x86_64, gcc 12).  ctypes releases the GIL during each call.  If gcc is
-missing or fails, or the library will not load, every caller runs its
-Python reference instead; ``kernel_info()`` names the kernel in use and the
-reason for a fallback.  Importing this module loads and builds nothing.
+file and ``os.replace``, so concurrent first calls are safe.  A build
+writes its own file and deletes none: a library is about 24 kB, and a new
+name appears only when the source, the flags or the machine change.  An
+unwritable cache falls back to a per-process temporary directory.  The
+cache exists because every CLI call is a fresh process: a build costs
+about 0.15-0.2 s there, against about 1 ms to load a cached library
+(2-core x86_64, gcc 12).  ctypes releases the GIL during each call.  If
+gcc is missing or fails, or the library will not load, every caller runs
+its Python reference instead; ``kernel_info()`` names the kernel in use
+and the reason for a fallback.  Importing this module loads and builds
+nothing.
 
 The renderer writes each float as ``repr`` does.  Its digits come from
 Giulietti's Schubfach algorithm ("The Schubfach way to render doubles",
@@ -30,7 +32,6 @@ nor checksums them.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -317,7 +318,6 @@ int64_t lmax_render(char *out, int64_t cap, int64_t n_rows, int64_t n_cols,
 """
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 _CELL_MAX = 24  # CELL_MAX in the source
-_KEEP = 4  # cached libraries a build leaves in place, its own included
 _K_MIN, _K_MAX = -324, 292  # the range of k = floor(log10(2^q)) over finite doubles
 
 
@@ -375,29 +375,6 @@ def _compile(gcc: str, out_dir: str, name: str) -> str:
     return path
 
 
-def _prune_cache(cache: str, keep: str) -> None:
-    """Keep ``keep`` and the newest other cached libraries, ``_KEEP`` in all; delete the rest.
-
-    Two checkouts of different source (a benchmark's parent and change, two
-    virtualenvs) each keep their library, where deleting every other key
-    would make them rebuild on each switch.  Only top-level ``native-*.so``
-    entries count, and ``drive-*.so`` and ``_drive-*.so`` ones, the names
-    older builds used; the temporary directories of builds in progress are
-    left alone.  Failures are skipped: the library just built must still load.
-    """
-    others = []
-    with contextlib.suppress(OSError), os.scandir(cache) as entries:
-        for entry in entries:
-            stem = entry.name.removeprefix("_")
-            if (stem.startswith(("native-", "drive-")) and stem.endswith(".so")
-                    and entry.name != keep):
-                with contextlib.suppress(OSError):  # another process removed it first
-                    others.append((entry.stat().st_mtime_ns, entry.path))
-    for _, path in sorted(others, reverse=True)[_KEEP - 1:]:
-        with contextlib.suppress(OSError):
-            os.remove(path)
-
-
 def _load_c() -> ctypes.CDLL:
     """Return the library with every kernel's signature declared, building it on a cache miss.
 
@@ -424,11 +401,9 @@ def _load_c() -> ctypes.CDLL:
             # Unwritable cache: build per process; the mapping outlives the file.
             with tempfile.TemporaryDirectory(prefix="lmax-") as tmp:
                 lib = ctypes.CDLL(_compile(gcc, tmp, name))
-        else:
-            _prune_cache(cache, name)
     if lib is None:
-        # A process running other kernel source may prune the file before
-        # this call; CDLL then raises OSError and the Python kernels run.
+        # Should the file go (a user clears the cache) before this call,
+        # CDLL raises OSError and the Python kernels run.
         lib = ctypes.CDLL(path)
     f64, i64, u64 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS")
                      for t in (np.float64, np.int64, np.uint64))

@@ -30,6 +30,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .errors import RangeError
 from .series import ProductSeries
 from .walk import ConstantWalk, WalkSpec
 
@@ -120,21 +121,21 @@ def series_diagnostic(series: ProductSeries) -> SeriesDiagnostic:
     the log prefix sum by less than 1e-6, "apparently divergent"
     otherwise, and reports the local growth exponent
     ``d log(1 + sum) / d log n`` over that half.
+
+    Raises:
+        RangeError: if the table stops below n = 2, so its last half is empty.
     """
     n = series.n_max
-    nh = max(1, n // 2)
+    if n < 2:
+        raise RangeError(f"series_diagnostic needs a table to n >= 2, got n_max = {n}")
+    nh = n // 2
     lh = float(series.log_prefix_sum[nh])
     lm = float(series.log_prefix_sum[n])
-    stalled = (lm - lh) < _STALL_TOL
-    if n > nh:
-        exponent = (lm - lh) / (math.log(n) - math.log(nh))
-    else:
-        exponent = 0.0
     return SeriesDiagnostic(
         n_half=nh,
         n_max=n,
         log_sum_half=lh,
         log_sum_max=lm,
-        growth_exponent=exponent,
-        verdict=APPARENTLY_CONVERGENT if stalled else APPARENTLY_DIVERGENT,
+        growth_exponent=(lm - lh) / (math.log(n) - math.log(nh)),
+        verdict=APPARENTLY_CONVERGENT if lm - lh < _STALL_TOL else APPARENTLY_DIVERGENT,
     )

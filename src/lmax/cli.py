@@ -58,13 +58,22 @@ __all__ = ["main", "build_parser"]
 
 
 def _walk_from_args(args) -> WalkSpec:
-    """The walk the flags name; ``spec_from_params`` checks what its family needs."""
-    flags = {"p": args.p, "sign": args.sign, "k": args.k_depth, "b": args.b_coef}
-    params = {key: value for key, value in flags.items() if value is not None}
+    """The walk the flags name; ``spec_from_params`` checks what its family needs.
+
+    A flag the family does not use is an error that names it.
+    """
+    flags = {"p": ("--p", args.p), "sign": ("--sign", args.sign),
+             "k": ("--K", args.k_depth), "b": ("--B", args.b_coef)}
+    params = {key: value for key, (_, value) in flags.items() if value is not None}
     if not (params or args.family):
         raise ConfigError("no walk given: use --p or --family perturbed --sign ... --K ... --B ...")
     family = args.family or ("constant" if "p" in params else "perturbed")
-    return spec_from_params({"family": family, **params})
+    spec = spec_from_params({"family": family, **params})
+    used = spec_params(spec)
+    unused = [flags[key][0] for key in params if key not in used]
+    if unused:
+        raise ConfigError(f"a {family} walk takes no {', '.join(unused)}")
+    return spec
 
 
 _CHUNK_ROWS = 65_536
@@ -150,10 +159,13 @@ def _numeric(column) -> bool:
     return isinstance(column, range)
 
 
-def _depth(flag: str, n: int) -> int:
-    """``n`` as a table depth: at least 1 and within the table budget, or an error naming ``flag``."""
-    if n < 1:
-        raise ConfigError(f"{flag} must be >= 1, got {n}")
+def _depth(flag: str, n: int, least: int = 1) -> int:
+    """``n`` as a table depth: at least ``least`` and within the table budget.
+
+    Either error names ``flag``.
+    """
+    if n < least:
+        raise ConfigError(f"{flag} must be >= {least}, got {n}")
     check_budget(flag, n)
     return n
 
@@ -173,7 +185,8 @@ def cmd_dist(args, spec) -> tuple[dict, dict]:
 
 def cmd_classify(args, spec) -> tuple[dict, dict]:
     c = classify(spec)
-    diag = series_diagnostic(build(spec, _depth("--n-max", args.n_max)))
+    # The diagnostic compares the sums at n_max // 2 and n_max, so n_max >= 2.
+    diag = series_diagnostic(build(spec, _depth("--n-max", args.n_max, least=2)))
     fields = {"n_max": args.n_max, "growth_exponent": diag.growth_exponent,
               "log_sum_at_n_max": diag.log_sum_max}
     columns = {
@@ -252,14 +265,9 @@ def cmd_return(args, spec) -> tuple[dict, dict]:
 def _sim_config(args, spec: WalkSpec) -> SimConfig:
     # os.urandom, not secrets: secrets imports hashlib, and with it OpenSSL.
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "little")
-    return SimConfig(
-        spec=spec,
-        excursions=args.excursions,
-        seed=seed,
-        workers=args.workers,
-        cap_steps=args.cap_steps,
-        cap_height=args.cap_height,
-    )
+    given = {name: getattr(args, name) for name in ("workers", "cap_steps", "cap_height")}
+    return SimConfig(spec=spec, excursions=args.excursions, seed=seed,
+                     **{name: value for name, value in given.items() if value is not None})
 
 
 def _simulate(cfg: SimConfig) -> tuple[SimResult, dict]:
@@ -326,9 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim = argparse.ArgumentParser(add_help=False)
     sim.add_argument("--excursions", type=int, required=True)
     sim.add_argument("--seed", type=int, help="64-bit seed; generated and reported if absent")
-    sim.add_argument("--workers", type=int, default=1)
-    sim.add_argument("--cap-steps", type=int, default=1_000_000, dest="cap_steps")
-    sim.add_argument("--cap-height", type=int, default=1_000, dest="cap_height")
+    # Left out, these take SimConfig's defaults.
+    sim.add_argument("--workers", type=int)
+    sim.add_argument("--cap-steps", type=int, dest="cap_steps")
+    sim.add_argument("--cap-height", type=int, dest="cap_height")
 
     parser = argparse.ArgumentParser(
         prog="lmax",

@@ -6,6 +6,7 @@ from lmax import (
     ConstantWalk,
     Justification,
     PerturbedWalk,
+    RangeError,
     Recurrence,
     build,
     classify,
@@ -151,6 +152,14 @@ def test_diagnostic_checkpoints_recorded():
     assert (d.n_half, d.n_max) == (500, 1000)
     assert (d.log_sum_half, d.log_sum_max) == tuple(series.log_prefix_sum[[500, 1000]])
     assert d.log_sum_half < d.log_sum_max
+
+
+def test_diagnostic_needs_a_table_past_one():
+    # At n_max = 1 the last half (n_max // 2, n_max] holds no term to judge.
+    with pytest.raises(RangeError, match="n_max = 1"):
+        series_diagnostic(build(ConstantWalk(0.5), 1))
+    d = series_diagnostic(build(ConstantWalk(0.5), 2))
+    assert (d.n_half, d.n_max, d.verdict) == (1, 2, APPARENTLY_DIVERGENT)
 
 
 def test_diagnostic_never_overrides_label():

@@ -87,6 +87,17 @@ def test_incomplete_perturbed_exits_two(capsys):
     assert "'k'" in err and "'b'" in err and "'sign'" not in err
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["--p", "0.3", "--K", "1"], "--K"),
+    (["--family", "perturbed", "--p", "0.3", "--sign", "plus", "--K", "1", "--B", "2"], "--p"),
+    (["--family", "constant", "--p", "0.3", "--sign", "plus", "--B", "2"], "--sign, --B"),
+], ids=["constant-with-K", "perturbed-with-p", "constant-with-sign-and-B"])
+def test_flag_of_the_other_family_exits_two(capsys, argv, flags):
+    code = main(["dist", *argv, "--n-max", "2"])
+    family = "perturbed" if "perturbed" in argv else "constant"
+    assert (code, capsys.readouterr()) == (2, ("", f"error: a {family} walk takes no {flags}\n"))
+
+
 def test_missing_walk_exits_two(capsys):
     code, _ = _run(capsys, ["classify"])
     assert code == 2
@@ -117,6 +128,14 @@ def test_classify_output(capsys):
     doc = json.loads(out)
     assert doc["rows"] == [["null-recurrent", "criterion", "apparently divergent"]]
     assert doc["meta"]["growth_exponent"] == pytest.approx(1.0, abs=0.05)
+
+
+def test_classify_needs_two_terms_for_its_diagnostic(capsys):
+    # n_max = 1 leaves the diagnostic's last half empty; 2 is the least depth.
+    assert main(["classify", "--p", "0.5", "--n-max", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: --n-max must be >= 2, got 1\n")
+    code, out = _run(capsys, ["classify", "--p", "0.5", "--n-max", "2"])
+    assert (code, _csv_rows(out)[1]) == (0, [["null-recurrent", "criterion", "apparently divergent"]])
 
 
 def test_hit_output(capsys):
@@ -424,13 +443,15 @@ def test_bad_table_budget_env_exits_two(capsys, monkeypatch):
     ("dist", "--n-max"), ("classify", "--n-max"), ("return", "--min-terms"), ("asympt", "--n-hi"),
 ])
 def test_table_depth_error_names_the_flag(capsys, monkeypatch, cmd, flag, depth):
-    # Below 1 is a bad argument (2); past the budget, a resource limit (1).
+    # Below the least depth (2 for classify, else 1) is a bad argument (2);
+    # past the budget, a resource limit (1).
     monkeypatch.delenv("LMAX_MAX_TABLE", raising=False)
     code = main([cmd, "--p", "0.4", flag, str(depth)])
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     if depth < 1:
-        assert (code, err) == (2, f"error: {flag} must be >= 1, got 0\n")
+        least = 2 if cmd == "classify" else 1
+        assert (code, err) == (2, f"error: {flag} must be >= {least}, got 0\n")
     else:
         assert code == 1
         assert err.startswith(f"error: {flag}={depth} exceeds the table budget of {DEFAULT_MAX_ENTRIES}")

@@ -1,8 +1,11 @@
 import concurrent.futures
 import functools
+import json
 import math
 import os
 import random
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -350,8 +353,6 @@ def test_unwritable_cache_builds_in_temp_dir(fresh_kernel, monkeypatch, tmp_path
 
 
 def test_second_load_reuses_cached_file(fresh_kernel, monkeypatch):
-    import subprocess
-
     _native._load_c()
     (so,) = fresh_kernel.iterdir()
     stamp = so.stat().st_mtime_ns
@@ -377,46 +378,43 @@ def test_changed_source_gets_new_file_name(fresh_kernel, monkeypatch):
     assert all(name.endswith(".so") for name in names)
 
 
-def _age(path, seconds):
-    stamp = path.stat().st_mtime - seconds
-    os.utime(path, (stamp, stamp))
-
-
-def test_fifth_key_prunes_the_oldest_library(fresh_kernel, monkeypatch):
-    source, built = _native._C_SOURCE, []
-    for i in range(5):
-        for name in built:  # each earlier build a second further in the past
-            _age(fresh_kernel / name, 1)
-        monkeypatch.setattr(_native, "_C_SOURCE", source + f"/* key {i} */\n")
-        _native._load_c()
-        (new,) = {f.name for f in fresh_kernel.iterdir()} - set(built)
-        built.append(new)
-    assert {f.name for f in fresh_kernel.iterdir()} == set(built[1:])
-
-
-def test_prune_spares_other_files_and_builds_in_progress(fresh_kernel):
+def test_build_leaves_other_cache_entries_in_place(fresh_kernel):
     busy = fresh_kernel / "tmp-concurrent-build"
     busy.mkdir(parents=True)
-    (busy / "drive-0123456789abcdef.so").write_bytes(b"half written")
+    (busy / "native-0123456789abcdef.so").write_bytes(b"half written")
     (fresh_kernel / "notes.txt").write_text("kept")
-    stale = ["native-0000000000000001.so", "native-0000000000000002.so",
-             "native-0000000000000003.so", "drive-0123456789abcdef.so",
-             "_drive-3bed7af3b9170495.so"]  # newest first; the last two are older naming schemes
-    for age, name in enumerate(stale, start=1):
-        (fresh_kernel / name).write_bytes(b"stale")
-        _age(fresh_kernel / name, 60 * age)
+    others = ["native-0000000000000001.so", "native-0000000000000002.so",
+              "native-0000000000000003.so", "native-0000000000000004.so",
+              "drive-0123456789abcdef.so", "_drive-3bed7af3b9170495.so"]  # and older names
+    for name in others:
+        (fresh_kernel / name).write_bytes(b"other")
     _native._load_c()
     left = {f.name for f in fresh_kernel.iterdir()}
-    # The new build and the three newest stale libraries stay; the older two go.
-    (new,) = left - set(stale) - {"notes.txt", busy.name}
+    (new,) = left - set(others) - {"notes.txt", busy.name}
     assert new.startswith("native-") and new.endswith(".so")
-    assert left & set(stale) == set(stale[:3])
-    assert "notes.txt" in left and busy.name in left
-    assert [f.name for f in busy.iterdir()] == ["drive-0123456789abcdef.so"]
+    assert set(others) | {"notes.txt", busy.name} <= left
+    assert all((fresh_kernel / name).read_bytes() == b"other" for name in others)
+    assert [f.name for f in busy.iterdir()] == ["native-0123456789abcdef.so"]
+
+
+def test_concurrent_first_builds_both_load_c(tmp_path):
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+    argv = [sys.executable, "-m", "lmax", "info", "--format", "json"]
+    procs = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for _ in range(2)]
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        doc = json.loads(out)
+        row = dict(zip(doc["columns"], doc["rows"][0]))
+        assert (row["kernel"], row["kernel_reason"]) == ("c", "")
+    # One library, and no temporary directory of either build left behind.
+    (name,) = [f.name for f in (tmp_path / "lmax").iterdir()]
+    assert name.startswith("native-") and name.endswith(".so")
 
 
 def test_kernel_pruned_before_load_falls_back(fresh_kernel, monkeypatch):
-    # Another process prunes the file between the existence check and CDLL.
+    # The file goes (a user clears the cache) between the existence check and CDLL.
     real_exists = os.path.exists
     monkeypatch.setattr(
         _native.os.path, "exists",
