@@ -25,7 +25,8 @@ Conventions shared by all subcommands:
   parameters and package version reproduces the bytes.  Wall-clock
   timestamps and worker counts are deliberately absent: neither may
   change the output.
-* Exit codes: 0 success, 1 resource limits, 2 bad arguments.
+* Exit codes: 0 success, 1 resource limits (the table budget, or memory
+  running out below it), 2 bad arguments.
   Diagnostics go to stderr, one ``error: ...`` or ``warning: ...`` line
   each.  A reader that closes stdout early ends the output quietly,
   with exit code 0.
@@ -396,6 +397,11 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         except ResourceError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            # Memory ran out below the table budget: the same resource limit.
+            detail = " ".join(str(exc).split())
+            print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
             return 1
         except BrokenPipeError:
             # The reader closed stdout early (``lmax dist ... | head``): stop

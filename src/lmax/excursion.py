@@ -17,20 +17,20 @@ m <= n leaves P(M <= n, D < inf) = 1 - 1/S_n with
 S_n = 1 + sum_{j<=n} rho_1...rho_j = exp(log_prefix_sum[n]), and the tail
 P(M >= n, D < inf) = 1/S_{n-1} - 1/S_inf.  The prefix sums give them as
 -expm1(-log S) and exp(-log S), not as sums of pmf terms or 1 minus such
-a sum.  They carry the rounding of the ``log_prefix_sum`` scan, which
-grows with depth: 3-5 ulp within 300 rows on ``PerturbedWalk(2, 1.5,
-"plus")``, and 1.2e-12 absolute at n = 1e6 on ``PerturbedWalk(1, 3.0,
-"plus")`` (ROADMAP item 1, a compensated scan, is the remedy).
+a sum, so they carry only the rounding of ``log_prefix_sum`` (the
+README's accuracy paragraph bounds it) and of one ``expm1``.
 
 ``max_pmf_table`` is the only path to the law: P(M = n, D < inf) is
 ``table.pmf[n]`` and its log ``table.log_pmf[n]``, and only the table pins
-row 1 to q_1.  It is built in one vectorized pass over a ``ProductSeries``;
-the linear pmf column flushes to 0 beneath double-precision underflow
-while the log column stays informative.
+row 1 to q_1, and its log to log1p(-p_1), which a difference of logs
+loses for tiny p_1.  It is built in one vectorized pass over a
+``ProductSeries``; the linear pmf column flushes to 0 beneath
+double-precision underflow while the log column stays informative.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -87,7 +87,9 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     with np.errstate(under="ignore"):
         pmf = np.exp(log_pmf)
     pmf[0] = 0.0
-    pmf[1] = 1.0 - step_up_prob(series.spec, 1)
+    p1 = step_up_prob(series.spec, 1)
+    pmf[1] = 1.0 - p1
+    log_pmf[1] = math.log1p(-p1)
     # 1 - 1/S_n is nondecreasing and <= 1 by construction; row 0 is
     # -expm1(-0) = 0 and row 1 is pinned to q_1 like the pmf.
     cumulative = np.empty(n_max + 1)

@@ -57,21 +57,48 @@ class HittingQuery:
             raise RangeError(f"need 0 <= a <= k <= b, got a={self.a}, k={self.k}, b={self.b}")
 
 
+# Longest piece that ``_logsumexp`` shifts and exponentiates at once.
+_SUM_LEAF = 1 << 16
+
+
+def _pairwise(leaf, lo: int, hi: int):
+    """Sum of ``leaf(i, j)`` over pieces of [lo, hi), split where numpy's pairwise sum splits.
+
+    ``np.sum`` of a float64 array halves it (the first half rounded down to
+    a multiple of 8) until a piece has at most 128 entries; a piece of up
+    to ``_SUM_LEAF`` entries is summed by ``np.sum`` itself, so the result
+    is ``np.sum`` of the whole bit for bit, without the whole in memory.
+    """
+    n = hi - lo
+    if n <= _SUM_LEAF:
+        return leaf(lo, hi)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(leaf, lo, lo + half) + _pairwise(leaf, lo + half, hi)
+
+
 def _logsumexp(a: np.ndarray) -> float:
     """log(sum(exp(a))) of a finite, non-empty 1-D array.
 
     Follows ``scipy.special.logsumexp`` (1.17) step for step, so results
     are bitwise equal: the maximal entries are split out of the shifted
     sum, which is scaled by their count m before ``log1p``.  The shifted
-    copy is the only float scratch: 9 B per entry with the mask.
+    terms are made and summed one piece of at most ``_SUM_LEAF`` entries at
+    a time (``_pairwise``), so the scratch does not grow with the slice.
     """
     a_max = a.max()
-    t = a - a_max
-    at_max = t == 0  # a - a_max is 0 only where a == a_max
-    m = int(np.count_nonzero(at_max))
-    np.exp(t, out=t)
-    t[at_max] = 0.0
-    s = t.sum()
+    m = 0
+
+    def leaf(lo: int, hi: int):
+        nonlocal m
+        t = a[lo:hi] - a_max
+        at_max = t == 0  # a - a_max is 0 only where a == a_max
+        m += int(np.count_nonzero(at_max))
+        np.exp(t, out=t)
+        t[at_max] = 0.0
+        return t.sum()
+
+    s = _pairwise(leaf, 0, len(a))
     if s != 0:
         s /= m
     return float(np.log1p(s) + np.log(m) + a_max)

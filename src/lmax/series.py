@@ -1,19 +1,34 @@
 """Log-space tabulation of the odds-ratio products and their prefix sums.
 
 Every exact formula downstream is a ratio of the quantities tabulated
-here: the running products ``rho_1 ... rho_n`` and the prefix sums
-``1 + sum_{j<=n} rho_1 ... rho_j``.  Both live entirely in log space:
-for downward-drifting walks the prefix sums grow polynomially without
-bound, and for constant ``rho > 1`` they overflow double precision near
-n = 700 if held linearly.  Nothing is exponentiated except inside
-log-sum-exp steps, so tables are overflow-free to n_max = 1e7 and beyond.
+here: the running products P_n = rho_1 ... rho_n and the prefix sums
+S_n = 1 + sum_{j<=n} P_j.  Both are held as logs: for downward-drifting
+walks the prefix sums grow without bound, and for constant rho > 1 they
+overflow double precision near n = 700 if held linearly.
 
-The streaming prefix recurrence is
+``table_blocks`` computes both logs in fixed-size blocks of entries, in
+order, and carries its state from block to block; ``build`` fills the two
+arrays of a table from it and allocates nothing else of the table's
+length.  A block is computed one of two ways:
 
-    log_prefix_sum[n] = logaddexp(log_prefix_sum[n-1], log_prod[n])
+* Constant walks have one odds ratio r = e^L, and Feller's gambler's-ruin
+  sums are closed forms (*An Introduction to Probability Theory*, vol. 1,
+  §XIV.2): log P_n = nL and log S_n from ``log1p``/``expm1``, with L
+  correctly rounded once (``log_odds``).  No site array is built.
+* Perturbed walks scan log rho_i = -2 atanh(2 delta_i).  Both running sums
+  are compensated (Higham, *Accuracy and Stability of Numerical
+  Algorithms*, §4): a ``cumsum`` per block, with the rounding error of
+  each of its additions recovered exactly and summed alongside, added to
+  an unevaluated (hi, lo) pair that is carried into the next block.  S_n
+  is summed in linear space, anchored at the largest log so far, so no
+  ``log`` or ``exp`` argument is a difference of large terms.
 
-with ``logaddexp(a, b) = max(a, b) + log1p(exp(-|a - b|))``, evaluated by
-``np.logaddexp.accumulate`` (numpy implements exactly that formulation).
+Every block is computed whole from fixed seams, so an entry does not
+depend on how far its table goes.
+
+Against 40- and 50-digit oracles, ``log_prod[n]`` lies within 2 ulp of
+|log P_n| and ``log_prefix_sum[n]`` within 2 ulp of log S_n on the walks
+and depths (to 1e7) that the README's accuracy paragraph lists.
 """
 
 from __future__ import annotations
@@ -25,23 +40,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RangeError, ResourceError
-from .walk import WalkSpec, log_rho_array
+from .walk import ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array
 
 __all__ = [
-    "ProductSeries", "build", "check_budget", "table_budget", "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV",
+    "ProductSeries", "build", "table_blocks", "log_odds", "check_budget", "table_budget",
+    "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV",
 ]
 
 # One table of length n holds two float64 arrays of n+1 entries (~320 MB
-# at the default budget).  While ``build`` runs, four n-length arrays are
-# live at its peak for constant and k = 1 walks, six for k >= 2 (the
-# iterated-log chain's running product and iterate).  A MaxPmfTable built
-# on the table adds three more (log_pmf, pmf, cumulative), five in all.
-# Measured peak RSS of build + max_pmf_table at 1e7: 412 MB for p = 0.4
-# and plus k=1, 488 MB for plus k=2; at the 2e7 default about 0.8 and
-# 1.0 GB (estimated, not measured).  The budget can be changed only
-# through the environment variable below.
+# at the default budget), and ``build`` allocates nothing else of that
+# length: its scratch is a few arrays of BLOCK entries.  A MaxPmfTable
+# built on the table adds three more (log_pmf, pmf, cumulative), five in
+# all.  Measured peak RSS of build + max_pmf_table at 1e7: see the README's
+# *Table budget*.  The budget can be changed only through the environment
+# variable below.
 DEFAULT_MAX_ENTRIES = 20_000_000
 MAX_TABLE_ENV = "LMAX_MAX_TABLE"
+
+BLOCK = 1 << 13   # entries per block: the scan's scratch stays in cache
+_WIDE = 700.0     # widest span of logs that one block sums through exp
+_EXACT_HEAD = 32  # constant walks: log S_n, n < 32, rounded once from 40 digits
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +143,7 @@ def check_budget(what: str, n: int) -> None:
 
 
 def build(spec: WalkSpec, n_max: int) -> ProductSeries:
-    """Tabulate log products and log prefix sums in one vectorized pass.
+    """Tabulate log products and log prefix sums, block by block.
 
     Args:
         spec: walk to tabulate.
@@ -140,11 +158,258 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
     check_budget("n_max", n_max)
-    lr = log_rho_array(spec, np.arange(1, n_max + 1, dtype=np.int64))
     log_prod = np.empty(n_max + 1)
-    log_prod[0] = 0.0
-    np.cumsum(lr, out=log_prod[1:])
-    # Entry 0 of log_prod seeds the accumulator with the empty-sum term
-    # exp(0) = 1; the stream then folds in one product per step.
-    log_prefix_sum = np.logaddexp.accumulate(log_prod)
+    log_prefix_sum = np.empty(n_max + 1)
+    for _ in table_blocks(spec, n_max, out=(log_prod, log_prefix_sum)):
+        pass
     return ProductSeries(spec=spec, n_max=n_max, log_prod=log_prod, log_prefix_sum=log_prefix_sum)
+
+
+def table_blocks(spec: WalkSpec, n_max: int, out=None):
+    """Yield ``(lo, log_prod, log_prefix_sum)`` over entries 0..n_max, BLOCK at a time.
+
+    Each step fills entries ``lo .. lo + len(log_prod) - 1`` of both tables,
+    in order, from state carried over from the step before.  The arrays are
+    views of ``out`` (a pair of arrays of ``n_max + 1`` entries) when it is
+    given, else two buffers that the next step overwrites.
+    """
+    step = _ConstantStep(spec) if isinstance(spec, ConstantWalk) else _PerturbedScan(spec)
+    for lo in range(0, n_max + 1, BLOCK):
+        m = min(BLOCK, n_max + 1 - lo)
+        if out is None:
+            lp, ls = step.lp[:m], step.ls[:m]
+        else:
+            lp, ls = out[0][lo : lo + m], out[1][lo : lo + m]
+        step(lo, lp, ls)
+        yield lo, lp, ls
+
+
+def log_odds(p: float) -> float:
+    """``L = log((1 - p)/p)``, correctly rounded for every double ``p`` in (0, 1).
+
+    Evaluated in 40-digit decimal arithmetic from the exact value of ``p``:
+    in doubles, ``p - 1/2`` drops the low digits of a small ``p``, and
+    ``1 - p`` those of ``L`` for ``p`` near 1/2.
+    """
+    return _constant_logs(p, 0)[0]
+
+
+def _constant_logs(p: float, n: int) -> tuple[float, float, list]:
+    """``L``, ``expm1(|L|)`` and ``[log S_1, ..., log S_n]`` of a constant walk.
+
+    Each is rounded once from 40-digit decimal arithmetic.  ``expm1(|L|)``
+    is max(r, 1/r) - 1 for r = (1 - p)/p: from the rounded ``L`` it would
+    carry |L| times L's rounding error (3.5 ulp at p = 1 - 2^-53).
+    """
+    import decimal  # only constant-walk tables pay for this import
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x = decimal.Decimal(p)
+        r = (1 - x) / x
+        logs, term, total = [], r, 1 + r
+        for _ in range(n):
+            logs.append(float(total.ln()))
+            term *= r
+            total += term
+        return float(r.ln()), float(max(r, 1 / r) - 1), logs
+
+
+class _Step:
+    """One family's block step; ``lp`` and ``ls`` are its output buffers when none are given."""
+
+    def __init__(self):
+        self.lp = np.empty(BLOCK)
+        self.ls = np.empty(BLOCK)
+
+
+class _ConstantStep(_Step):
+    """Block step of a constant walk: the closed form, with no site array.
+
+    With one odds ratio r = e^L, log P_n = nL and, for a = |L| > 0,
+
+        log S_n = n max(L, 0) + log1p(expm1(-na) / -expm1(a)),
+
+    the geometric sum of min(r, 1/r) read from its largest term, so no
+    step subtracts; at L = 0, S_n = n + 1.  The first ``_EXACT_HEAD - 1``
+    log S_n, where the closed form's few roundings weigh most against the
+    value, are rounded once from 40 digits (``_constant_logs``).
+    """
+
+    def __init__(self, spec: ConstantWalk):
+        super().__init__()
+        self.L, expm1_a, self.head = _constant_logs(spec.p, _EXACT_HEAD - 1)
+        self.a = abs(self.L)
+        # Past e^709 this is -inf: the quotient is below the rounding of n max(L, 0).
+        self.den = -expm1_a
+
+    def __call__(self, lo: int, lp: np.ndarray, ls: np.ndarray) -> None:
+        n = np.arange(lo, lo + len(lp), dtype=np.float64)
+        np.multiply(n, self.L, out=lp)
+        if self.L == 0.0:
+            np.log1p(n, out=ls)
+        else:
+            np.multiply(n, -self.a, out=ls)
+            np.expm1(ls, out=ls)
+            ls /= self.den
+            np.log1p(ls, out=ls)
+            if self.L > 0.0:
+                ls += lp
+        # S_n >= S_(n-1): no entry falls below the last exact one, which the
+        # closed form, off by an ulp, can do where S has converged.
+        np.maximum(ls, self.head[-1], out=ls)
+        if lo == 0:
+            lp[0] = ls[0] = 0.0
+            head = self.head[: len(ls) - 1]
+            ls[1 : len(head) + 1] = head
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """``(s, e)`` with ``s = fl(a + b)`` and ``s + e = a + b`` exactly (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_sum_err(a, b, s, t, out):
+    """The rounding errors of ``s = fl(a + b)``, elementwise and exactly, into ``out``.
+
+    ``t`` is scratch; ``out`` may be ``b``'s buffer but not ``a``'s, ``s``'s or ``t``'s.
+    """
+    np.subtract(s, a, out=t)       # the part of b that s holds
+    np.subtract(b, t, out=out)     # what s lost of b
+    np.subtract(s, t, out=t)       # the part of a that s holds
+    np.subtract(a, t, out=t)       # what s lost of a
+    return np.add(out, t, out=out)
+
+
+class _PerturbedScan(_Step):
+    """Block step of a perturbed walk: two compensated scans carried across blocks.
+
+    Each scan is a ``cumsum`` over the block from 0, added to a carried
+    (hi, lo) pair that TwoSum updates exactly from block to block.  While a
+    block's partial sums are not small against the carry (the first blocks,
+    or a sum near 0), the rounding error of every addition of the ``cumsum``
+    is recovered exactly and summed alongside (Neumaier's correction for
+    every addition); deeper, the carry's rounding dominates and the errors
+    of the short sums are below it.
+
+    ``log P``: the scan of log rho.  ``S``: the terms e_j = exp(log P_j - A)
+    anchored at the larger of the carried ``log S`` and the block's largest
+    log, and ``log S_j = a_j + log1p(R_j)``, with a_j the largest of the
+    carried ``log S`` and ``log P_i``, i <= j, and R_j = S_j e^(-a_j) - 1 >= 0.
+    R_j is formed without cancellation where it can be: from the block's sum
+    alone while the carry is the largest, from the sum before j where j sets
+    a new largest.  A block whose anchors span more than ``_WIDE`` nats,
+    which exp cannot bridge (a frozen drift with |delta| near 1/2), is folded
+    by ``np.logaddexp.accumulate`` from the carry instead.
+    """
+
+    def __init__(self, spec: PerturbedWalk):
+        super().__init__()
+        self.spec = spec
+        self.prod = (0.0, 0.0)     # log P_(lo-1) as hi + lo
+        self.psum = (0.0, 0.0)     # log S_(lo-1) as hi + lo
+        self.z = np.empty(BLOCK + 1)
+        self.s = np.empty(BLOCK + 1)
+        self.c = np.empty(BLOCK + 1)
+        self.t = np.empty(BLOCK)
+        self.a = np.empty(BLOCK)
+        self.mask = np.empty(BLOCK, dtype=bool)
+
+    def _cumsum(self, m: int, carry: float) -> np.ndarray:
+        """``cumsum(z)`` over m + 1 entries, compensated unless it stays below ``carry / 256``."""
+        z, s = self.z[: m + 1], self.s[: m + 1]
+        np.cumsum(z, out=s)
+        if 256.0 * max(s.max(), -s.min()) > abs(carry):
+            c = self.c[: m + 1]
+            _two_sum_err(s[:-1], z[1:], s[1:], self.t[:m], out=c[1:])
+            c[0] = 0.0
+            np.cumsum(c, out=c)
+            s += c
+        return s
+
+    def __call__(self, lo: int, lp: np.ndarray, ls: np.ndarray) -> None:
+        m = len(lp)
+        if m == BLOCK:
+            self._block(lo, lp, ls)
+            return
+        # The last block is computed whole, like every other: the anchors and
+        # the paths taken then do not depend on where the table stops, so no
+        # entry does either.
+        self._block(lo, self.lp, self.ls)
+        lp[:] = self.lp[:m]
+        ls[:] = self.ls[:m]
+
+    def _block(self, lo: int, lp: np.ndarray, ls: np.ndarray) -> None:
+        if lo == 0:
+            lp[0] = ls[0] = 0.0    # the empty product; S_0 = 1
+            lp, ls, lo = lp[1:], ls[1:], 1
+        m = len(lp)
+        p_hi, p_lo = self.prod
+        z = self.z[: m + 1]
+        z[0] = p_lo
+        z[1:] = log_rho_array(self.spec, np.arange(lo, lo + m, dtype=np.int64))
+        w = self._cumsum(m, p_hi)
+        np.add(w[1:], p_hi, out=lp)
+        self.prod = _two_sum(p_hi, float(w[-1]))
+
+        h_hi, h_lo = self.psum
+        top = float(lp.max())
+        if top <= h_hi:
+            # The carry is the largest term throughout: R_j = h_lo + V_j.
+            self._terms(lp, h_hi, h_lo, m)
+            r = self._cumsum(m, h_hi)[1:]
+            np.log1p(r, out=r)
+            np.add(r, h_hi, out=ls)
+            self.psum = _two_sum(h_hi, float(r[-1]))
+            return
+        a = np.maximum.accumulate(lp, out=self.a[:m])
+        np.maximum(a, h_hi, out=a)
+        if top - a[0] > _WIDE:
+            z[0] = h_hi
+            z[1:] = lp
+            np.logaddexp.accumulate(z, out=self.s[: m + 1])
+            ls[:] = self.s[1 : m + 1]
+            self.psum = (float(ls[-1]), 0.0)
+            return
+        self._rise(lp, a, ls, h_hi, h_lo, top, m)
+
+    def _terms(self, lp, anchor: float, first: float, m: int) -> None:
+        """``z = [first, exp(lp - anchor)]``."""
+        e = self.z[1 : m + 1]
+        np.subtract(lp, anchor, out=e)
+        np.exp(e, out=e)
+        self.z[0] = first
+
+    def _rise(self, lp, a, ls, h_hi, h_lo, top, m) -> None:
+        """``ls`` for a block whose largest log P passes the carried log S."""
+        self._terms(lp, top, 0.0, m)
+        V = self._cumsum(m, 0.0)                   # V[j] = V_(j-1), V[j + 1] = V_j
+        f = self.c[1 : m + 1]                      # e^(A - a_j), compensated
+        g = self.z[1 : m + 1]
+        np.subtract(top, a, out=f)
+        _two_sum_err(top, -a, f, ls, out=g)
+        np.exp(f, out=f)
+        g *= f
+        f += g
+        carry = math.exp(h_hi - top) * (1.0 + _two_sum(h_hi, -top)[1] + h_lo)  # S_(lo-1) e^-A
+        # The largest log set before j: R_j = (carry + V_j) e^(A - a_j) - 1.
+        r = np.add(V[1:], carry, out=g)
+        r *= f
+        r -= 1.0
+        # The carry still the largest: R_j = h_lo + V_j e^(A - a_j).
+        t = ls
+        mask = np.equal(a, h_hi, out=self.mask[:m])
+        np.multiply(V[1:], f, out=t)
+        t += h_lo
+        np.copyto(r, t, where=mask)
+        # A new largest log at j: R_j = (carry + V_(j-1)) e^(A - a_j).
+        np.greater(lp[1:], a[:-1], out=mask[1:])
+        mask[0] = lp[0] > h_hi
+        np.add(V[:-1], carry, out=t)
+        t *= f
+        np.copyto(r, t, where=mask)
+        np.log1p(r, out=r)
+        np.add(a, r, out=ls)
+        self.psum = _two_sum(float(a[-1]), float(r[-1]))

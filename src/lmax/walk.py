@@ -17,8 +17,8 @@ always steps to 1):
   (0, 1)) the term is frozen at its value at ``i0``.
 
 The down/up odds ratio ``rho(spec, i) = q_i / p_i`` drives every exact
-formula downstream; ``rho`` gives one entry and ``log_rho_array`` the log
-over a site array.
+formula downstream; ``rho`` gives one entry and, for perturbed walks,
+``log_rho_array`` the log over a site array.
 
 Sign-symmetry note: for ``k=1`` the walk ``("plus", b)`` coincides with
 ``("minus", -b)``.  All drift arithmetic is routed through the signed
@@ -206,13 +206,11 @@ def rho(spec: WalkSpec, i: int) -> float:
     return (1.0 - 2.0 * d) / (1.0 + 2.0 * d)
 
 
-def signed_drift_array(spec: WalkSpec, i: np.ndarray) -> np.ndarray:
-    """Vectorized ``delta_i`` over an integer site array (all entries >= 1)."""
+def signed_drift_array(spec: PerturbedWalk, i: np.ndarray) -> np.ndarray:
+    """Vectorized ``delta_i`` of a perturbed walk over an integer site array (all entries >= 1)."""
     i = np.asarray(i)
     if i.size and i.min() < 1:
         raise DomainError("site indices must be >= 1")
-    if isinstance(spec, ConstantWalk):
-        return np.full(i.shape, spec.p - 0.5)
     # Frozen region: evaluate lam at i0; live region: vectorized chain.
     x = np.maximum(i, spec.i0).astype(np.float64)
     r = _perturbation_array(spec.k, x, spec.b) / 4.0
@@ -236,10 +234,18 @@ def step_up_prob_array(spec: WalkSpec, i: np.ndarray) -> np.ndarray:
     return p
 
 
-def log_rho_array(spec: WalkSpec, i: np.ndarray) -> np.ndarray:
-    """Vectorized ``log rho_i``; the workhorse behind series tabulation."""
-    d2 = 2.0 * signed_drift_array(spec, i)
-    return np.log1p(-d2) - np.log1p(d2)
+def log_rho_array(spec: PerturbedWalk, i: np.ndarray) -> np.ndarray:
+    """Vectorized ``log rho_i = log((1 - 2 delta)/(1 + 2 delta)) = -2 atanh(2 delta)`` of a perturbed walk.
+
+    One ``arctanh`` per entry; it is odd bit for bit, so the adjoint walk
+    (the other sign) gets ``-log rho`` exactly.  Constant walks have one
+    odds ratio, which ``series`` takes in closed form.
+    """
+    d = signed_drift_array(spec, i)
+    d *= 2.0
+    np.arctanh(d, out=d)
+    d *= -2.0
+    return d
 
 
 def spec_params(spec: WalkSpec) -> dict:

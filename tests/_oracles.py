@@ -8,6 +8,8 @@ precision, series sums from naive high-precision accumulation.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 import numpy as np
 from scipy.linalg import solve_banded
@@ -105,3 +107,85 @@ def hit_prob_from_drifts(deltas, a: int, k: int, b: int) -> mp.mpf:
             d = mp.mpf(float(d))
             prods.append(prods[-1] * (1 - 2 * d) / (1 + 2 * d))
         return mp.fsum(prods[k - a :]) / mp.fsum(prods)
+
+
+def depth1_log_tables(spec, n: int) -> tuple[mp.mpf, mp.mpf]:
+    """50-digit (log P_n, log S_n) of a depth-1 walk (k = 1) at any n, in closed form.
+
+    rho_i = (i - beta)/(i + beta), beta = b/2 on "plus" and -b/2 on "minus",
+    frozen at rho_f below i0.  P_n is a Gamma ratio and S_n telescopes:
+    with c = rho_f^(i0-1) Gamma(i0+beta)/Gamma(i0-beta),
+
+        P_n = c Gamma(n+1-beta)/Gamma(n+1+beta)                    (n >= i0 - 1)
+        S_n = A - c/(2 beta - 1) Gamma(n+2-beta)/Gamma(n+1+beta),
+        A   = sum_{m<i0} rho_f^m + rho_f^(i0-1) (i0-beta)/(2 beta - 1),
+
+    and at beta = 1/2 the sum is harmonic: S_n = sum_{m<i0} rho_f^m +
+    rho_f^(i0-1)(i0 - 1/2)(psi(n + 3/2) - psi(i0 + 1/2)).  The rho_i are the
+    exact rationals, not the library's double drifts.
+    """
+    with mp.workdps(50):
+        beta = mp.mpf(spec.b) / 2 * (1 if spec.sign == "plus" else -1)
+        i0 = spec.i0
+        rf = (i0 - beta) / (i0 + beta)
+        if n < i0 - 1:
+            return n * mp.log(rf), mp.log(mp.fsum(rf**m for m in range(n + 1)))
+        head = mp.fsum(rf**m for m in range(i0))
+        log_c = (i0 - 1) * mp.log(rf) + mp.loggamma(i0 + beta) - mp.loggamma(i0 - beta)
+        log_p = log_c + mp.loggamma(n + 1 - beta) - mp.loggamma(n + 1 + beta)
+        if beta == mp.mpf(1) / 2:
+            s = head + rf ** (i0 - 1) * (i0 - beta) * (mp.digamma(n + 1.5) - mp.digamma(i0 + 0.5))
+        else:
+            tail = mp.exp(log_c + mp.loggamma(n + 2 - beta) - mp.loggamma(n + 1 + beta))
+            s = head + (rf ** (i0 - 1) * (i0 - beta) - tail) / (2 * beta - 1)
+        return log_p, mp.log(s)
+
+
+def geometric_log_tables(p: float, n: int) -> tuple[mp.mpf, mp.mpf]:
+    """50-digit (log P_n, log S_n) of the constant walk: P_n = r^n, S_n = sum_{j<=n} r^j."""
+    with mp.workdps(50):
+        r = (1 - mp.mpf(p)) / mp.mpf(p)
+        s = n + 1 if r == 1 else (r ** (n + 1) - 1) / (r - 1)
+        return n * mp.log(r), mp.log(s)
+
+
+def drift_log_tables(spec, n_max: int, rows) -> dict:
+    """40-digit {n: (log P_n, log S_n)} at ``rows`` of any walk, from its double drifts.
+
+    Each rho_i = (1 - 2 delta_i)/(1 + 2 delta_i) is formed in 40-digit
+    decimal arithmetic from the double delta_i of ``signed_drift_array`` (for
+    a constant walk, from ``p`` itself), and the products and sums are
+    accumulated in 40 digits, so the only rounding left is the walk's own.
+    ``decimal`` keeps a 1e5-site loop to a fraction of a second.
+    """
+    import decimal
+
+    from lmax import ConstantWalk
+    from lmax.walk import signed_drift_array
+
+    want = set(rows)
+    out = {0: (mp.mpf(0), mp.mpf(0))} if 0 in want else {}
+    with decimal.localcontext() as ctx, mp.workdps(50):
+        ctx.prec = 40
+        one, two = decimal.Decimal(1), decimal.Decimal(2)
+        if isinstance(spec, ConstantWalk):
+            p = decimal.Decimal(spec.p)
+            rhos = [(one - p) / p] * n_max
+        else:
+            deltas = map(decimal.Decimal, signed_drift_array(spec, np.arange(1, n_max + 1)).tolist())
+            rhos = ((one - two * d) / (one + two * d) for d in deltas)
+        prod, total = one, one
+        for n, r in enumerate(rhos, start=1):
+            prod *= r
+            total += prod
+            if n in want:
+                out[n] = (mp.mpf(str(prod.ln())), mp.mpf(str(total.ln())))
+    return out
+
+
+def ulps(got: float, want) -> float:
+    """|got - want| in ulps of the double nearest ``want``; 0 where both overflow alike."""
+    nearest = float(want)
+    if math.isinf(nearest):
+        return 0.0 if got == nearest else math.inf
+    return float(abs(mp.mpf(got) - want)) / math.ulp(abs(nearest))

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,6 +11,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from lmax import ConstantWalk, PerturbedWalk, _native, cli, montecarlo
 from lmax.cli import main
 from lmax.series import DEFAULT_MAX_ENTRIES
 from lmax.walk import spec_from_params
+
+from _oracles import geometric_pmf
 
 DIST_3 = ["dist", "--p", "0.5", "--n-max", "3"]
 
@@ -120,6 +124,45 @@ def test_table_cap_exits_one(capsys, monkeypatch):
     code = main(["dist", "--p", "0.5", "--n-max", "200"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_memory_exhaustion_exits_one(capsys, monkeypatch):
+    # Below the table budget, memory can still run out; that is the same
+    # resource limit: exit 1 with one line, not a traceback.  No real
+    # allocation: the table build is patched to fail as numpy does.
+    def build(spec, n_max):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000001,)")
+
+    monkeypatch.setattr(cli, "build", build)
+    code = main(["dist", "--p", "0.4", "--n-max", "10"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: out of memory: Unable to allocate 74.5 GiB for an array "
+                                "with shape (10000000001,)"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-14, 1 - 2**-53])
+def test_dist_constant_walk_at_extreme_p(capsys, p):
+    # Forming p - 1/2 loses p's digits at these p (NaN rows at 1e-300).
+    # Against the 50-digit geometric law, every row is finite and within
+    # 2 ulp, log_pmf[1] = log(1 - p) included.
+    n_max = 40
+    code = main(["dist", "--p", repr(p), "--n-max", str(n_max)])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    header, rows = _csv_rows(out)
+    assert header == ["n", "pmf", "log_pmf", "cumulative"] and len(rows) == n_max
+    with mpmath.workdps(50):
+        for n, pmf, log_pmf, cumulative in ((int(r[0]), *map(float, r[1:])) for r in rows):
+            assert math.isfinite(log_pmf)
+            want = mpmath.log1p(-mpmath.mpf(p)) if n == 1 else mpmath.log(geometric_pmf(p, n))
+            assert abs(log_pmf - want) <= 2 * math.ulp(abs(float(want))), n
+            assert abs(pmf - mpmath.exp(want)) <= 2 * math.ulp(float(mpmath.exp(want))) or n > 1
+            rho = (1 - mpmath.mpf(p)) / mpmath.mpf(p)
+            mass = 1 - (rho - 1) / (rho ** (n + 1) - 1)  # 1 - 1/S_n
+            assert abs(cumulative - mass) <= 2 * math.ulp(float(mass)), n
 
 
 def test_classify_output(capsys):
@@ -242,6 +285,10 @@ def test_simulate_auto_seed_is_reported_and_reproducible(capsys):
 
 # SHA-256 of stdout, recorded from the implementation these pins guard.
 # JSON meta carries the package version, so a version bump re-records them.
+# Every pin that prints a table or reads one re-pinned when series.build
+# took the constant walk's closed form and the compensated block scan:
+# only the columns test_repins.py names moved, each toward its 40- or
+# 50-digit oracle, in worst and in mean ulp error.
 # The dist pins were re-recorded when ``cumulative`` became 1 - 1/S_n read
 # off the prefix sums: n, pmf and log_pmf kept their bytes.  The compare pin
 # was re-recorded when the package took over the chi-square p-value from
@@ -249,26 +296,26 @@ def test_simulate_auto_seed_is_reported_and_reproducible(capsys):
 # to 0.7876610150786841, the double nearest 0.78766101507868408843...
 GOLDEN_STDOUT = [
     ('dist --p 0.4 --n-max 300',
-     'ab5f062ebf80d667c72df645a3a2cda45348719192b549a222084e9333cad98f'),
+     'aa8e2f3628937acde0e58d971ed5cee9e3918885c88e9600d9e3ea5752e27fe1'),
     ('dist --p 0.4 --n-max 300 --format json',
-     'e6e09982bc038fa82807bc10b1b35306ee7b378d71d63601d2a5958207563af9'),
+     'fa8fa6d923caba778114bd9ee2355703ebd7625410abd3dea5d831cd363c1458'),
     # k = 1: the iterated-log chain loop never runs.
     ('dist --sign plus --K 1 --B 2 --n-max 300',
-     '9e77fc043ac8d3abb2e39f4b3199aa905993f8a43006bbd816ceeeaa8ab5292a'),
+     '87e4ef6400bb7439e04515b891c390305b3867c5f24402c55c239839ba6bafe3'),
     ('dist --sign plus --K 1 --B 2 --n-max 300 --format json',
-     '9af33270d8830183ff11307aaf321097f5e2ee88a78cc861b2b158444bc2a64f'),
+     'b8655a3f81939b2dd19853e5a762fde41db344ae1e89bcaefc95c3c6b36445a6'),
     ('dist --sign plus --K 2 --B 1.5 --n-max 300',
-     '12efcbb0cf641af0c98e9a928acd6bdf5982d7e7a6e7324fabbd40a12779d763'),
+     '9dff41a2d2572b91af75507fe97fc0a56489127a4bb1c3199d672bd49347acce'),
     ('dist --sign plus --K 2 --B 1.5 --n-max 300 --format json',
-     '5e8f6f1aec4b38c1b1385db608af95cd144a234be6f6d9499a84ab448ae22ca9'),
+     '8db7c214852fe3678c4c69a76f2ff0f6b0ed48a5eb8ef70913ac4299276b9943'),
     ('dist --sign minus --K 3 --B -1 --n-max 300',
-     '9e5d63245f1e79c6df4f921092a49a698026656b2d136b7736db35567f0718a8'),
+     '91517c86dfa2b4dfa613326d1a0411a137afb68d34275a56c9fa6af6df739f2d'),
     ('dist --sign minus --K 3 --B -1 --n-max 300 --format json',
-     '2e34b709606c9f33245697b7884a69f46ae06b6a3758832d6749252dd2e02f7e'),
+     '1d509f403fce92ddbe09b74ca21c3b4aebfb5e9e8ef6017a1bac88eb89cbf844'),
     ('asympt --sign plus --K 1 --B 0.5 --n-hi 20000 --format json',
-     '27bb6d7db664f65c92b3111fc2d711f27fa9550c34ec0602c7452c8dc8620a9f'),
+     '9fd30c408d1fc6bb1a3bc5bbb169930b1a99f8cc703190d0d889e0896dca4c5d'),
     ('asympt --p 0.4 --target product --n-hi 20000',
-     '925f19cf2e9236cdfe911865558331959eebf40c2afd82021cc575ef76ab79cc'),
+     '6f11e246d2b28f12f1a845cb076bd59351e2f0b1b7eb6fa5cc49776a1440211f'),
     # probability moved from 0.999999523760653 to 0.9999995237606495 when
     # hit_before's denominator came to reuse its numerator: 1.3e-15 from the
     # 50-digit 0.99999952376065080472..., down from 2.2e-15
@@ -280,22 +327,22 @@ GOLDEN_STDOUT = [
     ('return --p 0.6 --format json',
      'c88ca14a2e3d7effb7c801b15557857be577d71c507661d4e8a5b0833044c7e4'),
     ('return --sign plus --K 1 --B 2',
-     '3716202b174680111253400baf1ecd19ebf881113b2cc32d0d936fa1ea7fa54f'),
+     'e11d78d1e729c9c2db8bf5b6b7737bfa145d60742835a17805323974393f5425'),
     ('simulate --p 0.5 --excursions 3000 --seed 5 --cap-steps 400 --cap-height 40 --format json',
      '9660b71dcd2a9714715a475c0a8ca30f0f842ed23c76bad6b443353bb778c194'),
     ('simulate --sign minus --K 2 --B 1 --excursions 3000 --seed 9 --cap-steps 400 --cap-height 30',
      'ff2f2d780abfd37783d0aff41d72ea57b4ae39aa595222a0bb5099a038f70055'),
     ('compare --p 0.45 --excursions 20000 --seed 3 --cap-height 32 --format json',
-     '6a3bbd3fb50ac00f7c44d77ddcc145db229893cb077224fe2b8f31a4c6af7089'),
+     '7b9cf157eeb5b8e7809812c313f3ca51b98ce1829b9d38c54d805409c8c99b0e'),
     # One row past, and exactly on, the emitter's chunk seams (65536 rows).
     ('dist --p 0.4 --n-max 65537',
-     'fa2cc2dacde4af3b9acc51c2b04b491e51b03ba11004c25d79340252e17c7267'),
+     '4bc925d10a3750fa8b2e77b6b4a8ce3c40a12afdc4209874c9b01849155f8370'),
     ('dist --p 0.4 --n-max 65537 --format json',
-     '610f40951e6c997df59436e503f0de611c35832540390ce455cd055acd065550'),
+     '2c068a47c6da5f484037d89847dfa5db432ba115cf2ec1cad79d52edb6d14908'),
     ('dist --sign minus --K 2 --B 1 --n-max 131072',
-     '60dc0f004a744ed17d591335664a0049e1d1c254633c69883037965ab84a8787'),
+     '513598cb20ced7d58bc3c84d5bc603149e91c065ab1ec3292d427908bcb20599'),
     ('dist --sign minus --K 2 --B 1 --n-max 131072 --format json',
-     'd706ab97f559b8c2e2ea5192f21597d8dbe02cd5174d621e57eecbdc6268d8de'),
+     'bac5b4b2b7bfba4fba497bfb6e58e1aac8e64238a74c87e75a24f49c7a213dbd'),
 ]
 
 

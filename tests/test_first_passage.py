@@ -225,3 +225,20 @@ def test_logsumexp_is_scipy_bitwise():
     arrays += [np.array([x]) for x in (0.0, -745.0, 3.7e5, -1e-300)]
     for a in arrays:
         assert _logsumexp(a) == float(logsumexp(a)), a
+
+
+@pytest.mark.parametrize("leaf", [128, 1000, 1 << 16])
+def test_logsumexp_in_pieces_is_scipy_bitwise(monkeypatch, leaf):
+    # Slices longer than a piece are summed piece by piece along numpy's
+    # pairwise split, which must leave every bit of scipy's result.
+    from scipy.special import logsumexp
+
+    from lmax import first_passage
+
+    monkeypatch.setattr(first_passage, "_SUM_LEAF", leaf)
+    rng = np.random.default_rng(7)
+    arrays = [rng.normal(scale=10.0 ** rng.integers(-3, 4), size=rng.integers(129, 5000))
+              for _ in range(200)]
+    arrays += [np.round(rng.normal(size=300_001), 1), -np.log1p(np.arange(200_000.0))]
+    for a in arrays:
+        assert first_passage._logsumexp(a) == float(logsumexp(a))

@@ -1,15 +1,22 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmax import ConstantWalk, PerturbedWalk, RangeError, ResourceError, build, rho
-from lmax.series import MAX_TABLE_ENV
+from lmax import ConstantWalk, PerturbedWalk, RangeError, ResourceError, build, max_pmf_table, rho
+from lmax.series import BLOCK, MAX_TABLE_ENV, log_odds, table_blocks
 
-from _oracles import brute_prefix_sum
+from _oracles import (
+    brute_prefix_sum,
+    depth1_log_tables,
+    drift_log_tables,
+    geometric_log_tables,
+    ulps,
+)
 
 
 def test_symmetric_walk_table():
@@ -55,10 +62,8 @@ def test_budget_enforced(monkeypatch):
     (PerturbedWalk(2, 1.5, "plus"), 56),
 ])
 def test_build_peak_memory_per_entry(spec, bound):
-    # Traced peak of build: four n-length float64 arrays (32 B/entry) for
-    # constant and k = 1 walks, six (48 B/entry) for k >= 2, whose drift
-    # chain keeps its running product and iterate.  Scratch copies in the
-    # chain once made every perturbed build 56 B/entry.
+    # Loose per-entry ceilings; test_build_allocates_only_its_two_tables
+    # holds build to its two tables plus block scratch.
     n = 200_000
     tracemalloc.start()
     try:
@@ -151,3 +156,108 @@ def test_product_shape_slowly_varying_minus(k, b):
     n = 1_000_000
     ratio = math.exp(corrected(2 * n) - corrected(n))
     assert abs(ratio - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("spec", [
+    ConstantWalk(0.4), PerturbedWalk(1, 2.0, "plus"), PerturbedWalk(2, 1.5, "plus"),
+], ids=str)
+def test_build_allocates_only_its_two_tables(spec):
+    # Past log_prod and log_prefix_sum (16 B/entry), build holds only block
+    # scratch: well under one more float64 array of n entries (1.6 MB).
+    n = 200_000
+    tracemalloc.start()
+    try:
+        series = build(spec, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.n_max == n
+    assert peak - 16 * (n + 1) < 1.2e6
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-14, 0.5 - 2**-54, 0.5, 0.5 + 2**-53, 0.4, 1 - 2**-53])
+def test_log_odds_within_an_ulp(p):
+    with mpmath.workdps(50):
+        want = mpmath.log((1 - mpmath.mpf(p)) / mpmath.mpf(p))
+        if want == 0:
+            assert log_odds(p) == 0.0
+        else:
+            assert ulps(log_odds(p), want) <= 1.0
+
+
+@pytest.mark.parametrize("spec", [
+    ConstantWalk(0.4), ConstantWalk(0.6), PerturbedWalk(1, 2.5, "plus"), PerturbedWalk(1, 1.0, "minus"),
+], ids=str)
+def test_tables_at_depth_within_two_ulp(spec):
+    # The README's depth bound: log_prod within 2 ulp of |log P_n| and
+    # log_prefix_sum within 2 ulp of log S_n, against 50-digit closed forms
+    # (geometric sums; Gamma ratios and telescoping sums for k = 1).
+    series = build(spec, 10**7)
+    for n in (10**3, 10**5, 10**7):
+        if isinstance(spec, ConstantWalk):
+            log_p, log_s = geometric_log_tables(spec.p, n)
+        else:
+            log_p, log_s = depth1_log_tables(spec, n)
+        assert ulps(series.log_prod[n], log_p) <= 2.0, n
+        assert ulps(series.log_prefix_sum[n], log_s) <= 2.0, n
+
+
+def test_first_rows_of_a_depth_two_table_within_two_ulp():
+    # dist --sign plus --K 2 --B 1.5 --n-max 300: against 40-digit sums of
+    # the walk's own drifts, every cumulative row past the pinned q_1 lies
+    # within 2 ulp of 1 - 1/S_n and every log_prod within 2 ulp.  1 ulp is
+    # out of reach in doubles: an exact sum of the rounded log rho terms
+    # already leaves cumulative 0.98 ulp off.
+    spec, n_max = PerturbedWalk(2, 1.5, "plus"), 300
+    table = max_pmf_table(build(spec, n_max), n_max)
+    logs = drift_log_tables(spec, n_max, range(1, n_max + 1))
+    with mpmath.workdps(50):
+        for n in range(1, n_max + 1):
+            log_p, log_s = logs[n]
+            assert ulps(table.series.log_prod[n], log_p) <= 2.0, n
+            if n > 1:
+                assert ulps(table.cumulative[n], -mpmath.expm1(-log_s)) <= 2.0, n
+
+
+@pytest.mark.parametrize("spec", [
+    PerturbedWalk(3, -1.0, "minus"), PerturbedWalk(2, 1.5, "plus"), PerturbedWalk(1, 1.0, "minus"),
+    PerturbedWalk(1, 1e6, "minus"), ConstantWalk(0.7),
+], ids=str)
+def test_entries_do_not_depend_on_table_depth(spec):
+    # Every block, the last one too, is computed whole from fixed seams, so
+    # a table is bitwise the head of any deeper one.
+    deep = build(spec, 3 * BLOCK)
+    for n in (1, 5, 300, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7):
+        series = build(spec, n)
+        assert np.array_equal(series.log_prod, deep.log_prod[: n + 1])
+        assert np.array_equal(series.log_prefix_sum, deep.log_prefix_sum[: n + 1])
+
+
+def test_wide_frozen_drift_stays_finite():
+    # delta = -0.499999 below i0 = 500001: log P climbs 14.5 nats a step,
+    # more than exp can bridge in one block; the logaddexp fold keeps every
+    # entry finite and within 2 ulp.
+    spec, n_max = PerturbedWalk(1, 1e6, "minus"), 2 * BLOCK
+    series = build(spec, n_max)
+    rows = [1, 2, 3, 10, BLOCK - 1, BLOCK, BLOCK + 1, n_max]
+    logs = drift_log_tables(spec, n_max, rows)
+    assert np.all(np.isfinite(series.log_prefix_sum))
+    with mpmath.workdps(50):
+        for n in rows:
+            assert ulps(series.log_prod[n], logs[n][0]) <= 2.0
+            assert ulps(series.log_prefix_sum[n], logs[n][1]) <= 2.0
+
+
+@pytest.mark.parametrize("spec", [ConstantWalk(0.3), PerturbedWalk(2, 1.5, "plus")], ids=str)
+def test_streamed_blocks_are_the_table(spec):
+    # Without output arrays the helper yields reused block buffers, whose
+    # entries are those build stores.
+    n_max = 2 * BLOCK + 5
+    series = build(spec, n_max)
+    seen = 0
+    for lo, log_prod, log_prefix_sum in table_blocks(spec, n_max):
+        assert lo == seen and len(log_prod) == len(log_prefix_sum) == min(BLOCK, n_max + 1 - lo)
+        assert np.array_equal(log_prod, series.log_prod[lo : lo + len(log_prod)])
+        assert np.array_equal(log_prefix_sum, series.log_prefix_sum[lo : lo + len(log_prod)])
+        seen += len(log_prod)
+    assert seen == n_max + 1

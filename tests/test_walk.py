@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,11 +180,12 @@ def test_array_paths_match_scalar_bitwise():
         PerturbedWalk(2, 2.0, "minus"),
         PerturbedWalk(3, -1.0, "plus"),
     ):
-        d = signed_drift_array(spec, idx)
         p = step_up_prob_array(spec, idx)
         for i in idx.tolist():
             assert p[i - 1] == step_up_prob(spec, i)
-            if isinstance(spec, PerturbedWalk):
+        if isinstance(spec, PerturbedWalk):
+            d = signed_drift_array(spec, idx)
+            for i in idx.tolist():
                 assert rho(spec, i) == (1.0 - 2.0 * d[i - 1]) / (1.0 + 2.0 * d[i - 1])
 
 
@@ -203,3 +205,20 @@ def test_numpy_scalar_parameters_accepted():
     assert isinstance(w.p, float)
     v = PerturbedWalk(np.int64(2), np.float64(1.0), "plus")
     assert isinstance(v.k, int) and isinstance(v.b, float)
+
+
+@pytest.mark.parametrize("spec,sites", [
+    (PerturbedWalk(1, 3.98, "plus"), [1, 2, 3]),            # frozen: delta = 0.4975
+    (PerturbedWalk(1, -3.98, "plus"), [1, 2, 3]),           # delta = -0.4975
+    (PerturbedWalk(2, 1.5, "minus"), [2, 17, 400, 99_999]),
+    (PerturbedWalk(1, 0.5, "plus"), [10**6, 10**9, 10**12, 10**15]),  # delta near 0
+])
+def test_log_rho_within_an_ulp_of_mpmath(spec, sites):
+    # -2 atanh(2 delta) against log((1 - 2 delta)/(1 + 2 delta)) of the same
+    # double delta in 50 digits.
+    got = log_rho_array(spec, np.array(sites))
+    deltas = signed_drift_array(spec, np.array(sites))
+    with mpmath.workdps(50):
+        for g, d in zip(got.tolist(), deltas.tolist()):
+            want = mpmath.log((1 - 2 * mpmath.mpf(d)) / (1 + 2 * mpmath.mpf(d)))
+            assert float(abs(mpmath.mpf(g) - want)) <= math.ulp(abs(float(want)))
