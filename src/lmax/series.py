@@ -11,10 +11,11 @@ order, and carries its state from block to block; ``build`` fills the two
 arrays of a table from it and allocates nothing else of the table's
 length.  A block is computed one of two ways:
 
-* Constant walks have one odds ratio r = e^L, and Feller's gambler's-ruin
-  sums are closed forms (*An Introduction to Probability Theory*, vol. 1,
-  §XIV.2): log P_n = nL and log S_n from ``log1p``/``expm1``, with L
-  correctly rounded once (``log_odds``).  No site array is built.
+* Constant walks have one odds ratio r = e^L, with L correctly rounded
+  once (``log_odds``), so no site array is built.  ``log_prod`` adds L
+  once per entry and ``log_prefix_sum`` folds each log P_n in by
+  ``np.logaddexp.accumulate``, in order: the same bits as one scan over
+  the whole table.
 * Perturbed walks scan log rho_i = -2 atanh(2 delta_i).  Both running sums
   are compensated (Higham, *Accuracy and Stability of Numerical
   Algorithms*, §4): a ``cumsum`` per block, with the rounding error of
@@ -26,9 +27,11 @@ length.  A block is computed one of two ways:
 Every block is computed whole from fixed seams, so an entry does not
 depend on how far its table goes.
 
-Against 40- and 50-digit oracles, ``log_prod[n]`` lies within 2 ulp of
-|log P_n| and ``log_prefix_sum[n]`` within 2 ulp of log S_n on the walks
-and depths (to 1e7) that the README's accuracy paragraph lists.
+Against 40- and 50-digit oracles, on perturbed walks ``log_prod[n]`` lies
+within 2 ulp of |log P_n| and ``log_prefix_sum[n]`` within 2 ulp of
+log S_n on the walks and depths (to 1e7) that the README's accuracy
+paragraph lists.  On constant walks both carry the rounding of n
+sequential additions: within n ulp.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ MAX_TABLE_ENV = "LMAX_MAX_TABLE"
 
 BLOCK = 1 << 13   # entries per block: the scan's scratch stays in cache
 _WIDE = 700.0     # widest span of logs that one block sums through exp
-_EXACT_HEAD = 32  # constant walks: log S_n, n < 32, rounded once from 40 digits
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,7 +175,7 @@ def table_blocks(spec: WalkSpec, n_max: int, out=None):
     views of ``out`` (a pair of arrays of ``n_max + 1`` entries) when it is
     given, else two buffers that the next step overwrites.
     """
-    step = _ConstantStep(spec) if isinstance(spec, ConstantWalk) else _PerturbedScan(spec)
+    step = _ConstantScan(spec) if isinstance(spec, ConstantWalk) else _PerturbedScan(spec)
     for lo in range(0, n_max + 1, BLOCK):
         m = min(BLOCK, n_max + 1 - lo)
         if out is None:
@@ -191,28 +193,12 @@ def log_odds(p: float) -> float:
     in doubles, ``p - 1/2`` drops the low digits of a small ``p``, and
     ``1 - p`` those of ``L`` for ``p`` near 1/2.
     """
-    return _constant_logs(p, 0)[0]
-
-
-def _constant_logs(p: float, n: int) -> tuple[float, float, list]:
-    """``L``, ``expm1(|L|)`` and ``[log S_1, ..., log S_n]`` of a constant walk.
-
-    Each is rounded once from 40-digit decimal arithmetic.  ``expm1(|L|)``
-    is max(r, 1/r) - 1 for r = (1 - p)/p: from the rounded ``L`` it would
-    carry |L| times L's rounding error (3.5 ulp at p = 1 - 2^-53).
-    """
     import decimal  # only constant-walk tables pay for this import
 
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         x = decimal.Decimal(p)
-        r = (1 - x) / x
-        logs, term, total = [], r, 1 + r
-        for _ in range(n):
-            logs.append(float(total.ln()))
-            term *= r
-            total += term
-        return float(r.ln()), float(max(r, 1 / r) - 1), logs
+        return float(((1 - x) / x).ln())
 
 
 class _Step:
@@ -223,45 +209,31 @@ class _Step:
         self.ls = np.empty(BLOCK)
 
 
-class _ConstantStep(_Step):
-    """Block step of a constant walk: the closed form, with no site array.
+class _ConstantScan(_Step):
+    """Block step of a constant walk: one odds ratio r = e^L, summed in order.
 
-    With one odds ratio r = e^L, log P_n = nL and, for a = |L| > 0,
-
-        log S_n = n max(L, 0) + log1p(expm1(-na) / -expm1(a)),
-
-    the geometric sum of min(r, 1/r) read from its largest term, so no
-    step subtracts; at L = 0, S_n = n + 1.  The first ``_EXACT_HEAD - 1``
-    log S_n, where the closed form's few roundings weigh most against the
-    value, are rounded once from 40 digits (``_constant_logs``).
+    ``log_prod`` adds L once per entry, by a sequential ``cumsum`` seeded
+    with the sum carried from the block before, and ``log_prefix_sum``
+    folds each log P_n into the carried log S by ``np.logaddexp.accumulate``:
+    bit for bit the whole-table scan, held a block at a time.  L is
+    ``log_odds(p)``, so no site array is built and a ``p`` far from 1/2
+    keeps its digits.
     """
 
     def __init__(self, spec: ConstantWalk):
         super().__init__()
-        self.L, expm1_a, self.head = _constant_logs(spec.p, _EXACT_HEAD - 1)
-        self.a = abs(self.L)
-        # Past e^709 this is -inf: the quotient is below the rounding of n max(L, 0).
-        self.den = -expm1_a
+        self.L = log_odds(spec.p)
+        self.prod = self.psum = 0.0   # log P_(lo-1), log S_(lo-1)
 
     def __call__(self, lo: int, lp: np.ndarray, ls: np.ndarray) -> None:
-        n = np.arange(lo, lo + len(lp), dtype=np.float64)
-        np.multiply(n, self.L, out=lp)
-        if self.L == 0.0:
-            np.log1p(n, out=ls)
-        else:
-            np.multiply(n, -self.a, out=ls)
-            np.expm1(ls, out=ls)
-            ls /= self.den
-            np.log1p(ls, out=ls)
-            if self.L > 0.0:
-                ls += lp
-        # S_n >= S_(n-1): no entry falls below the last exact one, which the
-        # closed form, off by an ulp, can do where S has converged.
-        np.maximum(ls, self.head[-1], out=ls)
-        if lo == 0:
-            lp[0] = ls[0] = 0.0
-            head = self.head[: len(ls) - 1]
-            ls[1 : len(head) + 1] = head
+        lp.fill(self.L)
+        lp[0] = self.prod + self.L if lo else 0.0
+        np.cumsum(lp, out=lp)
+        ls[:] = lp
+        if lo:
+            ls[0] = np.logaddexp(self.psum, lp[0])
+        np.logaddexp.accumulate(ls, out=ls)
+        self.prod, self.psum = float(lp[-1]), float(ls[-1])
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:

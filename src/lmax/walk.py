@@ -239,7 +239,7 @@ def log_rho_array(spec: PerturbedWalk, i: np.ndarray) -> np.ndarray:
 
     One ``arctanh`` per entry; it is odd bit for bit, so the adjoint walk
     (the other sign) gets ``-log rho`` exactly.  Constant walks have one
-    odds ratio, which ``series`` takes in closed form.
+    odds ratio, which ``series`` rounds once (``log_odds``).
     """
     d = signed_drift_array(spec, i)
     d *= 2.0

@@ -5,13 +5,12 @@ each column that moved must move toward its oracle: neither its worst nor
 its mean error, in units in the last place of the oracle's double, may
 grow.  ``REPINNED`` names, for each moved column, the oracle and the worst
 and mean error of the bytes the pin held before.  The tables were
-re-pinned when ``series.build`` took the constant walk's closed form and
-the compensated block scan.
+re-pinned when ``series.build`` took the compensated block scan for
+perturbed walks; constant-walk pins kept their bytes.
 
-Oracles (``_oracles.py``): ``geometric`` is the 50-digit closed form of the
-constant walk; ``drifts`` sums the products of the perturbed walk's double
-drifts in 40 digits; ``gamma`` is the 50-digit Gamma-ratio form of a
-depth-1 walk.  Long tables are measured on every row to 300 and every
+Oracles (``_oracles.py``): ``drifts`` sums the products of the perturbed
+walk's double drifts in 40 digits; ``gamma`` is the 50-digit Gamma-ratio
+form of a depth-1 walk.  Long tables are measured on every row to 300 and every
 97th row after it.
 """
 
@@ -26,13 +25,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lmax import ConstantWalk, PerturbedWalk
+from lmax import PerturbedWalk
 from lmax.asymptotics import ShapeTarget, log_shape, resolve_shape
 from lmax.cli import main
 from lmax.first_passage import _log_tail_estimate
 from lmax.series import build
 
-from _oracles import depth1_log_tables, drift_log_tables, geometric_log_tables, ulps
+from _oracles import depth1_log_tables, drift_log_tables, ulps
 
 
 def _output(cmd: str):
@@ -62,10 +61,7 @@ def _rows(n_max: int) -> list[int]:
 
 def _logs(spec, n_max: int, rows) -> dict:
     """{n: (log P_n, log S_n)} from the walk's oracle, at rows and the rows before them."""
-    need = sorted(set(rows) | {n - 1 for n in rows})
-    if isinstance(spec, ConstantWalk):
-        return {n: geometric_log_tables(spec.p, n) for n in need}
-    return drift_log_tables(spec, n_max, need)
+    return drift_log_tables(spec, n_max, sorted(set(rows) | {n - 1 for n in rows}))
 
 
 def _dist_errors(cmd: str, spec, n_max: int) -> dict:
@@ -120,33 +116,11 @@ def _return_errors(cmd: str, spec, n: int) -> dict:
                 "value": [ulps(row["value"], (lower + upper) / 2)]}
 
 
-def _compare_errors(cmd: str, spec, cap_height: int) -> dict:
-    cols, rows, meta = _output(cmd)
-    logs = _logs(spec, cap_height - 1, range(1, cap_height))
-    errs = {"exact": [], "stderr": [], "z": []}
-    with mp.workdps(50):
-        for row in rows:
-            row = dict(zip(cols, row))
-            n = row["n"]
-            exact = mp.exp(logs[n][0] - logs[n - 1][1] - logs[n][1])
-            stderr = mp.sqrt(exact * (1 - exact) / meta["total"])
-            errs["exact"].append(ulps(row["exact"], exact))
-            errs["stderr"].append(ulps(row["stderr"], stderr))
-            errs["z"].append(ulps(row["z"], (mp.mpf(row["empirical"]) - exact) / stderr))
-    return errs
-
-
 # pin -> (oracle, measure, its arguments, {column: (worst, mean) error of the bytes
 # pinned before, rounded up in the fourth digit}).
 # CSV and JSON pins carry the same numbers (test_csv_and_json_carry_identical_numbers),
 # so each table is measured once; the asympt JSON pin adds the drift field.
 REPINNED = {
-    "dist --p 0.4 --n-max 300": (
-        "geometric", _dist_errors, (ConstantWalk(0.4), 300),
-        {"pmf": (3298.0, 648.5), "log_pmf": (27.12, 8.793)}),
-    "dist --p 0.4 --n-max 65537": (
-        "geometric", _dist_errors, (ConstantWalk(0.4), 65537),
-        {"pmf": (53060.0, 541.7), "log_pmf": (7509.0, 1772.0)}),
     "dist --sign plus --K 1 --B 2 --n-max 300": (
         "drifts", _dist_errors, (PerturbedWalk(1, 2.0, "plus"), 300),
         {"pmf": (140.3, 65.42), "log_pmf": (11.29, 5.6), "cumulative": (4.445, 1.61)}),
@@ -162,15 +136,9 @@ REPINNED = {
     "asympt --sign plus --K 1 --B 0.5 --n-hi 20000 --format json": (
         "drifts", _asympt_errors, (PerturbedWalk(1, 0.5, "plus"), 20000, "max-pmf"),
         {"exact": (525.3, 135.2), "c_hat": (525.9, 130.3), "drift": (73480.0, 73480.0)}),
-    "asympt --p 0.4 --target product --n-hi 20000": (
-        "geometric", _asympt_errors, (ConstantWalk(0.4), 20000, "product"),
-        {"exact": (36510.0, 6228.0), "c_hat": (11700000.0, 1228000.0)}),
     "return --sign plus --K 1 --B 2": (
         "gamma", _return_errors, (PerturbedWalk(1, 2.0, "plus"), 100_000),
         {"value": (182.2, 182.2), "lower": (182.7, 182.7), "upper": (181.7, 181.7)}),
-    "compare --p 0.45 --excursions 20000 --seed 3 --cap-height 32 --format json": (
-        "geometric", _compare_errors, (ConstantWalk(0.45), 32),
-        {"exact": (10.65, 2.986), "stderr": (6.069, 1.52), "z": (554.8, 61.92)}),
 }
 
 
