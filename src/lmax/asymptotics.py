@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
-from .series import ProductSeries
+from .series import ProductSeries, log_odds
 from .walk import ConstantWalk, WalkSpec, _first_site_above, iterated_log, rho
 
 __all__ = [
@@ -101,17 +101,20 @@ def resolve_shape(spec: WalkSpec, target: ShapeTarget) -> AsymptoticShape:
     """
     if isinstance(spec, ConstantWalk):
         r = rho(spec, 1)
+        # Below p = 1/DBL_MAX r overflows to inf, while log(r - 1) = log r = L
+        # in doubles: take L from log_odds there.
+        log_r = math.log(r) if r < math.inf else log_odds(spec.p)
         if target is ShapeTarget.PRODUCT:
             return AsymptoticShape(target, spec, "product constant", 1, "geometric",
-                                   n_coeff=math.log(r) if r != 1.0 else 0.0)
+                                   n_coeff=log_r if r != 1.0 else 0.0)
         if r == 1.0:
             return AsymptoticShape(target, spec, "constant rho=1", 1, "simple-null")
         if r < 1.0:
             return AsymptoticShape(target, spec, "constant rho<1", 1, "geometric",
-                                   log_coeff=2.0 * math.log(1.0 - r), n_coeff=math.log(r))
+                                   log_coeff=2.0 * math.log(1.0 - r), n_coeff=log_r)
+        log_r1 = math.log(r - 1.0) if r < math.inf else log_r
         return AsymptoticShape(target, spec, "constant rho>1", 1, "geometric",
-                               log_coeff=2.0 * math.log(r - 1.0) - math.log(r),
-                               n_coeff=-math.log(r))
+                               log_coeff=2.0 * log_r1 - log_r, n_coeff=-log_r)
 
     k, b = spec.k, spec.b
     if target is ShapeTarget.PRODUCT:

@@ -6,26 +6,27 @@ S_n = 1 + sum_{j<=n} P_j.  Both are held as logs: for downward-drifting
 walks the prefix sums grow without bound, and for constant rho > 1 they
 overflow double precision near n = 700 if held linearly.
 
-``table_blocks`` computes both logs in fixed-size blocks of entries, in
-order, and carries its state from block to block; ``build`` fills the two
-arrays of a table from it and allocates nothing else of the table's
-length.  A block is computed one of two ways:
+``build`` computes both logs into the two arrays of a table and
+allocates nothing else of the table's length.  Each family has one scan:
 
 * Constant walks have one odds ratio r = e^L, with L correctly rounded
   once (``log_odds``), so no site array is built.  ``log_prod`` adds L
-  once per entry and ``log_prefix_sum`` folds each log P_n in by
-  ``np.logaddexp.accumulate``, in order: the same bits as one scan over
-  the whole table.
-* Perturbed walks scan log rho_i = -2 atanh(2 delta_i).  Both running sums
-  are compensated (Higham, *Accuracy and Stability of Numerical
-  Algorithms*, §4): a ``cumsum`` per block, with the rounding error of
-  each of its additions recovered exactly and summed alongside, added to
-  an unevaluated (hi, lo) pair that is carried into the next block.  S_n
-  is summed in linear space, anchored at the largest log so far, so no
-  ``log`` or ``exp`` argument is a difference of large terms.
+  once per entry by one sequential ``cumsum`` over the whole table, and
+  ``log_prefix_sum`` folds each log P_n in by ``np.logaddexp.accumulate``,
+  in order.
+* Perturbed walks scan log rho_i = -2 atanh(2 delta_i) in fixed-size
+  blocks.  Both running sums are compensated (Higham, *Accuracy and
+  Stability of Numerical Algorithms*, §4): a ``cumsum`` per block, with
+  the rounding error of each of its additions recovered exactly and summed
+  alongside, added to an unevaluated (hi, lo) pair that is carried into
+  the next block.  S_n is summed in linear space, anchored at the largest
+  log so far, so no ``log`` or ``exp`` argument is a difference of large
+  terms.  The arrays are allocated to a whole number of blocks, so the
+  last block is computed whole like every other.
 
-Every block is computed whole from fixed seams, so an entry does not
-depend on how far its table goes.
+Either way an entry does not depend on how far its table goes: a
+sequential scan reads nothing past its entry, and every block starts
+from fixed seams.
 
 Against 40- and 50-digit oracles, on perturbed walks ``log_prod[n]`` lies
 within 2 ulp of |log P_n| and ``log_prefix_sum[n]`` within 2 ulp of
@@ -46,17 +47,19 @@ from .errors import ConfigError, RangeError, ResourceError
 from .walk import ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array
 
 __all__ = [
-    "ProductSeries", "build", "table_blocks", "log_odds", "check_budget", "table_budget",
+    "ProductSeries", "build", "log_odds", "check_budget", "table_budget",
     "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV",
 ]
 
 # One table of length n holds two float64 arrays of n+1 entries (~320 MB
 # at the default budget), and ``build`` allocates nothing else of that
-# length: its scratch is a few arrays of BLOCK entries.  A MaxPmfTable
-# built on the table adds three more (log_pmf, pmf, cumulative), five in
-# all.  Measured peak RSS of build + max_pmf_table at 1e7: see the README's
-# *Table budget*.  The budget can be changed only through the environment
-# variable below.
+# length.  A constant walk's scans write straight into the two arrays; a
+# perturbed walk's arrays are rounded up to a whole number of BLOCKs (at
+# most 64 KB more each) and its scan's scratch is a few arrays of BLOCK
+# entries.  A MaxPmfTable built on the table adds three more (log_pmf,
+# pmf, cumulative), five in all.  Measured peak RSS of build +
+# max_pmf_table at 1e7: see the README's *Table budget*.  The budget can
+# be changed only through the environment variable below.
 DEFAULT_MAX_ENTRIES = 20_000_000
 MAX_TABLE_ENV = "LMAX_MAX_TABLE"
 
@@ -145,7 +148,7 @@ def check_budget(what: str, n: int) -> None:
 
 
 def build(spec: WalkSpec, n_max: int) -> ProductSeries:
-    """Tabulate log products and log prefix sums, block by block.
+    """Tabulate log products and log prefix sums over entries 0..n_max.
 
     Args:
         spec: walk to tabulate.
@@ -160,30 +163,19 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
     check_budget("n_max", n_max)
-    log_prod = np.empty(n_max + 1)
-    log_prefix_sum = np.empty(n_max + 1)
-    for _ in table_blocks(spec, n_max, out=(log_prod, log_prefix_sum)):
-        pass
+    if isinstance(spec, ConstantWalk):
+        log_prod = np.full(n_max + 1, log_odds(spec.p))
+        log_prod[0] = 0.0
+        np.cumsum(log_prod, out=log_prod)
+        log_prefix_sum = np.logaddexp.accumulate(log_prod)
+    else:
+        size = -(-(n_max + 1) // BLOCK) * BLOCK
+        log_prod, log_prefix_sum = np.empty(size), np.empty(size)
+        scan = _PerturbedScan(spec)
+        for lo in range(0, size, BLOCK):
+            scan(lo, log_prod[lo : lo + BLOCK], log_prefix_sum[lo : lo + BLOCK])
+        log_prod, log_prefix_sum = log_prod[: n_max + 1], log_prefix_sum[: n_max + 1]
     return ProductSeries(spec=spec, n_max=n_max, log_prod=log_prod, log_prefix_sum=log_prefix_sum)
-
-
-def table_blocks(spec: WalkSpec, n_max: int, out=None):
-    """Yield ``(lo, log_prod, log_prefix_sum)`` over entries 0..n_max, BLOCK at a time.
-
-    Each step fills entries ``lo .. lo + len(log_prod) - 1`` of both tables,
-    in order, from state carried over from the step before.  The arrays are
-    views of ``out`` (a pair of arrays of ``n_max + 1`` entries) when it is
-    given, else two buffers that the next step overwrites.
-    """
-    step = _ConstantScan(spec) if isinstance(spec, ConstantWalk) else _PerturbedScan(spec)
-    for lo in range(0, n_max + 1, BLOCK):
-        m = min(BLOCK, n_max + 1 - lo)
-        if out is None:
-            lp, ls = step.lp[:m], step.ls[:m]
-        else:
-            lp, ls = out[0][lo : lo + m], out[1][lo : lo + m]
-        step(lo, lp, ls)
-        yield lo, lp, ls
 
 
 def log_odds(p: float) -> float:
@@ -199,41 +191,6 @@ def log_odds(p: float) -> float:
         ctx.prec = 40
         x = decimal.Decimal(p)
         return float(((1 - x) / x).ln())
-
-
-class _Step:
-    """One family's block step; ``lp`` and ``ls`` are its output buffers when none are given."""
-
-    def __init__(self):
-        self.lp = np.empty(BLOCK)
-        self.ls = np.empty(BLOCK)
-
-
-class _ConstantScan(_Step):
-    """Block step of a constant walk: one odds ratio r = e^L, summed in order.
-
-    ``log_prod`` adds L once per entry, by a sequential ``cumsum`` seeded
-    with the sum carried from the block before, and ``log_prefix_sum``
-    folds each log P_n into the carried log S by ``np.logaddexp.accumulate``:
-    bit for bit the whole-table scan, held a block at a time.  L is
-    ``log_odds(p)``, so no site array is built and a ``p`` far from 1/2
-    keeps its digits.
-    """
-
-    def __init__(self, spec: ConstantWalk):
-        super().__init__()
-        self.L = log_odds(spec.p)
-        self.prod = self.psum = 0.0   # log P_(lo-1), log S_(lo-1)
-
-    def __call__(self, lo: int, lp: np.ndarray, ls: np.ndarray) -> None:
-        lp.fill(self.L)
-        lp[0] = self.prod + self.L if lo else 0.0
-        np.cumsum(lp, out=lp)
-        ls[:] = lp
-        if lo:
-            ls[0] = np.logaddexp(self.psum, lp[0])
-        np.logaddexp.accumulate(ls, out=ls)
-        self.prod, self.psum = float(lp[-1]), float(ls[-1])
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -255,7 +212,7 @@ def _two_sum_err(a, b, s, t, out):
     return np.add(out, t, out=out)
 
 
-class _PerturbedScan(_Step):
+class _PerturbedScan:
     """Block step of a perturbed walk: two compensated scans carried across blocks.
 
     Each scan is a ``cumsum`` over the block from 0, added to a carried
@@ -278,7 +235,6 @@ class _PerturbedScan(_Step):
     """
 
     def __init__(self, spec: PerturbedWalk):
-        super().__init__()
         self.spec = spec
         self.prod = (0.0, 0.0)     # log P_(lo-1) as hi + lo
         self.psum = (0.0, 0.0)     # log S_(lo-1) as hi + lo
@@ -302,18 +258,7 @@ class _PerturbedScan(_Step):
         return s
 
     def __call__(self, lo: int, lp: np.ndarray, ls: np.ndarray) -> None:
-        m = len(lp)
-        if m == BLOCK:
-            self._block(lo, lp, ls)
-            return
-        # The last block is computed whole, like every other: the anchors and
-        # the paths taken then do not depend on where the table stops, so no
-        # entry does either.
-        self._block(lo, self.lp, self.ls)
-        lp[:] = self.lp[:m]
-        ls[:] = self.ls[:m]
-
-    def _block(self, lo: int, lp: np.ndarray, ls: np.ndarray) -> None:
+        """Entries ``lo .. lo + BLOCK - 1`` of both tables into ``lp`` and ``ls``."""
         if lo == 0:
             lp[0] = ls[0] = 0.0    # the empty product; S_0 = 1
             lp, ls, lo = lp[1:], ls[1:], 1

@@ -14,6 +14,7 @@ REMOVED = {
     "classify": ["near_criterion_boundary"],
     "asymptotics": ["shape_value"],
     "excursion": ["max_pmf", "log_max_pmf"],
+    "series": ["table_blocks"],
 }
 
 

@@ -578,6 +578,22 @@ def test_return_constant_walk_is_the_float_of_q_over_p(capsys):
     assert json.loads(out)["rows"] == [[0.6666666666666667] * 3 + [100000, "geometric-tail", True]]
 
 
+@pytest.mark.parametrize("target", ["max-pmf", "product"])
+@pytest.mark.parametrize("p", ["1e-320", "5e-324"])
+def test_asympt_subnormal_p_is_finite(p, target):
+    # Below p = 1/DBL_MAX the odds ratio overflows; the shape takes its log
+    # from log_odds, so no column or meta field is NaN and numpy warns of nothing.
+    argv = [sys.executable, "-m", "lmax", "asympt", "--p", p, "--n-hi", "100",
+            "--target", target, "--format", "json"]
+    out = subprocess.run(argv, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+    doc = json.loads(out.stdout)
+    assert not any(math.isnan(v) for v in doc["meta"].values() if isinstance(v, float))
+    assert not any(math.isnan(v) for row in doc["rows"] for v in row)
+    assert 0.0 <= doc["meta"]["drift"] < 1e-9
+    assert all(row[3] == pytest.approx(1.0, rel=1e-9) for row in doc["rows"])
+
+
 def test_asympt_nonpositive_samples_exits_two(capsys):
     code = main(["asympt", "--p", "0.4", "--n-hi", "1000", "--samples", "-1"])
     assert code == 2
