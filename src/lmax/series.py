@@ -6,14 +6,16 @@ S_n = 1 + sum_{j<=n} P_j.  Both are held as logs: for downward-drifting
 walks the prefix sums grow without bound, and for constant rho > 1 they
 overflow double precision near n = 700 if held linearly.
 
-``build`` computes both logs into the two arrays of a table and
-allocates nothing else of the table's length.  Each family has one scan:
+``build`` computes both logs into the two arrays of a table, in
+fixed-size blocks of entries, and allocates nothing else of the table's
+length.  Each family has one block step:
 
-* Constant walks have one odds ratio r = e^L, with L correctly rounded
-  once (``log_odds``), so no site array is built.  ``log_prod`` adds L
-  once per entry by one sequential ``cumsum`` over the whole table, and
-  ``log_prefix_sum`` folds each log P_n in by ``np.logaddexp.accumulate``,
-  in order.
+* Constant walks have one odds ratio r = e^L, and Feller's gambler's-ruin
+  sums are closed forms (*An Introduction to Probability Theory*, vol. 1,
+  §XIV.2): log P_n = nL and log S_n from ``log1p``/``expm1``, with L
+  correctly rounded once (``log_odds``) and the first entries of log S_n
+  rounded once from 40 digits.  No site array is built, and nothing is
+  summed from entry to entry.
 * Perturbed walks scan log rho_i = -2 atanh(2 delta_i) in fixed-size
   blocks.  Both running sums are compensated (Higham, *Accuracy and
   Stability of Numerical Algorithms*, §4): a ``cumsum`` per block, with
@@ -21,18 +23,16 @@ allocates nothing else of the table's length.  Each family has one scan:
   alongside, added to an unevaluated (hi, lo) pair that is carried into
   the next block.  S_n is summed in linear space, anchored at the largest
   log so far, so no ``log`` or ``exp`` argument is a difference of large
-  terms.  The arrays are allocated to a whole number of blocks, so the
-  last block is computed whole like every other.
+  terms.
 
-Either way an entry does not depend on how far its table goes: a
-sequential scan reads nothing past its entry, and every block starts
-from fixed seams.
+The arrays are allocated to a whole number of blocks, so the last block
+is computed whole like every other: a constant entry is a function of n
+alone, and every perturbed block starts from fixed seams, so an entry
+does not depend on how far its table goes.
 
-Against 40- and 50-digit oracles, on perturbed walks ``log_prod[n]`` lies
-within 2 ulp of |log P_n| and ``log_prefix_sum[n]`` within 2 ulp of
-log S_n on the walks and depths (to 1e7) that the README's accuracy
-paragraph lists.  On constant walks both carry the rounding of n
-sequential additions: within n ulp.
+Against 40- and 50-digit oracles, ``log_prod[n]`` lies within 2 ulp of
+|log P_n| and ``log_prefix_sum[n]`` within 2 ulp of log S_n on the walks
+and depths (to 1e7) that the README's accuracy paragraph lists.
 """
 
 from __future__ import annotations
@@ -53,9 +53,8 @@ __all__ = [
 
 # One table of length n holds two float64 arrays of n+1 entries (~320 MB
 # at the default budget), and ``build`` allocates nothing else of that
-# length.  A constant walk's scans write straight into the two arrays; a
-# perturbed walk's arrays are rounded up to a whole number of BLOCKs (at
-# most 64 KB more each) and its scan's scratch is a few arrays of BLOCK
+# length: both arrays are rounded up to a whole number of BLOCKs (at most
+# 64 KB more each), and a block step's scratch is a few arrays of BLOCK
 # entries.  A MaxPmfTable built on the table adds three more (log_pmf,
 # pmf, cumulative), five in all.  Measured peak RSS of build +
 # max_pmf_table at 1e7: see the README's *Table budget*.  The budget can
@@ -65,6 +64,7 @@ MAX_TABLE_ENV = "LMAX_MAX_TABLE"
 
 BLOCK = 1 << 13   # entries per block: the scan's scratch stays in cache
 _WIDE = 700.0     # widest span of logs that one block sums through exp
+_EXACT_HEAD = 32  # constant walks: log S_n, n < 32, rounded once from 40 digits
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +148,7 @@ def check_budget(what: str, n: int) -> None:
 
 
 def build(spec: WalkSpec, n_max: int) -> ProductSeries:
-    """Tabulate log products and log prefix sums over entries 0..n_max.
+    """Tabulate log products and log prefix sums over entries 0..n_max, block by block.
 
     Args:
         spec: walk to tabulate.
@@ -163,19 +163,13 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
     check_budget("n_max", n_max)
-    if isinstance(spec, ConstantWalk):
-        log_prod = np.full(n_max + 1, log_odds(spec.p))
-        log_prod[0] = 0.0
-        np.cumsum(log_prod, out=log_prod)
-        log_prefix_sum = np.logaddexp.accumulate(log_prod)
-    else:
-        size = -(-(n_max + 1) // BLOCK) * BLOCK
-        log_prod, log_prefix_sum = np.empty(size), np.empty(size)
-        scan = _PerturbedScan(spec)
-        for lo in range(0, size, BLOCK):
-            scan(lo, log_prod[lo : lo + BLOCK], log_prefix_sum[lo : lo + BLOCK])
-        log_prod, log_prefix_sum = log_prod[: n_max + 1], log_prefix_sum[: n_max + 1]
-    return ProductSeries(spec=spec, n_max=n_max, log_prod=log_prod, log_prefix_sum=log_prefix_sum)
+    size = -(-(n_max + 1) // BLOCK) * BLOCK
+    log_prod, log_prefix_sum = np.empty(size), np.empty(size)
+    step = _ConstantStep(spec) if isinstance(spec, ConstantWalk) else _PerturbedScan(spec)
+    for lo in range(0, size, BLOCK):
+        step(lo, log_prod[lo : lo + BLOCK], log_prefix_sum[lo : lo + BLOCK])
+    return ProductSeries(spec=spec, n_max=n_max, log_prod=log_prod[: n_max + 1],
+                         log_prefix_sum=log_prefix_sum[: n_max + 1])
 
 
 def log_odds(p: float) -> float:
@@ -185,12 +179,69 @@ def log_odds(p: float) -> float:
     in doubles, ``p - 1/2`` drops the low digits of a small ``p``, and
     ``1 - p`` those of ``L`` for ``p`` near 1/2.
     """
+    return _constant_logs(p, 0)[0]
+
+
+def _constant_logs(p: float, n: int) -> tuple[float, float, list]:
+    """``L``, ``expm1(|L|)`` and ``[log S_1, ..., log S_n]`` of a constant walk.
+
+    Each is rounded once from 40-digit decimal arithmetic.  ``expm1(|L|)``
+    is max(r, 1/r) - 1 for r = (1 - p)/p: from the rounded ``L`` it would
+    carry |L| times L's rounding error (3.5 ulp at p = 1 - 2^-53).
+    """
     import decimal  # only constant-walk tables pay for this import
 
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         x = decimal.Decimal(p)
-        return float(((1 - x) / x).ln())
+        r = (1 - x) / x
+        logs, term, total = [], r, 1 + r
+        for _ in range(n):
+            logs.append(float(total.ln()))
+            term *= r
+            total += term
+        return float(r.ln()), float(max(r, 1 / r) - 1), logs
+
+
+class _ConstantStep:
+    """Block step of a constant walk: the closed form, with no site array.
+
+    With one odds ratio r = e^L, log P_n = nL and, for a = |L| > 0,
+
+        log S_n = n max(L, 0) + log1p(expm1(-na) / -expm1(a)),
+
+    the geometric sum of min(r, 1/r) read from its largest term, so no
+    step subtracts; at L = 0, S_n = n + 1.  The first ``_EXACT_HEAD - 1``
+    log S_n, where the closed form's few roundings weigh most against the
+    value, are rounded once from 40 digits (``_constant_logs``).
+    """
+
+    def __init__(self, spec: ConstantWalk):
+        self.L, expm1_a, self.head = _constant_logs(spec.p, _EXACT_HEAD - 1)
+        self.a = abs(self.L)
+        # Past e^709 this is -inf: the quotient is below the rounding of n max(L, 0).
+        self.den = -expm1_a
+        self.sites = np.arange(BLOCK, dtype=np.float64)
+
+    def __call__(self, lo: int, lp: np.ndarray, ls: np.ndarray) -> None:
+        """Entries ``lo .. lo + BLOCK - 1`` of both tables into ``lp`` and ``ls``."""
+        n = np.add(self.sites, lo, out=lp)
+        if self.L == 0.0:
+            np.log1p(n, out=ls)
+        else:
+            np.multiply(n, -self.a, out=ls)
+            np.expm1(ls, out=ls)
+            ls /= self.den
+            np.log1p(ls, out=ls)
+        np.multiply(n, self.L, out=lp)
+        if self.L > 0.0:
+            ls += lp
+        # S_n >= S_(n-1): no entry falls below the last exact one, which the
+        # closed form, off by an ulp, can do where S has converged.
+        np.maximum(ls, self.head[-1], out=ls)
+        if lo == 0:
+            lp[0] = ls[0] = 0.0    # the empty product; S_0 = 1
+            ls[1:_EXACT_HEAD] = self.head
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:

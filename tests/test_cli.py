@@ -17,7 +17,7 @@ import pytest
 
 from lmax import ConstantWalk, PerturbedWalk, _native, cli, montecarlo
 from lmax.cli import main
-from lmax.series import DEFAULT_MAX_ENTRIES, log_odds
+from lmax.series import DEFAULT_MAX_ENTRIES
 from lmax.walk import spec_from_params
 
 from _oracles import geometric_pmf
@@ -146,11 +146,8 @@ def test_memory_exhaustion_exits_one(capsys, monkeypatch):
 @pytest.mark.parametrize("p", [1e-300, 1e-14, 1 - 2**-53])
 def test_dist_constant_walk_at_extreme_p(capsys, p):
     # Forming p - 1/2 loses p's digits at these p (NaN rows at 1e-300).
-    # Against the 50-digit geometric law, every row is finite; log_pmf[1] =
-    # log(1 - p) lies within 2 ulp, and row n, read off sums of n terms
-    # taken in order, within n ulp (4.4 ulp measured at row 40).  Past row
-    # 1, cumulative may also carry the shift that rounding L = log r to a
-    # double makes in 1 - 1/S_n (3.5 ulp at p = 1 - 2^-53, where S_n ~ 1).
+    # Against the 50-digit geometric law, every row is finite and within
+    # 2 ulp, log_pmf[1] = log(1 - p) included.
     n_max = 40
     code = main(["dist", "--p", repr(p), "--n-max", str(n_max)])
     out, err = capsys.readouterr()
@@ -159,19 +156,13 @@ def test_dist_constant_walk_at_extreme_p(capsys, p):
     assert header == ["n", "pmf", "log_pmf", "cumulative"] and len(rows) == n_max
     with mpmath.workdps(50):
         rho = (1 - mpmath.mpf(p)) / mpmath.mpf(p)
-        rho_rounded = mpmath.exp(mpmath.mpf(log_odds(p)))
-
-        def mass(r, n):  # 1 - 1/S_n
-            return 1 - (r - 1) / (r ** (n + 1) - 1)
-
         for n, pmf, log_pmf, cumulative in ((int(r[0]), *map(float, r[1:])) for r in rows):
             assert math.isfinite(log_pmf)
             want = mpmath.log1p(-mpmath.mpf(p)) if n == 1 else mpmath.log(geometric_pmf(p, n))
-            assert abs(log_pmf - want) <= max(2, n) * math.ulp(abs(float(want))), n
+            assert abs(log_pmf - want) <= 2 * math.ulp(abs(float(want))), n
             assert abs(pmf - mpmath.exp(want)) <= 2 * math.ulp(float(mpmath.exp(want))) or n > 1
-            shift = abs(mass(rho, n) - mass(rho_rounded, n)) if n > 1 else 0
-            tol = max(2, n) * math.ulp(float(mass(rho, n))) + shift
-            assert abs(cumulative - mass(rho, n)) <= tol, n
+            mass = 1 - (rho - 1) / (rho ** (n + 1) - 1)  # 1 - 1/S_n
+            assert abs(cumulative - mass) <= 2 * math.ulp(float(mass)), n
 
 
 def test_classify_output(capsys):
@@ -295,9 +286,11 @@ def test_simulate_auto_seed_is_reported_and_reproducible(capsys):
 # SHA-256 of stdout, recorded from the implementation these pins guard.
 # JSON meta carries the package version, so a version bump re-records them.
 # Every pin that prints a perturbed walk's table or reads one re-pinned
-# when series.build took the compensated block scan: only the columns
-# test_repins.py names moved, each toward its 40- or 50-digit oracle, in
-# worst and in mean ulp error.  Constant-walk pins kept their bytes.
+# when series.build took the compensated block scan, and every one that
+# prints or reads a constant walk's table (dist --p 0.4, asympt --p 0.4,
+# the exact column of compare --p 0.45) when it took the gambler's-ruin
+# closed form: only the columns test_repins.py names moved, each toward
+# its 40- or 50-digit oracle, in worst and in mean ulp error.
 # The dist pins were re-recorded when ``cumulative`` became 1 - 1/S_n read
 # off the prefix sums: n, pmf and log_pmf kept their bytes.  The compare pin
 # was re-recorded when the package took over the chi-square p-value from
@@ -305,9 +298,9 @@ def test_simulate_auto_seed_is_reported_and_reproducible(capsys):
 # to 0.7876610150786841, the double nearest 0.78766101507868408843...
 GOLDEN_STDOUT = [
     ('dist --p 0.4 --n-max 300',
-     'ab5f062ebf80d667c72df645a3a2cda45348719192b549a222084e9333cad98f'),
+     'aa8e2f3628937acde0e58d971ed5cee9e3918885c88e9600d9e3ea5752e27fe1'),
     ('dist --p 0.4 --n-max 300 --format json',
-     'e6e09982bc038fa82807bc10b1b35306ee7b378d71d63601d2a5958207563af9'),
+     'fa8fa6d923caba778114bd9ee2355703ebd7625410abd3dea5d831cd363c1458'),
     # k = 1: the iterated-log chain loop never runs.
     ('dist --sign plus --K 1 --B 2 --n-max 300',
      '87e4ef6400bb7439e04515b891c390305b3867c5f24402c55c239839ba6bafe3'),
@@ -324,7 +317,7 @@ GOLDEN_STDOUT = [
     ('asympt --sign plus --K 1 --B 0.5 --n-hi 20000 --format json',
      '9fd30c408d1fc6bb1a3bc5bbb169930b1a99f8cc703190d0d889e0896dca4c5d'),
     ('asympt --p 0.4 --target product --n-hi 20000',
-     '925f19cf2e9236cdfe911865558331959eebf40c2afd82021cc575ef76ab79cc'),
+     '6f11e246d2b28f12f1a845cb076bd59351e2f0b1b7eb6fa5cc49776a1440211f'),
     # probability moved from 0.999999523760653 to 0.9999995237606495 when
     # hit_before's denominator came to reuse its numerator: 1.3e-15 from the
     # 50-digit 0.99999952376065080472..., down from 2.2e-15
@@ -342,12 +335,12 @@ GOLDEN_STDOUT = [
     ('simulate --sign minus --K 2 --B 1 --excursions 3000 --seed 9 --cap-steps 400 --cap-height 30',
      'ff2f2d780abfd37783d0aff41d72ea57b4ae39aa595222a0bb5099a038f70055'),
     ('compare --p 0.45 --excursions 20000 --seed 3 --cap-height 32 --format json',
-     '6a3bbd3fb50ac00f7c44d77ddcc145db229893cb077224fe2b8f31a4c6af7089'),
+     '7b9cf157eeb5b8e7809812c313f3ca51b98ce1829b9d38c54d805409c8c99b0e'),
     # One row past, and exactly on, the emitter's chunk seams (65536 rows).
     ('dist --p 0.4 --n-max 65537',
-     'fa2cc2dacde4af3b9acc51c2b04b491e51b03ba11004c25d79340252e17c7267'),
+     '4bc925d10a3750fa8b2e77b6b4a8ce3c40a12afdc4209874c9b01849155f8370'),
     ('dist --p 0.4 --n-max 65537 --format json',
-     '610f40951e6c997df59436e503f0de611c35832540390ce455cd055acd065550'),
+     '2c068a47c6da5f484037d89847dfa5db432ba115cf2ec1cad79d52edb6d14908'),
     ('dist --sign minus --K 2 --B 1 --n-max 131072',
      '513598cb20ced7d58bc3c84d5bc603149e91c065ab1ec3292d427908bcb20599'),
     ('dist --sign minus --K 2 --B 1 --n-max 131072 --format json',

@@ -166,28 +166,49 @@ def test_log_odds_within_an_ulp(p):
             assert ulps(log_odds(p), want) <= 1.0
 
 
-@pytest.mark.parametrize("spec", [PerturbedWalk(1, 2.5, "plus"), PerturbedWalk(1, 1.0, "minus")], ids=str)
+def _oracle_logs(spec, n):
+    """50-digit (log P_n, log S_n): geometric sums, or Gamma ratios and telescoping sums (k = 1)."""
+    if isinstance(spec, ConstantWalk):
+        return geometric_log_tables(spec.p, n)
+    return depth1_log_tables(spec, n)
+
+
+@pytest.mark.parametrize("spec", [
+    ConstantWalk(0.4), ConstantWalk(0.6), PerturbedWalk(1, 2.5, "plus"), PerturbedWalk(1, 1.0, "minus"),
+], ids=str)
 def test_tables_at_depth_within_two_ulp(spec):
-    # The README's depth bound for perturbed walks: log_prod within 2 ulp
-    # of |log P_n| and log_prefix_sum within 2 ulp of log S_n, against
-    # 50-digit Gamma ratios and telescoping sums (k = 1).
+    # The README's depth bound: log_prod within 2 ulp of |log P_n| and
+    # log_prefix_sum within 2 ulp of log S_n, against 50-digit closed forms.
     series = build(spec, 10**7)
     for n in (10**3, 10**5, 10**7):
-        log_p, log_s = depth1_log_tables(spec, n)
+        log_p, log_s = _oracle_logs(spec, n)
         assert ulps(series.log_prod[n], log_p) <= 2.0, n
         assert ulps(series.log_prefix_sum[n], log_s) <= 2.0, n
 
 
-@pytest.mark.parametrize("p", [0.4, 0.6])
-def test_constant_tables_at_depth_within_n_ulp(p):
-    # The README's depth bound for constant walks, against 50-digit
-    # geometric sums: entry n is a sum of n terms taken in order, so both
-    # logs carry up to n roundings, within n ulp (0.24 n measured at 1e7).
-    series = build(ConstantWalk(p), 10**7)
-    for n in (10**3, 10**5, 10**7):
-        log_p, log_s = geometric_log_tables(p, n)
-        assert ulps(series.log_prod[n], log_p) <= n, n
-        assert ulps(series.log_prefix_sum[n], log_s) <= n, n
+@pytest.mark.parametrize("p", [0.499, 0.5 - 2**-30, 0.5 + 2**-30])
+def test_constant_tables_near_half_within_two_ulp(p):
+    # Near p = 1/2, L is small and S_n ~ n + 1 for many terms, the closed
+    # form's hardest case; n = 31 and 32 sit on either side of the last
+    # entry rounded from 40 digits.  The same 2 ulp bound holds (1.65 ulp
+    # the worst measured, p = 0.499, n <= 3000).
+    spec = ConstantWalk(p)
+    series = build(spec, 10**7)
+    for n in (1, 30, 31, 32, 10**3, 10**7):
+        log_p, log_s = _oracle_logs(spec, n)
+        assert ulps(series.log_prod[n], log_p) <= 2.0, n
+        assert ulps(series.log_prefix_sum[n], log_s) <= 2.0, n
+
+
+@pytest.mark.parametrize("p", [0.6, 0.9, 1 - 2**-53])
+def test_converging_constant_sums_never_step_down(p):
+    # Where S converges, its closed form rounds to nearly the same double
+    # entry after entry; rounding must never make a row fall below the one
+    # before, in log_prefix_sum or in the cumulative mass read off it.
+    n_max = 10**6
+    table = max_pmf_table(build(ConstantWalk(p), n_max), n_max)
+    assert np.all(np.diff(table.series.log_prefix_sum) >= 0)
+    assert np.all(np.diff(table.cumulative[1:]) >= 0)
 
 
 def test_first_rows_of_a_depth_two_table_within_two_ulp():
@@ -209,17 +230,41 @@ def test_first_rows_of_a_depth_two_table_within_two_ulp():
 
 @pytest.mark.parametrize("spec", [
     PerturbedWalk(3, -1.0, "minus"), PerturbedWalk(2, 1.5, "plus"), PerturbedWalk(1, 1.0, "minus"),
-    PerturbedWalk(1, 1e6, "minus"), ConstantWalk(0.7),
+    PerturbedWalk(1, 1e6, "minus"), ConstantWalk(0.4), ConstantWalk(0.5), ConstantWalk(0.6),
+    ConstantWalk(0.7), ConstantWalk(1 - 2**-53),
 ], ids=str)
 def test_entries_do_not_depend_on_table_depth(spec):
-    # A constant walk's scans read nothing past their entry, and every
-    # perturbed block, the last one too, is computed whole from fixed seams,
-    # so a table is bitwise the head of any deeper one.
+    # A constant walk's entry is a function of n alone, and every perturbed
+    # block, the last one too, is computed whole from fixed seams, so a
+    # table is bitwise the head of any deeper one.
     deep = build(spec, 3 * BLOCK)
     for n in (1, 5, 300, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7):
         series = build(spec, n)
         assert np.array_equal(series.log_prod, deep.log_prod[: n + 1])
         assert np.array_equal(series.log_prefix_sum, deep.log_prefix_sum[: n + 1])
+
+
+class _NoScans:
+    """numpy without its scans: ``cumsum`` and ``logaddexp`` raise when reached."""
+
+    def __getattr__(self, name):
+        if name in ("cumsum", "logaddexp"):
+            raise AssertionError(f"np.{name} used")
+        return getattr(np, name)
+
+
+def test_constant_tables_scan_nothing(monkeypatch):
+    # A constant walk's entries come from the closed form alone: neither
+    # cumsum nor logaddexp.accumulate runs, so no rounding builds up.
+    import lmax.series
+
+    want = build(ConstantWalk(0.4), 2 * BLOCK)
+    monkeypatch.setattr(lmax.series, "np", _NoScans())
+    got = build(ConstantWalk(0.4), 2 * BLOCK)
+    assert np.array_equal(got.log_prod, want.log_prod)
+    assert np.array_equal(got.log_prefix_sum, want.log_prefix_sum)
+    with pytest.raises(AssertionError, match="cumsum"):
+        build(PerturbedWalk(1, 2.0, "plus"), 10)
 
 
 def test_wide_frozen_drift_stays_finite():
