@@ -347,18 +347,15 @@ GOLDEN_STDOUT = [
      'bac5b4b2b7bfba4fba497bfb6e58e1aac8e64238a74c87e75a24f49c7a213dbd'),
 ]
 
-# A pin is named by its command alone, so re-recording a digest keeps its test name.
-PIN_IDS = [cmd for cmd, _ in GOLDEN_STDOUT]
 
-
-@pytest.mark.parametrize("cmd,digest", GOLDEN_STDOUT, ids=PIN_IDS)
+@pytest.mark.parametrize("cmd,digest", GOLDEN_STDOUT)
 def test_stdout_bytes_pinned(capsys, cmd, digest):
     code, out = _run(capsys, cmd.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("cmd,digest", GOLDEN_STDOUT, ids=PIN_IDS)
+@pytest.mark.parametrize("cmd,digest", GOLDEN_STDOUT)
 def test_stdout_bytes_pinned_on_python_path(capsys, monkeypatch, cmd, digest):
     # Every native kernel forced off: _cells renders, _block_py simulates.
     info = montecarlo.KernelInfo("python", "forced")
