@@ -8,13 +8,13 @@ products:
                 ------------------------------------
                 1 + sum_{j=a+1}^{b-1} rho_{a+1}...rho_j
 
-Both sums are evaluated as log-sum-exp over slices of the global
-``ProductSeries`` table: each inner product is exp(log_prod[j] -
-log_prod[a]), and the common -log_prod[a] offset cancels between
-numerator and denominator, so the slices are used as they are.  The
-denominator reuses the numerator: it is the log-sum-exp of the j < k
-terms log-added to the numerator's, so the ratio cannot exceed 1 and each
-entry of [a, b) is summed once.
+Both sums are read off one slice of the global ``ProductSeries`` table:
+each inner product is exp(log_prod[j] - log_prod[a]).  The terms are
+shifted by the window's largest log product instead, since any common
+offset cancels between numerator and denominator; the largest term is
+then 1 and none overflows.  The denominator is the j < k terms added to
+the numerator, so the ratio cannot exceed 1 and each entry of [a, b) is
+summed once.
 
 Letting b grow to infinity turns the same ratio into the probability of
 ever returning to the origin from site 1: S/(1+S) with S the full series
@@ -53,55 +53,13 @@ class HittingQuery:
     b: int
 
     def __post_init__(self):
-        if not (0 <= self.a <= self.k <= self.b):
-            raise RangeError(f"need 0 <= a <= k <= b, got a={self.a}, k={self.k}, b={self.b}")
+        if not (0 <= self.a <= self.k <= self.b and self.a < self.b):
+            raise RangeError(
+                f"need 0 <= a <= k <= b with a < b, got a={self.a}, k={self.k}, b={self.b}")
 
 
-# Longest piece that ``_logsumexp`` shifts and exponentiates at once.
+# Longest piece of a window that ``hit_before`` shifts and exponentiates at once.
 _SUM_LEAF = 1 << 16
-
-
-def _pairwise(leaf, lo: int, hi: int):
-    """Sum of ``leaf(i, j)`` over pieces of [lo, hi), split where numpy's pairwise sum splits.
-
-    ``np.sum`` of a float64 array halves it (the first half rounded down to
-    a multiple of 8) until a piece has at most 128 entries; a piece of up
-    to ``_SUM_LEAF`` entries is summed by ``np.sum`` itself, so the result
-    is ``np.sum`` of the whole bit for bit, without the whole in memory.
-    """
-    n = hi - lo
-    if n <= _SUM_LEAF:
-        return leaf(lo, hi)
-    half = n // 2
-    half -= half % 8
-    return _pairwise(leaf, lo, lo + half) + _pairwise(leaf, lo + half, hi)
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a finite, non-empty 1-D array.
-
-    Follows ``scipy.special.logsumexp`` (1.17) step for step, so results
-    are bitwise equal: the maximal entries are split out of the shifted
-    sum, which is scaled by their count m before ``log1p``.  The shifted
-    terms are made and summed one piece of at most ``_SUM_LEAF`` entries at
-    a time (``_pairwise``), so the scratch does not grow with the slice.
-    """
-    a_max = a.max()
-    m = 0
-
-    def leaf(lo: int, hi: int):
-        nonlocal m
-        t = a[lo:hi] - a_max
-        at_max = t == 0  # a - a_max is 0 only where a == a_max
-        m += int(np.count_nonzero(at_max))
-        np.exp(t, out=t)
-        t[at_max] = 0.0
-        return t.sum()
-
-    s = _pairwise(leaf, 0, len(a))
-    if s != 0:
-        s /= m
-    return float(np.log1p(s) + np.log(m) + a_max)
 
 
 def hit_before(series: ProductSeries, q: HittingQuery) -> float:
@@ -109,6 +67,10 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
 
     Boundary starts are exact: 1.0 at ``k == a``, 0.0 at ``k == b``.
     Requires the series to cover index ``b - 1``.
+
+    Exact for the driftless walk, whose products are all 1: the correctly
+    rounded (b - k)/(b - a).  Otherwise the rounding of the table's
+    ``log_prod`` entries, which grows with depth, sets the accuracy.
 
     Raises:
         RangeError: if ``b - 1 > series.n_max``.
@@ -119,13 +81,21 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
         return 0.0
     if q.b - 1 > series.n_max:
         raise RangeError(f"query needs products up to {q.b - 1}, table stops at {series.n_max}")
-    # Numerator: j in [k, b); denominator: 1 + sum over j in (a, b), where
-    # the leading 1 is the j = a term exp(log_prod[a] - log_prod[a]).  The
-    # denominator adds the j in [a, k) terms to the numerator, so it is never
-    # smaller and the ratio is at most 1.
-    log_num = _logsumexp(series.log_prod[q.k : q.b])
-    log_den = float(np.logaddexp(_logsumexp(series.log_prod[q.a : q.k]), log_num))
-    return math.exp(log_num - log_den)
+    log_prod = series.log_prod
+    top = log_prod[q.a : q.b].max()
+    buf = np.empty(min(_SUM_LEAF, q.b - q.a))
+
+    def shifted_sum(lo: int, hi: int) -> float:
+        """sum(exp(log_prod[lo:hi] - top)), one piece of ``buf`` at a time."""
+        pieces = []
+        for i in range(lo, hi, _SUM_LEAF):
+            t = buf[: min(_SUM_LEAF, hi - i)]
+            np.exp(np.subtract(log_prod[i : i + len(t)], top, out=t), out=t)
+            pieces.append(t.sum())
+        return math.fsum(pieces)
+
+    num = shifted_sum(q.k, q.b)
+    return num / (shifted_sum(q.a, q.k) + num)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import math
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import solve_banded
 
 from lmax import step_up_prob
 
@@ -20,22 +19,20 @@ from lmax import step_up_prob
 def hit_probs_banded(spec, a: int, b: int) -> np.ndarray:
     """Solve P_k = p_k P_{k+1} + q_k P_{k-1}, P_a = 1, P_b = 0 directly.
 
-    Returns the vector P_a..P_b from a tridiagonal solve; only sensible
-    for small b (the acceptance suite uses b <= 12).
+    Returns the vector P_a..P_b from a dense solve of the tridiagonal
+    system; only sensible for small b (the acceptance suite uses b <= 12).
     """
     m = b - a + 1
-    ab = np.zeros((3, m))
+    mat = np.zeros((m, m))
     rhs = np.zeros(m)
-    ab[1, 0] = 1.0
+    mat[0, 0] = mat[m - 1, m - 1] = 1.0
     rhs[0] = 1.0
-    ab[1, m - 1] = 1.0
     for idx in range(1, m - 1):
-        site = a + idx
-        pk = step_up_prob(spec, site)
-        ab[2, idx - 1] = 1.0 - pk
-        ab[1, idx] = -1.0
-        ab[0, idx + 1] = pk
-    return solve_banded((1, 1), ab, rhs)
+        pk = step_up_prob(spec, a + idx)
+        mat[idx, idx - 1] = 1.0 - pk
+        mat[idx, idx] = -1.0
+        mat[idx, idx + 1] = pk
+    return np.linalg.solve(mat, rhs)
 
 
 def geometric_pmf(p: float, n: int) -> mp.mpf:

@@ -194,6 +194,14 @@ def test_hit_bad_levels_exits_two(capsys):
     assert code == 2
 
 
+def test_hit_without_a_window_exits_two(capsys):
+    # a == b leaves no site between the levels: the ratio of sums is 0/1.
+    code = main(["hit", "--p", "0.5", "--a", "3", "--k", "3", "--b", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_json_meta_reads_back_as_the_same_walk(capsys):
     # Command fields must not overwrite the walk's keys: hit's query once
     # replaced the walk's "k" and "b" with its own.
@@ -318,12 +326,12 @@ GOLDEN_STDOUT = [
      '9fd30c408d1fc6bb1a3bc5bbb169930b1a99f8cc703190d0d889e0896dca4c5d'),
     ('asympt --p 0.4 --target product --n-hi 20000',
      '6f11e246d2b28f12f1a845cb076bd59351e2f0b1b7eb6fa5cc49776a1440211f'),
-    # probability moved from 0.999999523760653 to 0.9999995237606495 when
-    # hit_before's denominator came to reuse its numerator: 1.3e-15 from the
-    # 50-digit 0.99999952376065080472..., down from 2.2e-15
-    # (test_hit_before_matches_mpmath_sum_at_depth).
+    # probability moved from 0.9999995237606495 to 0.9999995237606508 when
+    # hit_before came to sum the products shifted by the window's largest:
+    # 0.15 ulp from the 50-digit 0.99999952376065080472..., down from 11.85
+    # (test_repins.py, test_hit_before_matches_mpmath_sum_at_depth).
     ('hit --sign minus --K 2 --B 2 --a 0 --k 3 --b 500',
-     '836456d6e1c403f1cedfe0b333b829cd232639bca34b84b1d64f107d705a0ada'),
+     'fa81bf2f78b67054dc2d916b0f8926578d6f7e22d75f24f31e245c00e415565e'),
     # value, lower and upper moved from 0.6666666666666665 to 0.6666666666666667,
     # the double nearest (1 - p)/p (test_return_constant_walk_is_the_float_of_q_over_p).
     ('return --p 0.6 --format json',

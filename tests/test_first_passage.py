@@ -19,7 +19,7 @@ from lmax import (
 )
 from lmax.walk import signed_drift_array
 
-from _oracles import hit_prob_from_drifts, hit_probs_banded
+from _oracles import hit_prob_from_drifts, hit_probs_banded, ulps
 
 
 def test_gamblers_ruin_midpoint():
@@ -45,6 +45,8 @@ def test_query_validation():
         HittingQuery(2, 1, 3)
     with pytest.raises(RangeError):
         HittingQuery(0, 5, 3)
+    with pytest.raises(RangeError):  # a < b: the window has no site
+        HittingQuery(3, 3, 3)
 
 
 def test_series_too_short():
@@ -112,13 +114,13 @@ def test_hit_before_never_exceeds_one():
 
 def test_hit_before_matches_mpmath_sum_at_depth():
     # The CLI's pinned hit query (GOLDEN_STDOUT in test_cli.py) against the
-    # 50-digit ratio of product sums, 0.99999952376065080472...: 1.3e-15 off.
+    # 50-digit ratio of product sums, 0.99999952376065080472...: 0.15 ulp off.
     spec = PerturbedWalk(2, 2.0, "minus")
     a, k, b = 0, 3, 500
     exact = hit_prob_from_drifts(signed_drift_array(spec, np.arange(1, b)), a, k, b)
     got = hit_before(build(spec, b - 1), HittingQuery(a, k, b))
-    assert got == 0.9999995237606495
-    assert abs(mpmath.mpf(got) - exact) < 1.5e-15
+    assert got == 0.9999995237606508
+    assert abs(mpmath.mpf(got) - exact) < 2.0**-53
 
 
 def test_return_prob_recurrent_exact():
@@ -198,47 +200,75 @@ def test_return_prob_transient_minus_family():
 
 
 def test_hit_before_scratch_per_entry():
-    # Each log-sum-exp holds one shifted float copy of its slice and a bool
-    # mask: 9 B/entry of scratch on top of the table.
-    n = 10**6
-    series = build(ConstantWalk(0.4), n)
-    tracemalloc.start()
-    try:
-        hit_before(series, HittingQuery(0, 1, n + 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / n < 12
+    # The window is shifted and exponentiated one _SUM_LEAF piece at a time
+    # through one buffer, so the scratch is 512 KiB however long the window.
+    for n in (10**6, 4 * 10**6):
+        series = build(ConstantWalk(0.4), n)
+        tracemalloc.start()
+        try:
+            hit_before(series, HittingQuery(0, 1, n + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6e6, (n, peak)
 
 
-def test_logsumexp_is_scipy_bitwise():
-    from scipy.special import logsumexp
-
-    from lmax.first_passage import _logsumexp
-
-    rng = np.random.default_rng(20240)
-    arrays = [rng.normal(scale=10.0 ** rng.integers(-3, 4), size=rng.integers(1, 400))
-              for _ in range(2000)]
-    # Tied maxima, including an all-equal array and ties among many entries.
-    arrays += [np.array([1.5, 1.5, -2.0]), np.full(7, -3.25), np.array([0.0, 0.0]),
-               np.round(rng.normal(size=500), 1), -np.arange(50.0) ** 2 / 7]
-    arrays += [np.array([x]) for x in (0.0, -745.0, 3.7e5, -1e-300)]
-    for a in arrays:
-        assert _logsumexp(a) == float(logsumexp(a)), a
+def _windows(seed: int, count: int, widths: tuple[int, int], starts: int) -> list[tuple]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        a = int(rng.integers(0, starts))
+        b = a + int(rng.integers(*widths))
+        out.append((a, int(rng.integers(a + 1, b)), b))
+    return out
 
 
-@pytest.mark.parametrize("leaf", [128, 1000, 1 << 16])
-def test_logsumexp_in_pieces_is_scipy_bitwise(monkeypatch, leaf):
-    # Slices longer than a piece are summed piece by piece along numpy's
-    # pairwise split, which must leave every bit of scipy's result.
-    from scipy.special import logsumexp
-
+@pytest.mark.parametrize("leaf", [None, 128])
+def test_hit_before_driftless_is_correctly_rounded(monkeypatch, leaf):
+    # Every product is 1, so both sums count their terms exactly and the
+    # ratio is the double nearest (b - k)/(b - a), across piece seams too.
     from lmax import first_passage
 
-    monkeypatch.setattr(first_passage, "_SUM_LEAF", leaf)
-    rng = np.random.default_rng(7)
-    arrays = [rng.normal(scale=10.0 ** rng.integers(-3, 4), size=rng.integers(129, 5000))
-              for _ in range(200)]
-    arrays += [np.round(rng.normal(size=300_001), 1), -np.log1p(np.arange(200_000.0))]
-    for a in arrays:
-        assert first_passage._logsumexp(a) == float(logsumexp(a))
+    if leaf is not None:
+        monkeypatch.setattr(first_passage, "_SUM_LEAF", leaf)
+    piece = first_passage._SUM_LEAF
+    windows = _windows(26, 40, (2, 3 * piece + 11), 5 * piece)
+    windows += [(0, 1, 3 * piece + 10), (7, piece + 7, 2 * piece + 7), (0, 3 * piece, 3 * piece + 1)]
+    s = build(ConstantWalk(0.5), max(b for _, _, b in windows))
+    for a, k, b in windows:
+        assert hit_before(s, HittingQuery(a, k, b)) == (b - k) / (b - a), (a, k, b)
+
+
+# Each walk with the side of the window its largest product lies on:
+# [a, k) where the products fall, [k, b) where they grow.
+SUM_SPECS = [
+    (PerturbedWalk(1, 2.5, "plus"), "left"),
+    (PerturbedWalk(2, 1.5, "plus"), "left"),
+    (PerturbedWalk(1, 1.0, "minus"), "right"),
+    (PerturbedWalk(3, -1.0, "minus"), "right"),
+    (ConstantWalk(0.45), "right"),
+    (ConstantWalk(0.55), "left"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(SUM_SPECS)), ids=lambda i: str(SUM_SPECS[i][0]))
+def test_hit_before_sums_within_eight_ulp(monkeypatch, case):
+    # Only the summation is under test: the oracle is the 60-digit ratio of
+    # the table's own log_prod doubles.  Pieces of 1000 give windows of 3-5
+    # pieces at a size the oracle sums quickly.
+    from lmax import first_passage
+
+    spec, side = SUM_SPECS[case]
+    monkeypatch.setattr(first_passage, "_SUM_LEAF", 1000)
+    # k - a <= 2500 keeps P a normal double on the constant walks.
+    windows = [(a, min(k, a + 2500), b) for a, k, b in _windows(case, 6, (3000, 5000), 20_000)]
+    s = build(spec, max(b for _, _, b in windows))
+    with mpmath.workdps(60):
+        for a, k, b in windows:
+            logs = s.log_prod[a:b]
+            top = int(np.argmax(logs))
+            assert (top < k - a) == (side == "left")
+            terms = [mpmath.exp(mpmath.mpf(float(x)) - float(logs[top])) for x in logs]
+            exact = mpmath.fsum(terms[k - a :]) / mpmath.fsum(terms)
+            err = ulps(hit_before(s, HittingQuery(a, k, b)), exact)
+            assert err <= 8, (a, k, b, err)

@@ -5,14 +5,15 @@ each column that moved must move toward its oracle: neither its worst nor
 its mean error, in units in the last place of the oracle's double, may
 grow.  ``REPINNED`` names, for each moved column, the oracle and the worst
 and mean error of the bytes the pin held before.  Perturbed-walk tables
-were re-pinned when ``series.build`` took the compensated block scan, and
-constant-walk tables when it took the gambler's-ruin closed form.
+were re-pinned when ``series.build`` took the compensated block scan,
+constant-walk tables when it took the gambler's-ruin closed form, and the
+hit pin when ``hit_before`` came to sum its window's shifted products.
 
 Oracles (``_oracles.py``): ``geometric`` is the 50-digit closed form of the
 constant walk; ``drifts`` sums the products of the perturbed walk's double
-drifts in 40 digits; ``gamma`` is the 50-digit Gamma-ratio form of a
-depth-1 walk.  Long tables are measured on every row to 300 and every
-97th row after it.
+drifts in 40 digits (50 for a hitting probability); ``gamma`` is the
+50-digit Gamma-ratio form of a depth-1 walk.  Long tables are measured on
+every row to 300 and every 97th row after it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,15 @@ from lmax.asymptotics import ShapeTarget, log_shape, resolve_shape
 from lmax.cli import main
 from lmax.first_passage import _log_tail_estimate
 from lmax.series import build
+from lmax.walk import signed_drift_array
 
-from _oracles import depth1_log_tables, drift_log_tables, geometric_log_tables, ulps
+from _oracles import (
+    depth1_log_tables,
+    drift_log_tables,
+    geometric_log_tables,
+    hit_prob_from_drifts,
+    ulps,
+)
 
 
 def _output(cmd: str):
@@ -120,6 +128,14 @@ def _return_errors(cmd: str, spec, n: int) -> dict:
                 "value": [ulps(row["value"], (lower + upper) / 2)]}
 
 
+def _hit_errors(cmd: str, spec, a: int, k: int, b: int) -> dict:
+    cols, rows, _ = _output(cmd)
+    row = dict(zip(cols, rows[0]))
+    exact = hit_prob_from_drifts(signed_drift_array(spec, np.arange(1, b)), a, k, b)
+    with mp.workdps(50):
+        return {"probability": [ulps(row["probability"], exact)]}
+
+
 def _compare_errors(cmd: str, spec, cap_height: int) -> dict:
     cols, rows, meta = _output(cmd)
     logs = _logs(spec, cap_height - 1, range(1, cap_height))
@@ -168,6 +184,9 @@ REPINNED = {
     "return --sign plus --K 1 --B 2": (
         "gamma", _return_errors, (PerturbedWalk(1, 2.0, "plus"), 100_000),
         {"value": (182.2, 182.2), "lower": (182.7, 182.7), "upper": (181.7, 181.7)}),
+    "hit --sign minus --K 2 --B 2 --a 0 --k 3 --b 500": (
+        "drifts", _hit_errors, (PerturbedWalk(2, 2.0, "minus"), 0, 3, 500),
+        {"probability": (11.85, 11.85)}),
     "compare --p 0.45 --excursions 20000 --seed 3 --cap-height 32 --format json": (
         "geometric", _compare_errors, (ConstantWalk(0.45), 32),
         {"exact": (10.65, 2.986), "stderr": (6.069, 1.52), "z": (554.8, 61.92)}),
