@@ -190,16 +190,12 @@ def test_hit_output(capsys):
 
 
 def test_hit_bad_levels_exits_two(capsys):
-    code, _ = _run(capsys, ["hit", "--p", "0.5", "--a", "3", "--k", "2", "--b", "9"])
-    assert code == 2
-
-
-def test_hit_without_a_window_exits_two(capsys):
     # a == b leaves no site between the levels: the ratio of sums is 0/1.
-    code = main(["hit", "--p", "0.5", "--a", "3", "--k", "3", "--b", "3"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for a, k, b in [("3", "2", "9"), ("3", "3", "3")]:
+        code = main(["hit", "--p", "0.5", "--a", a, "--k", k, "--b", b])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_json_meta_reads_back_as_the_same_walk(capsys):

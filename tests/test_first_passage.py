@@ -14,6 +14,7 @@ from lmax import (
     PerturbedWalk,
     RangeError,
     build,
+    first_passage,
     hit_before,
     return_prob,
 )
@@ -227,13 +228,12 @@ def _windows(seed: int, count: int, widths: tuple[int, int], starts: int) -> lis
 def test_hit_before_driftless_is_correctly_rounded(monkeypatch, leaf):
     # Every product is 1, so both sums count their terms exactly and the
     # ratio is the double nearest (b - k)/(b - a), across piece seams too.
-    from lmax import first_passage
-
     if leaf is not None:
         monkeypatch.setattr(first_passage, "_SUM_LEAF", leaf)
     piece = first_passage._SUM_LEAF
     windows = _windows(26, 40, (2, 3 * piece + 11), 5 * piece)
-    windows += [(0, 1, 3 * piece + 10), (7, piece + 7, 2 * piece + 7), (0, 3 * piece, 3 * piece + 1)]
+    windows += [(0, 1, 3 * piece + 10), (7, piece + 7, 2 * piece + 7),
+                (0, 3 * piece, 3 * piece + 1)]
     s = build(ConstantWalk(0.5), max(b for _, _, b in windows))
     for a, k, b in windows:
         assert hit_before(s, HittingQuery(a, k, b)) == (b - k) / (b - a), (a, k, b)
@@ -256,8 +256,6 @@ def test_hit_before_sums_within_eight_ulp(monkeypatch, case):
     # Only the summation is under test: the oracle is the 60-digit ratio of
     # the table's own log_prod doubles.  Pieces of 1000 give windows of 3-5
     # pieces at a size the oracle sums quickly.
-    from lmax import first_passage
-
     spec, side = SUM_SPECS[case]
     monkeypatch.setattr(first_passage, "_SUM_LEAF", 1000)
     # k - a <= 2500 keeps P a normal double on the constant walks.
