@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
-from .series import ProductSeries, log_odds
-from .walk import ConstantWalk, WalkSpec, _first_site_above, iterated_log, rho
+from .series import ProductSeries, _constant_logs
+from .walk import ConstantWalk, WalkSpec, _least_site, _log_above, iterated_log
 
 __all__ = [
     "ShapeTarget",
@@ -82,15 +82,6 @@ def _chain(first_depth: int, last_depth: int) -> list[tuple[int, float]]:
     return [(d, 1.0) for d in range(first_depth, last_depth + 1)]
 
 
-def _n_min_valid(factors: tuple[tuple[int, float], ...]) -> int:
-    """First n where every factor with a nonzero exponent exceeds ``_MIN_FACTOR``.
-
-    Shallower iterated logs are larger, so the deepest factor decides.
-    """
-    depths = [d for d, e in factors if e != 0.0]
-    return _first_site_above(max(depths), _MIN_FACTOR) if depths else 1
-
-
 def resolve_shape(spec: WalkSpec, target: ShapeTarget) -> AsymptoticShape:
     """Pick the decay branch for a walk; every parameter value has one.
 
@@ -100,21 +91,17 @@ def resolve_shape(spec: WalkSpec, target: ShapeTarget) -> AsymptoticShape:
             pmf shape needs ``log_5 n > 0.1``, so n > exp(7.9e8)).
     """
     if isinstance(spec, ConstantWalk):
-        r = rho(spec, 1)
-        # Below p = 1/DBL_MAX r overflows to inf, while log(r - 1) = log r = L
-        # in doubles: take L from log_odds there.
-        log_r = math.log(r) if r < math.inf else log_odds(spec.p)
+        # L and log(max(r, 1/r) - 1) for r = e^L, each rounded once, as the tables round L.
+        L, _, log_m1, _ = _constant_logs(spec.p, 0)
         if target is ShapeTarget.PRODUCT:
-            return AsymptoticShape(target, spec, "product constant", 1, "geometric",
-                                   n_coeff=log_r if r != 1.0 else 0.0)
-        if r == 1.0:
+            return AsymptoticShape(target, spec, "product constant", 1, "geometric", n_coeff=L)
+        if L == 0.0:
             return AsymptoticShape(target, spec, "constant rho=1", 1, "simple-null")
-        if r < 1.0:
-            return AsymptoticShape(target, spec, "constant rho<1", 1, "geometric",
-                                   log_coeff=2.0 * math.log(1.0 - r), n_coeff=log_r)
-        log_r1 = math.log(r - 1.0) if r < math.inf else log_r
-        return AsymptoticShape(target, spec, "constant rho>1", 1, "geometric",
-                               log_coeff=2.0 * log_r1 - log_r, n_coeff=-log_r)
+        # (1 - r)^2 r^n = (1/r - 1)^2 r^(n+2) below 1; (r - 1)^2 r^-(n+1) above.
+        below = L < 0.0
+        return AsymptoticShape(target, spec, "constant rho<1" if below else "constant rho>1", 1,
+                               "geometric", log_coeff=2.0 * log_m1 - (1.0 + below) * abs(L),
+                               n_coeff=-abs(L))
 
     k, b = spec.k, spec.b
     if target is ShapeTarget.PRODUCT:
@@ -145,8 +132,12 @@ def resolve_shape(spec: WalkSpec, target: ShapeTarget) -> AsymptoticShape:
     else:
         factors = [(0, 3.0)] + _chain(1, k - 2) + [(k - 1, b)]
         branch = "minus k>1"
-    ftup = tuple(factors)
-    return AsymptoticShape(target, spec, branch, _n_min_valid(ftup), "logchain", ftup)
+    # Valid where every factor with a nonzero exponent exceeds _MIN_FACTOR; shallower
+    # iterated logs are larger, so the deepest decides (depth 0, n > 0.1, if none).
+    deepest = max((d for d, e in factors if e != 0.0), default=0)
+    n_min_valid = _least_site(lambda n: _log_above(deepest, _MIN_FACTOR, n),
+                              f"the first n with log_{deepest}(n) > {_MIN_FACTOR}")
+    return AsymptoticShape(target, spec, branch, n_min_valid, "logchain", tuple(factors))
 
 
 def log_shape(s: AsymptoticShape, n: int) -> float:
@@ -217,7 +208,10 @@ def estimate_constant(
     log_shape_at = np.array([log_shape(s, n) for n in at])
     log_c_at = log_exact - log_shape_at
     log_c = log_c_at[:-2]
-    drift = abs(math.expm1(log_c_at[-2] - log_c_at[-1]))
+    try:
+        drift = abs(math.expm1(log_c_at[-2] - log_c_at[-1]))
+    except OverflowError:  # c(n_hi) / c(n_hi // 2) is past e^709 (b = 1e9 at n_hi = 8)
+        drift = math.inf
     underflowed = bool(np.any(log_exact[:-2] < _LOG_DBL_MIN))
     with np.errstate(over="ignore"):
         c_hat = np.exp(log_c)

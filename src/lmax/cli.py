@@ -40,6 +40,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import warnings
 
@@ -77,6 +78,7 @@ def _walk_from_args(args) -> WalkSpec:
     return spec
 
 
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.I)
 _CHUNK_ROWS = 65_536
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
@@ -161,7 +163,7 @@ def _numeric(column) -> bool:
 
 
 def _depth(flag: str, n: int, least: int = 1) -> int:
-    """``n`` as a table depth: at least ``least`` and within the table budget.
+    """``n`` as a table depth or length: at least ``least`` and within the table budget.
 
     Either error names ``flag``.
     """
@@ -209,8 +211,8 @@ def cmd_asympt(args, spec) -> tuple[dict, dict]:
     if not shape.n_min_valid <= n_lo < n_hi:
         raise ConfigError(f"--n-lo must be >= {shape.n_min_valid} and below --n-hi {n_hi}, "
                           f"got {n_lo}")
-    series = build(spec, n_hi)
-    fit = estimate_constant(series, shape, n_lo, n_hi, samples=args.samples)
+    samples = _depth("--samples", args.samples)  # the length of the sample grid
+    fit = estimate_constant(build(spec, n_hi), shape, n_lo, n_hi, samples=samples)
     with np.errstate(over="ignore", under="ignore"):
         columns = {
             "n": fit.ns,
@@ -319,6 +321,13 @@ def cmd_info(args, spec) -> tuple[dict, dict]:
     return {}, columns
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise ``ConfigError``, which ``main`` prints as one ``error:`` line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Flags shared by several subcommands, each declared once as a parent parser.
     fmt = argparse.ArgumentParser(add_help=False)
@@ -340,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--cap-steps", type=int, dest="cap_steps")
     sim.add_argument("--cap-height", type=int, dest="cap_height")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lmax",
         description="Exact and simulated distribution of the maximum of a random-walk excursion.",
     )
@@ -350,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, summary, parents=(walk, fmt)):
         sp = sub.add_parser(name, parents=list(parents), help=summary)
         sp.set_defaults(func=func)
+        # argparse's own pattern (3.10, 3.11) reads -1e-3 and -inf as flags, not values.
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         return sp
 
     sp = command("dist", cmd_dist, "tabulate the excursion-maximum pmf")
@@ -382,22 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         # Record every warning whatever the interpreter's filters (-W error too).
         warnings.simplefilter("default")
         try:
+            args = build_parser().parse_args(argv)
             spec = _walk_from_args(args) if "family" in args else None
             fields, columns = args.func(args, spec)
             meta = spec_params(spec) if spec is not None else {}
             meta.update(command=args.command, version=__version__, **fields)
             return _emit(args.format, meta, columns)
-        except (ConfigError, DomainError, RangeError) as exc:
+        except (ConfigError, DomainError, RangeError, ResourceError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ResourceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return 1 if isinstance(exc, ResourceError) else 2
         except MemoryError as exc:
             # Memory ran out below the table budget: the same resource limit.
             detail = " ".join(str(exc).split())

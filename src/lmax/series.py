@@ -182,12 +182,13 @@ def log_odds(p: float) -> float:
     return _constant_logs(p, 0)[0]
 
 
-def _constant_logs(p: float, n: int) -> tuple[float, float, list]:
-    """``L``, ``expm1(|L|)`` and ``[log S_1, ..., log S_n]`` of a constant walk.
+def _constant_logs(p: float, n: int) -> tuple[float, float, float, list]:
+    """``L``, ``expm1(|L|)``, its log and ``[log S_1, ..., log S_n]`` of a constant walk.
 
     Each is rounded once from 40-digit decimal arithmetic.  ``expm1(|L|)``
     is max(r, 1/r) - 1 for r = (1 - p)/p: from the rounded ``L`` it would
-    carry |L| times L's rounding error (3.5 ulp at p = 1 - 2^-53).
+    carry |L| times L's rounding error (3.5 ulp at p = 1 - 2^-53).  Its log
+    stays finite where it overflows (p below 1/DBL_MAX).
     """
     import decimal  # only constant-walk tables pay for this import
 
@@ -200,7 +201,8 @@ def _constant_logs(p: float, n: int) -> tuple[float, float, list]:
             logs.append(float(total.ln()))
             term *= r
             total += term
-        return float(r.ln()), float(max(r, 1 / r) - 1), logs
+        m1 = max(r, 1 / r) - 1
+        return float(r.ln()), float(m1), float(m1.ln()), logs
 
 
 class _ConstantStep:
@@ -217,7 +219,7 @@ class _ConstantStep:
     """
 
     def __init__(self, spec: ConstantWalk):
-        self.L, expm1_a, self.head = _constant_logs(spec.p, _EXACT_HEAD - 1)
+        self.L, expm1_a, _, self.head = _constant_logs(spec.p, _EXACT_HEAD - 1)
         self.a = abs(self.L)
         # Past e^709 this is -inf: the quotient is below the rounding of n max(L, 0).
         self.den = -expm1_a

@@ -54,9 +54,7 @@ __all__ = [
 
 Sign = Literal["plus", "minus"]
 
-# Largest tolerable start index for a threshold search (_first_site_above):
-# the i0 scan and every shape's n_min_valid.  Deeper iterated-log towers lie
-# beyond any tabulable range (k=6 needs i0 > exp(3.8e6)).
+# Last site the threshold search (_least_site) probes: a power of two, so the gallop lands on it.
 _I0_SCAN_LIMIT = 2**53
 
 
@@ -90,53 +88,50 @@ def _perturbation_array(k: int, x: np.ndarray, b: float) -> np.ndarray:
     return total + b / chain
 
 
-def _first_site_above(depth: int, floor: float) -> int:
-    """Least integer ``n >= 1`` with ``iterated_log(depth, n) > floor``.
+def _least_site(crossed, what: str) -> int:
+    """Least ``n >= 1`` with ``crossed(n)``, for a predicate that stays true once true.
 
-    Iterated logs increase with ``n``, so the scan starts just below the
-    ``depth``-fold exponential of ``floor`` and skips the (possibly
-    enormous) range before it.
+    Gallops up in doubling strides, then bisects the last one (Bentley and
+    Yao, Inf. Process. Lett. 5, 1976): O(log n) probes, O(1) memory.
 
     Raises:
-        ConfigError: if that exponential passes ``_I0_SCAN_LIMIT``.
+        ConfigError: if ``crossed`` is still false at ``_I0_SCAN_LIMIT``.
     """
-    tower = floor
-    for _ in range(depth):
-        # Guard before exponentiating: exp overflows long before the
-        # comparison against the scan limit would.
-        if tower >= math.log(_I0_SCAN_LIMIT):
-            raise ConfigError(
-                f"the first n with log_{depth}(n) > {floor:g} lies beyond "
-                f"exp({tower:.3g}), past any tabulable index"
-            )
-        tower = math.exp(tower)
-    n = max(1, math.floor(tower))
-    while iterated_log(depth, float(n)) <= floor:
-        n += 1
-    return n
+    lo, hi = 0, 1
+    while not crossed(hi):
+        if hi >= _I0_SCAN_LIMIT:
+            raise ConfigError(f"{what} lies past 2**53, beyond any tabulable index")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if crossed(mid) else (mid, hi)
+    return hi
+
+
+def _log_above(depth: int, floor: float, n: int) -> bool:
+    """``iterated_log(depth, n) > floor``, false where the chain leaves (0, inf)."""
+    try:
+        return iterated_log(depth, float(n)) > floor
+    except DomainError:
+        return False
 
 
 def compute_i0(k: int, b: float) -> int:
     """First index where the perturbation is defined and small.
 
-    Scans upward for the least ``i`` with ``log_{k-1} i > 0`` and
-    ``|lam(k, i, b)| / 4 < 1/2`` (strict).  Such an index always exists
-    because the perturbation decays to 0.
+    The least ``i`` with ``log_{k-1} i > 0`` and ``|lam(k, i, b)| / 4 < 1/2``
+    (strict).  Once the chain is positive, |lam| only falls: every term
+    falls for b >= 0, and for b < 0 lam rises wherever it is <= 0 while its
+    positive part stays below 2.  So the test stays true once true.
     """
     if k < 1:
         raise ConfigError("perturbation depth k must be >= 1")
-    try:
-        i = _first_site_above(k - 1, 0.0)
-    except ConfigError as exc:
-        raise ConfigError(f"perturbation depth k={k} is unusable: {exc}") from None
-    # The chain is positive from here on; scan it in doubling blocks.
-    size = 64
-    while True:
-        lam = _perturbation_array(k, np.arange(i, i + size, dtype=np.float64), b)
-        small = np.abs(lam) / 4.0 < 0.5
-        if small.any():
-            return i + int(small.argmax())
-        i, size = i + size, 2 * size
+
+    def small(i: int) -> bool:
+        return (_log_above(k - 1, 0.0, i)
+                and abs(_perturbation_array(k, np.array([float(i)]), b)[0]) / 4.0 < 0.5)
+
+    return _least_site(small, f"i0 of the depth-{k} walk with b={b:g}")
 
 
 @dataclass(frozen=True)

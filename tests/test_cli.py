@@ -107,10 +107,39 @@ def test_missing_walk_exits_two(capsys):
     assert code == 2
 
 
-def test_no_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+def test_no_subcommand_is_usage_error(capsys):
+    # A parse error is one error: line and exit 2, like every other bad argument.
+    code = main([])
+    assert (code, capsys.readouterr()) == (
+        2, ("", "error: the following arguments are required: command\n"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--p", "0.5"],
+    ["dist", "--p", "0.5", "--n-max", "2", "--bogus"],
+    ["dist", "--p", "x", "--n-max", "2"],
+    ["nope"],
+    ["asympt", "--p", "0.4", "--n", "5"],
+], ids=["missing-flag", "unknown-flag", "bad-float", "unknown-command", "ambiguous-flag"])
+def test_parse_error_is_one_error_line(capsys, argv):
+    # No usage block: argparse's would print several lines before its own "lmax dist: error:".
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-2.5e+0", "-.001", "-1"])
+def test_negative_exponent_values_parse(capsys, value):
+    split = _run(capsys, ["dist", "--sign", "minus", "--K", "1", "--B", value, "--n-max", "2"])
+    joined = _run(capsys, ["dist", "--sign", "minus", "--K", "1", f"--B={value}", "--n-max", "2"])
+    assert split == joined and split[0] == 0
+
+
+def test_negative_infinity_is_a_value(capsys):
+    code = main(["dist", "--sign", "minus", "--K", "1", "--B", "-inf", "--n-max", "2"])
+    assert (code, capsys.readouterr()) == (
+        2, ("", "error: perturbation coefficient b must be finite, got -inf\n"))
 
 
 def test_version_flag():
@@ -249,6 +278,15 @@ def test_compare_output(capsys):
     assert 0.0 <= doc["meta"]["chi_square_pvalue"] <= 1.0
 
 
+def test_compare_without_an_eligible_bin_prints_a_null_pvalue(capsys):
+    argv = ["compare", "--p", "0.5", "--excursions", "50", "--seed", "3", "--cap-height", "8",
+            "--format", "json"]
+    code, out = _run(capsys, argv)
+    meta = json.loads(out)["meta"]
+    assert code == 0
+    assert (meta["chi_square"], meta["chi_square_dof"], meta["chi_square_pvalue"]) == (0.0, 0, None)
+
+
 SIM_ARGS = ["simulate", "--p", "0.5", "--excursions", "2000", "--seed", "31",
             "--cap-steps", "500", "--cap-height", "16", "--format", "json"]
 
@@ -321,7 +359,7 @@ GOLDEN_STDOUT = [
     ('asympt --sign plus --K 1 --B 0.5 --n-hi 20000 --format json',
      '9fd30c408d1fc6bb1a3bc5bbb169930b1a99f8cc703190d0d889e0896dca4c5d'),
     ('asympt --p 0.4 --target product --n-hi 20000',
-     '6f11e246d2b28f12f1a845cb076bd59351e2f0b1b7eb6fa5cc49776a1440211f'),
+     'c9b0467ace4bf2216751c8379f2d759a3a86026e971f59831c1697d47ecb85d7'),
     # probability moved from 0.9999995237606495 to 0.9999995237606508 when
     # hit_before came to sum the products shifted by the window's largest:
     # 0.15 ulp from the 50-digit 0.99999952376065080472..., down from 11.85
@@ -595,6 +633,16 @@ def test_asympt_nonpositive_samples_exits_two(capsys):
     code = main(["asympt", "--p", "0.4", "--n-hi", "1000", "--samples", "-1"])
     assert code == 2
     assert "samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["101", str(2**63)])
+def test_asympt_samples_past_the_budget_exits_one(capsys, monkeypatch, samples):
+    # The sample grid is an array of --samples entries: 2**63 used to raise IndexError.
+    monkeypatch.setenv("LMAX_MAX_TABLE", "100")
+    code = main(["asympt", "--p", "0.4", "--n-hi", "100", "--samples", samples])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: --samples={samples} exceeds the table budget of 100 entries")
 
 
 def test_simulate_cap_height_over_budget_exits_one(capsys):

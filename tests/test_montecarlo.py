@@ -553,6 +553,15 @@ def test_compare_eligibility_threshold():
     assert rep.chi_square_dof == 5
 
 
+def test_compare_without_an_eligible_bin():
+    # 50 excursions expect 25 in the likeliest bin, below MIN_EXPECTED: no chi-square.
+    spec = ConstantWalk(0.5)
+    rep = compare(run(SimConfig(spec, 50, seed=3, cap_height=8)), max_pmf_table(build(spec, 7), 7))
+    assert not rep.eligible.any() and rep.n_flagged == 0
+    assert (rep.chi_square, rep.chi_square_dof) == (0.0, 0)
+    assert math.isnan(rep.chi_square_pvalue)
+
+
 def test_compare_allowance_reflects_step_censoring():
     spec = ConstantWalk(0.5)
     cfg = SimConfig(spec, 5000, seed=21, cap_steps=20, cap_height=64)

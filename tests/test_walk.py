@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -18,7 +19,14 @@ from lmax import (
     spec_params,
     step_up_prob,
 )
-from lmax.walk import log_rho_array, signed_drift_array, step_up_prob_array
+from lmax.walk import (
+    _least_site,
+    _log_above,
+    _perturbation_array,
+    log_rho_array,
+    signed_drift_array,
+    step_up_prob_array,
+)
 
 
 def test_iterated_log_base_cases():
@@ -54,6 +62,80 @@ def test_compute_i0():
     assert compute_i0(5, 1.0) == 3_814_280  # chain start near exp(exp(e))
     assert compute_i0(3, 1.0) == 4
     assert compute_i0(4, 1.0) == 16
+    with pytest.raises(ConfigError, match="k must be >= 1"):
+        compute_i0(0, 1.0)
+
+
+def _i0_by_scan(k: int, b: float) -> int:
+    """i0 by the scan the search replaced: an exponential tower, then doubling blocks.
+
+    The tower starts just below the chain's first positive site, steps up to
+    it, and the blocks evaluate lam at every site from there on.
+    """
+    tower = 0.0
+    for _ in range(k - 1):
+        tower = math.exp(tower)
+    i = max(1, math.floor(tower))
+    while iterated_log(k - 1, float(i)) <= 0.0:
+        i += 1
+    size = 64
+    while True:
+        lam = _perturbation_array(k, np.arange(i, i + size, dtype=np.float64), b)
+        small = np.abs(lam) / 4.0 < 0.5
+        if small.any():
+            return i + int(small.argmax())
+        i, size = i + size, 2 * size
+
+
+_I0_GRID = [0.0] + [sign * m * 10.0**e for sign in (1, -1) for e in range(-3, 7)
+                    for m in (1, 1.5, 2, 2.5, 3, 3.98, 4, 5, 7) if m * 10.0**e <= 1e6]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_i0_search_equals_the_scan(k):
+    # The search probes single sites; the scan read whole blocks.  Same i0 everywhere.
+    got = {b: compute_i0(k, b) for b in _I0_GRID}
+    assert got == {b: _i0_by_scan(k, b) for b in _I0_GRID}
+
+
+def _site_above_by_tower(depth: int, floor: float):
+    """The least n with log_depth(n) > floor as the search it replaced found it, or None.
+
+    An exponential tower from ``floor``, then steps of 1; None where the
+    tower passed 2**53.
+    """
+    tower = floor
+    for _ in range(depth):
+        if tower >= math.log(2**53):
+            return None
+        tower = math.exp(tower)
+    n = max(1, math.floor(tower))
+    while iterated_log(depth, float(n)) <= floor:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+def test_log_threshold_search_equals_the_tower(depth):
+    for floor in (0.0, 0.1, 0.5, 1.0, 2.0):
+        want = _site_above_by_tower(depth, floor)
+        crossed = functools.partial(_log_above, depth, floor)
+        if want is None:
+            with pytest.raises(ConfigError, match="threshold lies past 2"):
+                _least_site(crossed, "threshold")
+        else:
+            assert _least_site(crossed, "threshold") == want, floor
+
+
+def test_i0_past_the_scan_limit_rejected():
+    # i0 of k = 1 is near |b|/2: 2**53 is the last site probed.
+    assert compute_i0(1, 2.0**54 - 4.0) == 2**53 - 1
+    with pytest.raises(ConfigError, match="past 2\\*\\*53"):
+        compute_i0(1, 2.0**54)
+    with pytest.raises(ConfigError, match="past 2\\*\\*53"):
+        compute_i0(3, 1e300)
+    with pytest.raises(ConfigError, match="past 2\\*\\*53"):
+        compute_i0(1, math.nan)
 
 
 def test_i0_strictness():
@@ -104,6 +186,21 @@ def test_deep_tower_rejected():
 def test_spec_params_round_trip():
     for spec in (ConstantWalk(0.375), PerturbedWalk(2, -1.5, "minus")):
         assert spec_from_params(spec_params(spec)) == spec
+
+
+@pytest.mark.parametrize("params", [{"family": "lattice", "p": 0.5}, {"p": 0.5}])
+def test_spec_from_params_unknown_family(params):
+    with pytest.raises(ConfigError, match="unknown walk family"):
+        spec_from_params(params)
+
+
+def test_sites_below_one_rejected():
+    spec = PerturbedWalk(2, 1.0, "plus")
+    for walk in (spec, ConstantWalk(0.4)):
+        with pytest.raises(DomainError, match="site index must be >= 1, got 0"):
+            rho(walk, 0)
+    with pytest.raises(DomainError, match="site indices must be >= 1"):
+        signed_drift_array(spec, np.array([3, 0, 5]))
 
 
 @pytest.mark.parametrize("key", ["p", "k", "b", "sign"])
