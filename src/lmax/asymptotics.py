@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
 from .series import ProductSeries, _constant_logs
-from .walk import ConstantWalk, WalkSpec, _least_site, _log_above, iterated_log
+from .walk import ConstantWalk, WalkSpec, _least_site, _log_above
 
 __all__ = [
     "ShapeTarget",
@@ -140,18 +140,36 @@ def resolve_shape(spec: WalkSpec, target: ShapeTarget) -> AsymptoticShape:
     return AsymptoticShape(target, spec, branch, n_min_valid, "logchain", tuple(factors))
 
 
-def log_shape(s: AsymptoticShape, n: int) -> float:
-    """``log`` of the decay shape at ``n``; always finite for valid ``n``."""
-    n = int(n)
-    if n < s.n_min_valid:
-        raise DomainError(f"n={n} below the shape's validity threshold {s.n_min_valid}")
+# math.log entry by entry: on some CPUs np.log differs from it in the last bit.
+_math_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _log(x):
+    return np.asarray(_math_log(x), dtype=np.float64)
+
+
+def log_shape(s: AsymptoticShape, n: int | np.ndarray) -> float | np.ndarray:
+    """``log`` of the decay shape at ``n``; always finite for valid ``n``.
+
+    An int gives a float.  An int array gives a float array, equal entry by
+    entry to the scalar values, bit for bit.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    if n.size and n.min() < s.n_min_valid:
+        raise DomainError(f"n={n.min()} below the shape's validity threshold {s.n_min_valid}")
+    x = n.astype(np.float64)
     if s.kind == "simple-null":
-        return -math.log(n) - math.log(n + 1.0)
-    total = 0.0
-    for depth, exponent in s.factors:
-        if exponent != 0.0:
-            total += exponent * math.log(iterated_log(depth, float(n)))
-    return s.log_coeff + n * s.n_coeff - total
+        out = -_log(x) - _log(x + 1.0)
+    else:
+        total = 0.0
+        for depth, exponent in s.factors:
+            if exponent != 0.0:
+                level = x
+                for _ in range(depth + 1):  # log of the depth-fold iterated log
+                    level = _log(level)
+                total = total + exponent * level
+        out = s.log_coeff + n * s.n_coeff - total
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,14 +216,15 @@ def estimate_constant(
         raise RangeError(f"n_hi//2={n_hi // 2} below validity threshold {s.n_min_valid}")
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
-    ns = np.unique(np.geomspace(n_lo, n_hi, samples).round().astype(np.int64))
+    grid = np.sort(np.geomspace(n_lo, n_hi, samples).round().astype(np.int64))
+    ns = grid[np.append(True, grid[1:] != grid[:-1])]  # np.unique, without its hash pass
     # The samples, then the two points of the drift indicator.
     at = np.append(ns, [n_hi, n_hi // 2])
     if s.target is ShapeTarget.PRODUCT:
         log_exact = series.log_prod[at]
     else:
         log_exact = series.log_max_pmf(at)
-    log_shape_at = np.array([log_shape(s, n) for n in at])
+    log_shape_at = log_shape(s, at)
     log_c_at = log_exact - log_shape_at
     log_c = log_c_at[:-2]
     try:

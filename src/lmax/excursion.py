@@ -107,7 +107,11 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
 
 @dataclass(frozen=True)
 class TailMass:
-    """P(M >= n, D < inf) with the bracket inherited from the return probability."""
+    """P(M >= n, D < inf) with the bracket inherited from the return probability.
+
+    ``exact`` is true where that probability is exact (every method but
+    ``"shape-tail"``), so value, lower and upper coincide.
+    """
 
     n: int
     value: float
@@ -120,8 +124,9 @@ def tail_mass(table: MaxPmfTable, n: int) -> TailMass:
     """Mass at or above level n: the escape mass 1/S_{n-1} less 1/S_inf.
 
     1/S_inf = 1 - P(return) comes from the bracket of ``return_prob`` on
-    the table's series.  Recurrent walks have 1/S_inf = 0 exactly, so they
-    get the exact value 1/S_{n-1} with a degenerate bracket.
+    the table's series.  Recurrent walks have 1/S_inf = 0 exactly, and
+    transient constant walks 1/S_inf = 1 - (1-p)/p, so both get an exact
+    value with a degenerate bracket.
     """
     n = table._check(n)
     escape = _escape_mass(float(table.series.log_prefix_sum[n - 1]))
@@ -131,5 +136,5 @@ def tail_mass(table: MaxPmfTable, n: int) -> TailMass:
         value=max(0.0, escape - (1.0 - rp.value)),
         lower=max(0.0, escape - (1.0 - rp.lower)),
         upper=max(0.0, escape - (1.0 - rp.upper)),
-        exact=rp.method == "exact-recurrent",
+        exact=rp.method != "shape-tail",
     )

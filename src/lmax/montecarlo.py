@@ -16,7 +16,8 @@ reproduced elsewhere):
   eats values in order until it ends, then the next excursion continues
   from the following value.
 * One uniform per step, stepping up iff ``u < p_site``.
-* Per-block tallies are merged in block order.
+* Each worker adds its blocks into its own int64 tallies, and ``run`` adds
+  those up: integer sums, so neither order nor worker count changes them.
 
 Each excursion starts at 1 and runs to the first of: hitting 0 (its
 maximum M is tallied), reaching ``cap_height`` (censored_height), or
@@ -40,9 +41,11 @@ Both kernels consume the same stream, so tallies do not depend on which ran.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +99,7 @@ _INT64_MAX = 2**63 - 1
 
 
 def _block_c(lib, seed, j, n_exc, counts, censored, p, cap_steps, cap_height):
-    """Run block ``j`` whole on ``lib.lmax_block``, which draws its own stream (see ``_native``).
-
-    Tallies into ``counts`` and ``censored`` as ``_block_py`` does.
-    """
+    """Run block ``j`` as ``_block_py`` does, on ``lib.lmax_block``, which draws its own stream."""
     # ndpointer checks dtype and layout; C indexes these up to cap_height - 1.
     if censored.size != 2 or min(counts.size, p.size) < cap_height:
         raise ValueError("kernel arrays are shorter than the walker state needs")
@@ -159,24 +159,13 @@ class SimResult:
         return self.counts / self.total
 
 
-def _run_block(p, n_exc, seed, block_index, cap_steps, cap_height):
-    counts = np.zeros(cap_height, dtype=np.int64)
-    censored = np.zeros(2, dtype=np.int64)
-    lib = _native._kernel()[0]
-    if lib is not None:
-        _block_c(lib, seed, block_index, n_exc, counts, censored, p, cap_steps, cap_height)
-    else:
-        _block_py(seed, block_index, n_exc, counts, censored, p, cap_steps, cap_height)
-    return counts, censored
-
-
 def run(config: SimConfig) -> SimResult:
     """Simulate the configured number of excursions; see the stream rules above.
 
-    Blocks run on a pool of ``workers`` threads, at most ``os.cpu_count()``
-    and never more than there are blocks; the output does not depend on
-    their number.  The first call in a process loads the kernel (see
-    ``kernel_info``).
+    ``workers`` threads, at most ``os.cpu_count()`` and never more than
+    there are blocks, each take the next block index until none is left;
+    the output does not depend on their number.  The first call in a
+    process loads the kernel (see ``kernel_info``).
 
     Raises:
         ResourceError: if the ``cap_height - 1`` bins or the number of
@@ -187,22 +176,32 @@ def run(config: SimConfig) -> SimResult:
     check_budget("excursion blocks", n_blocks)
     # p[0] is never consulted: hitting 0 ends the excursion first.
     p = step_up_prob_array(config.spec, np.arange(config.cap_height))
-    _native._kernel()  # here, in the main thread, before any pool starts
-    counts = np.zeros(config.cap_height, dtype=np.int64)
-    censored = np.zeros(2, dtype=np.int64)
+    lib = _native._kernel()[0]  # here, in the main thread, before any pool starts
+    block = _block_py if lib is None else functools.partial(_block_c, lib)
+    blocks = iter(range(n_blocks))  # under the GIL each index goes to one task
+    stop = threading.Event()
 
-    def block(j):
-        size = min(BLOCK, config.excursions - j * BLOCK)
-        return _run_block(p, size, config.seed, j, config.cap_steps, config.cap_height)
+    def tally():
+        counts = np.zeros(config.cap_height, dtype=np.int64)
+        censored = np.zeros(2, dtype=np.int64)
+        for j in blocks:
+            if stop.is_set():
+                break
+            size = min(BLOCK, config.excursions - j * BLOCK)
+            block(config.seed, j, size, counts, censored, p, config.cap_steps, config.cap_height)
+        return counts, censored
 
     # Here, not at module level: concurrent.futures brings logging and queue.
     from concurrent.futures import ThreadPoolExecutor
 
     workers = min(config.workers, n_blocks, os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for c, z in pool.map(block, range(n_blocks)):  # in block order, one at a time
-            counts += c
-            censored += z
+        tasks = [pool.submit(tally) for _ in range(workers)]
+        try:
+            tallies = [task.result() for task in tasks]
+        finally:  # an error or Ctrl-C ends every task after its current block
+            stop.set()
+    counts, censored = (sum(arrays) for arrays in zip(*tallies))
     return SimResult(
         counts=counts,
         censored_height=int(censored[0]),

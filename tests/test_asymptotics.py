@@ -76,6 +76,22 @@ def test_branch_resolution(spec, target, branch, factors):
     assert s.spec == spec and s.target is target
 
 
+@pytest.mark.parametrize("spec,target,branch,factors", BRANCHES, ids=str)
+def test_log_shape_of_an_array_is_the_scalar_form(spec, target, branch, factors):
+    s = resolve_shape(spec, target)
+    rng = np.random.default_rng(5)
+    ns = np.concatenate([np.arange(s.n_min_valid, s.n_min_valid + 50),
+                         rng.integers(s.n_min_valid, 2 * 10**7, 500)])
+    got = log_shape(s, ns)
+    assert got.dtype == np.float64 and got.shape == ns.shape
+    want = [log_shape(s, int(n)) for n in ns]
+    assert all(type(w) is float for w in want)
+    assert got.tolist() == want  # bit for bit
+    assert log_shape(s, ns[:0]).shape == (0,)
+    with pytest.raises(DomainError):
+        log_shape(s, np.append(ns, s.n_min_valid - 1))
+
+
 def test_validity_thresholds():
     assert resolve_shape(PerturbedWalk(1, 1.0, "plus"), PMF).n_min_valid == 2
     assert resolve_shape(PerturbedWalk(2, 1.0, "plus"), PMF).n_min_valid == 4

@@ -223,7 +223,13 @@ def test_tail_mass_at_one_is_return_prob():
     tm = tail_mass(t, 1)
     rp = return_prob(s)
     assert tm.value == pytest.approx(rp.value, abs=1e-15)
-    assert not tm.exact
+    # The geometric remainder is summed in closed form, so the bracket has no width.
+    assert tm.exact and tm.lower == tm.value == tm.upper
+
+
+def test_tail_mass_shape_tail_is_bracketed():
+    tm = tail_mass(max_pmf_table(build(PerturbedWalk(1, 2.0, "plus"), 100_000), 100), 10)
+    assert not tm.exact and tm.lower < tm.value < tm.upper
 
 
 def test_tail_mass_short_constant_table():

@@ -4,8 +4,10 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import mpmath
@@ -99,13 +101,14 @@ def test_workers_do_not_change_tallies(monkeypatch):
 def test_worker_threads_are_clamped(monkeypatch):
     from lmax import montecarlo
 
-    seen = []
+    seen, tasks = [], []
 
     class SerialPool:
-        """Records the requested size and runs blocks inline: no thread starts."""
+        """Records the requested size and the tasks, and runs each inline: no thread starts."""
 
         def __init__(self, max_workers):
             seen.append(max_workers)
+            tasks.append(0)
 
         def __enter__(self):
             return self
@@ -113,7 +116,11 @@ def test_worker_threads_are_clamped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def submit(self, fn):
+            tasks[-1] += 1
+            done = concurrent.futures.Future()
+            done.set_result(fn())
+            return done
 
     # run imports the pool class when it is called, from concurrent.futures.
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
@@ -128,9 +135,57 @@ def test_worker_threads_are_clamped(monkeypatch):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
     single = run(SimConfig(**cfg, workers=10_000))
     assert seen == [1, 3, 2, 1]
+    # One task per worker, not one per block: each takes blocks until none is left.
+    assert tasks == seen
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    many = run(SimConfig(**{**cfg, "excursions": 40 * BLOCK}, workers=10_000))
+    assert (seen[-1], tasks[-1]) == (2, 2)
+    assert many.counts.sum() + many.censored_height + many.censored_steps == 40 * BLOCK
     for r in (wide, narrow, single):
         assert np.array_equal(r.counts, base.counts)
         assert (r.censored_height, r.censored_steps) == (base.censored_height, base.censored_steps)
+
+
+def _one_step_simulate(blocks):
+    """A ``simulate`` call of ``blocks`` blocks whose excursions each take one step."""
+    return [sys.executable, "-m", "lmax", "simulate", "--p", "0.5", "--cap-steps", "1",
+            "--cap-height", "2", "--excursions", str(blocks * BLOCK)]
+
+
+# Runs argv and prints its exit code and peak RSS.  A child's peak counts its
+# parent's RSS at the fork, and pytest's exceeds lmax's, so a small
+# interpreter starts the call.
+_PEAK_RSS = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_peak_rss_does_not_grow_with_blocks():
+    def peak_mb(blocks):
+        argv = [sys.executable, "-c", _PEAK_RSS, *_one_step_simulate(blocks)]
+        code, peak_kb = subprocess.run(argv, capture_output=True, check=True).stdout.split()
+        assert int(code) == 0
+        return int(peak_kb) / 1024  # ru_maxrss is in kilobytes on Linux
+
+    peak_mb(10)  # builds the kernel into the cache, if no test has yet, so gcc is not counted
+    assert peak_mb(5000) <= peak_mb(10) + 4
+
+
+def test_interrupt_ends_a_long_run_promptly():
+    # About 6 s on one 2-core x86_64 worker, so the run is still going at 1.5 s.
+    proc = subprocess.Popen(_one_step_simulate(20_000), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        time.sleep(1.5)
+        assert proc.poll() is None, "the run ended before the interrupt"
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=2)  # each task stops after the block it is running
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode != 0 and "KeyboardInterrupt" in err
 
 
 def test_rerun_is_identical():
@@ -220,12 +275,13 @@ def test_c_uniforms_carry_across_counter_words(lib, counter):
     assert ctr.tolist() == [(value >> (64 * w)) % 2**64 for w in range(4)]
 
 
-def _block_on(lib, case):
-    """``_run_block``'s tallies with ``lib`` as the loaded library (None: the Python fallback)."""
+def _tally(lib, case, blocks):
+    """Blocks ``j + i`` for i in ``blocks`` added into one tally on ``lib`` (None: ``_block_py``)."""
     p, seed, j, n_exc, cap_steps, cap_height = case
-    with pytest.MonkeyPatch.context() as mp:
-        _use(mp, "c" if lib else "python", lib)
-        counts, censored = montecarlo._run_block(p, n_exc, seed, j, cap_steps, cap_height)
+    block = montecarlo._block_py if lib is None else functools.partial(montecarlo._block_c, lib)
+    counts, censored = np.zeros(cap_height, np.int64), np.zeros(2, np.int64)
+    for i in blocks:
+        block(seed, j + i, n_exc, counts, censored, p, cap_steps, cap_height)
     return counts.tolist(), censored.tolist()
 
 
@@ -253,9 +309,19 @@ def _block_case(draw):
 @example(case=(np.array([1.0, 0.5, 0.5, 0.5]), 7, 3, montecarlo._CHUNK + 1, 40, 4))
 @settings(max_examples=300, deadline=None)
 def test_c_kernel_matches_python_block_by_block(lib, case):
-    got = _block_on(lib, case)
-    assert got == _block_on(None, case)
+    got = _tally(lib, case, [0])
+    assert got == _tally(None, case, [0])
     assert sum(got[0]) + sum(got[1]) == case[3]
+
+
+@given(case=_block_case())
+@settings(max_examples=50, deadline=None)  # each example runs eight blocks on Python
+def test_blocks_add_into_one_tally(lib, case):
+    # Four blocks added into one tally, as a worker adds them, equal their four tallies summed.
+    for kernel in (lib, None):
+        alone = [_tally(kernel, case, [i]) for i in range(4)]
+        summed = tuple(np.sum(arrays, axis=0).tolist() for arrays in zip(*alone))
+        assert _tally(kernel, case, range(4)) == summed, kernel
 
 
 def test_c_kernel_rejects_arrays_it_would_overrun(lib):
