@@ -84,7 +84,7 @@ def test_conservation():
 
 
 def test_workers_do_not_change_tallies(monkeypatch):
-    # 3 full blocks plus a remainder, merged identically in block order, on every kernel.
+    # 3 full blocks plus a remainder, on one worker and on several, on every kernel.
     n = 3 * BLOCK + 1234
     base = SimConfig(ConstantWalk(0.5), n, seed=7, cap_steps=2000, cap_height=64)
     tallies = []
