@@ -26,7 +26,7 @@ Conventions shared by all subcommands:
   timestamps and worker counts are deliberately absent: neither may
   change the output.
 * Exit codes: 0 success, 1 resource limits (the table budget, or memory
-  running out below it), 2 bad arguments.
+  running out below it), 2 bad arguments, 130 interrupted (Ctrl-C).
   Diagnostics go to stderr, one ``error: ...`` or ``warning: ...`` line
   each.  A reader that closes stdout early ends the output quietly,
   with exit code 0.
@@ -247,12 +247,7 @@ def cmd_return(args, spec) -> tuple[dict, dict]:
     # The library reports the bracket; judging its width is this command's job.
     if not args.tolerance >= 0:
         raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
-    series = build(spec, _depth("--min-terms", args.min_terms))
-    try:
-        rp = return_prob(series)
-    except DomainError:
-        least = resolve_shape(spec, ShapeTarget.PRODUCT).n_min_valid
-        raise ConfigError(f"--min-terms must be >= {least}, got {args.min_terms}") from None
+    rp = return_prob(build(spec, _depth("--min-terms", args.min_terms)))
     width = rp.upper - rp.lower
     met = width <= args.tolerance
     if not met:
@@ -411,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
             detail = " ".join(str(exc).split())
             print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
             return 1
+        except KeyboardInterrupt:
+            print("error: interrupted", file=sys.stderr)
+            return 130
         except BrokenPipeError:
             # The reader closed stdout early (``lmax dist ... | head``): stop
             # quietly, and point stdout at devnull so the flush at exit cannot fail.

@@ -21,11 +21,12 @@ a sum, so they carry only the rounding of ``log_prefix_sum`` (the
 README's accuracy paragraph bounds it) and of one ``expm1``.
 
 ``max_pmf_table`` is the only path to the law: P(M = n, D < inf) is
-``table.pmf[n]`` and its log ``table.log_pmf[n]``, and only the table pins
-row 1 to q_1, and its log to log1p(-p_1), which a difference of logs
-loses for tiny p_1.  It is built in one vectorized pass over a
-``ProductSeries``; the linear pmf column flushes to 0 beneath
-double-precision underflow while the log column stays informative.
+``table.pmf[n]`` and its log ``table.log_pmf[n]``.  ``log_max_pmf`` pins
+row 1's log to log1p(-p_1), which a difference of logs loses for tiny
+p_1, and the table pins the linear row 1 to q_1.  The table is built in
+one vectorized pass over a ``ProductSeries``; the linear pmf column
+flushes to 0 beneath double-precision underflow while the log column
+stays informative.
 """
 
 from __future__ import annotations
@@ -89,7 +90,6 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     pmf[0] = 0.0
     p1 = step_up_prob(series.spec, 1)
     pmf[1] = 1.0 - p1
-    log_pmf[1] = math.log1p(-p1)
     # 1 - 1/S_n is nondecreasing and <= 1 by construction; row 0 is
     # -expm1(-0) = 0 and row 1 is pinned to q_1 like the pmf.
     cumulative = np.empty(n_max + 1)
@@ -110,7 +110,7 @@ class TailMass:
     """P(M >= n, D < inf) with the bracket inherited from the return probability.
 
     ``exact`` is true where that probability is exact (every method but
-    ``"shape-tail"``), so value, lower and upper coincide.
+    ``"integral-bound"``), so value, lower and upper coincide.
     """
 
     n: int
@@ -125,16 +125,21 @@ def tail_mass(table: MaxPmfTable, n: int) -> TailMass:
 
     1/S_inf = 1 - P(return) comes from the bracket of ``return_prob`` on
     the table's series.  Recurrent walks have 1/S_inf = 0 exactly, and
-    transient constant walks 1/S_inf = 1 - (1-p)/p, so both get an exact
-    value with a degenerate bracket.
+    both get an exact value with a degenerate bracket.  On transient
+    constant walks the difference is P_n/S_{n-1}, read off the logs with
+    no subtraction; at n = 1 it is the return probability itself.
     """
     n = table._check(n)
-    escape = _escape_mass(float(table.series.log_prefix_sum[n - 1]))
-    rp = return_prob(table.series)
+    series = table.series
+    rp = return_prob(series)
+    if rp.method == "geometric-tail":
+        value = rp.value if n == 1 else math.exp(series.log_prod[n] - series.log_prefix_sum[n - 1])
+        return TailMass(n=n, value=value, lower=value, upper=value, exact=True)
+    escape = _escape_mass(float(series.log_prefix_sum[n - 1]))
     return TailMass(
         n=n,
         value=max(0.0, escape - (1.0 - rp.value)),
         lower=max(0.0, escape - (1.0 - rp.lower)),
         upper=max(0.0, escape - (1.0 - rp.upper)),
-        exact=rp.method != "shape-tail",
+        exact=rp.method != "integral-bound",
     )

@@ -19,8 +19,8 @@ summed once.
 Letting b grow to infinity turns the same ratio into the probability of
 ever returning to the origin from site 1: S/(1+S) with S the full series
 of products, which is 1 exactly when the series diverges (the recurrent
-case).  ``return_prob`` reports that limit with an explicit truncation
-bracket in the transient case.
+case).  ``return_prob`` reports that limit with a proven enclosure of
+the truncated remainder in the transient case.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import ShapeTarget, log_shape, resolve_shape
 from .classify import is_recurrent
 from .errors import RangeError
 from .series import ProductSeries, _escape_mass
-from .walk import ConstantWalk, iterated_log, rho
+from .walk import ConstantWalk, log_rho_array, rho, signed_drift_array
 
 __all__ = [
     "HittingQuery",
@@ -106,8 +105,8 @@ class ReturnProbability:
     answer is exact: 1 for recurrent walks, and rho = (1-p)/p for transient
     constant walks, whose geometric remainder is summed in closed form.
     method records how the bracket was obtained: "exact-recurrent",
-    "geometric-tail" for constant drift, or "shape-tail" for the fitted
-    asymptotic tail.
+    "geometric-tail" for constant drift, or "integral-bound" for the
+    proven two-sided bound on a perturbed walk's remainder.
     """
 
     value: float
@@ -117,20 +116,37 @@ class ReturnProbability:
     method: str
 
 
-def _log_tail_estimate(series: ProductSeries) -> float:
-    """log of an integral tail bound for a convergent perturbed product series.
+def _log_tail_bounds(series: ProductSeries) -> tuple[float, float]:
+    """Logs of a lower and an upper bound on T = sum_{j>N} P_j, N = ``series.n_max``.
 
-    The products decay like c * shape(n) with shape a product of
-    iterated-log powers whose deepest exponent beta exceeds 1; the sum
-    beyond n_max is estimated by the integral
-    c * (log_{depth} n_max)^(1-beta) / (beta - 1), with c fitted at n_max.
+    Sites N+1..M, M = max(N, i0), share i0's odds ratio rho_f < 1: a
+    geometric sum.  Past M the drift lam is F' for F(x) = log x + ... +
+    log_{k-1} x + beta log_k x, beta = |b| > 1, and integral comparison
+    (Knopp, *Infinite Series*, §14; the README's ``return`` paragraph) gives
+    P_M e^(F(M) - E) I <= sum_{j>M} P_j <= P_M e^(F(M+1)) I, with
+    I = (log_{k-1}(M+1))^(1-beta)/(beta - 1) and E = M lam_M^3/(24(1 - lam_M^2/4)).
     """
-    n = series.n_max
-    shape = resolve_shape(series.spec, ShapeTarget.PRODUCT)
-    deepest = max(d for d, _ in shape.factors)
-    beta = next(e for d, e in shape.factors if d == deepest)
-    log_c = float(series.log_prod[n]) - log_shape(shape, n)
-    return log_c + (1.0 - beta) * math.log(iterated_log(deepest, float(n))) - math.log(beta - 1.0)
+    spec, n = series.spec, series.n_max
+    beta, m = abs(spec.b), max(n, spec.i0)
+    log_rho_f = float(log_rho_array(spec, np.array([1]))[0])
+    lam = 4.0 * abs(float(signed_drift_array(spec, np.array([m]))[0]))
+    f = []  # F(M), F(M+1)
+    for x in (m, m + 1):
+        total, level = 0.0, float(x)
+        for _ in range(spec.k - 1):
+            level = math.log(level)
+            total += level
+        f.append(total + beta * math.log(level))
+    # log P_M + log I, with level = log_{k-1}(M+1) from the last pass.
+    log_pi = (float(series.log_prod[n]) + (m - n) * log_rho_f
+              + (1.0 - beta) * math.log(level) - math.log(beta - 1.0))
+    lo = log_pi + f[0] - m * lam**3 / (24.0 * (1.0 - lam * lam / 4.0))
+    hi = log_pi + f[1]
+    if m > n:  # sites N+1..M: P_N rho_f (1 - rho_f^(M-N)) / (1 - rho_f)
+        head = float(series.log_prod[n]) + log_rho_f + math.log(
+            math.expm1((m - n) * log_rho_f) / math.expm1(log_rho_f))
+        lo, hi = np.logaddexp(head, lo), np.logaddexp(head, hi)
+    return float(lo), float(hi)
 
 
 def return_prob(series: ProductSeries) -> ReturnProbability:
@@ -140,14 +156,11 @@ def return_prob(series: ProductSeries) -> ReturnProbability:
     Transient constant walks return rho = (1-p)/p, the sum of the whole
     geometric series S/(1+S), as one number: the remainder past the table
     is exact, so the bracket has no width to report.  Transient perturbed
-    walks get [S_N/(1+S_N), (S_N+T)/(1+S_N+T)] where S_N is the partial
-    sum over the whole table (N = ``series.n_max``) and T the tail
-    estimate, a documented heuristic, not a proven enclosure, since T uses
-    a constant fitted at n_max.  The width is reported, not judged:
-    ``lmax return`` holds it to ``--tolerance``.
-
-    Raises:
-        DomainError: if a shape-tail table stops below the shape's ``n_min_valid``.
+    walks get [1 - 1/(S_N + T_lo), 1 - 1/(S_N + T_hi)] for the partial sum
+    S_N over the whole table (N = ``series.n_max`` >= 1) and the bounds on
+    the rest from ``_log_tail_bounds``, widened by the tables' 2 ulp on
+    log S_N and then by one ulp at each end for the last rounding.  The
+    width is reported, not judged: ``lmax return`` holds it to ``--tolerance``.
     """
     n = series.n_max
     if is_recurrent(series.spec):
@@ -156,8 +169,10 @@ def return_prob(series: ProductSeries) -> ReturnProbability:
         r = rho(series.spec, 1)  # (1 - p)/p, with 1 - p exact for p > 1/2
         return ReturnProbability(r, r, r, n, "geometric-tail")
     # S/(1+S) = 1 - exp(-log(1+S)), stable for both tiny and huge S.
-    log_one_plus_s = float(series.log_prefix_sum[n])
-    lower = _escape_mass(log_one_plus_s, complement=True)
-    log_tail = _log_tail_estimate(series)
-    upper = _escape_mass(float(np.logaddexp(log_one_plus_s, log_tail)), complement=True)
-    return ReturnProbability(0.5 * (lower + upper), lower, upper, n, "shape-tail")
+    log_s = float(series.log_prefix_sum[n])
+    slack = 2.0 * math.ulp(log_s)
+    log_lo, log_hi = _log_tail_bounds(series)
+    lower = _escape_mass(float(np.logaddexp(log_s - slack, log_lo)), complement=True)
+    upper = _escape_mass(float(np.logaddexp(log_s + slack, log_hi)), complement=True)
+    lower, upper = math.nextafter(lower, 0.0), math.nextafter(upper, 1.0)
+    return ReturnProbability(0.5 * (lower + upper), lower, upper, n, "integral-bound")

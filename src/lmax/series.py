@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RangeError, ResourceError
-from .walk import ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array
+from .walk import ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array, step_up_prob
 
 __all__ = [
     "ProductSeries", "build", "log_odds", "check_budget", "table_budget",
@@ -85,17 +85,22 @@ class ProductSeries:
     log_prod: np.ndarray
     log_prefix_sum: np.ndarray
 
-    def log_max_pmf(self, n, out: np.ndarray | None = None):
-        """``log P(M = n, D < inf)`` at unchecked ``n >= 1``: an int, an int array or a ``range``.
+    def log_max_pmf(self, n, out: np.ndarray | None = None) -> np.ndarray:
+        """``log P(M = n, D < inf)`` at unchecked ``n >= 1``: an int array or a ``range``.
 
-        A ``range`` is read through slice views, with no index arrays or gathers.
+        Row 1 is log q_1 = log1p(-p_1), which the difference of logs loses
+        for tiny p_1.  A ``range`` is read through slice views, with no
+        index arrays or gathers.
         """
         if isinstance(n, range):
             cur, prev = slice(n.start, n.stop), slice(n.start - 1, n.stop - 1)
+            ones = slice(0, int(n.start == 1))
         else:
-            cur, prev = n, np.subtract(n, 1)
+            cur, prev, ones = n, np.subtract(n, 1), np.equal(n, 1)
         head = np.subtract(self.log_prod[cur], self.log_prefix_sum[prev], out=out)
-        return np.subtract(head, self.log_prefix_sum[cur], out=out)
+        res = np.subtract(head, self.log_prefix_sum[cur], out=out)
+        res[ones] = math.log1p(-step_up_prob(self.spec, 1))
+        return res
 
 
 def _escape_mass(log_s, complement: bool = False, out: np.ndarray | None = None):

@@ -180,6 +180,29 @@ def drift_log_tables(spec, n_max: int, rows) -> dict:
     return out
 
 
+def return_prob_from_drifts(spec, m: int = 4000) -> mp.mpf:
+    """50-digit P(return) of a transient depth-1 walk from its double drifts.
+
+    Sites 1..m take rho_i = (1 - 2 delta_i)/(1 + 2 delta_i) from the double
+    delta_i of ``signed_drift_array``, formed in 50 digits, and their
+    products and sums are accumulated exactly.  Past m (which must be at
+    least i0) rho_i = (i - c)/(i + c), c = |b|/2, and the products telescope:
+    sum_{j>m} P_j = P_m (m + 1 - c)/(2c - 1), a Gamma-ratio sum with
+    2c > 1.  P(return) = 1 - 1/S_inf.
+    """
+    from lmax.walk import signed_drift_array
+
+    assert spec.k == 1 and m >= spec.i0
+    with mp.workdps(50):
+        prod, total = mp.mpf(1), mp.mpf(1)
+        for d in signed_drift_array(spec, np.arange(1, m + 1)).tolist():
+            d = mp.mpf(d)
+            prod *= (1 - 2 * d) / (1 + 2 * d)
+            total += prod
+        c = abs(mp.mpf(spec.b)) / 2
+        return 1 - 1 / (total + prod * (m + 1 - c) / (2 * c - 1))
+
+
 def ulps(got: float, want) -> float:
     """|got - want| in ulps of the double nearest ``want``; 0 where both overflow alike."""
     nearest = float(want)

@@ -15,6 +15,7 @@ from lmax import (
     log_shape,
     max_pmf_table,
     resolve_shape,
+    step_up_prob,
 )
 
 PMF = ShapeTarget.MAX_PMF
@@ -244,3 +245,15 @@ def test_shape_tracks_exact_pmf():
     for n in (64, 512, 4096):
         approx = mid * math.exp(log_shape(s, n))
         assert approx == pytest.approx(pmf[n], rel=0.2)
+
+
+@pytest.mark.parametrize("spec", [ConstantWalk(1e-9), PerturbedWalk(1, 3.0, "minus")], ids=str)
+def test_fit_reads_the_pinned_first_row(spec):
+    # log P(M = 1) = log1p(-p_1), which log P_1 - log S_0 - log S_1 loses
+    # for tiny p_1 (8e-8 relative at p = 1e-9): the fit reads the table's row.
+    s = resolve_shape(spec, PMF)
+    series = build(spec, 4)
+    fit = estimate_constant(series, s, 1, 4, samples=4)
+    row = max_pmf_table(series, 4).log_pmf[1]
+    assert row == math.log1p(-step_up_prob(spec, 1))
+    assert fit.ns[0] == 1 and fit.log_c_hat[0] == row - fit.log_shape[0]

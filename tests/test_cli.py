@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -370,8 +371,12 @@ GOLDEN_STDOUT = [
     # the double nearest (1 - p)/p (test_return_constant_walk_is_the_float_of_q_over_p).
     ('return --p 0.6 --format json',
      'c88ca14a2e3d7effb7c801b15557857be577d71c507661d4e8a5b0833044c7e4'),
+    # Re-pinned when return_prob took the closed-form integral bound: value
+    # moved from 0.3999988000071999 to 0.4, 0.33 ulp from the 50-digit
+    # 0.40000000000000000404..., and [lower, upper] now holds it
+    # (test_repins.py, test_return_prob_contains_depth_one_oracle).
     ('return --sign plus --K 1 --B 2',
-     'e11d78d1e729c9c2db8bf5b6b7737bfa145d60742835a17805323974393f5425'),
+     '80f0bcd1a6caa3ec0153c4a8c8c0a80f931191ba5a710c942af6be03b0f06b11'),
     ('simulate --p 0.5 --excursions 3000 --seed 5 --cap-steps 400 --cap-height 40 --format json',
      '9660b71dcd2a9714715a475c0a8ca30f0f842ed23c76bad6b443353bb778c194'),
     ('simulate --sign minus --K 2 --B 1 --excursions 3000 --seed 9 --cap-steps 400 --cap-height 30',
@@ -433,7 +438,7 @@ SPECIAL = np.array([0.0, float("inf"), -0.0, float("-inf"), float("nan"), 1e-310
 EMIT_CASES = {
     "floats": {"n": range(1, 9), "x": SPECIAL, "y": SPECIAL[::-1].tolist()},
     "return-shape": {"value": [0.5], "lower": [float("-inf")], "upper": [float("nan")],
-                     "n_terms": [100000], "method": ["shape-tail"], "tolerance_met": [False]},
+                     "n_terms": [100000], "method": ["integral-bound"], "tolerance_met": [False]},
     "mixed": {"n": np.arange(5, dtype=np.int64), "ok": [True, False, True, True, False],
               "label": ["a", "b,\"c\"", "\u00e9", "", "inf"], "x": SPECIAL[:5]},
     "one-row": {"n": range(7, 8), "p": np.array([float("inf")])},
@@ -490,12 +495,24 @@ def test_dist_memory_per_row_is_bounded(monkeypatch, fmt):
     assert _dist_peak_per_row(monkeypatch, fmt, n, chunk=n) > 200
 
 
+# A bracket 4.8e-7 wide, held to 1e-9: the command warns.
+WIDE_RETURN = "return --sign plus --K 1 --B 2 --min-terms 1000 --tolerance 1e-9"
+
+
+def _stdout(cmd: str) -> str:
+    """What ``main`` writes to stdout for ``cmd``, run in this process."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        assert main(cmd.split()) == 0
+    return buf.getvalue()
+
+
 def test_return_warning_is_one_stderr_line():
-    cmd = "return --sign plus --K 1 --B 2"
-    argv = [sys.executable, "-m", "lmax", *cmd.split()]
+    argv = [sys.executable, "-m", "lmax", *WIDE_RETURN.split()]
     out = subprocess.run(argv, capture_output=True, text=True)
     assert out.returncode == 0
-    assert hashlib.sha256(out.stdout.encode()).hexdigest() == dict(GOLDEN_STDOUT)[cmd]
+    assert out.stdout == _stdout(WIDE_RETURN)
+    assert out.stdout.endswith(",integral-bound,false\n")
     (line,) = out.stderr.splitlines()
     assert line.startswith("warning: ") and "--min-terms" in line
     assert ".py:" not in out.stderr
@@ -509,11 +526,10 @@ def test_return_warning_is_one_stderr_line():
 def test_return_warning_ignores_interpreter_filters(flags, env):
     # The interpreter's warning filters change neither the exit code nor
     # the one stderr line; an "error" filter must not become a traceback.
-    cmd = "return --sign plus --K 1 --B 2"
-    argv = [sys.executable, *flags, "-m", "lmax", *cmd.split()]
+    argv = [sys.executable, *flags, "-m", "lmax", *WIDE_RETURN.split()]
     out = subprocess.run(argv, env={**os.environ, **env}, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert hashlib.sha256(out.stdout.encode()).hexdigest() == dict(GOLDEN_STDOUT)[cmd]
+    assert out.stdout == _stdout(WIDE_RETURN)
     (line,) = out.stderr.splitlines()
     assert line.startswith("warning: ") and "--min-terms" in line
 
@@ -558,14 +574,26 @@ def test_return_bad_tolerance_exits_two(capsys, monkeypatch, tolerance):
     assert err.startswith("error: --tolerance must be >= 0") and err.count("\n") == 1
 
 
-def test_return_min_terms_below_shape_threshold_exits_two(capsys):
+def test_return_min_terms_below_i0_is_a_bracket(capsys):
+    # i0 = 4 on this walk: the frozen sites past the table are summed in
+    # closed form, so 3 terms give a finite bracket that holds the one at 4.
     argv = ["return", "--sign", "plus", "--K", "3", "--B", "2", "--min-terms", "3"]
-    code = main(argv)
-    out, err = capsys.readouterr()
-    assert (code, out) == (2, "")
-    assert err == "error: --min-terms must be >= 4, got 3\n"
-    code, out = _run(capsys, argv[:-1] + ["4"])
-    assert code == 0 and _csv_rows(out)[1][0][3] == "4"
+    brackets = []
+    for terms in ("3", "4"):
+        code, out = _run(capsys, argv[:-1] + [terms])
+        (row,) = _csv_rows(out)[1]
+        assert code == 0 and row[3:5] == [terms, "integral-bound"]
+        brackets.append((float(row[1]), float(row[2])))
+    (lo3, hi3), (lo4, hi4) = brackets
+    assert 0.0 < lo3 <= lo4 <= hi4 <= hi3 < 1.0
+
+
+@pytest.mark.parametrize("walk", ["--p 1e-9", "--sign minus --K 1 --B 3"])
+def test_asympt_and_dist_agree_on_the_first_row(capsys, walk):
+    # Both read P(M = 1) = q_1 from the one pinned log (0.999999999 and 0.875).
+    _, asympt = _run(capsys, f"asympt {walk} --n-lo 1 --n-hi 4 --samples 4".split())
+    _, dist = _run(capsys, f"dist {walk} --n-max 1".split())
+    assert _csv_rows(asympt)[1][0][1] == _csv_rows(dist)[1][0][1]
 
 
 def test_asympt_untabulable_threshold_exits_two():

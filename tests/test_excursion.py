@@ -222,12 +222,36 @@ def test_tail_mass_at_one_is_return_prob():
     t = max_pmf_table(s, 200)
     tm = tail_mass(t, 1)
     rp = return_prob(s)
-    assert tm.value == pytest.approx(rp.value, abs=1e-15)
+    assert tm.value == rp.value
     # The geometric remainder is summed in closed form, so the bracket has no width.
     assert tm.exact and tm.lower == tm.value == tm.upper
 
 
+@pytest.mark.parametrize("p", [0.5000001, 0.51, 0.6, 2 / 3, 0.9, 0.999])
+def test_tail_mass_transient_constant_deep_in_the_tail(p):
+    # P(M >= n, D < inf) = (1 - r) r^n / (1 - r^n) = P_n / S_(n-1), read off
+    # the logs with no subtraction.  Each log is within 2 ulp (2^-51 of its
+    # size), and their difference and its exp round once each.  As the
+    # difference 1/S_(n-1) - 1/S_inf it was off by 1.8% at p = 0.6, n = 80,
+    # and 0.0 at p = 0.51, n = 1000 (truth 1.66e-19).
+    series = build(ConstantWalk(p), 20_000)
+    t = max_pmf_table(series, 20_000)
+    with mp.workdps(50):
+        r = (1 - mp.mpf(p)) / mp.mpf(p)
+    for n in sorted({*range(2, 100), 300, 1000, 5000, 13054, 20_000}):
+        with mp.workdps(50):
+            want = (1 - r) * r**n / (1 - r**n)
+        if want < 1e-300:
+            break
+        tm = tail_mass(t, n)
+        assert tm.exact and tm.lower == tm.value == tm.upper
+        logs = abs(float(series.log_prod[n])) + abs(float(series.log_prefix_sum[n - 1]))
+        bound = (2.0**-51 + 2.0**-53) * logs + 2.0**-52
+        assert abs(tm.value - want) <= bound * want, (n, tm.value, want)
+
+
 def test_tail_mass_shape_tail_is_bracketed():
+    # Named for the fitted tail it first checked; the bracket is now the integral bound.
     tm = tail_mass(max_pmf_table(build(PerturbedWalk(1, 2.0, "plus"), 100_000), 100), 10)
     assert not tm.exact and tm.lower < tm.value < tm.upper
 

@@ -12,7 +12,9 @@ from lmax import (
     ConstantWalk,
     HittingQuery,
     PerturbedWalk,
+    ProductSeries,
     RangeError,
+    ReturnProbability,
     build,
     first_passage,
     hit_before,
@@ -20,7 +22,7 @@ from lmax import (
 )
 from lmax.walk import signed_drift_array
 
-from _oracles import hit_prob_from_drifts, hit_probs_banded, ulps
+from _oracles import hit_prob_from_drifts, hit_probs_banded, return_prob_from_drifts, ulps
 
 
 def test_gamblers_ruin_midpoint():
@@ -148,11 +150,11 @@ def test_return_prob_quarter():
 
 def test_return_prob_needs_min_terms():
     # A perturbed bracket rests on the table it is given; 10 terms leave a
-    # tail near 2e-2 on this walk (whose return probability is 2/5), and the
-    # bracket is that wide.  A constant walk's needs no depth (below).
+    # bracket 4.2e-3 wide on this walk, whose return probability is 2/5.
+    # A constant walk's needs no depth (below).
     rp = return_prob(build(PerturbedWalk(1, 2.0, "plus"), 10))
-    assert rp.upper - rp.lower > 1e-2
-    assert rp.value == pytest.approx(0.4, abs=2e-2)
+    assert rp.upper - rp.lower > 1e-3
+    assert rp.lower < 0.4 < rp.upper
 
 
 def test_return_prob_short_constant_table_is_exact():
@@ -173,7 +175,7 @@ def test_return_prob_transient_perturbed_bracket():
     spec = PerturbedWalk(1, 2.0, "plus")
     s = build(spec, 200_000)
     rp = return_prob(s)
-    assert rp.method == "shape-tail"
+    assert rp.method == "integral-bound"
     assert 0.0 < rp.lower <= rp.value <= rp.upper < 1.0
     # the tail of sum c/j^2 from 2e5 is ~ c/2e5: the bracket must be narrow
     assert rp.upper - rp.lower < 1e-4
@@ -183,7 +185,7 @@ def test_return_prob_reports_a_wide_bracket_without_warning():
     # Judging the width is the CLI's job (``--tolerance``); the library
     # reports the bracket and stays silent however wide it is.
     spec = PerturbedWalk(2, 2.0, "plus")  # products ~ c/(n (log n)^2): slow tail
-    s = build(spec, 100_000)
+    s = build(spec, 100)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rp = return_prob(s)
@@ -195,9 +197,79 @@ def test_return_prob_transient_minus_family():
     # point is the bitwise symmetry.
     s = build(PerturbedWalk(1, -2.0, "minus"), 100_000)
     rp = return_prob(s)
-    assert rp.method == "shape-tail"
+    assert rp.method == "integral-bound"
     ref = return_prob(build(PerturbedWalk(1, 2.0, "plus"), 100_000))
-    assert rp.value == ref.value  # bitwise sign symmetry carries through
+    assert rp == ref  # bitwise sign symmetry carries through
+
+
+def _at(series: ProductSeries, n: int) -> ProductSeries:
+    """The first n entries of ``series`` as a table of its own.
+
+    An entry does not depend on how far its table goes, so this is
+    ``build(series.spec, n)`` without the build.
+    """
+    return ProductSeries(series.spec, n, series.log_prod[: n + 1], series.log_prefix_sum[: n + 1])
+
+
+DEPTHS = [1, 2, 10, 10**3, 10**5, 10**6]
+
+
+DEPTH_ONE = ([PerturbedWalk(1, b, "plus") for b in (1.1, 1.5, 2, 3, 5, 40, 1000)]
+             + [PerturbedWalk(1, b, "minus") for b in (-2.5, -7)])
+
+
+@pytest.mark.parametrize("spec", DEPTH_ONE, ids=str)
+def test_return_prob_contains_depth_one_oracle(spec):
+    # The oracle sums the walk's own double drifts to site 4000 in 50
+    # digits and adds the closed-form tail past it.
+    exact = return_prob_from_drifts(spec)
+    series = build(spec, DEPTHS[-1])
+    for n in DEPTHS:
+        rp = return_prob(_at(series, n))
+        assert rp.method == "integral-bound"
+        assert rp.lower <= exact <= rp.upper, (n, rp, exact)
+        assert rp.value == 0.5 * (rp.lower + rp.upper)
+
+
+def _inside(inner: ReturnProbability, outer: ReturnProbability) -> bool:
+    """``inner`` lies in ``outer`` to within 1 ulp at each end."""
+    return (inner.lower >= outer.lower - math.ulp(outer.lower)
+            and inner.upper <= outer.upper + math.ulp(outer.upper))
+
+
+@pytest.mark.parametrize("k,b", [(2, 1.5), (2, 1.01), (3, 2.0), (2, 50.0), (4, 1.5)])
+def test_return_prob_brackets_nest(k, b):
+    # No k >= 2 oracle reaches these depths, but a bracket from a longer
+    # table may only shrink: each lies inside the one at a tenth its depth.
+    series = build(PerturbedWalk(k, b, "plus"), 10**6)
+    brackets = [return_prob(_at(series, 10**e)) for e in range(7)]
+    for shallow, deep in zip(brackets, brackets[1:]):
+        assert _inside(deep, shallow), (shallow, deep)
+
+
+@pytest.mark.parametrize("spec,n", [
+    (PerturbedWalk(3, 2.0, "plus"), 3),
+    (PerturbedWalk(4, 1.5, "plus"), 8),
+    (PerturbedWalk(1, 1e6, "plus"), 64),
+], ids=str)
+def test_return_prob_below_i0(spec, n):
+    # A table that stops below i0 sums the frozen sites up to i0 in closed
+    # form: a finite bracket that holds every deeper one.
+    assert n < spec.i0
+    series = build(spec, 10**6)
+    short = return_prob(_at(series, n))
+    assert 0.0 < short.lower <= short.upper < 1.0
+    for deep in (n + 1, spec.i0, 10**3, 10**6):
+        assert _inside(return_prob(_at(series, deep)), short), deep
+
+
+@pytest.mark.parametrize("spec,width", [
+    (PerturbedWalk(1, 2.0, "plus"), 1e-10),
+    (PerturbedWalk(2, 1.5, "plus"), 2e-7),
+], ids=str)
+def test_return_prob_width_at_depth(spec, width):
+    rp = return_prob(build(spec, 10**5))
+    assert 0.0 < rp.upper - rp.lower <= width
 
 
 def test_hit_before_scratch_per_entry():

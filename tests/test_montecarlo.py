@@ -185,7 +185,8 @@ def test_interrupt_ends_a_long_run_promptly():
     finally:
         proc.kill()
         proc.communicate()
-    assert proc.returncode != 0 and "KeyboardInterrupt" in err
+    assert proc.returncode == 130
+    assert err == "error: interrupted\n"
 
 
 def test_rerun_is_identical():

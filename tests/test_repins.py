@@ -9,14 +9,16 @@ were re-pinned when ``series.build`` took the compensated block scan,
 constant-walk tables when it took the gambler's-ruin closed form, the hit
 pin when ``hit_before`` came to sum its window's shifted products, and the
 constant walk's product shape when ``resolve_shape`` took L from the
-tables' own 40-digit rounding.  ``c_hat`` is measured against the exact
-constant at n: the exact value over the exact shape.
+tables' own 40-digit rounding, and the return pin when ``return_prob``
+took the closed-form integral bound on its remainder.  ``c_hat`` is
+measured against the exact constant at n: the exact value over the exact
+shape.
 
 Oracles (``_oracles.py``): ``geometric`` is the 50-digit closed form of the
 constant walk; ``drifts`` sums the products of the perturbed walk's double
-drifts in 40 digits (50 for a hitting probability); ``gamma`` is the
-50-digit Gamma-ratio form of a depth-1 walk.  Long tables are measured on
-every row to 300 and every 97th row after it.
+drifts in 40 digits (50 for a hitting probability and for a return
+probability, whose depth-1 tail is then summed in closed form).  Long
+tables are measured on every row to 300 and every 97th row after it.
 """
 
 from __future__ import annotations
@@ -33,15 +35,14 @@ import pytest
 from lmax import ConstantWalk, PerturbedWalk
 from lmax.asymptotics import ShapeTarget, log_shape, resolve_shape
 from lmax.cli import main
-from lmax.first_passage import _log_tail_estimate
 from lmax.series import build
 from lmax.walk import signed_drift_array
 
 from _oracles import (
-    depth1_log_tables,
     drift_log_tables,
     geometric_log_tables,
     hit_prob_from_drifts,
+    return_prob_from_drifts,
     ulps,
 )
 
@@ -139,17 +140,28 @@ def _asympt_errors(cmd: str, spec, n_hi: int, target: str) -> dict:
 
 
 def _return_errors(cmd: str, spec, n: int) -> dict:
+    """``value`` against P(return); ``lower`` and ``upper`` against their 50-digit values.
+
+    The ends are 1 - 1/(S_N + T) with T at the two integral bounds of
+    ``first_passage._log_tail_bounds`` for a depth-1 walk tabulated past
+    i0: P_N e^(F(N) - E) I and P_N e^(F(N+1)) I, F(x) = beta log x,
+    I = (N+1)^(1-beta)/(beta - 1).  P_N and S_N come from the drifts
+    oracle, and E from the double drift at N, as the library takes it.
+    """
+    assert spec.k == 1 and n >= spec.i0
     cols, rows, _ = _output(cmd)
     row = dict(zip(cols, rows[0]))
-    log_p, log_s = depth1_log_tables(spec, n)
-    series = build(spec, n)
+    log_p, log_s = drift_log_tables(spec, n, [n])[n]
+    lam = abs(mp.mpf(float(signed_drift_array(spec, np.array([n]))[0]))) * 4
     with mp.workdps(50):
-        # The tail estimate reads the table only through log_prod[n].
-        log_tail = _log_tail_estimate(series) - float(series.log_prod[n]) + log_p
-        lower = -mp.expm1(-log_s)
-        upper = 1 - 1 / (mp.exp(log_s) + mp.exp(log_tail))
+        beta = abs(mp.mpf(spec.b))
+        integral = (n + 1) ** (1 - beta) / (beta - 1)
+        e = n * lam**3 / (24 * (1 - lam**2 / 4))
+        t_lo = mp.exp(log_p + beta * mp.log(n) - e) * integral
+        t_hi = mp.exp(log_p + beta * mp.log(n + 1)) * integral
+        lower, upper = (1 - 1 / (mp.exp(log_s) + t) for t in (t_lo, t_hi))
         return {"lower": [ulps(row["lower"], lower)], "upper": [ulps(row["upper"], upper)],
-                "value": [ulps(row["value"], (lower + upper) / 2)]}
+                "value": [ulps(row["value"], return_prob_from_drifts(spec))]}
 
 
 def _hit_errors(cmd: str, spec, a: int, k: int, b: int) -> dict:
@@ -207,9 +219,12 @@ REPINNED = {
     "asympt --p 0.4 --target product --n-hi 20000": (
         "geometric", _asympt_errors, (ConstantWalk(0.4), 20000, "product"),
         {"exact": (36510.0, 6228.0), "shape": (1041.0, 169.0), "c_hat": (4096.0, 1032.0)}),
+    # Re-pinned twice: with the compensated scan, then when return_prob took
+    # the integral bound; the errors below are the shape-tail bytes'.
     "return --sign plus --K 1 --B 2": (
-        "gamma", _return_errors, (PerturbedWalk(1, 2.0, "plus"), 100_000),
-        {"value": (182.2, 182.2), "lower": (182.7, 182.7), "upper": (181.7, 181.7)}),
+        "drifts", _return_errors, (PerturbedWalk(1, 2.0, "plus"), 100_000),
+        {"value": (2.162e10, 2.162e10), "lower": (4.324e10, 4.324e10),
+         "upper": (4.324e5, 4.324e5)}),
     "hit --sign minus --K 2 --B 2 --a 0 --k 3 --b 500": (
         "drifts", _hit_errors, (PerturbedWalk(2, 2.0, "minus"), 0, 3, 500),
         {"probability": (11.85, 11.85)}),
