@@ -435,13 +435,14 @@ def kernel_info() -> KernelInfo:
     return _kernel()[1]
 
 
-def render_rows(lib: ctypes.CDLL, columns: list, words: tuple[str, ...]) -> str:
-    """Render equal-length int64/float64 arrays (or ranges) as rows of text.
+def render_rows(lib: ctypes.CDLL, columns: list, words: tuple[str, ...]) -> bytes:
+    """Render equal-length int64/float64 arrays (or ranges) as rows of ASCII text.
 
     ``words`` is (head, row separator, cell separator, tail, inf, -inf,
     nan), all ASCII.  Ints are decimal and floats ``repr``, nonfinite ones
     spelled by the last three words; the text is ``head``, the rows joined
-    by the row separator, then ``tail``.
+    by the row separator, then ``tail``, returned as bytes for a binary
+    stream to take as they are.
     """
     arrays = [np.arange(c.start, c.stop, c.step, dtype=np.int64) if isinstance(c, range)
               else np.ascontiguousarray(c) for c in columns]
@@ -459,4 +460,4 @@ def render_rows(lib: ctypes.CDLL, columns: list, words: tuple[str, ...]) -> str:
     used = lib.lmax_render(buf.ctypes.data, cap, n_rows, n_cols, is_float.ctypes.data, ptrs, texts)
     if used < 0:
         raise RuntimeError("lmax_render needs more room than render_rows gave it")
-    return str(memoryview(buf)[:used], "ascii")
+    return buf[:used].tobytes()

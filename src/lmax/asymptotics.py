@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, RangeError
+from .excursion import _law
 from .series import ProductSeries, _constant_logs
 from .walk import ConstantWalk, WalkSpec, _least_site, _log_above
 
@@ -223,7 +224,9 @@ def estimate_constant(
     if s.target is ShapeTarget.PRODUCT:
         log_exact = series.log_prod[at]
     else:
-        log_exact = series.log_max_pmf(at)
+        log_exact = np.empty(len(at))
+        ls = series.log_prefix_sum
+        _law(series.spec, at, series.log_prod[at], ls[at - 1], ls[at], log_exact)
     log_shape_at = log_shape(s, at)
     log_c_at = log_exact - log_shape_at
     log_c = log_c_at[:-2]

@@ -17,9 +17,12 @@ Conventions shared by all subcommands:
   writes ``repr``'s bytes at a small part of its cost; other columns, and every
   column when the library cannot load, go through ``_cells``, the
   reference the renderer is tested against.
-* Output streams: rows are rendered column-wise and written in bounded
-  chunks, so memory for the text does not grow with the table, and the
-  bytes are exactly those of rendering the whole table at once.
+* Output streams: rows are rendered in chunks and each chunk's bytes go
+  straight to stdout's binary buffer, so memory for the text does not
+  grow with the table, and the bytes are exactly those of rendering the
+  whole table at once.  ``dist`` computes its rows block by block as it
+  writes them (``excursion.max_pmf_blocks``), so it holds a few blocks of
+  the table whatever ``--n-max``; the other commands slice their columns.
 * The JSON meta block carries the full walk parameters plus everything
   needed to reproduce the run (seed included); re-running with the same
   parameters and package version reproduces the bytes.  Wall-clock
@@ -36,6 +39,7 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -50,7 +54,7 @@ from . import __version__, _native
 from .asymptotics import ShapeTarget, estimate_constant, resolve_shape
 from .classify import classify, series_diagnostic
 from .errors import ConfigError, ConvergenceWarning, DomainError, RangeError, ResourceError
-from .excursion import max_pmf_table
+from .excursion import max_pmf_blocks, max_pmf_table
 from .first_passage import HittingQuery, hit_before, return_prob
 from .montecarlo import SimConfig, SimResult, compare, kernel_info, run
 from .series import build, check_budget, table_budget
@@ -114,44 +118,73 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _emit(fmt: str, meta: dict, columns: dict) -> int:
-    """Write ``columns`` (name -> column, all of one length) to stdout.
-
-    The bytes are those of a CSV header plus one line per row, or of
-    ``json.dumps({"meta", "columns", "rows"}, indent=2, sort_keys=True)``
-    and a newline.  Rows are rendered _CHUNK_ROWS at a time, so the text
-    in memory does not grow with the row count: by the compiled renderer
-    when every column is numeric (``_numeric``) and the library loads, else
-    column by column through ``_cells``.
-    """
+def _sliced(columns: dict) -> tuple:
+    """``(names, chunks)`` of equal-length columns: lists of their slices, _CHUNK_ROWS rows each."""
     names = list(columns)
     n_rows = len(columns[names[0]])
+    return names, ([columns[name][lo : lo + _CHUNK_ROWS] for name in names]
+                   for lo in range(0, n_rows, _CHUNK_ROWS))
+
+
+def _stdout():
+    """``write(bytes)`` for stdout, and the encoding and error handler its text takes.
+
+    The bytes go to ``sys.stdout.buffer`` after a flush of the text layer,
+    so they follow whatever it holds; a text stream with no buffer
+    (``io.StringIO``) takes them decoded.
+    """
     out = sys.stdout
+    codec = out.encoding or "utf-8", out.errors or "strict"
+    raw = getattr(out, "buffer", None)
+    if raw is None:
+        return (lambda data: out.write(data.decode(*codec))), *codec
+    out.flush()
+    return raw.write, *codec
+
+
+def _emit(fmt: str, meta: dict, columns) -> int:
+    """Write a table to stdout, one chunk of rows at a time.
+
+    ``columns`` maps names to columns of one length, which are sliced into
+    chunks of _CHUNK_ROWS rows, or is a ``(names, chunks)`` pair: an
+    iterable of lists of columns, one per name, each chunk at least one
+    row long.  The bytes are those of a CSV header plus one line per row,
+    or of ``json.dumps({"meta", "columns", "rows"}, indent=2, sort_keys=True)``
+    and a newline.  Only one chunk's text is in memory at a time.  A chunk
+    whose columns are all numeric (``_numeric``) goes through the compiled
+    renderer when the library loads, else column by column through
+    ``_cells``; either way its bytes go to stdout's binary buffer.  The
+    first chunk is drawn before anything is written, so an error there
+    leaves stdout empty.
+    """
+    names, chunks = _sliced(columns) if isinstance(columns, dict) else columns
+    chunks = iter(chunks)
+    first = next(chunks, None)
+    write, *codec = _stdout()
     if fmt == "json":
         doc = json.dumps({"meta": meta, "columns": names, "rows": []}, indent=2, sort_keys=True)
-        if not n_rows:
-            out.write(doc + "\n")
-            return 0
         # sort_keys puts "rows" last, so its empty list is the final "[]".
-        head, tail = doc[: doc.rindex("[]")] + "[\n", "\n  ]\n}\n"
+        empty, head, tail = doc + "\n", doc[: doc.rindex("[]")] + "[\n", "\n  ]\n}\n"
         row_open, cell_sep, row_close, row_sep = "    [\n      ", ",\n      ", "\n    ]", ",\n"
     else:
-        head, tail = ",".join(names) + "\n", ""
-        row_open, cell_sep, row_close, row_sep = "", ",", "\n", ""
-    out.write(head)
+        empty = head = ",".join(names) + "\n"
+        tail, row_open, cell_sep, row_close, row_sep = "", "", ",", "\n", ""
+    if first is None:
+        write(empty.encode(*codec))
+        return 0
+    write(head.encode(*codec))
     between = row_close + row_sep + row_open
-    lib = _native._kernel()[0] if n_rows and all(map(_numeric, columns.values())) else None
     spellings = tuple(_JSON_NONFINITE.values() if fmt == "json" else _JSON_NONFINITE)
-    for lo in range(0, n_rows, _CHUNK_ROWS):
-        lead = (row_sep if lo else "") + row_open
-        chunk = [columns[name][lo : lo + _CHUNK_ROWS] for name in names]
+    lead = row_open
+    for chunk in itertools.chain([first], chunks):
+        lib = _native._kernel()[0] if all(map(_numeric, chunk)) else None
         if lib is not None:
-            words = (lead, between, cell_sep, row_close, *spellings)
-            out.write(_native.render_rows(lib, chunk, words))
+            write(_native.render_rows(lib, chunk, (lead, between, cell_sep, row_close, *spellings)))
         else:
             rows = between.join(map(cell_sep.join, zip(*(_cells(c, fmt) for c in chunk))))
-            out.write(lead + rows + row_close)
-    out.write(tail)
+            write((lead + rows + row_close).encode(*codec))
+        lead = row_sep + row_open
+    write(tail.encode(*codec))
     return 0
 
 
@@ -173,17 +206,11 @@ def _depth(flag: str, n: int, least: int = 1) -> int:
     return n
 
 
-def cmd_dist(args, spec) -> tuple[dict, dict]:
-    series = build(spec, _depth("--n-max", args.n_max))
-    table = max_pmf_table(series, args.n_max)
-    # Index 0 of the table arrays is a placeholder; rows are n = 1..n_max.
-    columns = {
-        "n": range(1, args.n_max + 1),
-        "pmf": table.pmf[1:],
-        "log_pmf": table.log_pmf[1:],
-        "cumulative": table.cumulative[1:],
-    }
-    return {"n_max": args.n_max}, columns
+def cmd_dist(args, spec) -> tuple[dict, tuple]:
+    # One chunk of rows per block of the table: nothing of its length is held.
+    law = max_pmf_blocks(spec, _depth("--n-max", args.n_max))
+    chunks = ([rows, pmf, log_pmf, cumulative] for rows, log_pmf, pmf, cumulative in law)
+    return {"n_max": args.n_max}, (["n", "pmf", "log_pmf", "cumulative"], chunks)
 
 
 def cmd_classify(args, spec) -> tuple[dict, dict]:

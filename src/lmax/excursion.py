@@ -9,8 +9,7 @@ factors collapse into one closed form in the odds-ratio products:
                         --------------------------------------------
                         (1 + sum_{j<n} rho_1...rho_j)(1 + sum_{j<=n} ...)
 
-evaluated as exp(log_prod[n] - log_prefix_sum[n-1] - log_prefix_sum[n]) by
-``ProductSeries.log_max_pmf``.
+evaluated as exp(log_prod[n] - log_prefix_sum[n-1] - log_prefix_sum[n]).
 
 The same factors make the running mass telescope: summing the pmf over
 m <= n leaves P(M <= n, D < inf) = 1 - 1/S_n with
@@ -20,13 +19,17 @@ P(M >= n, D < inf) = 1/S_{n-1} - 1/S_inf.  The prefix sums give them as
 a sum, so they carry only the rounding of ``log_prefix_sum`` (the
 README's accuracy paragraph bounds it) and of one ``expm1``.
 
-``max_pmf_table`` is the only path to the law: P(M = n, D < inf) is
-``table.pmf[n]`` and its log ``table.log_pmf[n]``.  ``log_max_pmf`` pins
-row 1's log to log1p(-p_1), which a difference of logs loses for tiny
-p_1, and the table pins the linear row 1 to q_1.  The table is built in
-one vectorized pass over a ``ProductSeries``; the linear pmf column
-flushes to 0 beneath double-precision underflow while the log column
-stays informative.
+Row n of the law reads entries n - 1 and n of the two logs and nothing
+else, and ``_law`` is its one implementation: ``log_pmf``, ``pmf`` and
+``cumulative`` for any set of rows, with row 1 pinned to log1p(-p_1) and
+q_1 = 1 - p_1, which a difference of logs loses for tiny p_1.  Every
+path to the law calls it: ``max_pmf_table`` once over a whole table, for
+random access; ``max_pmf_blocks`` once per block of ``series.blocks``,
+carrying log S_(lo-1) from the block before, for a reader that takes
+the rows once in order (``lmax dist``) in memory bounded by a block;
+``asymptotics`` at its sample rows.  The linear pmf column flushes to 0
+beneath double-precision underflow while the log column stays
+informative.
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ import numpy as np
 
 from .errors import RangeError
 from .first_passage import return_prob
-from .series import ProductSeries, _escape_mass
-from .walk import step_up_prob
+from .series import BLOCK, ProductSeries, _escape_mass, blocks
+from .walk import WalkSpec, step_up_prob
 
 __all__ = [
     "MaxPmfTable",
     "max_pmf_table",
+    "max_pmf_blocks",
     "TailMass",
     "tail_mass",
 ]
@@ -73,6 +77,28 @@ class MaxPmfTable:
         return n
 
 
+def _law(spec: WalkSpec, rows, log_p, log_s_prev, log_s, log_pmf, pmf=None, cumulative=None):
+    """The law of M on {D < inf} at ``rows``, into ``log_pmf`` (and ``pmf``, ``cumulative``).
+
+    ``rows`` is a range or an int array of n >= 1; ``log_p``, ``log_s_prev``
+    and ``log_s`` hold log P_n, log S_(n-1) and log S_n at those rows.  Row
+    n is log P_n - log S_(n-1) - log S_n, its exp, and 1 - 1/S_n.
+    """
+    np.subtract(log_p, log_s_prev, out=log_pmf)
+    np.subtract(log_pmf, log_s, out=log_pmf)
+    one = slice(0, int(rows.start == 1)) if isinstance(rows, range) else np.equal(rows, 1)
+    p1 = step_up_prob(spec, 1)
+    log_pmf[one] = math.log1p(-p1)
+    if pmf is not None:
+        with np.errstate(under="ignore"):
+            np.exp(log_pmf, out=pmf)
+        pmf[one] = 1.0 - p1
+    if cumulative is not None:
+        # 1 - 1/S_n is nondecreasing and <= 1 by construction.
+        _escape_mass(log_s, complement=True, out=cumulative)
+        cumulative[one] = 1.0 - p1
+
+
 def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     """Build the full table for n = 1..n_max in one vectorized pass.
 
@@ -82,19 +108,11 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     n_max = int(n_max)
     if not 1 <= n_max <= series.n_max:
         raise RangeError(f"n_max={n_max} outside series range 1..{series.n_max}")
-    log_pmf = np.empty(n_max + 1)
-    log_pmf[0] = -np.inf
-    series.log_max_pmf(range(1, n_max + 1), out=log_pmf[1:])
-    with np.errstate(under="ignore"):
-        pmf = np.exp(log_pmf)
-    pmf[0] = 0.0
-    p1 = step_up_prob(series.spec, 1)
-    pmf[1] = 1.0 - p1
-    # 1 - 1/S_n is nondecreasing and <= 1 by construction; row 0 is
-    # -expm1(-0) = 0 and row 1 is pinned to q_1 like the pmf.
-    cumulative = np.empty(n_max + 1)
-    _escape_mass(series.log_prefix_sum[: n_max + 1], complement=True, out=cumulative)
-    cumulative[1] = pmf[1]
+    log_pmf, pmf, cumulative = np.empty(n_max + 1), np.empty(n_max + 1), np.empty(n_max + 1)
+    log_pmf[0], pmf[0], cumulative[0] = -np.inf, 0.0, 0.0
+    lp, ls = series.log_prod, series.log_prefix_sum
+    _law(series.spec, range(1, n_max + 1), lp[1 : n_max + 1], ls[:n_max], ls[1 : n_max + 1],
+         log_pmf[1:], pmf[1:], cumulative[1:])
     return MaxPmfTable(
         spec=series.spec,
         n_max=n_max,
@@ -103,6 +121,34 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
         cumulative=cumulative,
         series=series,
     )
+
+
+def max_pmf_blocks(spec: WalkSpec, n_max: int):
+    """An iterator of ``(rows, log_pmf, pmf, cumulative)`` for n = 1..n_max, block by block.
+
+    ``rows`` is a range of up to ``series.BLOCK`` rows and the arrays hold
+    the law at them, bit for bit the rows of ``max_pmf_table`` on
+    ``build(spec, n_max)``.  The arrays are views of buffers that the next
+    block overwrites, and nothing else of the table's length is held.
+
+    Raises:
+        ResourceError, ConfigError: as ``series.build``, when called.
+    """
+    table = blocks(spec, n_max)
+    log_s = np.empty(BLOCK + 1)  # log S from entry lo - 1 on
+    out = np.empty(BLOCK), np.empty(BLOCK), np.empty(BLOCK)
+
+    def rows():
+        for lo, lp, ls in table:
+            m, k = len(ls), int(lo == 0)  # entry 0 has no row
+            n = range(lo + k, lo + m)
+            log_s[1 : m + 1] = ls
+            block = [a[: m - k] for a in out]
+            _law(spec, n, lp[k:], log_s[k:m], ls[k:], *block)
+            log_s[0] = ls[-1]
+            yield n, *block
+
+    return rows()
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,12 @@ S_n = 1 + sum_{j<=n} P_j.  Both are held as logs: for downward-drifting
 walks the prefix sums grow without bound, and for constant rho > 1 they
 overflow double precision near n = 700 if held linearly.
 
-``build`` computes both logs into the two arrays of a table, in
-fixed-size blocks of entries, and allocates nothing else of the table's
-length.  Each family has one block step:
+Both logs are computed in fixed-size blocks of entries.  ``blocks``
+yields them one block at a time, in two reused block buffers, for a
+caller that reads the table once in order (``lmax dist``); ``build``
+runs the same block loop into the two arrays of a whole table, for
+random access, and allocates nothing else of the table's length.  Each
+family has one block step:
 
 * Constant walks have one odds ratio r = e^L, and Feller's gambler's-ruin
   sums are closed forms (*An Introduction to Probability Theory*, vol. 1,
@@ -25,10 +28,10 @@ length.  Each family has one block step:
   log so far, so no ``log`` or ``exp`` argument is a difference of large
   terms.
 
-The arrays are allocated to a whole number of blocks, so the last block
-is computed whole like every other: a constant entry is a function of n
-alone, and every perturbed block starts from fixed seams, so an entry
-does not depend on how far its table goes.
+The last block is computed whole like every other: a constant entry is a
+function of n alone, and every perturbed block starts from fixed seams,
+so an entry does not depend on how far its table goes, nor on whether it
+was streamed or built.
 
 Against 40- and 50-digit oracles, ``log_prod[n]`` lies within 2 ulp of
 |log P_n| and ``log_prefix_sum[n]`` within 2 ulp of log S_n on the walks
@@ -44,10 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, RangeError, ResourceError
-from .walk import ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array, step_up_prob
+from .walk import ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array
 
 __all__ = [
-    "ProductSeries", "build", "log_odds", "check_budget", "table_budget",
+    "ProductSeries", "build", "blocks", "log_odds", "check_budget", "table_budget",
     "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV",
 ]
 
@@ -56,9 +59,11 @@ __all__ = [
 # length: both arrays are rounded up to a whole number of BLOCKs (at most
 # 64 KB more each), and a block step's scratch is a few arrays of BLOCK
 # entries.  A MaxPmfTable built on the table adds three more (log_pmf,
-# pmf, cumulative), five in all.  Measured peak RSS of build +
-# max_pmf_table at 1e7: see the README's *Table budget*.  The budget can
-# be changed only through the environment variable below.
+# pmf, cumulative).  ``blocks`` holds two BLOCK buffers and the step's
+# scratch whatever n, so ``lmax dist`` holds a few blocks at any depth.
+# Measured peak RSS: see the README's *Table budget*.  The budget bounds
+# every table, streamed or built, and can be changed only through the
+# environment variable below.
 DEFAULT_MAX_ENTRIES = 20_000_000
 MAX_TABLE_ENV = "LMAX_MAX_TABLE"
 
@@ -84,23 +89,6 @@ class ProductSeries:
     n_max: int
     log_prod: np.ndarray
     log_prefix_sum: np.ndarray
-
-    def log_max_pmf(self, n, out: np.ndarray | None = None) -> np.ndarray:
-        """``log P(M = n, D < inf)`` at unchecked ``n >= 1``: an int array or a ``range``.
-
-        Row 1 is log q_1 = log1p(-p_1), which the difference of logs loses
-        for tiny p_1.  A ``range`` is read through slice views, with no
-        index arrays or gathers.
-        """
-        if isinstance(n, range):
-            cur, prev = slice(n.start, n.stop), slice(n.start - 1, n.stop - 1)
-            ones = slice(0, int(n.start == 1))
-        else:
-            cur, prev, ones = n, np.subtract(n, 1), np.equal(n, 1)
-        head = np.subtract(self.log_prod[cur], self.log_prefix_sum[prev], out=out)
-        res = np.subtract(head, self.log_prefix_sum[cur], out=out)
-        res[ones] = math.log1p(-step_up_prob(self.spec, 1))
-        return res
 
 
 def _escape_mass(log_s, complement: bool = False, out: np.ndarray | None = None):
@@ -152,6 +140,31 @@ def check_budget(what: str, n: int) -> None:
         )
 
 
+def _depth(n_max) -> int:
+    """``n_max`` as an int, checked to be >= 1 and within ``table_budget()``."""
+    n_max = int(n_max)
+    if n_max < 1:
+        raise RangeError(f"n_max must be >= 1, got {n_max}")
+    check_budget("n_max", n_max)
+    return n_max
+
+
+def _fill(spec: WalkSpec, n_max: int, log_prod: np.ndarray, log_prefix_sum: np.ndarray):
+    """Run the walk's block step over entries 0..n_max; yield ``(lo, lp, ls)`` per block.
+
+    ``lp`` and ``ls`` are the BLOCK-entry windows of ``log_prod`` and
+    ``log_prefix_sum`` that hold entries lo .. lo + BLOCK - 1: the arrays
+    are either a whole table, rounded up to whole blocks, or one block
+    each, which every block reuses.
+    """
+    step = _ConstantStep(spec) if isinstance(spec, ConstantWalk) else _PerturbedScan(spec)
+    for lo in range(0, n_max + 1, BLOCK):
+        at = lo % len(log_prod)
+        lp, ls = log_prod[at : at + BLOCK], log_prefix_sum[at : at + BLOCK]
+        step(lo, lp, ls)
+        yield lo, lp, ls
+
+
 def build(spec: WalkSpec, n_max: int) -> ProductSeries:
     """Tabulate log products and log prefix sums over entries 0..n_max, block by block.
 
@@ -164,17 +177,29 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
             ``LMAX_MAX_TABLE`` environment variable, or 2e7 entries.
         ConfigError: if ``LMAX_MAX_TABLE`` is not an integer >= 1.
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise RangeError(f"n_max must be >= 1, got {n_max}")
-    check_budget("n_max", n_max)
+    n_max = _depth(n_max)
     size = -(-(n_max + 1) // BLOCK) * BLOCK
     log_prod, log_prefix_sum = np.empty(size), np.empty(size)
-    step = _ConstantStep(spec) if isinstance(spec, ConstantWalk) else _PerturbedScan(spec)
-    for lo in range(0, size, BLOCK):
-        step(lo, log_prod[lo : lo + BLOCK], log_prefix_sum[lo : lo + BLOCK])
+    for _ in _fill(spec, n_max, log_prod, log_prefix_sum):
+        pass
     return ProductSeries(spec=spec, n_max=n_max, log_prod=log_prod[: n_max + 1],
                          log_prefix_sum=log_prefix_sum[: n_max + 1])
+
+
+def blocks(spec: WalkSpec, n_max: int):
+    """An iterator of ``(lo, log_prod, log_prefix_sum)`` over entries 0..n_max, block by block.
+
+    Each pair holds entries lo .. lo + m - 1 of the two logs, m = BLOCK
+    but on the last block; the entries are bit for bit those of
+    ``build(spec, n_max)``.  The arrays are views of two buffers that the
+    next block overwrites, so a caller copies what it keeps.
+
+    Raises:
+        ResourceError, ConfigError: as ``build``, when called.
+    """
+    n_max = _depth(n_max)
+    fill = _fill(spec, n_max, np.empty(BLOCK), np.empty(BLOCK))
+    return ((lo, lp[: n_max + 1 - lo], ls[: n_max + 1 - lo]) for lo, lp, ls in fill)
 
 
 def log_odds(p: float) -> float:

@@ -36,7 +36,7 @@ def test_removed_names_are_gone():
         for name in names:
             assert not hasattr(lmax, name), name
             assert not hasattr(module, name), f"lmax.{mod}.{name}"
-    for name in ("log_product", "log_one_plus_sum", "_check"):
+    for name in ("log_product", "log_one_plus_sum", "_check", "log_max_pmf"):
         assert not hasattr(ProductSeries, name), name
     fields = {f.name for f in dataclasses.fields(SeriesDiagnostic)}
     assert not fields & {"n_quarter", "log_sum_quarter"}

@@ -216,7 +216,8 @@ def test_fit_carries_the_log_shape_of_each_sample(spec, target):
     series = build(spec, 5000)
     fit = estimate_constant(series, s, 50, 5000)
     assert fit.log_shape.tolist() == [log_shape(s, int(n)) for n in fit.ns]
-    exact = series.log_prod[fit.ns] if target is PROD else series.log_max_pmf(fit.ns)
+    lp, ls, ns = series.log_prod, series.log_prefix_sum, fit.ns  # ns >= 50: no pinned row 1
+    exact = lp[ns] if target is PROD else lp[ns] - ls[ns - 1] - ls[ns]
     assert np.array_equal(fit.log_c_hat, exact - fit.log_shape)
 
 

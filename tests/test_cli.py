@@ -16,10 +16,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from lmax import ConstantWalk, PerturbedWalk, _native, cli, montecarlo
+from lmax import (ConstantWalk, PerturbedWalk, __version__, _native, build, cli, max_pmf_table,
+                  montecarlo)
 from lmax.cli import main
-from lmax.series import DEFAULT_MAX_ENTRIES
-from lmax.walk import spec_from_params
+from lmax.series import BLOCK, DEFAULT_MAX_ENTRIES
+from lmax.walk import spec_from_params, spec_params
 
 from _oracles import geometric_pmf
 
@@ -159,11 +160,13 @@ def test_table_cap_exits_one(capsys, monkeypatch):
 def test_memory_exhaustion_exits_one(capsys, monkeypatch):
     # Below the table budget, memory can still run out; that is the same
     # resource limit: exit 1 with one line, not a traceback.  No real
-    # allocation: the table build is patched to fail as numpy does.
-    def build(spec, n_max):
+    # allocation: the table's first block is patched to fail as numpy does,
+    # once the output has begun to be drawn, and stdout stays empty.
+    def max_pmf_blocks(spec, n_max):
         raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000001,)")
+        yield
 
-    monkeypatch.setattr(cli, "build", build)
+    monkeypatch.setattr(cli, "max_pmf_blocks", max_pmf_blocks)
     code = main(["dist", "--p", "0.4", "--n-max", "10"])
     out, err = capsys.readouterr()
     assert code == 1
@@ -461,6 +464,29 @@ def test_emitter_matches_row_oracle(capsys, monkeypatch, case, fmt, chunk):
     assert out == _emit_oracle(fmt, meta, names, rows)
 
 
+@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("walk", ["--p 0.4", "--sign plus --K 2 --B 1.5"])
+def test_streamed_dist_writes_the_whole_table_bytes(capsysbinary, monkeypatch, walk, fmt, kernel):
+    # dist's rows, computed block by block, against max_pmf_table's whole
+    # arrays emitted as dict columns, at depths around the block seams.
+    if kernel == "python":
+        monkeypatch.setattr(_native, "_kernel", lambda: (None, montecarlo.KernelInfo("python", "forced")))
+    elif _native._kernel()[0] is None:
+        pytest.fail(f"the native library did not load: {_native.kernel_info().reason}")
+    for n in (1, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7):
+        argv = ["dist", *walk.split(), "--n-max", str(n), "--format", fmt]
+        assert main(argv) == 0
+        streamed = capsysbinary.readouterr().out
+        spec = cli._walk_from_args(cli.build_parser().parse_args(argv))
+        table = max_pmf_table(build(spec, n), n)
+        meta = {**spec_params(spec), "command": "dist", "version": __version__, "n_max": n}
+        columns = {"n": range(1, n + 1), "pmf": table.pmf[1:], "log_pmf": table.log_pmf[1:],
+                   "cumulative": table.cumulative[1:]}
+        assert cli._emit(fmt, meta, columns) == 0
+        assert streamed == capsysbinary.readouterr().out, n
+
+
 def test_csv_string_cells_read_back_through_the_csv_module(capsys):
     # CR is quoted too: a CSV reader ends an unquoted row there.
     labels = ["plain", "a,b", 'say "x"', "line\nbreak", "carriage\rreturn", "crlf\r\n", ""]
@@ -469,9 +495,8 @@ def test_csv_string_cells_read_back_through_the_csv_module(capsys):
     assert rows == [["label", "n"], *([s, str(i)] for i, s in enumerate(labels))]
 
 
-def _dist_peak_per_row(monkeypatch, fmt, n, chunk):
-    """Traced peak bytes per row of a dist call with stdout discarded."""
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+def _dist_peak(monkeypatch, fmt, n):
+    """Traced peak bytes of a dist call with stdout discarded."""
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -481,18 +506,48 @@ def _dist_peak_per_row(monkeypatch, fmt, n, chunk):
         finally:
             tracemalloc.stop()
     assert code == 0
-    return peak / n
+    return peak
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_dist_memory_per_row_is_bounded(monkeypatch, fmt):
-    # 5e4 rows in chunks of 4096 keep the table-to-chunk ratio of the
-    # default 65536-row chunks at 8e5 rows.  Traced peak: 58 B/row (CSV)
-    # and 62 B/row (JSON) streamed, 321 and 441 B/row in one chunk.
-    n = 50_000
-    assert _dist_peak_per_row(monkeypatch, fmt, n, chunk=4096) < 200
-    # Control: with every row in one chunk the bound must fail.
-    assert _dist_peak_per_row(monkeypatch, fmt, n, chunk=n) > 200
+    # dist holds a few blocks of the table and one block's text whatever
+    # --n-max: traced peaks of 2.0-2.2 MB (CSV) and 2.7 MB (JSON) at both
+    # 5e4 and 8e5 rows, where the whole table's law alone is 19 MB.
+    small, large = (_dist_peak(monkeypatch, fmt, n) for n in (50_000, 800_000))
+    assert small / 50_000 < 200
+    assert large < 1.25 * small, (small, large)
+    # Control: tracemalloc sees numpy's arrays, so a table-length one would show.
+    tracemalloc.start()
+    try:
+        table = build(ConstantWalk(0.5), 800_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak > table.log_prod.nbytes + table.log_prefix_sum.nbytes > 1.25 * small
+
+
+def _limit_address_space(limit):
+    import resource
+
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux only")
+def test_dist_streams_in_bounded_address_space():
+    # 3e6 rows under a 250 MB address space.  The interpreter and numpy take
+    # most of it; a whole table and its law (five arrays of 24 MB) do not fit.
+    argv = [sys.executable, "-m", "lmax", "dist", "--p", "0.4", "--n-max", "3000000"]
+    tail, size = b"", 0
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          preexec_fn=_limit_address_space(250 << 20)) as proc:
+        while chunk := proc.stdout.read(1 << 20):  # the 120 MB of text are never held
+            tail, size = (tail + chunk)[-200:], size + len(chunk)
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
+    assert tail.endswith(b"\n2999999,0.0,-1216396.710618854,1.0\n"
+                         b"3000000,0.0,-1216397.1160839621,1.0\n"), tail
+    assert size > 3_000_000 * 30
 
 
 # A bracket 4.8e-7 wide, held to 1e-9: the command warns.

@@ -231,6 +231,21 @@ def test_return_prob_contains_depth_one_oracle(spec):
         assert rp.value == 0.5 * (rp.lower + rp.upper)
 
 
+@pytest.mark.parametrize("spec,n", [
+    (PerturbedWalk(1, 11.75, "plus"), 6),
+    (PerturbedWalk(1, 13.5, "plus"), 7),
+], ids=str)
+def test_return_prob_lower_end_needs_the_cubic_correction(spec, n):
+    # At N = i0 the drift lam_N is near 2, where log rho = -2 atanh(lam/2)
+    # falls well below -lam, and the remainder past N is 1.4e-11 and 3.6e-12
+    # of the return probability.  Without the cubic correction E the lower
+    # end lies 1363 and 1004 ulp above the oracle; with it, it holds.
+    assert n == spec.i0
+    exact = return_prob_from_drifts(spec)
+    rp = return_prob(build(spec, n))
+    assert rp.lower <= exact <= rp.upper, (rp, exact)
+
+
 def _inside(inner: ReturnProbability, outer: ReturnProbability) -> bool:
     """``inner`` lies in ``outer`` to within 1 ulp at each end."""
     return (inner.lower >= outer.lower - math.ulp(outer.lower)

@@ -2,7 +2,7 @@
 
 ``cli._cells`` (``float.__repr__``, ``int.__repr__`` and JSON's spellings
 of the nonfinite floats) is the reference; ``_native.render_rows`` must
-reproduce it byte for byte.  The values behind the pinned outputs are
+return its ASCII encoding byte for byte.  The values behind the pinned outputs are
 covered in ``test_cli``, whose digests hold on both paths.
 """
 
@@ -41,11 +41,11 @@ def _assert_renders_as_repr(lib, x, fmt="csv"):
     x = np.ascontiguousarray(x, dtype=np.float64)
     words = (*LINES, *SPELLINGS[fmt])
     got = _native.render_rows(lib, [x], words)
-    want = _reference([x], fmt, words)
+    want = _reference([x], fmt, words).encode("ascii")
     if got != want:
-        pairs = zip(got.split("\n"), want.split("\n"))
+        pairs = zip(got.split(b"\n"), want.split(b"\n"))
         i, (g, w) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
-        pytest.fail(f"{x[i].hex()} renders as {g!r}, repr gives {w!r}")
+        pytest.fail(f"{x[i].hex()} renders as {g.decode()!r}, repr gives {w.decode()!r}")
 
 
 def test_random_bit_patterns(lib):
@@ -100,9 +100,9 @@ def test_int64_extremes(lib):
     n = np.array([0, 1, -1, 9, 10, 99, 100, -100, 2**53 + 1, 2**63 - 1, -(2**63)], dtype=np.int64)
     n = np.concatenate([n, np.arange(-100_000, 100_000, 7, dtype=np.int64)])
     words = (*LINES, *SPELLINGS["csv"])
-    assert _native.render_rows(lib, [n], words) == _reference([n], "csv", words)
+    assert _native.render_rows(lib, [n], words) == _reference([n], "csv", words).encode("ascii")
     r = range(5, 70_000, 3)
-    assert _native.render_rows(lib, [r], words) == _reference([r], "csv", words)
+    assert _native.render_rows(lib, [r], words) == _reference([r], "csv", words).encode("ascii")
 
 
 TABLE = {
@@ -115,7 +115,7 @@ TABLE = {
 
 @pytest.mark.parametrize("chunk", [1, 3, 65_536])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_emit_writes_the_same_bytes_on_both_paths(capsys, monkeypatch, lib, fmt, chunk):
+def test_emit_writes_the_same_bytes_on_both_paths(capsysbinary, monkeypatch, lib, fmt, chunk):
     monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
     calls = []
     real = _native.render_rows
@@ -124,12 +124,12 @@ def test_emit_writes_the_same_bytes_on_both_paths(capsys, monkeypatch, lib, fmt,
     for kernel, info in ((lib, KernelInfo("c", None)), (None, KernelInfo("python", "forced"))):
         monkeypatch.setattr(_native, "_kernel", lambda k=kernel, i=info: (k, i))
         assert cli._emit(fmt, {"command": "test"}, TABLE) == 0
-        outputs.append(capsys.readouterr().out)
+        outputs.append(capsysbinary.readouterr().out)
     compiled, python = outputs
     assert len(calls) == -(-11 // chunk)  # the compiled path rendered every chunk
     assert compiled == python
     if fmt == "json":
-        assert json.loads(compiled.replace("NaN", "null"))["rows"][4][2] is None
+        assert json.loads(compiled.replace(b"NaN", b"null"))["rows"][4][2] is None
 
 
 def test_render_rows_rejects_what_the_kernel_cannot_take(lib):
