@@ -435,14 +435,19 @@ def kernel_info() -> KernelInfo:
     return _kernel()[1]
 
 
-def render_rows(lib: ctypes.CDLL, columns: list, words: tuple[str, ...]) -> bytes:
+def render_rows(lib: ctypes.CDLL, columns: list, words: tuple[str, ...],
+                buf: bytearray | None = None) -> memoryview:
     """Render equal-length int64/float64 arrays (or ranges) as rows of ASCII text.
 
     ``words`` is (head, row separator, cell separator, tail, inf, -inf,
     nan), all ASCII.  Ints are decimal and floats ``repr``, nonfinite ones
     spelled by the last three words; the text is ``head``, the rows joined
-    by the row separator, then ``tail``, returned as bytes for a binary
-    stream to take as they are.
+    by the row separator, then ``tail``.  It is rendered into ``buf``, grown
+    to the room the rows may take (24 bytes a cell) and kept for the next
+    call, and returned as a memoryview of its used part, for a binary
+    stream to take as it is; the next render into ``buf`` overwrites it,
+    and ``buf`` cannot grow while the view is held.  With no ``buf`` the
+    text has a buffer of its own.
     """
     arrays = [np.arange(c.start, c.stop, c.step, dtype=np.int64) if isinstance(c, range)
               else np.ascontiguousarray(c) for c in columns]
@@ -453,11 +458,15 @@ def render_rows(lib: ctypes.CDLL, columns: list, words: tuple[str, ...]) -> byte
         raise ValueError("columns differ in length, or words are not the seven render_rows takes")
     head, row_sep, cell_sep, tail = words[:4]
     cap = len(head) + len(tail) + n_rows * (n_cols * (_CELL_MAX + len(cell_sep)) + len(row_sep))
-    buf = np.empty(cap, dtype=np.uint8)  # pages past the text are never touched
+    if buf is None:
+        buf = bytearray()
+    if len(buf) < max(cap, 1):  # a bytearray exports no address while empty
+        buf += bytes(max(cap, 1) - len(buf))
     is_float = np.array([a.dtype == np.float64 for a in arrays], dtype=np.int64)
     ptrs = (ctypes.c_void_p * n_cols)(*(a.ctypes.data for a in arrays))
     texts = (ctypes.c_char_p * len(words))(*(w.encode("ascii") for w in words))
-    used = lib.lmax_render(buf.ctypes.data, cap, n_rows, n_cols, is_float.ctypes.data, ptrs, texts)
+    at = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+    used = lib.lmax_render(at, cap, n_rows, n_cols, is_float.ctypes.data, ptrs, texts)
     if used < 0:
         raise RuntimeError("lmax_render needs more room than render_rows gave it")
-    return buf[:used].tobytes()
+    return memoryview(buf)[:used]

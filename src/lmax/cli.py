@@ -127,17 +127,18 @@ def _sliced(columns: dict) -> tuple:
 
 
 def _stdout():
-    """``write(bytes)`` for stdout, and the encoding and error handler its text takes.
+    """``write(data)`` for stdout, and the encoding and error handler its text takes.
 
-    The bytes go to ``sys.stdout.buffer`` after a flush of the text layer,
-    so they follow whatever it holds; a text stream with no buffer
-    (``io.StringIO``) takes them decoded.
+    ``data`` is bytes or a memoryview of them.  The bytes go to
+    ``sys.stdout.buffer`` after a flush of the text layer, so they follow
+    whatever it holds; a text stream with no buffer (``io.StringIO``) takes
+    them decoded.
     """
     out = sys.stdout
     codec = out.encoding or "utf-8", out.errors or "strict"
     raw = getattr(out, "buffer", None)
     if raw is None:
-        return (lambda data: out.write(data.decode(*codec))), *codec
+        return (lambda data: out.write(bytes(data).decode(*codec))), *codec
     out.flush()
     return raw.write, *codec
 
@@ -152,10 +153,10 @@ def _emit(fmt: str, meta: dict, columns) -> int:
     or of ``json.dumps({"meta", "columns", "rows"}, indent=2, sort_keys=True)``
     and a newline.  Only one chunk's text is in memory at a time.  A chunk
     whose columns are all numeric (``_numeric``) goes through the compiled
-    renderer when the library loads, else column by column through
-    ``_cells``; either way its bytes go to stdout's binary buffer.  The
-    first chunk is drawn before anything is written, so an error there
-    leaves stdout empty.
+    renderer when the library loads, into one buffer that every chunk
+    reuses, else column by column through ``_cells``; either way its bytes
+    go to stdout's binary buffer.  The first chunk is drawn before anything
+    is written, so an error there leaves stdout empty.
     """
     names, chunks = _sliced(columns) if isinstance(columns, dict) else columns
     chunks = iter(chunks)
@@ -175,11 +176,12 @@ def _emit(fmt: str, meta: dict, columns) -> int:
     write(head.encode(*codec))
     between = row_close + row_sep + row_open
     spellings = tuple(_JSON_NONFINITE.values() if fmt == "json" else _JSON_NONFINITE)
-    lead = row_open
+    lead, buf = row_open, bytearray()  # one render buffer for every chunk
     for chunk in itertools.chain([first], chunks):
         lib = _native._kernel()[0] if all(map(_numeric, chunk)) else None
         if lib is not None:
-            write(_native.render_rows(lib, chunk, (lead, between, cell_sep, row_close, *spellings)))
+            words = (lead, between, cell_sep, row_close, *spellings)
+            write(_native.render_rows(lib, chunk, words, buf))
         else:
             rows = between.join(map(cell_sep.join, zip(*(_cells(c, fmt) for c in chunk))))
             write((lead + rows + row_close).encode(*codec))

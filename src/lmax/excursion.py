@@ -35,6 +35,7 @@ informative.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import RangeError
 from .first_passage import return_prob
-from .series import BLOCK, ProductSeries, _escape_mass, blocks
+from .series import BLOCK, ProductSeries, _escape_mass, _exp, blocks
 from .walk import WalkSpec, step_up_prob
 
 __all__ = [
@@ -77,12 +78,15 @@ class MaxPmfTable:
         return n
 
 
-def _law(spec: WalkSpec, rows, log_p, log_s_prev, log_s, log_pmf, pmf=None, cumulative=None):
+def _law(spec: WalkSpec, rows, log_p, log_s_prev, log_s, log_pmf, pmf=None, cumulative=None,
+         mask=None):
     """The law of M on {D < inf} at ``rows``, into ``log_pmf`` (and ``pmf``, ``cumulative``).
 
     ``rows`` is a range or an int array of n >= 1; ``log_p``, ``log_s_prev``
     and ``log_s`` hold log P_n, log S_(n-1) and log S_n at those rows.  Row
-    n is log P_n - log S_(n-1) - log S_n, its exp, and 1 - 1/S_n.
+    n is log P_n - log S_(n-1) - log S_n, its exp, and 1 - 1/S_n.  ``mask``
+    is bool scratch of the rows' length, for the exp that fills ``pmf``.
+    Each row is a function of its own three logs alone.
     """
     np.subtract(log_p, log_s_prev, out=log_pmf)
     np.subtract(log_pmf, log_s, out=log_pmf)
@@ -91,7 +95,7 @@ def _law(spec: WalkSpec, rows, log_p, log_s_prev, log_s, log_pmf, pmf=None, cumu
     log_pmf[one] = math.log1p(-p1)
     if pmf is not None:
         with np.errstate(under="ignore"):
-            np.exp(log_pmf, out=pmf)
+            _exp(log_pmf, pmf, mask)
         pmf[one] = 1.0 - p1
     if cumulative is not None:
         # 1 - 1/S_n is nondecreasing and <= 1 by construction.
@@ -99,8 +103,17 @@ def _law(spec: WalkSpec, rows, log_p, log_s_prev, log_s, log_pmf, pmf=None, cumu
         cumulative[one] = 1.0 - p1
 
 
+# Rows per call of ``_law`` in ``max_pmf_table``: its scratch stays a few blocks.
+_CHUNK = 8 * BLOCK
+
+
 def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
-    """Build the full table for n = 1..n_max in one vectorized pass.
+    """Build the full table for n = 1..n_max, in chunks of ``_CHUNK`` rows.
+
+    Past two chunks, and where ``os.cpu_count()`` gives two cores, the
+    first and second halves of the rows are filled on two threads at once;
+    each row depends on its own entries alone, so the columns are bit for
+    bit those of one pass, and each thread's scratch is one chunk's mask.
 
     Raises:
         RangeError: if ``n_max`` exceeds the series range (or is < 1).
@@ -111,8 +124,25 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     log_pmf, pmf, cumulative = np.empty(n_max + 1), np.empty(n_max + 1), np.empty(n_max + 1)
     log_pmf[0], pmf[0], cumulative[0] = -np.inf, 0.0, 0.0
     lp, ls = series.log_prod, series.log_prefix_sum
-    _law(series.spec, range(1, n_max + 1), lp[1 : n_max + 1], ls[:n_max], ls[1 : n_max + 1],
-         log_pmf[1:], pmf[1:], cumulative[1:])
+
+    def fill(lo: int, hi: int) -> None:
+        """Rows lo .. hi - 1, one chunk at a time."""
+        mask = np.empty(min(_CHUNK, hi - lo), dtype=bool)
+        for a in range(lo, hi, _CHUNK):
+            b = min(a + _CHUNK, hi)
+            _law(series.spec, range(a, b), lp[a:b], ls[a - 1 : b - 1], ls[a:b],
+                 log_pmf[a:b], pmf[a:b], cumulative[a:b], mask[: b - a])
+
+    if n_max < 2 * _CHUNK or (os.cpu_count() or 1) < 2:
+        fill(1, n_max + 1)
+    else:
+        # Here, not at module level: concurrent.futures brings logging and queue.
+        from concurrent.futures import ThreadPoolExecutor
+
+        mid = 1 + n_max // 2
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for half in [pool.submit(fill, 1, mid), pool.submit(fill, mid, n_max + 1)]:
+                half.result()
     return MaxPmfTable(
         spec=series.spec,
         n_max=n_max,
@@ -137,6 +167,7 @@ def max_pmf_blocks(spec: WalkSpec, n_max: int):
     table = blocks(spec, n_max)
     log_s = np.empty(BLOCK + 1)  # log S from entry lo - 1 on
     out = np.empty(BLOCK), np.empty(BLOCK), np.empty(BLOCK)
+    mask = np.empty(BLOCK, dtype=bool)
 
     def rows():
         for lo, lp, ls in table:
@@ -144,7 +175,7 @@ def max_pmf_blocks(spec: WalkSpec, n_max: int):
             n = range(lo + k, lo + m)
             log_s[1 : m + 1] = ls
             block = [a[: m - k] for a in out]
-            _law(spec, n, lp[k:], log_s[k:m], ls[k:], *block)
+            _law(spec, n, lp[k:], log_s[k:m], ls[k:], *block, mask[: m - k])
             log_s[0] = ls[-1]
             yield n, *block
 

@@ -8,23 +8,27 @@ products:
                 ------------------------------------
                 1 + sum_{j=a+1}^{b-1} rho_{a+1}...rho_j
 
-Both sums are read off one slice of the global ``ProductSeries`` table:
-each inner product is exp(log_prod[j] - log_prod[a]).  The terms are
-shifted by the window's largest log product instead, since any common
-offset cancels between numerator and denominator; the largest term is
-then 1 and none overflows.  The denominator is the j < k terms added to
-the numerator, so the ratio cannot exceed 1 and each entry of [a, b) is
-summed once.
+For a constant walk both sums are geometric in r = e^L and the ratio is
+Feller's gambler's ruin, (r^(k-a) - r^(b-a))/(1 - r^(b-a)) (*An
+Introduction to Probability Theory*, vol. 1, §XIV.2), evaluated from
+``expm1`` with no table entry read.  For a perturbed walk both sums are
+read off one slice of the global ``ProductSeries`` table: each inner
+product is exp(log_prod[j] - log_prod[a]).  The terms are shifted by the
+window's largest log product instead, since any common offset cancels
+between numerator and denominator; the largest term is then 1 and none
+overflows.  The denominator is the j < k terms added to the numerator,
+so the ratio cannot exceed 1 and each entry of [a, b) is summed once.
 
 Letting b grow to infinity turns the same ratio into the probability of
 ever returning to the origin from site 1: S/(1+S) with S the full series
 of products, which is 1 exactly when the series diverges (the recurrent
 case).  ``return_prob`` reports that limit with a proven enclosure of
-the truncated remainder in the transient case.
+the truncated remainder in the transient case, each end rounded outward.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +36,7 @@ import numpy as np
 
 from .classify import is_recurrent
 from .errors import RangeError
-from .series import ProductSeries, _escape_mass
+from .series import ProductSeries, _escape_mass, _exp, log_odds
 from .walk import ConstantWalk, log_rho_array, rho, signed_drift_array
 
 __all__ = [
@@ -61,15 +65,56 @@ class HittingQuery:
 _SUM_LEAF = 1 << 16
 
 
+@functools.lru_cache(maxsize=64)
+def _split_log_odds(p: float) -> tuple[float, float, float]:
+    """``L = log_odds(p)``, the double the tables take, and its Veltkamp split (hi, lo).
+
+    hi + lo = L exactly, and hi has at most 26 significant bits, so m hi is
+    exact for every integer m < 2^27 (Dekker 1971).
+    """
+    L = log_odds(p)
+    c = 134217729.0 * L  # 2^27 + 1
+    hi = c - (c - L)
+    return L, hi, L - hi
+
+
+def _hit_constant(p: float, q: HittingQuery) -> float:
+    """Feller's gambler's ruin at r = e^L: (r^(k-a) - r^(b-a))/(1 - r^(b-a)).
+
+    With m = k - a, u = b - k and A = expm1(uL), it is A/expm1(-(b-a)L) for
+    L > 0 and A/(A - expm1(-mL)) for L < 0, where the two terms of the
+    denominator share a sign.  expm1(-mL) is taken from the split of L as
+    expm1(-m hi) + exp(-m hi) expm1(-m lo): a rounded product mL would pass
+    half an ulp of m|L| into it as a relative error m|L| times larger.
+    Past e^700 that overflows, and the ratio is r^m (-A) = exp(m hi)
+    exp(m lo) (-A).  Each expm1 argument rounded is negative, where a
+    relative error of the argument passes to the result damped.
+    """
+    L, hi, lo = _split_log_odds(p)
+    m, u = q.k - q.a, q.b - q.k
+    if L == 0.0:
+        return u / (q.b - q.a)
+    a = math.expm1(-u * abs(L))
+    if L > 0.0:
+        return a / math.expm1(-(q.b - q.a) * L)
+    if -m * hi > 700.0:
+        return math.exp(m * hi) * (math.exp(m * lo) * -a)
+    e = math.exp(-m * hi)
+    return a / (a - (math.expm1(-m * hi) + e * math.expm1(-m * lo)))
+
+
 def hit_before(series: ProductSeries, q: HittingQuery) -> float:
     """Probability that the walk hits level ``q.a`` before ``q.b`` from ``q.k``.
 
     Boundary starts are exact: 1.0 at ``k == a``, 0.0 at ``k == b``.
     Requires the series to cover index ``b - 1``.
 
-    Exact for the driftless walk, whose products are all 1: the correctly
-    rounded (b - k)/(b - a).  Otherwise the rounding of the table's
-    ``log_prod`` entries, which grows with depth, sets the accuracy.
+    A constant walk reads no table entry: its two sums are geometric, and
+    the closed form (``_hit_constant``) lies within 4 ulp of the exact
+    ratio at the tables' rounded L at any depth; the driftless walk gets
+    the correctly rounded (b - k)/(b - a).  A perturbed walk sums its
+    window of the table, whose ``log_prod`` rounding, which grows with
+    depth, sets the accuracy.
 
     Raises:
         RangeError: if ``b - 1 > series.n_max``.
@@ -80,17 +125,20 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
         return 0.0
     if q.b - 1 > series.n_max:
         raise RangeError(f"query needs products up to {q.b - 1}, table stops at {series.n_max}")
+    if isinstance(series.spec, ConstantWalk):
+        return _hit_constant(series.spec.p, q)
     log_prod = series.log_prod
     top = log_prod[q.a : q.b].max()
-    buf = np.empty(min(_SUM_LEAF, q.b - q.a))
+    size = min(_SUM_LEAF, q.b - q.a)
+    buf, mask = np.empty(size), np.empty(size, dtype=bool)
 
     def shifted_sum(lo: int, hi: int) -> float:
         """sum(exp(log_prod[lo:hi] - top)), one piece of ``buf`` at a time."""
         pieces = []
         for i in range(lo, hi, _SUM_LEAF):
             t = buf[: min(_SUM_LEAF, hi - i)]
-            np.exp(np.subtract(log_prod[i : i + len(t)], top, out=t), out=t)
-            pieces.append(t.sum())
+            np.subtract(log_prod[i : i + len(t)], top, out=t)
+            pieces.append(_exp(t, t, mask[: len(t)]).sum())
         return math.fsum(pieces)
 
     num = shifted_sum(q.k, q.b)
@@ -116,6 +164,34 @@ class ReturnProbability:
     method: str
 
 
+def _out(x: float, toward: float, ulps: int = 1, scale: float = 0.0) -> float:
+    """``x`` moved toward ``toward`` past an error of ``ulps`` ulps of ``max(|x|, scale)``.
+
+    By ``math.nextafter``, one step an ulp; where ``scale`` exceeds |x| (a
+    result that cancelled), by that error in one addition and one step for
+    the addition's rounding.
+    """
+    if scale > abs(x):
+        x, ulps = x + math.copysign(ulps * math.ulp(scale), toward), 1
+    for _ in range(ulps):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def _logaddexp_out(x: float, y: float, toward: float) -> float:
+    """log(e^x + e^y), moved toward ``toward`` past its rounding.
+
+    numpy forms u + log1p(exp(-|x - y|)), u = max(x, y), and rounds four
+    times: the difference (half an ulp of it, damped by exp), exp and
+    log1p (an ulp of the log1p term, which is at most log 2 and, for
+    u >= 0, at most the result) and the sum (half an ulp of the result):
+    3 ulp of the larger of the result, |u| and, for u < 0, log 2.
+    """
+    u = max(x, y)
+    r = float(np.logaddexp(x, y))
+    return _out(r, toward, 3, max(abs(u), math.log(2.0) if u < 0.0 else 0.0))
+
+
 def _log_tail_bounds(series: ProductSeries) -> tuple[float, float]:
     """Logs of a lower and an upper bound on T = sum_{j>N} P_j, N = ``series.n_max``.
 
@@ -125,28 +201,56 @@ def _log_tail_bounds(series: ProductSeries) -> tuple[float, float]:
     (Knopp, *Infinite Series*, §14; the README's ``return`` paragraph) gives
     P_M e^(F(M) - E) I <= sum_{j>M} P_j <= P_M e^(F(M+1)) I, with
     I = (log_{k-1}(M+1))^(1-beta)/(beta - 1) and E = M lam_M^3/(24(1 - lam_M^2/4)).
+
+    Each end is rounded outward (``_out``): every operation that feeds it
+    is followed by a step away from the other end, one ulp for each half
+    ulp of a sum or product and each ulp of a ``math.log`` or ``expm1``;
+    the table's log P_N and log rho_f, -2 atanh(2 delta), are taken as
+    within 2 ulp.  The double drift lam_M is taken as it is.
     """
     spec, n = series.spec, series.n_max
     beta, m = abs(spec.b), max(n, spec.i0)
     log_rho_f = float(log_rho_array(spec, np.array([1]))[0])
     lam = 4.0 * abs(float(signed_drift_array(spec, np.array([m]))[0]))
-    f = []  # F(M), F(M+1)
-    for x in (m, m + 1):
+
+    def levels(x: int, toward: float) -> tuple[float, float]:
+        """log x + ... + log_{k-1} x and log_{k-1} x, both moved toward ``toward``."""
         total, level = 0.0, float(x)
         for _ in range(spec.k - 1):
-            level = math.log(level)
-            total += level
-        f.append(total + beta * math.log(level))
-    # log P_M + log I, with level = log_{k-1}(M+1) from the last pass.
-    log_pi = (float(series.log_prod[n]) + (m - n) * log_rho_f
-              + (1.0 - beta) * math.log(level) - math.log(beta - 1.0))
-    lo = log_pi + f[0] - m * lam**3 / (24.0 * (1.0 - lam * lam / 4.0))
-    hi = log_pi + f[1]
-    if m > n:  # sites N+1..M: P_N rho_f (1 - rho_f^(M-N)) / (1 - rho_f)
-        head = float(series.log_prod[n]) + log_rho_f + math.log(
-            math.expm1((m - n) * log_rho_f) / math.expm1(log_rho_f))
-        lo, hi = np.logaddexp(head, lo), np.logaddexp(head, hi)
-    return float(lo), float(hi)
+            level = _out(math.log(level), toward)
+            total = _out(total + level, toward)
+        return total, level
+
+    def bound(toward: float) -> float:
+        back = -toward
+        log_p = _out(float(series.log_prod[n]), toward, 2)
+        rho_f = _out(log_rho_f, toward, 2)
+        # F(M) at the lower end, F(M+1) at the upper.
+        total, level = levels(m if toward < 0 else m + 1, toward)
+        f = _out(total + _out(beta * _out(math.log(level), toward), toward), toward)
+        # log I: 1 - beta < 0 (exact, as beta - 1 is) turns its logs the other way.
+        level = levels(m + 1, back)[1]
+        log_i = _out((1.0 - beta) * _out(math.log(level), back), toward)
+        log_i = _out(log_i - _out(math.log(beta - 1.0), back), toward)
+        t = _out(log_p + _out((m - n) * rho_f, toward), toward)
+        t = _out(_out(t + log_i, toward) + f, toward)
+        if toward < 0:  # less an upper bound on E
+            sq = _out(lam * lam, back)
+            den = _out(24.0 * _out(1.0 - sq / 4.0, toward), toward)
+            e = _out(_out(_out(sq * lam, back) * m, back) / den, back)
+            t = _out(t - e, toward)
+        if m > n:
+            # Sites N+1..M: P_N rho_f (1 - rho_f^(M-N)) / (1 - rho_f).  The
+            # ratio rises with rho_f; its numerator and denominator are
+            # negative, so the numerator moves back and the denominator on.
+            ratio = (_out(math.expm1(_out((m - n) * rho_f, back)), back)
+                     / _out(math.expm1(rho_f), toward))
+            head = _out(log_p + rho_f, toward)
+            head = _out(head + _out(math.log(_out(ratio, toward)), toward), toward)
+            t = _logaddexp_out(head, t, toward)
+        return t
+
+    return bound(-math.inf), bound(math.inf)
 
 
 def return_prob(series: ProductSeries) -> ReturnProbability:
@@ -159,8 +263,8 @@ def return_prob(series: ProductSeries) -> ReturnProbability:
     walks get [1 - 1/(S_N + T_lo), 1 - 1/(S_N + T_hi)] for the partial sum
     S_N over the whole table (N = ``series.n_max`` >= 1) and the bounds on
     the rest from ``_log_tail_bounds``, widened by the tables' 2 ulp on
-    log S_N and then by one ulp at each end for the last rounding.  The
-    width is reported, not judged: ``lmax return`` holds it to ``--tolerance``.
+    log S_N and rounded outward at each step.  The width is reported, not
+    judged: ``lmax return`` holds it to ``--tolerance``.
     """
     n = series.n_max
     if is_recurrent(series.spec):
@@ -168,11 +272,14 @@ def return_prob(series: ProductSeries) -> ReturnProbability:
     if isinstance(series.spec, ConstantWalk):
         r = rho(series.spec, 1)  # (1 - p)/p, with 1 - p exact for p > 1/2
         return ReturnProbability(r, r, r, n, "geometric-tail")
-    # S/(1+S) = 1 - exp(-log(1+S)), stable for both tiny and huge S.
+    # S/(1+S) = 1 - exp(-log(1+S)), stable for both tiny and huge S.  Each
+    # end steps outward past the tables' 2 ulp on log S_N, the sum that
+    # applies them, logaddexp (``_logaddexp_out``) and expm1 (1 ulp).
     log_s = float(series.log_prefix_sum[n])
     slack = 2.0 * math.ulp(log_s)
     log_lo, log_hi = _log_tail_bounds(series)
-    lower = _escape_mass(float(np.logaddexp(log_s - slack, log_lo)), complement=True)
-    upper = _escape_mass(float(np.logaddexp(log_s + slack, log_hi)), complement=True)
-    lower, upper = math.nextafter(lower, 0.0), math.nextafter(upper, 1.0)
+    lo = _logaddexp_out(_out(log_s - slack, -math.inf), log_lo, -math.inf)
+    hi = _logaddexp_out(_out(log_s + slack, math.inf), log_hi, math.inf)
+    lower = _out(_escape_mass(lo, complement=True), -math.inf)
+    upper = _out(_escape_mass(hi, complement=True), math.inf)
     return ReturnProbability(0.5 * (lower + upper), lower, upper, n, "integral-bound")

@@ -109,6 +109,25 @@ def _escape_mass(log_s, complement: bool = False, out: np.ndarray | None = None)
     return np.negative(x, out=x)
 
 
+# exp of anything below -745.14 rounds to +0.0, which numpy's exp reaches on
+# a path several times slower than a normal result's.
+_EXP_FLOOR = -746.0
+
+
+def _exp(x: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``np.exp(x, out=out)`` bit for bit, with no exp taken below ``_EXP_FLOOR``.
+
+    Entries below it get +0.0, their exp, directly.  ``mask`` is bool
+    scratch of ``len(x)`` entries; ``out`` may be ``x``.
+    """
+    if not len(x) or x.min() >= _EXP_FLOOR:
+        return np.exp(x, out=out)
+    np.less(x, _EXP_FLOOR, out=mask)
+    np.copyto(out, 0.0, where=mask)
+    np.logical_not(mask, out=mask)
+    return np.exp(x, out=out, where=mask)
+
+
 def table_budget() -> tuple[int, str]:
     """The entry budget of every table, and where it comes from.
 

@@ -1,4 +1,5 @@
 import math
+import os
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +19,9 @@ from lmax import (
     step_up_prob,
     tail_mass,
 )
+from lmax import excursion
+from lmax.excursion import max_pmf_blocks
+from lmax.series import BLOCK
 
 from _oracles import closed_masses, geometric_pmf, symmetric_pmf, telescoping_pmf
 
@@ -271,3 +275,42 @@ def test_tail_mass_transient_by_hand():
     tm = tail_mass(t, 2)
     assert tm.value == pytest.approx(1 / 6, abs=1e-12)
     assert tm.lower <= tm.value <= tm.upper
+
+
+# Past two chunks the table fills its halves on two threads; these depths put
+# the split, chunk seams and a short last chunk inside the table.
+THREADED_DEPTHS = [2 * excursion._CHUNK, 2 * excursion._CHUNK + 3 * BLOCK + 7,
+                   5 * excursion._CHUNK + 1]
+
+
+@pytest.mark.parametrize("spec", [ConstantWalk(0.43), ConstantWalk(0.5),
+                                  PerturbedWalk(2, 1.5, "plus")], ids=str)
+@pytest.mark.parametrize("cores", [1, 2])
+def test_table_is_the_streamed_law_bit_for_bit(monkeypatch, spec, cores):
+    # --p 0.43's pmf underflows past row 2700, so its chunks take the masked
+    # exp; on one core the table is one pass, on two it is two threads.
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    series = build(spec, THREADED_DEPTHS[-1])
+    for n in THREADED_DEPTHS:
+        table = max_pmf_table(series, n)
+        for rows, log_pmf, pmf, cumulative in max_pmf_blocks(spec, n):
+            for got, want in ((table.log_pmf, log_pmf), (table.pmf, pmf),
+                              (table.cumulative, cumulative)):
+                assert got[rows.start : rows.stop].tobytes() == want.tobytes(), (n, rows)
+        assert rows.stop == n + 1
+
+
+def test_table_thread_error_reaches_the_caller(monkeypatch):
+    # An error in either half's thread is raised by max_pmf_table itself.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    law = excursion._law
+    n = 2 * excursion._CHUNK + 5
+
+    def failing(spec, rows, *args):
+        if rows.stop == n + 1:
+            raise MemoryError("second half")
+        return law(spec, rows, *args)
+
+    monkeypatch.setattr(excursion, "_law", failing)
+    with pytest.raises(MemoryError, match="second half"):
+        max_pmf_table(build(ConstantWalk(0.5), n), n)

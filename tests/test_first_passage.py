@@ -20,6 +20,7 @@ from lmax import (
     hit_before,
     return_prob,
 )
+from lmax.series import log_odds
 from lmax.walk import signed_drift_array
 
 from _oracles import hit_prob_from_drifts, hit_probs_banded, return_prob_from_drifts, ulps
@@ -231,6 +232,20 @@ def test_return_prob_contains_depth_one_oracle(spec):
         assert rp.value == 0.5 * (rp.lower + rp.upper)
 
 
+@pytest.mark.parametrize("b,depths", [(1000.0, 3000), (600.0, 11), (999.0, 11),
+                                      (1001.0, 11), (2000.0, 11)])
+def test_return_prob_contains_the_oracle_at_every_depth(b, depths):
+    # Large b puts the remainder far below S_N, so the bracket is a few ulp
+    # wide and its own roundings decide containment: each end must step
+    # outward past every one of them.
+    spec = PerturbedWalk(1, b, "plus")
+    exact = return_prob_from_drifts(spec)
+    series = build(spec, depths)
+    for n in range(1, depths + 1):
+        rp = return_prob(_at(series, n))
+        assert rp.lower <= exact <= rp.upper, (n, rp, exact)
+
+
 @pytest.mark.parametrize("spec,n", [
     (PerturbedWalk(1, 11.75, "plus"), 6),
     (PerturbedWalk(1, 13.5, "plus"), 7),
@@ -289,16 +304,17 @@ def test_return_prob_width_at_depth(spec, width):
 
 def test_hit_before_scratch_per_entry():
     # The window is shifted and exponentiated one _SUM_LEAF piece at a time
-    # through one buffer, so the scratch is 512 KiB however long the window.
+    # through one buffer and one mask, so the scratch is 576 KiB however
+    # long the window.  A constant walk reads no entry (its closed form).
     for n in (10**6, 4 * 10**6):
-        series = build(ConstantWalk(0.4), n)
+        series = build(PerturbedWalk(1, 2.5, "plus"), n)
         tracemalloc.start()
         try:
             hit_before(series, HittingQuery(0, 1, n + 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.6e6, (n, peak)
+        assert peak < 0.65e6, (n, peak)
 
 
 def _windows(seed: int, count: int, widths: tuple[int, int], starts: int) -> list[tuple]:
@@ -333,8 +349,6 @@ SUM_SPECS = [
     (PerturbedWalk(2, 1.5, "plus"), "left"),
     (PerturbedWalk(1, 1.0, "minus"), "right"),
     (PerturbedWalk(3, -1.0, "minus"), "right"),
-    (ConstantWalk(0.45), "right"),
-    (ConstantWalk(0.55), "left"),
 ]
 
 
@@ -345,7 +359,6 @@ def test_hit_before_sums_within_eight_ulp(monkeypatch, case):
     # pieces at a size the oracle sums quickly.
     spec, side = SUM_SPECS[case]
     monkeypatch.setattr(first_passage, "_SUM_LEAF", 1000)
-    # k - a <= 2500 keeps P a normal double on the constant walks.
     windows = [(a, min(k, a + 2500), b) for a, k, b in _windows(case, 6, (3000, 5000), 20_000)]
     s = build(spec, max(b for _, _, b in windows))
     with mpmath.workdps(60):
@@ -357,3 +370,58 @@ def test_hit_before_sums_within_eight_ulp(monkeypatch, case):
             exact = mpmath.fsum(terms[k - a :]) / mpmath.fsum(terms)
             err = ulps(hit_before(s, HittingQuery(a, k, b)), exact)
             assert err <= 8, (a, k, b, err)
+
+
+def test_hit_before_masks_underflowing_terms():
+    # plus K1 B200's products fall past e^-746 at site 228 and through the
+    # subnormal band before it, so every piece of these windows takes the
+    # masked exp; the sums equal those of a plain np.exp over the same
+    # pieces, bit for bit.
+    spec = PerturbedWalk(1, 200.0, "plus")
+    n = 3 * first_passage._SUM_LEAF + 5
+    s = build(spec, n)
+    assert s.log_prod[300] < -746.0 < s.log_prod[200] < -708.0
+    for a, k, b in [(0, 1, n + 1), (0, 700, n + 1), (3, 40_000, n - 7), (0, 2, 300)]:
+        logs = s.log_prod
+        top = logs[a:b].max()
+
+        def plain(lo, hi):
+            return math.fsum(np.exp(logs[i : min(i + first_passage._SUM_LEAF, hi)] - top).sum()
+                             for i in range(lo, hi, first_passage._SUM_LEAF))
+
+        num = plain(k, b)
+        assert hit_before(s, HittingQuery(a, k, b)) == num / (plain(a, k) + num), (a, k, b)
+
+
+def _constant_oracle(L: float, a: int, k: int, b: int) -> mpmath.mpf:
+    """60-digit gambler's-ruin ratio at r = e^L: r^(k-a) expm1((b-k)L)/expm1((b-a)L)."""
+    with mpmath.workdps(60):
+        L = mpmath.mpf(L)
+        return mpmath.exp((k - a) * L) * mpmath.expm1((b - k) * L) / mpmath.expm1((b - a) * L)
+
+
+# The walks whose sums test_hit_before_sums_within_eight_ulp once took, with
+# their windows, and walks at both signs of L to p = 1/2 +- 1e-4.  At p =
+# 0.51 and 0.505, exp((k-a)L) expm1((b-k)L)/expm1((b-a)L) is 4.17 and 4.31
+# ulp off on the first two fixed windows below.
+CONSTANT_CASES = [(0.45, 4), (0.55, 5), (0.4, 11), (0.6, 12), (0.5 - 1e-4, 13),
+                  (0.5 + 1e-4, 14), (0.9, 15), (1e-3, 16), (0.999, 17), (0.51, 18),
+                  (0.505, 19)]
+
+
+@pytest.mark.parametrize("p,seed", CONSTANT_CASES, ids=[f"p={p!r}" for p, _ in CONSTANT_CASES])
+def test_hit_before_constant_within_four_ulp(p, seed):
+    # A constant walk reads no table entry: a table that claims 2e7 entries
+    # and holds none answers windows to 2e7.  The oracle takes the tables'
+    # own rounded L, so this measures the closed form alone.
+    L = log_odds(p)
+    s = ProductSeries(ConstantWalk(p), 2 * 10**7, np.empty(0), np.empty(0))
+    windows = _windows(seed, 40, (2, 5000), 20_000)
+    windows += _windows(seed, 40, (2, 10**6), 2 * 10**7 - 10**6)
+    windows += [(31, 132, 138), (100, 131, 200),
+                (0, 1, 2), (0, 1, 2 * 10**7 + 1), (0, 2 * 10**7, 2 * 10**7 + 1),
+                (10**7, 10**7 + 1, 2 * 10**7 + 1), (5, 6 + int(700 / abs(L)), 2 * 10**7)]
+    for a, k, b in windows:
+        k = min(k, b - 1)
+        err = ulps(hit_before(s, HittingQuery(a, k, b)), _constant_oracle(L, a, k, b))
+        assert err <= 4, (a, k, b, err)

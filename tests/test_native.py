@@ -40,7 +40,7 @@ def _assert_renders_as_repr(lib, x, fmt="csv"):
     """One value per line, compiled against Python; names the first value that differs."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     words = (*LINES, *SPELLINGS[fmt])
-    got = _native.render_rows(lib, [x], words)
+    got = bytes(_native.render_rows(lib, [x], words))
     want = _reference([x], fmt, words).encode("ascii")
     if got != want:
         pairs = zip(got.split(b"\n"), want.split(b"\n"))
@@ -160,3 +160,18 @@ def test_import_version_and_one_row_commands_load_no_library(tmp_path):
     assert out.stdout == "0\n"
     assert not (tmp_path / "cache").exists()
 
+
+
+def test_render_rows_reuses_one_buffer(lib):
+    # Each render overwrites the buffer the last one grew, and a smaller
+    # chunk after a larger one neither grows it nor keeps the larger text.
+    words = (*LINES, *SPELLINGS["csv"])
+    buf, sizes = bytearray(), []
+    big, small = np.geomspace(1e-300, 1e300, 500), np.array([0.1, -2.5, np.nan])
+    for x in (big, small, big):
+        view = _native.render_rows(lib, [x], words, buf)
+        assert view.obj is buf
+        assert view == _reference([x], "csv", words).encode("ascii")
+        view.release()
+        sizes.append(len(buf))
+    assert sizes[0] >= 500 * 24 and len(set(sizes)) == 1

@@ -10,7 +10,9 @@ constant-walk tables when it took the gambler's-ruin closed form, the hit
 pin when ``hit_before`` came to sum its window's shifted products, and the
 constant walk's product shape when ``resolve_shape`` took L from the
 tables' own 40-digit rounding, and the return pin when ``return_prob``
-took the closed-form integral bound on its remainder.  ``c_hat`` is
+took the closed-form integral bound on its remainder and again when its
+ends came to round outward; those ends are measured by whether they hold
+the 50-digit return probability.  ``c_hat`` is
 measured against the exact constant at n: the exact value over the exact
 shape.
 
@@ -139,29 +141,21 @@ def _asympt_errors(cmd: str, spec, n_hi: int, target: str) -> dict:
     return errs
 
 
-def _return_errors(cmd: str, spec, n: int) -> dict:
-    """``value`` against P(return); ``lower`` and ``upper`` against their 50-digit values.
+def _return_errors(cmd: str, spec) -> dict:
+    """``value`` in ulps of P(return); ``lower`` and ``upper`` by containment of it.
 
-    The ends are 1 - 1/(S_N + T) with T at the two integral bounds of
-    ``first_passage._log_tail_bounds`` for a depth-1 walk tabulated past
-    i0: P_N e^(F(N) - E) I and P_N e^(F(N+1)) I, F(x) = beta log x,
-    I = (N+1)^(1-beta)/(beta - 1).  P_N and S_N come from the drifts
-    oracle, and E from the double drift at N, as the library takes it.
+    An end's error is how many ulps it lies on the wrong side of the
+    50-digit P(return), 0 where the bracket holds it: an end rounded
+    outward moves away from its own integral bound, and only its side of
+    the value is a claim.
     """
-    assert spec.k == 1 and n >= spec.i0
     cols, rows, _ = _output(cmd)
     row = dict(zip(cols, rows[0]))
-    log_p, log_s = drift_log_tables(spec, n, [n])[n]
-    lam = abs(mp.mpf(float(signed_drift_array(spec, np.array([n]))[0]))) * 4
+    exact = return_prob_from_drifts(spec)
     with mp.workdps(50):
-        beta = abs(mp.mpf(spec.b))
-        integral = (n + 1) ** (1 - beta) / (beta - 1)
-        e = n * lam**3 / (24 * (1 - lam**2 / 4))
-        t_lo = mp.exp(log_p + beta * mp.log(n) - e) * integral
-        t_hi = mp.exp(log_p + beta * mp.log(n + 1)) * integral
-        lower, upper = (1 - 1 / (mp.exp(log_s) + t) for t in (t_lo, t_hi))
-        return {"lower": [ulps(row["lower"], lower)], "upper": [ulps(row["upper"], upper)],
-                "value": [ulps(row["value"], return_prob_from_drifts(spec))]}
+        lower = ulps(row["lower"], exact) if row["lower"] > exact else 0.0
+        upper = ulps(row["upper"], exact) if row["upper"] < exact else 0.0
+        return {"lower": [lower], "upper": [upper], "value": [ulps(row["value"], exact)]}
 
 
 def _hit_errors(cmd: str, spec, a: int, k: int, b: int) -> dict:
@@ -219,12 +213,12 @@ REPINNED = {
     "asympt --p 0.4 --target product --n-hi 20000": (
         "geometric", _asympt_errors, (ConstantWalk(0.4), 20000, "product"),
         {"exact": (36510.0, 6228.0), "shape": (1041.0, 169.0), "c_hat": (4096.0, 1032.0)}),
-    # Re-pinned twice: with the compensated scan, then when return_prob took
-    # the integral bound; the errors below are the shape-tail bytes'.
+    # Re-pinned three times: with the compensated scan, when return_prob took
+    # the integral bound, and when its ends came to round outward; the errors
+    # below are the integral-bound bytes' (0.4 and a bracket that holds it).
     "return --sign plus --K 1 --B 2": (
-        "drifts", _return_errors, (PerturbedWalk(1, 2.0, "plus"), 100_000),
-        {"value": (2.162e10, 2.162e10), "lower": (4.324e10, 4.324e10),
-         "upper": (4.324e5, 4.324e5)}),
+        "drifts", _return_errors, (PerturbedWalk(1, 2.0, "plus"),),
+        {"value": (0.3273, 0.3273), "lower": (0.0, 0.0), "upper": (0.0, 0.0)}),
     "hit --sign minus --K 2 --B 2 --a 0 --k 3 --b 500": (
         "drifts", _hit_errors, (PerturbedWalk(2, 2.0, "minus"), 0, 3, 500),
         {"probability": (11.85, 11.85)}),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmax import ConstantWalk, PerturbedWalk, RangeError, ResourceError, build, max_pmf_table, rho
-from lmax.series import BLOCK, MAX_TABLE_ENV, log_odds
+from lmax.series import BLOCK, MAX_TABLE_ENV, _exp, log_odds
 
 from _oracles import (
     brute_prefix_sum,
@@ -270,3 +270,21 @@ def test_wide_frozen_drift_stays_finite():
         for n in rows:
             assert ulps(series.log_prod[n], logs[n][0]) <= 2.0
             assert ulps(series.log_prefix_sum[n], logs[n][1]) <= 2.0
+
+
+def test_masked_exp_is_numpy_exp_bit_for_bit():
+    # Around the floor, below it, through the subnormal band and at the
+    # ends; -745.13 rounds up to the least subnormal, -745.14 down to +0.0.
+    special = [-745.13, -745.14, -745.1332, -746.0, np.nextafter(-746.0, 0.0),
+               np.nextafter(-746.0, -np.inf), -750.0, -1e300, -np.inf, np.inf, np.nan,
+               0.0, -0.0, -708.4, -708.3, 1.0, 709.0]
+    band = np.linspace(-745.2, -708.0, 4001)
+    rng = np.random.default_rng(3)
+    mixed = rng.uniform(-800.0, 0.0, 5000)
+    for x in (np.array(special), band, mixed, np.full(7, -800.0), np.array([])):
+        want = np.exp(x)
+        for in_place in (False, True):
+            out = x.copy() if in_place else np.empty_like(x)
+            got = _exp(out if in_place else x, out, np.empty(len(x), dtype=bool))
+            assert got is out
+            assert got.tobytes() == want.tobytes()
