@@ -436,7 +436,7 @@ def kernel_info() -> KernelInfo:
 
 
 def render_rows(lib: ctypes.CDLL, columns: list, words: tuple[str, ...],
-                buf: bytearray | None = None) -> memoryview:
+                buf: bytearray) -> memoryview:
     """Render equal-length int64/float64 arrays (or ranges) as rows of ASCII text.
 
     ``words`` is (head, row separator, cell separator, tail, inf, -inf,
@@ -446,8 +446,7 @@ def render_rows(lib: ctypes.CDLL, columns: list, words: tuple[str, ...],
     to the room the rows may take (24 bytes a cell) and kept for the next
     call, and returned as a memoryview of its used part, for a binary
     stream to take as it is; the next render into ``buf`` overwrites it,
-    and ``buf`` cannot grow while the view is held.  With no ``buf`` the
-    text has a buffer of its own.
+    and ``buf`` cannot grow while the view is held.
     """
     arrays = [np.arange(c.start, c.stop, c.step, dtype=np.int64) if isinstance(c, range)
               else np.ascontiguousarray(c) for c in columns]
@@ -458,8 +457,6 @@ def render_rows(lib: ctypes.CDLL, columns: list, words: tuple[str, ...],
         raise ValueError("columns differ in length, or words are not the seven render_rows takes")
     head, row_sep, cell_sep, tail = words[:4]
     cap = len(head) + len(tail) + n_rows * (n_cols * (_CELL_MAX + len(cell_sep)) + len(row_sep))
-    if buf is None:
-        buf = bytearray()
     if len(buf) < max(cap, 1):  # a bytearray exports no address while empty
         buf += bytes(max(cap, 1) - len(buf))
     is_float = np.array([a.dtype == np.float64 for a in arrays], dtype=np.int64)

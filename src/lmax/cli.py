@@ -57,8 +57,8 @@ from .errors import ConfigError, ConvergenceWarning, DomainError, RangeError, Re
 from .excursion import max_pmf_blocks, max_pmf_table
 from .first_passage import HittingQuery, hit_before, return_prob
 from .montecarlo import SimConfig, SimResult, compare, kernel_info, run
-from .series import build, check_budget, table_budget
-from .walk import WalkSpec, spec_from_params, spec_params
+from .series import ProductSeries, build, check_budget, table_budget
+from .walk import ConstantWalk, WalkSpec, spec_from_params, spec_params
 
 __all__ = ["main", "build_parser"]
 
@@ -266,7 +266,10 @@ def cmd_hit(args, spec) -> tuple[dict, dict]:
     q = HittingQuery(a=args.a, k=args.k, b=args.b)
     depth = max(1, args.b - 1)  # the products reach index b - 1
     check_budget(f"--b {args.b}: table depth", depth)
-    p = hit_before(build(spec, depth), q)
+    # A constant walk's hit_before is a closed form that reads no entry.
+    series = (ProductSeries(spec, depth, np.empty(0), np.empty(0))
+              if isinstance(spec, ConstantWalk) else build(spec, depth))
+    p = hit_before(series, q)
     columns = {"a": [args.a], "k": [args.k], "b": [args.b], "probability": [p]}
     # hit_*: the walk's own "k" and "b" are in the meta too.
     return {"hit_a": args.a, "hit_k": args.k, "hit_b": args.b}, columns

@@ -23,7 +23,9 @@ Letting b grow to infinity turns the same ratio into the probability of
 ever returning to the origin from site 1: S/(1+S) with S the full series
 of products, which is 1 exactly when the series diverges (the recurrent
 case).  ``return_prob`` reports that limit with a proven enclosure of
-the truncated remainder in the transient case, each end rounded outward.
+the truncated remainder in the transient case: each end is evaluated
+once in 40-digit ``decimal`` and its nearest double stepped one ulp
+outward.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .classify import is_recurrent
 from .errors import RangeError
-from .series import ProductSeries, _escape_mass, _exp, log_odds
+from .series import ProductSeries, _exp, log_odds
 from .walk import ConstantWalk, log_rho_array, rho, signed_drift_array
 
 __all__ = [
@@ -164,93 +166,70 @@ class ReturnProbability:
     method: str
 
 
-def _out(x: float, toward: float, ulps: int = 1, scale: float = 0.0) -> float:
-    """``x`` moved toward ``toward`` past an error of ``ulps`` ulps of ``max(|x|, scale)``.
+def _bracket(series: ProductSeries) -> tuple[float, float]:
+    """``1 - 1/(S_N + T)`` for a lower and an upper bound on T = sum_{j>N} P_j.
 
-    By ``math.nextafter``, one step an ulp; where ``scale`` exceeds |x| (a
-    result that cancelled), by that error in one addition and one step for
-    the addition's rounding.
-    """
-    if scale > abs(x):
-        x, ulps = x + math.copysign(ulps * math.ulp(scale), toward), 1
-    for _ in range(ulps):
-        x = math.nextafter(x, toward)
-    return x
-
-
-def _logaddexp_out(x: float, y: float, toward: float) -> float:
-    """log(e^x + e^y), moved toward ``toward`` past its rounding.
-
-    numpy forms u + log1p(exp(-|x - y|)), u = max(x, y), and rounds four
-    times: the difference (half an ulp of it, damped by exp), exp and
-    log1p (an ulp of the log1p term, which is at most log 2 and, for
-    u >= 0, at most the result) and the sum (half an ulp of the result):
-    3 ulp of the larger of the result, |u| and, for u < 0, log 2.
-    """
-    u = max(x, y)
-    r = float(np.logaddexp(x, y))
-    return _out(r, toward, 3, max(abs(u), math.log(2.0) if u < 0.0 else 0.0))
-
-
-def _log_tail_bounds(series: ProductSeries) -> tuple[float, float]:
-    """Logs of a lower and an upper bound on T = sum_{j>N} P_j, N = ``series.n_max``.
-
-    Sites N+1..M, M = max(N, i0), share i0's odds ratio rho_f < 1: a
-    geometric sum.  Past M the drift lam is F' for F(x) = log x + ... +
-    log_{k-1} x + beta log_k x, beta = |b| > 1, and integral comparison
-    (Knopp, *Infinite Series*, §14; the README's ``return`` paragraph) gives
+    N = ``series.n_max``.  Sites N+1..M, M = max(N, i0), share i0's odds
+    ratio rho_f < 1: a geometric sum.  Past M the drift lam is F' for
+    F(x) = log x + ... + log_{k-1} x + beta log_k x, beta = |b| > 1, and
+    integral comparison (Knopp, *Infinite Series*, §14; the README's
+    ``return`` paragraph) gives
     P_M e^(F(M) - E) I <= sum_{j>M} P_j <= P_M e^(F(M+1)) I, with
     I = (log_{k-1}(M+1))^(1-beta)/(beta - 1) and E = M lam_M^3/(24(1 - lam_M^2/4)).
 
-    Each end is rounded outward (``_out``): every operation that feeds it
-    is followed by a step away from the other end, one ulp for each half
-    ulp of a sum or product and each ulp of a ``math.log`` or ``expm1``;
-    the table's log P_N and log rho_f, -2 atanh(2 delta), are taken as
-    within 2 ulp.  The double drift lam_M is taken as it is.
+    Each end is evaluated in 40-digit ``decimal`` from the three table
+    doubles log S_N, log P_N and log rho_f = -2 atanh(2 delta), each taken
+    as within 2 ulp and moved 2 ulp toward that end, which rises with all
+    three; the double drift lam_M is taken as it is.  T's main term is
+    summed in logs and exponentiated once, so no power of a deep level
+    overflows.  Each 40-digit operation errs by 5e-40 of its result; the
+    logs summed into log T stay below 1e18 in size (|b| and the sites are
+    below 2^53), and the differences exp(log S_N) - 1, 1 - rho_f and
+    1 - lam^2/4 lose at most 17 digits, as S_N - 1 >= rho_f, 1 - rho_f and
+    1 - lam^2/4 all exceed 5e-17 (lam is a double below 2, i0 <= 2^53).
+    So each end is exact to far better than half an ulp, and one
+    ``math.nextafter`` step past its rounding to the nearest double
+    contains it.
     """
+    import decimal  # only transient perturbed walks pay for this import
+
     spec, n = series.spec, series.n_max
     beta, m = abs(spec.b), max(n, spec.i0)
-    log_rho_f = float(log_rho_array(spec, np.array([1]))[0])
     lam = 4.0 * abs(float(signed_drift_array(spec, np.array([m]))[0]))
+    table = (float(series.log_prefix_sum[n]), float(series.log_prod[n]),
+             float(log_rho_array(spec, np.array([1]))[0]))
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 40, decimal.MAX_EMAX, decimal.MIN_EMIN
+        D, b = decimal.Decimal, decimal.Decimal(beta)
 
-    def levels(x: int, toward: float) -> tuple[float, float]:
-        """log x + ... + log_{k-1} x and log_{k-1} x, both moved toward ``toward``."""
-        total, level = 0.0, float(x)
-        for _ in range(spec.k - 1):
-            level = _out(math.log(level), toward)
-            total = _out(total + level, toward)
-        return total, level
+        def levels(x: int) -> tuple[decimal.Decimal, decimal.Decimal]:
+            """log x + ... + log_{k-1} x and log_{k-1} x."""
+            total, level = D(0), D(x)
+            for _ in range(spec.k - 1):
+                level = level.ln()
+                total += level
+            return total, level
 
-    def bound(toward: float) -> float:
-        back = -toward
-        log_p = _out(float(series.log_prod[n]), toward, 2)
-        rho_f = _out(log_rho_f, toward, 2)
-        # F(M) at the lower end, F(M+1) at the upper.
-        total, level = levels(m if toward < 0 else m + 1, toward)
-        f = _out(total + _out(beta * _out(math.log(level), toward), toward), toward)
-        # log I: 1 - beta < 0 (exact, as beta - 1 is) turns its logs the other way.
-        level = levels(m + 1, back)[1]
-        log_i = _out((1.0 - beta) * _out(math.log(level), back), toward)
-        log_i = _out(log_i - _out(math.log(beta - 1.0), back), toward)
-        t = _out(log_p + _out((m - n) * rho_f, toward), toward)
-        t = _out(_out(t + log_i, toward) + f, toward)
-        if toward < 0:  # less an upper bound on E
-            sq = _out(lam * lam, back)
-            den = _out(24.0 * _out(1.0 - sq / 4.0, toward), toward)
-            e = _out(_out(_out(sq * lam, back) * m, back) / den, back)
-            t = _out(t - e, toward)
-        if m > n:
-            # Sites N+1..M: P_N rho_f (1 - rho_f^(M-N)) / (1 - rho_f).  The
-            # ratio rises with rho_f; its numerator and denominator are
-            # negative, so the numerator moves back and the denominator on.
-            ratio = (_out(math.expm1(_out((m - n) * rho_f, back)), back)
-                     / _out(math.expm1(rho_f), toward))
-            head = _out(log_p + rho_f, toward)
-            head = _out(head + _out(math.log(_out(ratio, toward)), toward), toward)
-            t = _logaddexp_out(head, t, toward)
-        return t
+        at_m, past_m = levels(m), levels(m + 1)
+        log_i = (1 - b) * past_m[1].ln() - (b - 1).ln()
 
-    return bound(-math.inf), bound(math.inf)
+        def end(toward: float) -> float:
+            log_s, log_p, log_r = (D(x) + D(math.copysign(2.0 * math.ulp(x), toward))
+                                   for x in table)
+            # F(M) less E at the lower end, F(M+1) at the upper.
+            total, level = at_m if toward < 0 else past_m
+            log_t = log_p + (m - n) * log_r + total + b * level.ln() + log_i
+            if toward < 0:
+                lm = D(lam)
+                log_t -= m * lm ** 3 / (24 * (1 - lm * lm / 4))
+            t = log_t.exp()
+            if m > n:  # sites N+1..M: P_N rho_f (1 - rho_f^(M-N)) / (1 - rho_f)
+                r = log_r.exp()
+                t += log_p.exp() * r * (1 - ((m - n) * log_r).exp()) / (1 - r)
+            s1 = log_s.exp() - 1 + t  # S - 1
+            return math.nextafter(float(s1 / (s1 + 1)), toward)
+
+        return end(-math.inf), end(math.inf)
 
 
 def return_prob(series: ProductSeries) -> ReturnProbability:
@@ -261,10 +240,11 @@ def return_prob(series: ProductSeries) -> ReturnProbability:
     geometric series S/(1+S), as one number: the remainder past the table
     is exact, so the bracket has no width to report.  Transient perturbed
     walks get [1 - 1/(S_N + T_lo), 1 - 1/(S_N + T_hi)] for the partial sum
-    S_N over the whole table (N = ``series.n_max`` >= 1) and the bounds on
-    the rest from ``_log_tail_bounds``, widened by the tables' 2 ulp on
-    log S_N and rounded outward at each step.  The width is reported, not
-    judged: ``lmax return`` holds it to ``--tolerance``.
+    S_N over the whole table (N = ``series.n_max`` >= 1) and the bounds
+    T_lo, T_hi on the rest, each end evaluated once in 40 digits from the
+    table's logs widened by their 2 ulp and rounded outward (``_bracket``).
+    The width is reported, not judged: ``lmax return`` holds it to
+    ``--tolerance``.
     """
     n = series.n_max
     if is_recurrent(series.spec):
@@ -272,14 +252,5 @@ def return_prob(series: ProductSeries) -> ReturnProbability:
     if isinstance(series.spec, ConstantWalk):
         r = rho(series.spec, 1)  # (1 - p)/p, with 1 - p exact for p > 1/2
         return ReturnProbability(r, r, r, n, "geometric-tail")
-    # S/(1+S) = 1 - exp(-log(1+S)), stable for both tiny and huge S.  Each
-    # end steps outward past the tables' 2 ulp on log S_N, the sum that
-    # applies them, logaddexp (``_logaddexp_out``) and expm1 (1 ulp).
-    log_s = float(series.log_prefix_sum[n])
-    slack = 2.0 * math.ulp(log_s)
-    log_lo, log_hi = _log_tail_bounds(series)
-    lo = _logaddexp_out(_out(log_s - slack, -math.inf), log_lo, -math.inf)
-    hi = _logaddexp_out(_out(log_s + slack, math.inf), log_hi, math.inf)
-    lower = _out(_escape_mass(lo, complement=True), -math.inf)
-    upper = _out(_escape_mass(hi, complement=True), math.inf)
+    lower, upper = _bracket(series)
     return ReturnProbability(0.5 * (lower + upper), lower, upper, n, "integral-bound")

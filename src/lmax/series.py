@@ -92,7 +92,7 @@ class ProductSeries:
 
 
 def _escape_mass(log_s, complement: bool = False, out: np.ndarray | None = None):
-    """Escape mass ``1/S = exp(-log S)``, or its complement ``1 - 1/S = -expm1(-log S)``.
+    """Escape mass ``1/S = exp(-log S)``, or for an array its complement ``-expm1(-log S)``.
 
     With ``log S = log_prefix_sum[n]``, 1/S_n is the chance of reaching n+1
     before 0 from 1 and its complement is P(M <= n, D < inf); with S = S_inf
@@ -101,7 +101,7 @@ def _escape_mass(log_s, complement: bool = False, out: np.ndarray | None = None)
     through ``math``; an array through numpy, into ``out`` when given.
     """
     if isinstance(log_s, float):
-        return -math.expm1(-log_s) if complement else math.exp(-log_s)
+        return math.exp(-log_s)
     x = np.negative(log_s, out=out)
     if not complement:
         return np.exp(x, out=x)

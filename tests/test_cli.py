@@ -380,9 +380,12 @@ GOLDEN_STDOUT = [
     # (test_repins.py, test_return_prob_contains_depth_one_oracle).  Re-pinned
     # again when each end came to round outward past every rounding: lower
     # 0.39999999997600016 -> 0.3999999999759999, upper 0.4000000000239999 ->
-    # 0.40000000002400016, value unchanged.
+    # 0.40000000002400016, value unchanged.  Re-pinned when each end came to
+    # be one 40-digit evaluation stepped once outward: lower and upper moved
+    # back to 0.39999999997600016 and 0.4000000000239999, toward the oracle
+    # and still holding it; value unchanged.
     ('return --sign plus --K 1 --B 2',
-     'dce56a6442dc9b0581b64db01838c5f9a3cfd5629d828c7ae3042dcdcf3695ae'),
+     '80f0bcd1a6caa3ec0153c4a8c8c0a80f931191ba5a710c942af6be03b0f06b11'),
     ('simulate --p 0.5 --excursions 3000 --seed 5 --cap-steps 400 --cap-height 40 --format json',
      '9660b71dcd2a9714715a475c0a8ca30f0f842ed23c76bad6b443353bb778c194'),
     ('simulate --sign minus --K 2 --B 1 --excursions 3000 --seed 9 --cap-steps 400 --cap-height 30',
@@ -551,6 +554,18 @@ def test_dist_streams_in_bounded_address_space():
     assert tail.endswith(b"\n2999999,0.0,-1216396.710618854,1.0\n"
                          b"3000000,0.0,-1216397.1160839621,1.0\n"), tail
     assert size > 3_000_000 * 30
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux only")
+def test_constant_hit_builds_no_table():
+    # A constant walk's closed form reads no entry, so a window near the
+    # 2e7 budget runs in a 250 MB address space that its two tables
+    # (320 MB) would not fit.
+    argv = [sys.executable, "-m", "lmax", "hit", "--p", "0.6",
+            "--a", "19999000", "--k", "19999010", "--b", "19999500"]
+    out = subprocess.run(argv, capture_output=True, preexec_fn=_limit_address_space(250 << 20))
+    assert (out.returncode, out.stderr) == (0, b"")
+    assert out.stdout.endswith(b"\n19999000,19999010,19999500,0.017341529915832633\n"), out.stdout
 
 
 # A bracket 4.8e-7 wide, held to 1e-9: the command warns.

@@ -246,6 +246,19 @@ def test_return_prob_contains_the_oracle_at_every_depth(b, depths):
         assert rp.lower <= exact <= rp.upper, (n, rp, exact)
 
 
+@pytest.mark.parametrize("b,depths", [(1000.0, 3000), (600.0, 11), (2000.0, 11)])
+def test_return_prob_ends_within_six_ulp_of_the_oracle(b, depths):
+    # Each end is one 40-digit evaluation from inputs widened by 2 ulp,
+    # rounded to nearest and stepped once outward: about 5 ulp from the
+    # oracle on these cells, where the remainder is far below S_N.
+    spec = PerturbedWalk(1, b, "plus")
+    exact = return_prob_from_drifts(spec)
+    series = build(spec, depths)
+    for n in range(1, depths + 1):
+        rp = return_prob(_at(series, n))
+        assert max(ulps(rp.lower, exact), ulps(rp.upper, exact)) <= 6, (n, rp, exact)
+
+
 @pytest.mark.parametrize("spec,n", [
     (PerturbedWalk(1, 11.75, "plus"), 6),
     (PerturbedWalk(1, 13.5, "plus"), 7),

@@ -40,7 +40,7 @@ def _assert_renders_as_repr(lib, x, fmt="csv"):
     """One value per line, compiled against Python; names the first value that differs."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     words = (*LINES, *SPELLINGS[fmt])
-    got = bytes(_native.render_rows(lib, [x], words))
+    got = bytes(_native.render_rows(lib, [x], words, bytearray()))
     want = _reference([x], fmt, words).encode("ascii")
     if got != want:
         pairs = zip(got.split(b"\n"), want.split(b"\n"))
@@ -100,9 +100,11 @@ def test_int64_extremes(lib):
     n = np.array([0, 1, -1, 9, 10, 99, 100, -100, 2**53 + 1, 2**63 - 1, -(2**63)], dtype=np.int64)
     n = np.concatenate([n, np.arange(-100_000, 100_000, 7, dtype=np.int64)])
     words = (*LINES, *SPELLINGS["csv"])
-    assert _native.render_rows(lib, [n], words) == _reference([n], "csv", words).encode("ascii")
+    assert (_native.render_rows(lib, [n], words, bytearray())
+            == _reference([n], "csv", words).encode("ascii"))
     r = range(5, 70_000, 3)
-    assert _native.render_rows(lib, [r], words) == _reference([r], "csv", words).encode("ascii")
+    assert (_native.render_rows(lib, [r], words, bytearray())
+            == _reference([r], "csv", words).encode("ascii"))
 
 
 TABLE = {
@@ -135,11 +137,11 @@ def test_emit_writes_the_same_bytes_on_both_paths(capsysbinary, monkeypatch, lib
 def test_render_rows_rejects_what_the_kernel_cannot_take(lib):
     words = (*LINES, *SPELLINGS["csv"])
     with pytest.raises(TypeError):
-        _native.render_rows(lib, [np.arange(3, dtype=np.int32)], words)
+        _native.render_rows(lib, [np.arange(3, dtype=np.int32)], words, bytearray())
     with pytest.raises(ValueError):
-        _native.render_rows(lib, [np.arange(3), np.zeros(2)], words)
+        _native.render_rows(lib, [np.arange(3), np.zeros(2)], words, bytearray())
     with pytest.raises(ValueError):
-        _native.render_rows(lib, [np.zeros(2)], words[:6])
+        _native.render_rows(lib, [np.zeros(2)], words[:6], bytearray())
 
 
 def test_import_version_and_one_row_commands_load_no_library(tmp_path):

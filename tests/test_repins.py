@@ -213,9 +213,11 @@ REPINNED = {
     "asympt --p 0.4 --target product --n-hi 20000": (
         "geometric", _asympt_errors, (ConstantWalk(0.4), 20000, "product"),
         {"exact": (36510.0, 6228.0), "shape": (1041.0, 169.0), "c_hat": (4096.0, 1032.0)}),
-    # Re-pinned three times: with the compensated scan, when return_prob took
-    # the integral bound, and when its ends came to round outward; the errors
-    # below are the integral-bound bytes' (0.4 and a bracket that holds it).
+    # Re-pinned four times: with the compensated scan, when return_prob took
+    # the integral bound, when its ends came to round outward past every
+    # double rounding, and when each end became one 40-digit evaluation
+    # rounded outward once; the errors below are the integral-bound bytes'
+    # (0.4 and a bracket that holds it).
     "return --sign plus --K 1 --B 2": (
         "drifts", _return_errors, (PerturbedWalk(1, 2.0, "plus"),),
         {"value": (0.3273, 0.3273), "lower": (0.0, 0.0), "upper": (0.0, 0.0)}),
