@@ -2,9 +2,13 @@
 
 ``_C_SOURCE`` holds every kernel: the simulator (``lmax_block``, see
 ``montecarlo``), which draws its uniforms from the Philox generator
-``lmax_uniforms``, and the row renderer (``lmax_render``, see
-``render_rows``).  The first call that needs either loads the library,
-building it with the system ``gcc -O2 -shared -fPIC`` on a cache miss.  The
+``lmax_uniforms``, the row renderer (``lmax_render``, see
+``render_rows``) and the compensated block sum of a perturbed walk's
+tables (``lmax_scan``, see ``series``).  The first call that needs one
+loads the library, building it with the system
+``gcc -O2 -ffp-contract=off -shared -fPIC`` on a cache miss; the second
+flag keeps gcc from fusing a product and a sum into one FMA, which would
+round once where numpy rounds twice, on targets that have FMA.  The
 shared object is cached in ``$XDG_CACHE_HOME/lmax`` (or ``~/.cache/lmax``)
 under a name keyed by a 64-bit checksum (CRC-32 and Adler-32) of the source
 template, the flags and the machine type; builds go through a temporary
@@ -106,6 +110,48 @@ void lmax_block(uint64_t seed, uint64_t j, int64_t n_exc, int64_t *counts, int64
         if (pos == 0) counts[m] += 1;
         else if (pos >= cap_height) censored[0] += 1;
         else censored[1] += 1;
+    }
+}
+
+/* The prefix scan of series._PerturbedScan, one block at a time:
+   s[0] = z[0] and s[i] = s[i-1] + z[i], in order, as numpy's cumsum adds.
+   Unless an s[i] is NaN or 256 max|s[i]| <= |carry|, each s[i] then gains
+   the running total of the exact rounding errors of the additions up to
+   it (TwoSum; Higham, "Accuracy and Stability of Numerical Algorithms",
+   section 4), each step spelled as series._two_sum_err spells it, so the
+   sums equal the numpy reference bit for bit. */
+#define LMAX_ABS_MAX(a, top) (__builtin_fabs(a) > (top) ? __builtin_fabs(a) : (top))
+void lmax_scan(const double *z, double *s, int64_t n, double carry)
+{
+    /* Two running maxima, of the odd and the even sums, so that neither
+       waits on the other and the scan runs at the speed of its additions. */
+    double acc = z[0], top0 = __builtin_fabs(acc), top1 = top0;
+    int64_t i = 1;
+    s[0] = acc;
+    for (; i + 1 < n; i += 2) {
+        acc += z[i];
+        s[i] = acc;
+        top0 = LMAX_ABS_MAX(acc, top0);
+        acc += z[i + 1];
+        s[i + 1] = acc;
+        top1 = LMAX_ABS_MAX(acc, top1);
+    }
+    if (i < n) {
+        acc += z[i];
+        s[i] = acc;
+        top0 = LMAX_ABS_MAX(acc, top0);
+    }
+    /* A NaN sum stays NaN to the last, where numpy's max(s.max(), -s.min())
+       is NaN and its test false. */
+    if (acc != acc || !(256.0 * (top0 > top1 ? top0 : top1) > __builtin_fabs(carry))) return;
+    double prev = s[0], err = 0.0;
+    s[0] += 0.0; /* numpy adds the errors' sum from 0.0 on, which turns -0.0 to 0.0 */
+    for (i = 1; i < n; i++) {
+        double si = s[i], t = si - prev;
+        double e = (z[i] - t) + (prev - (si - t));
+        err += e;
+        s[i] = si + err;
+        prev = si;
     }
 }
 
@@ -316,7 +362,9 @@ int64_t lmax_render(char *out, int64_t cap, int64_t n_rows, int64_t n_cols,
     return p + len[3] - out;
 }
 """
-_CFLAGS = ("-O2", "-shared", "-fPIC")
+# -ffp-contract=off: no a*b + c is fused into an FMA, so every product and
+# sum rounds as numpy's rounds it.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _CELL_MAX = 24  # CELL_MAX in the source
 _K_MIN, _K_MAX = -324, 292  # the range of k = floor(log10(2^q)) over finite doubles
 
@@ -414,6 +462,8 @@ def _load_c() -> ctypes.CDLL:
     lib.lmax_block.restype = None
     lib.lmax_render.argtypes = [ptr, c64, c64, c64, ptr, ptr, ptr]
     lib.lmax_render.restype = c64
+    lib.lmax_scan.argtypes = [ptr, ptr, c64, ctypes.c_double]
+    lib.lmax_scan.restype = None
     return lib
 
 

@@ -35,7 +35,6 @@ informative.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,7 +42,7 @@ import numpy as np
 
 from .errors import RangeError
 from .first_passage import return_prob
-from .series import BLOCK, ProductSeries, _escape_mass, _exp, blocks
+from .series import _CHUNK, BLOCK, ProductSeries, _escape_mass, _exp, _halves, blocks
 from .walk import WalkSpec, step_up_prob
 
 __all__ = [
@@ -103,17 +102,14 @@ def _law(spec: WalkSpec, rows, log_p, log_s_prev, log_s, log_pmf, pmf=None, cumu
         cumulative[one] = 1.0 - p1
 
 
-# Rows per call of ``_law`` in ``max_pmf_table``: its scratch stays a few blocks.
-_CHUNK = 8 * BLOCK
-
-
 def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     """Build the full table for n = 1..n_max, in chunks of ``_CHUNK`` rows.
 
     Past two chunks, and where ``os.cpu_count()`` gives two cores, the
-    first and second halves of the rows are filled on two threads at once;
-    each row depends on its own entries alone, so the columns are bit for
-    bit those of one pass, and each thread's scratch is one chunk's mask.
+    first and second halves of the rows are filled on two threads at once
+    (``series._halves``); each row depends on its own entries alone, so
+    the columns are bit for bit those of one pass, and each thread's
+    scratch is one chunk's mask.
 
     Raises:
         RangeError: if ``n_max`` exceeds the series range (or is < 1).
@@ -133,16 +129,7 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
             _law(series.spec, range(a, b), lp[a:b], ls[a - 1 : b - 1], ls[a:b],
                  log_pmf[a:b], pmf[a:b], cumulative[a:b], mask[: b - a])
 
-    if n_max < 2 * _CHUNK or (os.cpu_count() or 1) < 2:
-        fill(1, n_max + 1)
-    else:
-        # Here, not at module level: concurrent.futures brings logging and queue.
-        from concurrent.futures import ThreadPoolExecutor
-
-        mid = 1 + n_max // 2
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            for half in [pool.submit(fill, 1, mid), pool.submit(fill, mid, n_max + 1)]:
-                half.result()
+    _halves(fill, 1, n_max + 1)
     return MaxPmfTable(
         spec=series.spec,
         n_max=n_max,

@@ -9,24 +9,31 @@ overflow double precision near n = 700 if held linearly.
 Both logs are computed in fixed-size blocks of entries.  ``blocks``
 yields them one block at a time, in two reused block buffers, for a
 caller that reads the table once in order (``lmax dist``); ``build``
-runs the same block loop into the two arrays of a whole table, for
-random access, and allocates nothing else of the table's length.  Each
-family has one block step:
+runs the same steps into the two arrays of a whole table, for random
+access, and allocates nothing else of the table's length.  Each family
+has one step:
 
 * Constant walks have one odds ratio r = e^L, and Feller's gambler's-ruin
   sums are closed forms (*An Introduction to Probability Theory*, vol. 1,
   §XIV.2): log P_n = nL and log S_n from ``log1p``/``expm1``, with L
   correctly rounded once (``log_odds``) and the first entries of log S_n
   rounded once from 40 digits.  No site array is built, and nothing is
-  summed from entry to entry.
+  summed from entry to entry.  So ``build`` fills a constant table in
+  steps of ``_CHUNK`` entries, its two halves on two threads at once
+  where there are two cores (``_halves``, which ``max_pmf_table`` uses
+  too).
 * Perturbed walks scan log rho_i = -2 atanh(2 delta_i) in fixed-size
   blocks.  Both running sums are compensated (Higham, *Accuracy and
-  Stability of Numerical Algorithms*, §4): a ``cumsum`` per block, with
+  Stability of Numerical Algorithms*, §4): a running sum per block, with
   the rounding error of each of its additions recovered exactly and summed
   alongside, added to an unevaluated (hi, lo) pair that is carried into
-  the next block.  S_n is summed in linear space, anchored at the largest
-  log so far, so no ``log`` or ``exp`` argument is a difference of large
-  terms.
+  the next block.  The block sum is the compiled ``lmax_scan`` of
+  ``_native`` where the library loads, else its numpy reference
+  (``cumsum`` and TwoSum passes); both add in the same order, so their
+  bits agree.  ``exp``, ``log1p`` and ``atanh`` stay numpy calls.  S_n
+  is summed in linear space, anchored at the largest log so far, so no
+  ``log`` or ``exp`` argument is a difference of large terms.  Each block
+  depends on the one before, so this scan runs on one thread.
 
 The last block is computed whole like every other: a constant entry is a
 function of n alone, and every perturbed block starts from fixed seams,
@@ -42,10 +49,12 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import ConfigError, RangeError, ResourceError
 from .walk import ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array
 
@@ -68,6 +77,7 @@ DEFAULT_MAX_ENTRIES = 20_000_000
 MAX_TABLE_ENV = "LMAX_MAX_TABLE"
 
 BLOCK = 1 << 13   # entries per block: the scan's scratch stays in cache
+_CHUNK = 8 * BLOCK  # entries per step where a whole table is filled entry by entry
 _WIDE = 700.0     # widest span of logs that one block sums through exp
 _EXACT_HEAD = 32  # constant walks: log S_n, n < 32, rounded once from 40 digits
 
@@ -159,6 +169,36 @@ def check_budget(what: str, n: int) -> None:
         )
 
 
+def _halves(fill, lo: int, hi: int) -> None:
+    """``fill(lo, hi)``, as ``fill(lo, mid)`` and ``fill(mid, hi)`` on two threads at once.
+
+    The halves split only from ``2 * _CHUNK`` entries, and only where
+    ``os.cpu_count()`` gives two cores; ``fill`` must write each entry from
+    its index alone.  The first half runs on a new thread, the second on
+    this one; an error in either is raised here once both have returned.
+    """
+    if hi - lo < 2 * _CHUNK or (os.cpu_count() or 1) < 2:
+        fill(lo, hi)
+        return
+    mid = lo + (hi - lo) // 2
+    errors = []
+
+    def first() -> None:
+        try:
+            fill(lo, mid)
+        except BaseException as exc:  # re-raised below, in the caller's thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=first)
+    worker.start()
+    try:
+        fill(mid, hi)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
 def _depth(n_max) -> int:
     """``n_max`` as an int, checked to be >= 1 and within ``table_budget()``."""
     n_max = int(n_max)
@@ -199,8 +239,18 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
     n_max = _depth(n_max)
     size = -(-(n_max + 1) // BLOCK) * BLOCK
     log_prod, log_prefix_sum = np.empty(size), np.empty(size)
-    for _ in _fill(spec, n_max, log_prod, log_prefix_sum):
-        pass
+    if isinstance(spec, ConstantWalk):
+        step = _ConstantStep(spec, _CHUNK)
+
+        def fill(lo: int, hi: int) -> None:
+            for a in range(lo, hi, _CHUNK):
+                b = min(a + _CHUNK, hi)
+                step(a, log_prod[a:b], log_prefix_sum[a:b])
+
+        _halves(fill, 0, size)
+    else:
+        for _ in _fill(spec, n_max, log_prod, log_prefix_sum):
+            pass
     return ProductSeries(spec=spec, n_max=n_max, log_prod=log_prod[: n_max + 1],
                          log_prefix_sum=log_prefix_sum[: n_max + 1])
 
@@ -267,16 +317,19 @@ class _ConstantStep:
     value, are rounded once from 40 digits (``_constant_logs``).
     """
 
-    def __init__(self, spec: ConstantWalk):
+    def __init__(self, spec: ConstantWalk, width: int = BLOCK):
         self.L, expm1_a, _, self.head = _constant_logs(spec.p, _EXACT_HEAD - 1)
         self.a = abs(self.L)
         # Past e^709 this is -inf: the quotient is below the rounding of n max(L, 0).
         self.den = -expm1_a
-        self.sites = np.arange(BLOCK, dtype=np.float64)
+        self.sites = np.arange(width, dtype=np.float64)  # the most entries a call takes
 
     def __call__(self, lo: int, lp: np.ndarray, ls: np.ndarray) -> None:
-        """Entries ``lo .. lo + BLOCK - 1`` of both tables into ``lp`` and ``ls``."""
-        n = np.add(self.sites, lo, out=lp)
+        """Entries ``lo .. lo + len(lp) - 1`` of both tables into ``lp`` and ``ls``.
+
+        Nothing but the arguments is written, so threads may share one step.
+        """
+        n = np.add(self.sites[: len(lp)], lo, out=lp)
         if self.L == 0.0:
             np.log1p(n, out=ls)
         else:
@@ -346,10 +399,20 @@ class _PerturbedScan:
         self.t = np.empty(BLOCK)
         self.a = np.empty(BLOCK)
         self.mask = np.empty(BLOCK, dtype=bool)
+        lib = _native._kernel()[0]
+        self.scan = None if lib is None else lib.lmax_scan
+        self.zs = self.z.ctypes.data, self.s.ctypes.data  # both scans start at entry 0
 
     def _cumsum(self, m: int, carry: float) -> np.ndarray:
-        """``cumsum(z)`` over m + 1 entries, compensated unless it stays below ``carry / 256``."""
+        """``cumsum(z)`` over m + 1 entries, compensated unless it stays below ``carry / 256``.
+
+        The compiled ``lmax_scan`` where the library loaded, else numpy: the
+        same additions in the same order, so the same bits.
+        """
         z, s = self.z[: m + 1], self.s[: m + 1]
+        if self.scan is not None:
+            self.scan(*self.zs, m + 1, carry)
+            return s
         np.cumsum(z, out=s)
         if 256.0 * max(s.max(), -s.min()) > abs(carry):
             c = self.c[: m + 1]

@@ -301,16 +301,19 @@ def test_table_is_the_streamed_law_bit_for_bit(monkeypatch, spec, cores):
 
 
 def test_table_thread_error_reaches_the_caller(monkeypatch):
-    # An error in either half's thread is raised by max_pmf_table itself.
+    # An error in either half's thread (the first half runs on a new one,
+    # the second on the caller's) is raised by max_pmf_table itself.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     law = excursion._law
     n = 2 * excursion._CHUNK + 5
+    series = build(ConstantWalk(0.5), n)
+    for half in ("first", "second"):
 
-    def failing(spec, rows, *args):
-        if rows.stop == n + 1:
-            raise MemoryError("second half")
-        return law(spec, rows, *args)
+        def failing(spec, rows, *args, half=half):
+            if (rows.start == 1) == (half == "first"):
+                raise MemoryError(f"{half} half")
+            return law(spec, rows, *args)
 
-    monkeypatch.setattr(excursion, "_law", failing)
-    with pytest.raises(MemoryError, match="second half"):
-        max_pmf_table(build(ConstantWalk(0.5), n), n)
+        monkeypatch.setattr(excursion, "_law", failing)
+        with pytest.raises(MemoryError, match=f"{half} half"):
+            max_pmf_table(series, n)

@@ -1,5 +1,8 @@
+import hashlib
 import math
+import os
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -8,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmax import ConstantWalk, PerturbedWalk, RangeError, ResourceError, build, max_pmf_table, rho
-from lmax.series import BLOCK, MAX_TABLE_ENV, _exp, log_odds
+from lmax import _native
+from lmax.series import _CHUNK, BLOCK, MAX_TABLE_ENV, _exp, _PerturbedScan, blocks, log_odds
 
 from _oracles import (
     brute_prefix_sum,
@@ -218,11 +222,14 @@ def test_first_rows_of_a_depth_two_table_within_two_ulp():
                 assert ulps(table.cumulative[n], -mpmath.expm1(-log_s)) <= 2.0, n
 
 
-@pytest.mark.parametrize("spec", [
+DEPTH_SPECS = [
     PerturbedWalk(3, -1.0, "minus"), PerturbedWalk(2, 1.5, "plus"), PerturbedWalk(1, 1.0, "minus"),
     PerturbedWalk(1, 1e6, "minus"), ConstantWalk(0.4), ConstantWalk(0.5), ConstantWalk(0.6),
     ConstantWalk(0.7), ConstantWalk(1 - 2**-53),
-], ids=str)
+]
+
+
+@pytest.mark.parametrize("spec", DEPTH_SPECS, ids=str)
 def test_entries_do_not_depend_on_table_depth(spec):
     # A constant walk's entry is a function of n alone, and every perturbed
     # block, the last one too, is computed whole from fixed seams, so a
@@ -243,18 +250,104 @@ class _NoScans:
         return getattr(np, name)
 
 
+def _refuse_scan(*args):
+    raise AssertionError("lmax_scan used")
+
+
 def test_constant_tables_scan_nothing(monkeypatch):
     # A constant walk's entries come from the closed form alone: neither
-    # cumsum nor logaddexp.accumulate runs, so no rounding builds up.
+    # cumsum, the compiled lmax_scan nor logaddexp.accumulate runs, so no
+    # rounding builds up.  The self-check shows that the guard stops a
+    # perturbed walk's scan on whichever kernel is loaded.
     import lmax.series
 
     want = build(ConstantWalk(0.4), 2 * BLOCK)
+    lib, info = _native._kernel()
+    if lib is not None:
+        monkeypatch.setattr(_native, "_kernel", lambda: (SimpleNamespace(lmax_scan=_refuse_scan), info))
     monkeypatch.setattr(lmax.series, "np", _NoScans())
     got = build(ConstantWalk(0.4), 2 * BLOCK)
     assert np.array_equal(got.log_prod, want.log_prod)
     assert np.array_equal(got.log_prefix_sum, want.log_prefix_sum)
-    with pytest.raises(AssertionError, match="cumsum"):
+    with pytest.raises(AssertionError, match="cumsum" if lib is None else "lmax_scan"):
         build(PerturbedWalk(1, 2.0, "plus"), 10)
+
+
+def _sums_on_both_kernels(z, carry):
+    """``_PerturbedScan._cumsum`` of ``z`` on the compiled kernel and on numpy, as bytes."""
+    if _native._kernel()[0] is None:
+        pytest.fail(f"the native library did not load: {_native.kernel_info().reason}")
+    sums = []
+    for compiled in (True, False):
+        scan = _PerturbedScan(PerturbedWalk(1, 2.0, "plus"))
+        if not compiled:
+            scan.scan = None
+        scan.z[: len(z)] = z
+        sums.append(scan._cumsum(len(z) - 1, carry).tobytes())
+    return sums
+
+
+@pytest.mark.parametrize("length", [1, 2, BLOCK, BLOCK + 1])
+def test_compiled_block_sum_is_the_numpy_sum_bit_for_bit(length):
+    # Both branches (compensated where 256 max|s| > |carry|, plain
+    # otherwise), and blocks that hold infinities, NaN, -0.0 and
+    # subnormals, which the compensated pass turns into NaN or passes on.
+    rng = np.random.default_rng(length)
+    special = np.array([np.inf, -np.inf, np.nan, -np.nan, -0.0, 0.0, 5e-324, -2.5e-320,
+                        2.2250738585072014e-308, 1e300, -1e300])
+    blocks_ = [
+        rng.standard_normal(length),
+        rng.standard_normal(length) * np.exp(rng.uniform(-40, 40, length)),
+        np.full(length, -0.0),
+        np.concatenate([[-0.0], rng.standard_normal(length - 1)]),
+        rng.choice(special[4:], length),      # zeros, subnormals and huge values: finite
+        rng.choice([5e-324, -5e-324, 1e-310], length),
+    ]
+    for _ in range(4):
+        z = rng.standard_normal(length)
+        z[rng.integers(0, length, 1 + length // 50)] = rng.choice(special, 1 + length // 50)
+        blocks_.append(z)
+    for k in {1, 2, length - 1} & set(range(1, length)):  # one sum far above the rest
+        z = rng.standard_normal(length)
+        z[k] += 1e9
+        z[k + 1 : k + 2] -= 1e9
+        blocks_.append(z)
+    with np.errstate(all="ignore"):
+        for z in blocks_:
+            sums = np.abs(np.cumsum(z))
+            top = float(sums[np.isfinite(sums)].max(initial=0.0))  # carries either side of 256 top
+            for carry in (0.0, -0.0, 1.0, top * 255.0, top * 256.0, top * 257.0, -1e308,
+                          np.inf, np.nan):
+                compiled, numpy = _sums_on_both_kernels(z, carry)
+                assert compiled == numpy, (z[:8], carry)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("spec", DEPTH_SPECS, ids=str)
+def test_built_and_streamed_tables_agree_on_both_kernels(monkeypatch, spec):
+    # build and blocks, on the compiled sum and on numpy's, and (for the
+    # constant walks that split it) build on one core and on two.
+    if _native._kernel()[0] is None:
+        pytest.fail(f"the native library did not load: {_native.kernel_info().reason}")
+    real = _native._kernel
+    python = (None, _native.KernelInfo("python", "forced"))
+    for n in (1, BLOCK - 1, BLOCK + 1, 2 * _CHUNK + 3 * BLOCK + 7):
+        digests = set()
+        for kernel in (real, lambda: python):
+            monkeypatch.setattr(_native, "_kernel", kernel)
+            for cores in (1, 2):
+                monkeypatch.setattr(os, "cpu_count", lambda: cores)
+                series = build(spec, n)
+                digests.add(_digest(series.log_prod, series.log_prefix_sum))
+            parts = list(zip(*((lp.copy(), ls.copy()) for _, lp, ls in blocks(spec, n))))
+            digests.add(_digest(np.concatenate(parts[0]), np.concatenate(parts[1])))
+        assert len(digests) == 1, n
 
 
 def test_wide_frozen_drift_stays_finite():
