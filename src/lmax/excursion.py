@@ -23,8 +23,9 @@ Row n of the law reads entries n - 1 and n of the two logs and nothing
 else, and ``_law`` is its one implementation: ``log_pmf``, ``pmf`` and
 ``cumulative`` for any set of rows, with row 1 pinned to log1p(-p_1) and
 q_1 = 1 - p_1, which a difference of logs loses for tiny p_1.  Every
-path to the law calls it: ``max_pmf_table`` once over a whole table, for
-random access; ``max_pmf_blocks`` once per block of ``series.blocks``,
+path to the law calls it: ``max_pmf_table`` once per chunk of a whole
+table, for random access, with two threads taking the chunks in turn
+(``series._on_threads``); ``max_pmf_blocks`` once per block of ``series.blocks``,
 carrying log S_(lo-1) from the block before, for a reader that takes
 the rows once in order (``lmax dist``) in memory bounded by a block;
 ``asymptotics`` at its sample rows.  The linear pmf column flushes to 0
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import RangeError
 from .first_passage import return_prob
-from .series import _CHUNK, BLOCK, ProductSeries, _escape_mass, _exp, _halves, blocks
+from .series import _CHUNK, BLOCK, ProductSeries, _exp, _on_threads, blocks
 from .walk import WalkSpec, step_up_prob
 
 __all__ = [
@@ -77,15 +78,14 @@ class MaxPmfTable:
         return n
 
 
-def _law(spec: WalkSpec, rows, log_p, log_s_prev, log_s, log_pmf, pmf=None, cumulative=None,
-         mask=None):
+def _law(spec: WalkSpec, rows, log_p, log_s_prev, log_s, log_pmf, pmf=None, cumulative=None):
     """The law of M on {D < inf} at ``rows``, into ``log_pmf`` (and ``pmf``, ``cumulative``).
 
     ``rows`` is a range or an int array of n >= 1; ``log_p``, ``log_s_prev``
     and ``log_s`` hold log P_n, log S_(n-1) and log S_n at those rows.  Row
-    n is log P_n - log S_(n-1) - log S_n, its exp, and 1 - 1/S_n.  ``mask``
-    is bool scratch of the rows' length, for the exp that fills ``pmf``.
-    Each row is a function of its own three logs alone.
+    n is log P_n - log S_(n-1) - log S_n, its exp, and 1 - 1/S_n, taken as
+    -expm1(-log S_n) so that it loses no digits to cancellation at any
+    depth.  Each row is a function of its own three logs alone.
     """
     np.subtract(log_p, log_s_prev, out=log_pmf)
     np.subtract(log_pmf, log_s, out=log_pmf)
@@ -94,22 +94,24 @@ def _law(spec: WalkSpec, rows, log_p, log_s_prev, log_s, log_pmf, pmf=None, cumu
     log_pmf[one] = math.log1p(-p1)
     if pmf is not None:
         with np.errstate(under="ignore"):
-            _exp(log_pmf, pmf, mask)
+            _exp(log_pmf, pmf)
         pmf[one] = 1.0 - p1
     if cumulative is not None:
         # 1 - 1/S_n is nondecreasing and <= 1 by construction.
-        _escape_mass(log_s, complement=True, out=cumulative)
+        np.negative(log_s, out=cumulative)
+        np.expm1(cumulative, out=cumulative)
+        np.negative(cumulative, out=cumulative)
         cumulative[one] = 1.0 - p1
 
 
 def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     """Build the full table for n = 1..n_max, in chunks of ``_CHUNK`` rows.
 
-    Past two chunks, and where ``os.cpu_count()`` gives two cores, the
-    first and second halves of the rows are filled on two threads at once
-    (``series._halves``); each row depends on its own entries alone, so
-    the columns are bit for bit those of one pass, and each thread's
-    scratch is one chunk's mask.
+    Where there are two chunks and ``os.cpu_count()`` gives two cores, two
+    threads take the chunks in turn (``series._on_threads``); each row
+    depends on its own entries alone, so the columns are bit for bit those
+    of one pass.  Only a chunk whose pmf underflows takes scratch: one
+    bool mask of its rows.
 
     Raises:
         RangeError: if ``n_max`` exceeds the series range (or is < 1).
@@ -121,15 +123,13 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     log_pmf[0], pmf[0], cumulative[0] = -np.inf, 0.0, 0.0
     lp, ls = series.log_prod, series.log_prefix_sum
 
-    def fill(lo: int, hi: int) -> None:
-        """Rows lo .. hi - 1, one chunk at a time."""
-        mask = np.empty(min(_CHUNK, hi - lo), dtype=bool)
-        for a in range(lo, hi, _CHUNK):
-            b = min(a + _CHUNK, hi)
-            _law(series.spec, range(a, b), lp[a:b], ls[a - 1 : b - 1], ls[a:b],
-                 log_pmf[a:b], pmf[a:b], cumulative[a:b], mask[: b - a])
+    def fill(a: int) -> None:
+        """Rows a .. a + _CHUNK - 1, or to n_max."""
+        b = min(a + _CHUNK, n_max + 1)
+        _law(series.spec, range(a, b), lp[a:b], ls[a - 1 : b - 1], ls[a:b],
+             log_pmf[a:b], pmf[a:b], cumulative[a:b])
 
-    _halves(fill, 1, n_max + 1)
+    _on_threads(fill, range(1, n_max + 1, _CHUNK), 2)
     return MaxPmfTable(
         spec=series.spec,
         n_max=n_max,
@@ -154,7 +154,6 @@ def max_pmf_blocks(spec: WalkSpec, n_max: int):
     table = blocks(spec, n_max)
     log_s = np.empty(BLOCK + 1)  # log S from entry lo - 1 on
     out = np.empty(BLOCK), np.empty(BLOCK), np.empty(BLOCK)
-    mask = np.empty(BLOCK, dtype=bool)
 
     def rows():
         for lo, lp, ls in table:
@@ -162,7 +161,7 @@ def max_pmf_blocks(spec: WalkSpec, n_max: int):
             n = range(lo + k, lo + m)
             log_s[1 : m + 1] = ls
             block = [a[: m - k] for a in out]
-            _law(spec, n, lp[k:], log_s[k:m], ls[k:], *block, mask[: m - k])
+            _law(spec, n, lp[k:], log_s[k:m], ls[k:], *block)
             log_s[0] = ls[-1]
             yield n, *block
 
@@ -199,7 +198,7 @@ def tail_mass(table: MaxPmfTable, n: int) -> TailMass:
     if rp.method == "geometric-tail":
         value = rp.value if n == 1 else math.exp(series.log_prod[n] - series.log_prefix_sum[n - 1])
         return TailMass(n=n, value=value, lower=value, upper=value, exact=True)
-    escape = _escape_mass(float(series.log_prefix_sum[n - 1]))
+    escape = math.exp(-float(series.log_prefix_sum[n - 1]))  # 1/S_(n-1)
     return TailMass(
         n=n,
         value=max(0.0, escape - (1.0 - rp.value)),

@@ -132,7 +132,7 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
     log_prod = series.log_prod
     top = log_prod[q.a : q.b].max()
     size = min(_SUM_LEAF, q.b - q.a)
-    buf, mask = np.empty(size), np.empty(size, dtype=bool)
+    buf = np.empty(size)
 
     def shifted_sum(lo: int, hi: int) -> float:
         """sum(exp(log_prod[lo:hi] - top)), one piece of ``buf`` at a time."""
@@ -140,7 +140,7 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
         for i in range(lo, hi, _SUM_LEAF):
             t = buf[: min(_SUM_LEAF, hi - i)]
             np.subtract(log_prod[i : i + len(t)], top, out=t)
-            pieces.append(_exp(t, t, mask[: len(t)]).sum())
+            pieces.append(_exp(t, t).sum())
         return math.fsum(pieces)
 
     num = shifted_sum(q.k, q.b)

@@ -16,8 +16,11 @@ reproduced elsewhere):
   eats values in order until it ends, then the next excursion continues
   from the following value.
 * One uniform per step, stepping up iff ``u < p_site``.
-* Each worker adds its blocks into its own int64 tallies, and ``run`` adds
-  those up: integer sums, so neither order nor worker count changes them.
+* The caller's thread and up to ``workers - 1`` more each take the next
+  block index until none is left (``series._on_threads``, which the table
+  fills use too), and add their blocks into their own int64 tallies;
+  ``run`` adds those up: integer sums, so neither order nor worker count
+  changes them.
 
 Each excursion starts at 1 and runs to the first of: hitting 0 (its
 maximum M is tallied), reaching ``cap_height`` (censored_height), or
@@ -31,7 +34,7 @@ native library (``_native``, which builds, caches and loads it).  It draws
 the stream itself, 256 values at a time into a buffer on the C stack, so
 the C path allocates no uniform array and never imports ``numpy.random``.
 The first ``run`` in a process loads the library.  ctypes releases the GIL
-during the call, so ``workers`` threads run blocks in parallel.  If the
+during the call, so the threads run blocks in parallel.  If the
 library cannot be built or loaded, ``_block_py`` runs the same loop line
 for line in Python, on numpy's Philox drawn 65536 values at a time; it is
 also the reference the tests compare the C kernel against.
@@ -44,8 +47,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ from . import _native
 from ._native import KernelInfo, kernel_info
 from .errors import ConfigError, RangeError
 from .excursion import MaxPmfTable
-from .series import check_budget
+from .series import _on_threads, check_budget
 from .walk import WalkSpec, step_up_prob_array
 
 __all__ = [
@@ -162,8 +163,9 @@ class SimResult:
 def run(config: SimConfig) -> SimResult:
     """Simulate the configured number of excursions; see the stream rules above.
 
-    ``workers`` threads, at most ``os.cpu_count()`` and never more than
-    there are blocks, each take the next block index until none is left;
+    The caller's thread and up to ``workers - 1`` more, at most
+    ``os.cpu_count()`` in all and never more than there are blocks, each
+    take the next block index until none is left (``series._on_threads``);
     the output does not depend on their number.  The first call in a
     process loads the kernel (see ``kernel_info``).
 
@@ -176,31 +178,17 @@ def run(config: SimConfig) -> SimResult:
     check_budget("excursion blocks", n_blocks)
     # p[0] is never consulted: hitting 0 ends the excursion first.
     p = step_up_prob_array(config.spec, np.arange(config.cap_height))
-    lib = _native._kernel()[0]  # here, in the main thread, before any pool starts
+    lib = _native._kernel()[0]  # here, in the caller's thread, before any other starts
     block = _block_py if lib is None else functools.partial(_block_c, lib)
-    blocks = iter(range(n_blocks))  # under the GIL each index goes to one task
-    stop = threading.Event()
 
-    def tally():
-        counts = np.zeros(config.cap_height, dtype=np.int64)
-        censored = np.zeros(2, dtype=np.int64)
-        for j in blocks:
-            if stop.is_set():
-                break
-            size = min(BLOCK, config.excursions - j * BLOCK)
-            block(config.seed, j, size, counts, censored, p, config.cap_steps, config.cap_height)
-        return counts, censored
+    def tally(j, counts, censored):
+        size = min(BLOCK, config.excursions - j * BLOCK)
+        block(config.seed, j, size, counts, censored, p, config.cap_steps, config.cap_height)
 
-    # Here, not at module level: concurrent.futures brings logging and queue.
-    from concurrent.futures import ThreadPoolExecutor
+    def zeros():  # each thread's own tallies
+        return np.zeros(config.cap_height, dtype=np.int64), np.zeros(2, dtype=np.int64)
 
-    workers = min(config.workers, n_blocks, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tasks = [pool.submit(tally) for _ in range(workers)]
-        try:
-            tallies = [task.result() for task in tasks]
-        finally:  # an error or Ctrl-C ends every task after its current block
-            stop.set()
+    tallies = _on_threads(tally, range(n_blocks), config.workers, zeros)
     counts, censored = (sum(arrays) for arrays in zip(*tallies))
     return SimResult(
         counts=counts,

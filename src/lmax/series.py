@@ -19,9 +19,9 @@ has one step:
   correctly rounded once (``log_odds``) and the first entries of log S_n
   rounded once from 40 digits.  No site array is built, and nothing is
   summed from entry to entry.  So ``build`` fills a constant table in
-  steps of ``_CHUNK`` entries, its two halves on two threads at once
-  where there are two cores (``_halves``, which ``max_pmf_table`` uses
-  too).
+  chunks of ``_CHUNK`` entries, which two threads take in turn where
+  there are two cores (``_on_threads``, which ``max_pmf_table`` and the
+  simulator use too).
 * Perturbed walks scan log rho_i = -2 atanh(2 delta_i) in fixed-size
   blocks.  Both running sums are compensated (Higham, *Accuracy and
   Stability of Numerical Algorithms*, §4): a running sum per block, with
@@ -101,38 +101,20 @@ class ProductSeries:
     log_prefix_sum: np.ndarray
 
 
-def _escape_mass(log_s, complement: bool = False, out: np.ndarray | None = None):
-    """Escape mass ``1/S = exp(-log S)``, or for an array its complement ``-expm1(-log S)``.
-
-    With ``log S = log_prefix_sum[n]``, 1/S_n is the chance of reaching n+1
-    before 0 from 1 and its complement is P(M <= n, D < inf); with S = S_inf
-    they are 1 - P(return) and P(return).  Both come straight from log S,
-    so neither loses digits to cancellation at any depth.  A float goes
-    through ``math``; an array through numpy, into ``out`` when given.
-    """
-    if isinstance(log_s, float):
-        return math.exp(-log_s)
-    x = np.negative(log_s, out=out)
-    if not complement:
-        return np.exp(x, out=x)
-    np.expm1(x, out=x)
-    return np.negative(x, out=x)
-
-
 # exp of anything below -745.14 rounds to +0.0, which numpy's exp reaches on
 # a path several times slower than a normal result's.
 _EXP_FLOOR = -746.0
 
 
-def _exp(x: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``np.exp(x, out=out)`` bit for bit, with no exp taken below ``_EXP_FLOOR``.
 
-    Entries below it get +0.0, their exp, directly.  ``mask`` is bool
-    scratch of ``len(x)`` entries; ``out`` may be ``x``.
+    Entries below it get +0.0, their exp, directly, through a bool mask
+    made only when there are any; ``out`` may be ``x``.
     """
     if not len(x) or x.min() >= _EXP_FLOOR:
         return np.exp(x, out=out)
-    np.less(x, _EXP_FLOOR, out=mask)
+    mask = np.less(x, _EXP_FLOOR)
     np.copyto(out, 0.0, where=mask)
     np.logical_not(mask, out=mask)
     return np.exp(x, out=out, where=mask)
@@ -169,34 +151,41 @@ def check_budget(what: str, n: int) -> None:
         )
 
 
-def _halves(fill, lo: int, hi: int) -> None:
-    """``fill(lo, hi)``, as ``fill(lo, mid)`` and ``fill(mid, hi)`` on two threads at once.
+def _on_threads(work, items: range, workers: int, state=tuple) -> list:
+    """Call ``work(item, *s)`` for every item, on this thread and up to ``workers - 1`` more.
 
-    The halves split only from ``2 * _CHUNK`` entries, and only where
-    ``os.cpu_count()`` gives two cores; ``fill`` must write each entry from
-    its index alone.  The first half runs on a new thread, the second on
-    this one; an error in either is raised here once both have returned.
+    ``workers`` is clamped to the items and to ``os.cpu_count()``, and no
+    thread starts for one.  Each thread makes its own ``s = state()`` and
+    takes the next item of one shared iterator until none is left: under
+    the GIL each item goes to one thread.  An error or Ctrl-C on any thread
+    stops every thread after its current item, and is raised here once all
+    have returned.  Returns the states, one per thread.
     """
-    if hi - lo < 2 * _CHUNK or (os.cpu_count() or 1) < 2:
-        fill(lo, hi)
-        return
-    mid = lo + (hi - lo) // 2
-    errors = []
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    items, states, errors = iter(items), [], []
 
-    def first() -> None:
+    def loop() -> None:
         try:
-            fill(lo, mid)
+            s = state()
+            states.append(s)
+            for item in items:
+                if errors:
+                    break
+                work(item, *s)
         except BaseException as exc:  # re-raised below, in the caller's thread
             errors.append(exc)
 
-    worker = threading.Thread(target=first)
-    worker.start()
+    threads = [threading.Thread(target=loop) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
     try:
-        fill(mid, hi)
+        loop()
     finally:
-        worker.join()
+        for thread in threads:
+            thread.join()
     if errors:
         raise errors[0]
+    return states
 
 
 def _depth(n_max) -> int:
@@ -241,13 +230,8 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
     log_prod, log_prefix_sum = np.empty(size), np.empty(size)
     if isinstance(spec, ConstantWalk):
         step = _ConstantStep(spec, _CHUNK)
-
-        def fill(lo: int, hi: int) -> None:
-            for a in range(lo, hi, _CHUNK):
-                b = min(a + _CHUNK, hi)
-                step(a, log_prod[a:b], log_prefix_sum[a:b])
-
-        _halves(fill, 0, size)
+        _on_threads(lambda a: step(a, log_prod[a : a + _CHUNK], log_prefix_sum[a : a + _CHUNK]),
+                    range(0, size, _CHUNK), 2)
     else:
         for _ in _fill(spec, n_max, log_prod, log_prefix_sum):
             pass

@@ -800,7 +800,7 @@ def test_import_leaves_heavy_modules_unloaded():
     # subprocess is only needed to build the native library, never to load
     # it, so the library is built here first (the child shares the cache);
     # hashlib would load OpenSSL, which no table command needs, and
-    # concurrent.futures, with the logging it imports, only a simulator run.
+    # concurrent.futures, with the logging it imports, no command needs.
     _native.kernel_info()
     code = (
         "import sys, lmax\n"
@@ -821,13 +821,15 @@ def test_simulator_commands_leave_scipy_and_openssl_unloaded():
     # named with zlib, and the C kernel draws its own Philox stream, so
     # neither loading the kernel (which info does) nor simulate and compare
     # need scipy, numpy.random or hashlib, with the OpenSSL that _hashlib
-    # loads.  The library is built here first, so the child runs on C.
+    # loads; the simulator's threads are plain ones, so a run on two workers
+    # loads no concurrent.futures, nor the logging it imports.  The library
+    # is built here first, so the child runs on C.
     assert _native.kernel_info().name == "c"
     code = (
         "import sys\n"
         "from lmax.cli import main\n"
         "from lmax.montecarlo import kernel_info\n"
-        "heavy = ('scipy', 'hashlib', '_hashlib')\n"
+        "heavy = ('scipy', 'hashlib', '_hashlib', 'concurrent', 'logging')\n"
         "loaded = lambda: sorted(m for m in sys.modules\n"
         "                        if m.split('.')[0] in heavy or m.startswith('numpy.random'))\n"
         "assert main(['info']) == 0\n"

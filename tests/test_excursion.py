@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -277,8 +278,8 @@ def test_tail_mass_transient_by_hand():
     assert tm.lower <= tm.value <= tm.upper
 
 
-# Past two chunks the table fills its halves on two threads; these depths put
-# the split, chunk seams and a short last chunk inside the table.
+# From two chunks on, two threads take the table's chunks in turn; these
+# depths put chunk seams and a short last chunk inside the table.
 THREADED_DEPTHS = [2 * excursion._CHUNK, 2 * excursion._CHUNK + 3 * BLOCK + 7,
                    5 * excursion._CHUNK + 1]
 
@@ -301,19 +302,26 @@ def test_table_is_the_streamed_law_bit_for_bit(monkeypatch, spec, cores):
 
 
 def test_table_thread_error_reaches_the_caller(monkeypatch):
-    # An error in either half's thread (the first half runs on a new one,
-    # the second on the caller's) is raised by max_pmf_table itself.
+    # An error in a chunk on either thread, the caller's or the one started
+    # beside it, is raised by max_pmf_table itself.  The threads take chunks
+    # as they ask for them, so the failing chunk is picked by the thread that
+    # runs it; the other thread holds its first chunk until the failing
+    # thread has taken one, so each thread gets a chunk.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     law = excursion._law
-    n = 2 * excursion._CHUNK + 5
+    n = 2 * excursion._CHUNK + 5  # three chunks
     series = build(ConstantWalk(0.5), n)
-    for half in ("first", "second"):
+    caller = threading.current_thread()
+    for where in ("caller's", "worker's"):
+        taken = threading.Event()
 
-        def failing(spec, rows, *args, half=half):
-            if (rows.start == 1) == (half == "first"):
-                raise MemoryError(f"{half} half")
+        def failing(spec, rows, *args, where=where, taken=taken):
+            if (threading.current_thread() is caller) == (where == "caller's"):
+                taken.set()
+                raise MemoryError(f"{where} thread")
+            taken.wait(10)
             return law(spec, rows, *args)
 
         monkeypatch.setattr(excursion, "_law", failing)
-        with pytest.raises(MemoryError, match=f"{half} half"):
+        with pytest.raises(MemoryError, match=f"{where} thread"):
             max_pmf_table(series, n)

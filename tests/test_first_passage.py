@@ -317,8 +317,8 @@ def test_return_prob_width_at_depth(spec, width):
 
 def test_hit_before_scratch_per_entry():
     # The window is shifted and exponentiated one _SUM_LEAF piece at a time
-    # through one buffer and one mask, so the scratch is 576 KiB however
-    # long the window.  A constant walk reads no entry (its closed form).
+    # through one buffer, and a mask for a piece whose terms underflow, so
+    # the scratch is at most 576 KiB however long the window.  A constant walk reads no entry (its closed form).
     for n in (10**6, 4 * 10**6):
         series = build(PerturbedWalk(1, 2.5, "plus"), n)
         tracemalloc.start()

@@ -1,4 +1,3 @@
-import concurrent.futures
 import functools
 import json
 import math
@@ -7,6 +6,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -99,47 +99,40 @@ def test_workers_do_not_change_tallies(monkeypatch):
 
 
 def test_worker_threads_are_clamped(monkeypatch):
-    from lmax import montecarlo
+    # Each run records the threads it starts and the tallies it adds up,
+    # one per thread that took blocks, the caller's own included.
+    started, tallies = [], []
+    start, on_threads = threading.Thread.start, montecarlo._on_threads
 
-    seen, tasks = [], []
+    def counted_start(thread):
+        started[-1] += 1
+        start(thread)
 
-    class SerialPool:
-        """Records the requested size and the tasks, and runs each inline: no thread starts."""
+    def counted(*args):
+        started.append(0)
+        states = on_threads(*args)
+        tallies.append(len(states))
+        return states
 
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-            tasks.append(0)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn):
-            tasks[-1] += 1
-            done = concurrent.futures.Future()
-            done.set_result(fn())
-            return done
-
-    # run imports the pool class when it is called, from concurrent.futures.
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(montecarlo, "_on_threads", counted)
     n = 2 * BLOCK + 5  # three blocks
     cfg = dict(spec=ConstantWalk(0.3), excursions=n, seed=3, cap_steps=100, cap_height=16)
     base = run(SimConfig(**cfg))
-    assert seen == [1]
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+    assert (started, tallies) == ([0], [1])  # one worker starts no thread at all
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     wide = run(SimConfig(**cfg, workers=10_000))
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     narrow = run(SimConfig(**cfg, workers=10_000))
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     single = run(SimConfig(**cfg, workers=10_000))
-    assert seen == [1, 3, 2, 1]
+    # min(workers, blocks, cores) workers: the caller's thread and the rest new.
+    assert tallies == [1, 3, 2, 1]
+    assert started == [0, 2, 1, 0]
     # One task per worker, not one per block: each takes blocks until none is left.
-    assert tasks == seen
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     many = run(SimConfig(**{**cfg, "excursions": 40 * BLOCK}, workers=10_000))
-    assert (seen[-1], tasks[-1]) == (2, 2)
+    assert (started[-1], tallies[-1]) == (1, 2)
     assert many.counts.sum() + many.censored_height + many.censored_steps == 40 * BLOCK
     for r in (wide, narrow, single):
         assert np.array_equal(r.counts, base.counts)

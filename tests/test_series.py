@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from lmax import ConstantWalk, PerturbedWalk, RangeError, ResourceError, build, max_pmf_table, rho
 from lmax import _native
-from lmax.series import _CHUNK, BLOCK, MAX_TABLE_ENV, _exp, _PerturbedScan, blocks, log_odds
+from lmax.series import (
+    _CHUNK, BLOCK, MAX_TABLE_ENV, _exp, _on_threads, _PerturbedScan, blocks, log_odds,
+)
 
 from _oracles import (
     brute_prefix_sum,
@@ -378,6 +381,31 @@ def test_masked_exp_is_numpy_exp_bit_for_bit():
         want = np.exp(x)
         for in_place in (False, True):
             out = x.copy() if in_place else np.empty_like(x)
-            got = _exp(out if in_place else x, out, np.empty(len(x), dtype=bool))
+            got = _exp(out if in_place else x, out)
             assert got is out
             assert got.tobytes() == want.tobytes()
+
+
+def test_an_error_on_one_thread_stops_the_other(monkeypatch):
+    # The started thread fails on its first item while the caller's thread
+    # holds its own; the caller's then runs no other item, and the error is
+    # raised in the caller once the threads have joined.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller = threading.current_thread()
+    held, entered, ran, started = threading.Event(), threading.Event(), [], []
+
+    def work(item):
+        ran.append(item)
+        if threading.current_thread() is caller:
+            held.set()
+            entered.wait(10)
+            started[0].join(10)  # its error is recorded before it ends
+        else:
+            started.append(threading.current_thread())
+            entered.set()
+            held.wait(10)
+            raise MemoryError("the started thread")
+
+    with pytest.raises(MemoryError, match="the started thread"):
+        _on_threads(work, range(100), 2)
+    assert len(ran) == 2
