@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constant import _constant_logs
 from .errors import ConfigError, DomainError, RangeError
 from .excursion import _law
-from .series import ProductSeries, _constant_logs
+from .series import ProductSeries
 from .walk import ConstantWalk, WalkSpec, _least_site, _log_above
 
 __all__ = [

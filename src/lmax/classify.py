@@ -29,10 +29,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import RangeError
-from .series import ProductSeries
-from .walk import ConstantWalk, WalkSpec
+from .spec import ConstantWalk, WalkSpec
+
+if TYPE_CHECKING:
+    from .series import ProductSeries
 
 __all__ = [
     "APPARENTLY_CONVERGENT",

@@ -43,22 +43,18 @@ import itertools
 import json
 import math
 import os
-import platform
 import re
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, _native
-from .asymptotics import ShapeTarget, estimate_constant, resolve_shape
-from .classify import classify, series_diagnostic
+from . import __version__
+from .budget import check_budget
 from .errors import ConfigError, ConvergenceWarning, DomainError, RangeError, ResourceError
-from .excursion import max_pmf_blocks, max_pmf_table
-from .first_passage import HittingQuery, hit_before, return_prob
-from .montecarlo import SimConfig, SimResult, compare, kernel_info, run
-from .series import ProductSeries, build, check_budget, table_budget
-from .walk import ConstantWalk, WalkSpec, spec_from_params, spec_params
+
+if TYPE_CHECKING:
+    from .montecarlo import SimConfig, SimResult
+    from .spec import WalkSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -68,6 +64,8 @@ def _walk_from_args(args) -> WalkSpec:
 
     A flag the family does not use is an error that names it.
     """
+    from .spec import spec_from_params, spec_params
+
     flags = {"p": ("--p", args.p), "sign": ("--sign", args.sign),
              "k": ("--K", args.k_depth), "b": ("--B", args.b_coef)}
     params = {key: value for key, (_, value) in flags.items() if value is not None}
@@ -95,7 +93,8 @@ def _cells(values, fmt: str):
     anything else is ``str`` in CSV (quoted by ``_csv_cell``) and a JSON
     value in JSON.
     """
-    if isinstance(values, np.ndarray):
+    np = sys.modules.get("numpy")  # no column is an array before numpy is loaded
+    if np is not None and isinstance(values, np.ndarray):
         values = values.tolist()
     first = values[0]
     if isinstance(first, bool):
@@ -178,7 +177,11 @@ def _emit(fmt: str, meta: dict, columns) -> int:
     spellings = tuple(_JSON_NONFINITE.values() if fmt == "json" else _JSON_NONFINITE)
     lead, buf = row_open, bytearray()  # one render buffer for every chunk
     for chunk in itertools.chain([first], chunks):
-        lib = _native._kernel()[0] if all(map(_numeric, chunk)) else None
+        lib = None
+        if all(map(_numeric, chunk)):
+            from . import _native
+
+            lib = _native._kernel()[0]
         if lib is not None:
             words = (lead, between, cell_sep, row_close, *spellings)
             write(_native.render_rows(lib, chunk, words, buf))
@@ -192,7 +195,8 @@ def _emit(fmt: str, meta: dict, columns) -> int:
 
 def _numeric(column) -> bool:
     """Whether the compiled renderer takes ``column``: a range or a 1-D int64/float64 array."""
-    if isinstance(column, np.ndarray):
+    np = sys.modules.get("numpy")  # no column is an array before numpy is loaded
+    if np is not None and isinstance(column, np.ndarray):
         return column.ndim == 1 and column.dtype in (np.int64, np.float64)
     return isinstance(column, range)
 
@@ -208,17 +212,30 @@ def _depth(flag: str, n: int, least: int = 1) -> int:
     return n
 
 
+# Each cmd_* imports the modules it runs once its arguments are checked, so
+# that a call loads only what its command needs: no numpy for --version,
+# --help, an argument error or a constant walk's hit.
+
+
 def cmd_dist(args, spec) -> tuple[dict, tuple]:
+    n_max = _depth("--n-max", args.n_max)
+    from .excursion import max_pmf_blocks
+
     # One chunk of rows per block of the table: nothing of its length is held.
-    law = max_pmf_blocks(spec, _depth("--n-max", args.n_max))
+    law = max_pmf_blocks(spec, n_max)
     chunks = ([rows, pmf, log_pmf, cumulative] for rows, log_pmf, pmf, cumulative in law)
     return {"n_max": args.n_max}, (["n", "pmf", "log_pmf", "cumulative"], chunks)
 
 
 def cmd_classify(args, spec) -> tuple[dict, dict]:
+    from .classify import classify, series_diagnostic
+
     c = classify(spec)
     # The diagnostic compares the sums at n_max // 2 and n_max, so n_max >= 2.
-    diag = series_diagnostic(build(spec, _depth("--n-max", args.n_max, least=2)))
+    n_max = _depth("--n-max", args.n_max, least=2)
+    from .series import build
+
+    diag = series_diagnostic(build(spec, n_max))
     fields = {"n_max": args.n_max, "growth_exponent": diag.growth_exponent,
               "log_sum_at_n_max": diag.log_sum_max}
     columns = {
@@ -230,6 +247,11 @@ def cmd_classify(args, spec) -> tuple[dict, dict]:
 
 
 def cmd_asympt(args, spec) -> tuple[dict, dict]:
+    import numpy as np
+
+    from .asymptotics import ShapeTarget, estimate_constant, resolve_shape
+    from .series import build
+
     target = ShapeTarget(args.target)
     shape = resolve_shape(spec, target)
     n_hi = _depth("--n-hi", args.n_hi)
@@ -263,13 +285,21 @@ def cmd_asympt(args, spec) -> tuple[dict, dict]:
 
 
 def cmd_hit(args, spec) -> tuple[dict, dict]:
+    from .spec import ConstantWalk, HittingQuery
+
     q = HittingQuery(a=args.a, k=args.k, b=args.b)
     depth = max(1, args.b - 1)  # the products reach index b - 1
     check_budget(f"--b {args.b}: table depth", depth)
-    # A constant walk's hit_before is a closed form that reads no entry.
-    series = (ProductSeries(spec, depth, np.empty(0), np.empty(0))
-              if isinstance(spec, ConstantWalk) else build(spec, depth))
-    p = hit_before(series, q)
+    if isinstance(spec, ConstantWalk):
+        # hit_before's closed form for a constant walk: no table, no numpy.
+        from .constant import _hit_constant
+
+        p = _hit_constant(spec.p, q)
+    else:
+        from .first_passage import hit_before
+        from .series import build
+
+        p = hit_before(build(spec, depth), q)
     columns = {"a": [args.a], "k": [args.k], "b": [args.b], "probability": [p]}
     # hit_*: the walk's own "k" and "b" are in the meta too.
     return {"hit_a": args.a, "hit_k": args.k, "hit_b": args.b}, columns
@@ -279,7 +309,13 @@ def cmd_return(args, spec) -> tuple[dict, dict]:
     # The library reports the bracket; judging its width is this command's job.
     if not args.tolerance >= 0:
         raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
-    rp = return_prob(build(spec, _depth("--min-terms", args.min_terms)))
+    n = _depth("--min-terms", args.min_terms)
+    from .first_passage import return_prob
+    from .series import build, entryless
+    from .spec import ConstantWalk
+
+    # A constant walk's return probability, (1 - p)/p, reads no entry.
+    rp = return_prob(entryless(spec, n) if isinstance(spec, ConstantWalk) else build(spec, n))
     width = rp.upper - rp.lower
     met = width <= args.tolerance
     if not met:
@@ -293,6 +329,8 @@ def cmd_return(args, spec) -> tuple[dict, dict]:
 
 
 def _sim_config(args, spec: WalkSpec) -> SimConfig:
+    from .montecarlo import SimConfig
+
     # os.urandom, not secrets: secrets imports hashlib, and with it OpenSSL.
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "little")
     given = {name: getattr(args, name) for name in ("workers", "cap_steps", "cap_height")}
@@ -302,6 +340,8 @@ def _sim_config(args, spec: WalkSpec) -> SimConfig:
 
 def _simulate(cfg: SimConfig) -> tuple[SimResult, dict]:
     """Run ``cfg``; return the result and the meta fields ``simulate`` and ``compare`` share."""
+    from .montecarlo import run
+
     res = run(cfg)
     fields = dict(excursions=cfg.excursions, seed=cfg.seed, cap_steps=cfg.cap_steps,
                   cap_height=cfg.cap_height, censored_height=res.censored_height,
@@ -319,6 +359,10 @@ def cmd_simulate(args, spec) -> tuple[dict, dict]:
 def cmd_compare(args, spec) -> tuple[dict, dict]:
     # The config first: a bad argument exits 2 before the table's budget check can exit 1.
     cfg = _sim_config(args, spec)
+    from .excursion import max_pmf_table
+    from .montecarlo import compare
+    from .series import build
+
     table = max_pmf_table(build(spec, cfg.cap_height - 1), cfg.cap_height - 1)
     res, fields = _simulate(cfg)
     rep = compare(res, table)
@@ -335,6 +379,13 @@ def cmd_compare(args, spec) -> tuple[dict, dict]:
 
 
 def cmd_info(args, spec) -> tuple[dict, dict]:
+    import platform
+
+    import numpy as np
+
+    from ._native import kernel_info
+    from .budget import table_budget
+
     budget, source = table_budget()
     kernel = kernel_info()
     columns = {
@@ -425,6 +476,9 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("default")
         try:
             args = build_parser().parse_args(argv)
+            # Past --version, --help and argparse's errors, which need no walk.
+            from .spec import spec_params
+
             spec = _walk_from_args(args) if "family" in args else None
             fields, columns = args.func(args, spec)
             meta = spec_params(spec) if spec is not None else {}

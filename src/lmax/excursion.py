@@ -42,7 +42,6 @@ from typing import Any
 import numpy as np
 
 from .errors import RangeError
-from .first_passage import return_prob
 from .series import _CHUNK, BLOCK, ProductSeries, _exp, _on_threads, blocks
 from .walk import WalkSpec, step_up_prob
 
@@ -192,6 +191,8 @@ def tail_mass(table: MaxPmfTable, n: int) -> TailMass:
     constant walks the difference is P_n/S_{n-1}, read off the logs with
     no subtraction; at n = 1 it is the return probability itself.
     """
+    from .first_passage import return_prob  # the one use of first_passage here
+
     n = table._check(n)
     series = table.series
     rp = return_prob(series)

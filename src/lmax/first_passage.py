@@ -30,15 +30,16 @@ outward.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classify import is_recurrent
+from .constant import _hit_constant
 from .errors import RangeError
-from .series import ProductSeries, _exp, log_odds
+from .series import ProductSeries, _exp
+from .spec import HittingQuery
 from .walk import ConstantWalk, log_rho_array, rho, signed_drift_array
 
 __all__ = [
@@ -49,60 +50,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HittingQuery:
-    """Levels for a two-boundary first-passage question: start k, targets a < b."""
-
-    a: int
-    k: int
-    b: int
-
-    def __post_init__(self):
-        if not (0 <= self.a <= self.k <= self.b and self.a < self.b):
-            raise RangeError(
-                f"need 0 <= a <= k <= b with a < b, got a={self.a}, k={self.k}, b={self.b}")
-
-
 # Longest piece of a window that ``hit_before`` shifts and exponentiates at once.
 _SUM_LEAF = 1 << 16
-
-
-@functools.lru_cache(maxsize=64)
-def _split_log_odds(p: float) -> tuple[float, float, float]:
-    """``L = log_odds(p)``, the double the tables take, and its Veltkamp split (hi, lo).
-
-    hi + lo = L exactly, and hi has at most 26 significant bits, so m hi is
-    exact for every integer m < 2^27 (Dekker 1971).
-    """
-    L = log_odds(p)
-    c = 134217729.0 * L  # 2^27 + 1
-    hi = c - (c - L)
-    return L, hi, L - hi
-
-
-def _hit_constant(p: float, q: HittingQuery) -> float:
-    """Feller's gambler's ruin at r = e^L: (r^(k-a) - r^(b-a))/(1 - r^(b-a)).
-
-    With m = k - a, u = b - k and A = expm1(uL), it is A/expm1(-(b-a)L) for
-    L > 0 and A/(A - expm1(-mL)) for L < 0, where the two terms of the
-    denominator share a sign.  expm1(-mL) is taken from the split of L as
-    expm1(-m hi) + exp(-m hi) expm1(-m lo): a rounded product mL would pass
-    half an ulp of m|L| into it as a relative error m|L| times larger.
-    Past e^700 that overflows, and the ratio is r^m (-A) = exp(m hi)
-    exp(m lo) (-A).  Each expm1 argument rounded is negative, where a
-    relative error of the argument passes to the result damped.
-    """
-    L, hi, lo = _split_log_odds(p)
-    m, u = q.k - q.a, q.b - q.k
-    if L == 0.0:
-        return u / (q.b - q.a)
-    a = math.expm1(-u * abs(L))
-    if L > 0.0:
-        return a / math.expm1(-(q.b - q.a) * L)
-    if -m * hi > 700.0:
-        return math.exp(m * hi) * (math.exp(m * lo) * -a)
-    e = math.exp(-m * hi)
-    return a / (a - (math.expm1(-m * hi) + e * math.expm1(-m * lo)))
 
 
 def hit_before(series: ProductSeries, q: HittingQuery) -> float:

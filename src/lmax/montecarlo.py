@@ -48,15 +48,19 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _native
 from ._native import KernelInfo, kernel_info
+from .budget import check_budget
 from .errors import ConfigError, RangeError
-from .excursion import MaxPmfTable
-from .series import _on_threads, check_budget
+from .series import _on_threads
 from .walk import WalkSpec, step_up_prob_array
+
+if TYPE_CHECKING:
+    from .excursion import MaxPmfTable
 
 __all__ = [
     "BLOCK", "SimConfig", "SimResult", "run", "CompareReport", "compare",
@@ -171,7 +175,7 @@ def run(config: SimConfig) -> SimResult:
 
     Raises:
         ResourceError: if the ``cap_height - 1`` bins or the number of
-            blocks exceed the table budget (``series.check_budget``).
+            blocks exceed the table budget (``budget.check_budget``).
     """
     check_budget("cap_height-1", config.cap_height - 1)
     n_blocks = -(-config.excursions // BLOCK)

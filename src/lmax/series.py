@@ -16,8 +16,8 @@ has one step:
 * Constant walks have one odds ratio r = e^L, and Feller's gambler's-ruin
   sums are closed forms (*An Introduction to Probability Theory*, vol. 1,
   §XIV.2): log P_n = nL and log S_n from ``log1p``/``expm1``, with L
-  correctly rounded once (``log_odds``) and the first entries of log S_n
-  rounded once from 40 digits.  No site array is built, and nothing is
+  correctly rounded once (``constant.log_odds``) and the first entries of
+  log S_n rounded once from 40 digits.  No site array is built, and nothing is
   summed from entry to entry.  So ``build`` fills a constant table in
   chunks of ``_CHUNK`` entries, which two threads take in turn where
   there are two cores (``_on_threads``, which ``max_pmf_table`` and the
@@ -55,27 +55,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .errors import ConfigError, RangeError, ResourceError
+from .budget import DEFAULT_MAX_ENTRIES, MAX_TABLE_ENV, check_budget, table_budget
+from .constant import _constant_logs, log_odds
+from .errors import RangeError
 from .walk import ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array
 
 __all__ = [
-    "ProductSeries", "build", "blocks", "log_odds", "check_budget", "table_budget",
-    "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV",
+    "ProductSeries", "build", "blocks", "entryless", "log_odds", "check_budget",
+    "table_budget", "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV",
 ]
 
 # One table of length n holds two float64 arrays of n+1 entries (~320 MB
-# at the default budget), and ``build`` allocates nothing else of that
-# length: both arrays are rounded up to a whole number of BLOCKs (at most
-# 64 KB more each), and a block step's scratch is a few arrays of BLOCK
-# entries.  A MaxPmfTable built on the table adds three more (log_pmf,
-# pmf, cumulative).  ``blocks`` holds two BLOCK buffers and the step's
-# scratch whatever n, so ``lmax dist`` holds a few blocks at any depth.
-# Measured peak RSS: see the README's *Table budget*.  The budget bounds
-# every table, streamed or built, and can be changed only through the
-# environment variable below.
-DEFAULT_MAX_ENTRIES = 20_000_000
-MAX_TABLE_ENV = "LMAX_MAX_TABLE"
-
+# at the default budget, ``budget.DEFAULT_MAX_ENTRIES``), and ``build``
+# allocates nothing else of that length: both arrays are rounded up to a
+# whole number of BLOCKs (at most 64 KB more each), and a block step's
+# scratch is a few arrays of BLOCK entries.  A MaxPmfTable built on the
+# table adds three more (log_pmf, pmf, cumulative).  ``blocks`` holds two
+# BLOCK buffers and the step's scratch whatever n, so ``lmax dist`` holds
+# a few blocks at any depth.
 BLOCK = 1 << 13   # entries per block: the scan's scratch stays in cache
 _CHUNK = 8 * BLOCK  # entries per step where a whole table is filled entry by entry
 _WIDE = 700.0     # widest span of logs that one block sums through exp
@@ -118,37 +115,6 @@ def _exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.copyto(out, 0.0, where=mask)
     np.logical_not(mask, out=mask)
     return np.exp(x, out=out, where=mask)
-
-
-def table_budget() -> tuple[int, str]:
-    """The entry budget of every table, and where it comes from.
-
-    Returns ``(int($LMAX_MAX_TABLE), "LMAX_MAX_TABLE")`` when the variable is
-    set, else ``(DEFAULT_MAX_ENTRIES, "default")``.
-
-    Raises:
-        ConfigError: if ``LMAX_MAX_TABLE`` is not an integer >= 1.
-    """
-    env = os.environ.get(MAX_TABLE_ENV)
-    if env is None:
-        return DEFAULT_MAX_ENTRIES, "default"
-    try:
-        budget = int(env)
-    except ValueError:
-        budget = 0  # not an integer: refused below, with the same message
-    if budget < 1:
-        raise ConfigError(f"${MAX_TABLE_ENV} must be an integer >= 1, got {env!r}")
-    return budget, MAX_TABLE_ENV
-
-
-def check_budget(what: str, n: int) -> None:
-    """Raise ``ResourceError`` if ``n`` entries, named ``what``, exceed ``table_budget()``."""
-    limit = table_budget()[0]
-    if n > limit:
-        raise ResourceError(
-            f"{what}={n} exceeds the table budget of {limit} entries "
-            f"(set ${MAX_TABLE_ENV} to change it)"
-        )
 
 
 def _on_threads(work, items: range, workers: int, state=tuple) -> list:
@@ -239,6 +205,16 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
                          log_prefix_sum=log_prefix_sum[: n_max + 1])
 
 
+def entryless(spec: ConstantWalk, n_max: int) -> ProductSeries:
+    """A table of a constant walk over 1..n_max that holds no entry.
+
+    For the closed forms that read none: ``hit_before`` and ``return_prob``
+    on a constant walk.  ``n_max`` is not checked against the budget; a
+    caller that reports a depth checks it.
+    """
+    return ProductSeries(spec, n_max, np.empty(0), np.empty(0))
+
+
 def blocks(spec: WalkSpec, n_max: int):
     """An iterator of ``(lo, log_prod, log_prefix_sum)`` over entries 0..n_max, block by block.
 
@@ -253,39 +229,6 @@ def blocks(spec: WalkSpec, n_max: int):
     n_max = _depth(n_max)
     fill = _fill(spec, n_max, np.empty(BLOCK), np.empty(BLOCK))
     return ((lo, lp[: n_max + 1 - lo], ls[: n_max + 1 - lo]) for lo, lp, ls in fill)
-
-
-def log_odds(p: float) -> float:
-    """``L = log((1 - p)/p)``, correctly rounded for every double ``p`` in (0, 1).
-
-    Evaluated in 40-digit decimal arithmetic from the exact value of ``p``:
-    in doubles, ``p - 1/2`` drops the low digits of a small ``p``, and
-    ``1 - p`` those of ``L`` for ``p`` near 1/2.
-    """
-    return _constant_logs(p, 0)[0]
-
-
-def _constant_logs(p: float, n: int) -> tuple[float, float, float, list]:
-    """``L``, ``expm1(|L|)``, its log and ``[log S_1, ..., log S_n]`` of a constant walk.
-
-    Each is rounded once from 40-digit decimal arithmetic.  ``expm1(|L|)``
-    is max(r, 1/r) - 1 for r = (1 - p)/p: from the rounded ``L`` it would
-    carry |L| times L's rounding error (3.5 ulp at p = 1 - 2^-53).  Its log
-    stays finite where it overflows (p below 1/DBL_MAX).
-    """
-    import decimal  # only constant-walk tables pay for this import
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        x = decimal.Decimal(p)
-        r = (1 - x) / x
-        logs, term, total = [], r, 1 + r
-        for _ in range(n):
-            logs.append(float(total.ln()))
-            term *= r
-            total += term
-        m1 = max(r, 1 / r) - 1
-        return float(r.ln()), float(m1), float(m1.ln()), logs
 
 
 class _ConstantStep:

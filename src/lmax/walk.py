@@ -18,7 +18,9 @@ always steps to 1):
 
 The down/up odds ratio ``rho(spec, i) = q_i / p_i`` drives every exact
 formula downstream; ``rho`` gives one entry and, for perturbed walks,
-``log_rho_array`` the log over a site array.
+``log_rho_array`` the log over a site array.  The families themselves
+and their parameter checks are in ``spec``, which imports no numpy; they
+are exported here too.
 
 Sign-symmetry note: for ``k=1`` the walk ``("plus", b)`` coincides with
 ``("minus", -b)``.  All drift arithmetic is routed through the signed
@@ -30,12 +32,11 @@ probabilities, not merely close ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Literal, Union
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .spec import ConstantWalk, PerturbedWalk, WalkSpec, spec_from_params, spec_params
 
 __all__ = [
     "ConstantWalk",
@@ -51,8 +52,6 @@ __all__ = [
     "spec_params",
     "spec_from_params",
 ]
-
-Sign = Literal["plus", "minus"]
 
 # Last site the threshold search (_least_site) probes: a power of two, so the gallop lands on it.
 _I0_SCAN_LIMIT = 2**53
@@ -134,47 +133,6 @@ def compute_i0(k: int, b: float) -> int:
     return _least_site(small, f"i0 of the depth-{k} walk with b={b:g}")
 
 
-@dataclass(frozen=True)
-class ConstantWalk:
-    """Constant-drift walk: step up with probability ``p`` from every site >= 1."""
-
-    p: float
-
-    def __post_init__(self):
-        if not (isinstance(self.p, (int, float, np.floating)) and 0.0 < self.p < 1.0):
-            raise ConfigError(f"step-up probability must lie in (0, 1), got {self.p}")
-        object.__setattr__(self, "p", float(self.p))
-
-
-@dataclass(frozen=True)
-class PerturbedWalk:
-    """Iterated-logarithm drift walk with parameters (k, b, sign).
-
-    ``sign="plus"`` means step-up probability ``1/2 + r_i`` (drift away
-    from the origin when the perturbation is positive); ``"minus"`` means
-    ``1/2 - r_i``.  ``i0`` is derived at construction and cached.
-    """
-
-    k: int
-    b: float
-    sign: Sign
-    i0: int = field(init=False, compare=False)
-
-    def __post_init__(self):
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-            raise ConfigError(f"perturbation depth k must be a positive integer, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
-        if not (isinstance(self.b, (int, float, np.floating)) and math.isfinite(self.b)):
-            raise ConfigError(f"perturbation coefficient b must be finite, got {self.b}")
-        if self.sign not in ("plus", "minus"):
-            raise ConfigError(f'sign must be "plus" or "minus", got {self.sign!r}')
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "i0", compute_i0(self.k, self.b))
-
-
-WalkSpec = Union[ConstantWalk, PerturbedWalk]
-
-
 def _at(array_fn, spec: WalkSpec, i) -> float:
     """Entry ``i`` of an array-path function: how the scalar API evaluates."""
     return float(array_fn(spec, np.array([i]))[0])
@@ -241,34 +199,3 @@ def log_rho_array(spec: PerturbedWalk, i: np.ndarray) -> np.ndarray:
     np.arctanh(d, out=d)
     d *= -2.0
     return d
-
-
-def spec_params(spec: WalkSpec) -> dict:
-    """Plain-dict form of the walk parameters, for report metadata."""
-    if isinstance(spec, ConstantWalk):
-        return {"family": "constant", "p": spec.p}
-    return {"family": "perturbed", "sign": spec.sign, "k": spec.k, "b": spec.b}
-
-
-_FAMILY_KEYS = {"constant": ("p",), "perturbed": ("sign", "k", "b")}
-
-
-def spec_from_params(params) -> WalkSpec:
-    """Inverse of ``spec_params``; accepts any mapping with the same keys.
-
-    The one place that decides which parameters each family needs; keys
-    the family does not use are ignored.
-
-    Raises:
-        ConfigError: if the family is unknown or any of its keys is missing
-            (the message names every missing key).
-    """
-    family = params.get("family")
-    if family not in _FAMILY_KEYS:
-        raise ConfigError(f"unknown walk family {family!r}")
-    missing = [key for key in _FAMILY_KEYS[family] if key not in params]
-    if missing:
-        raise ConfigError(f"{family} walk parameters lack {', '.join(map(repr, missing))}")
-    if family == "constant":
-        return ConstantWalk(float(params["p"]))
-    return PerturbedWalk(k=int(params["k"]), b=float(params["b"]), sign=params["sign"])

@@ -16,8 +16,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from lmax import (ConstantWalk, PerturbedWalk, __version__, _native, build, cli, max_pmf_table,
-                  montecarlo)
+from lmax import (ConstantWalk, PerturbedWalk, __version__, _native, build, cli, excursion,
+                  max_pmf_table, montecarlo)
 from lmax.cli import main
 from lmax.series import BLOCK, DEFAULT_MAX_ENTRIES
 from lmax.walk import spec_from_params, spec_params
@@ -166,7 +166,7 @@ def test_memory_exhaustion_exits_one(capsys, monkeypatch):
         raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000001,)")
         yield
 
-    monkeypatch.setattr(cli, "max_pmf_blocks", max_pmf_blocks)
+    monkeypatch.setattr(excursion, "max_pmf_blocks", max_pmf_blocks)
     code = main(["dist", "--p", "0.4", "--n-max", "10"])
     out, err = capsys.readouterr()
     assert code == 1
@@ -568,6 +568,58 @@ def test_constant_hit_builds_no_table():
     assert out.stdout.endswith(b"\n19999000,19999010,19999500,0.017341529915832633\n"), out.stdout
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux only")
+def test_constant_return_builds_no_table(monkeypatch):
+    # (1 - p)/p reads no entry, so a depth at the 2e7 budget runs in a 250 MB
+    # address space that its two tables (320 MB) would not fit; one entry
+    # past the budget still exits 1.
+    monkeypatch.delenv("LMAX_MAX_TABLE", raising=False)
+    argv = [sys.executable, "-m", "lmax", "return", "--p", "0.6", "--min-terms"]
+    limit = _limit_address_space(250 << 20)
+    out = subprocess.run([*argv, "20000000"], capture_output=True, preexec_fn=limit)
+    assert (out.returncode, out.stderr) == (0, b"")
+    assert out.stdout.endswith(b"\n0.6666666666666667,0.6666666666666667,0.6666666666666667,"
+                               b"20000000,geometric-tail,true\n"), out.stdout
+    out = subprocess.run([*argv, "20000001"], capture_output=True, preexec_fn=limit)
+    assert (out.returncode, out.stdout) == (1, b"")
+    assert out.stderr.startswith(b"error: --min-terms=20000001 exceeds the table budget")
+
+
+# Calls that compute no table, and the numpy they load: none.
+NUMPY_FREE_CALLS = [
+    "--version",
+    "--help",
+    "dist --help",
+    "hit --help",
+    "dist --p 0.5",                                  # argparse: --n-max missing
+    "dist --p 0.5 --n-max ten",                      # argparse: not an int
+    "dist --n-max 3",                                # no walk
+    "dist --p 1.5 --n-max 3",                        # p outside (0, 1)
+    "dist --p 0.5 --K 2 --n-max 3",                  # a flag of the other family
+    "dist --family perturbed --K 2 --B 1 --n-max 3",  # no --sign
+    "dist --sign plus --K 0 --B 1 --n-max 3",        # k < 1
+    "dist --sign plus --K 2 --B inf --n-max 3",      # b not finite
+    "dist --p 0.5 --n-max 0",                        # depth below 1
+    "hit --p 0.5 --a 3 --k 1 --b 5",                 # levels out of order
+    "hit --p 0.6 --a 19999000 --k 19999010 --b 19999500",
+    "hit --p 0.5 --a 0 --k 0 --b 5",
+]
+
+
+def test_calls_that_compute_no_table_load_no_numpy():
+    code = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr))\n"
+        "from lmax.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    for cmd in NUMPY_FREE_CALLS:
+        out = subprocess.run([sys.executable, "-c", code, *cmd.split()], capture_output=True,
+                             text=True)
+        assert out.returncode in (0, 2), (cmd, out.stderr)
+        assert out.stderr.splitlines()[-1] == "numpy loaded: False", (cmd, out.stderr)
+
+
 # A bracket 4.8e-7 wide, held to 1e-9: the command warns.
 WIDE_RETURN = "return --sign plus --K 1 --B 2 --min-terms 1000 --tolerance 1e-9"
 
@@ -887,9 +939,11 @@ def test_info_bad_table_budget_env_exits_two():
 
 
 def test_every_module_is_reachable():
-    # A module that neither the package nor the CLI imports is dead code.
+    # A module that neither the package's exports nor the CLI imports is
+    # dead code.  Exports load on first use, so the star import loads them.
     code = (
         "import pathlib, sys, lmax, lmax.cli\n"
+        "from lmax import *\n"
         "names = sorted(p.stem for p in pathlib.Path(lmax.__file__).parent.glob('*.py'))\n"
         "print([n for n in names if n not in ('__init__', '__main__')\n"
         "       and f'lmax.{n}' not in sys.modules])\n"

@@ -37,6 +37,18 @@ def test_boundary_values():
     assert hit_before(s, HittingQuery(3, 9, 9)) == 0.0
 
 
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 0.3, 0.5 - 2**-54, 0.5, 0.5 + 2**-53, 0.7,
+                               1 - 2**-53])
+def test_constant_closed_form_gives_the_boundary_values(p):
+    # lmax hit calls the closed form directly on a constant walk, so at a
+    # boundary start it gives hit_before's 1.0 and +0.0 itself (the ratio
+    # would be -0.0 at k = b).
+    for a, b in ((0, 1), (0, 7), (3, 9), (19_999_000, 19_999_500), (0, 2**26)):
+        at_a = first_passage._hit_constant(p, HittingQuery(a, a, b))
+        at_b = first_passage._hit_constant(p, HittingQuery(a, b, b))
+        assert (repr(at_a), repr(at_b)) == ("1.0", "0.0"), (p, a, b)
+
+
 def test_downward_drift_by_hand():
     s = build(ConstantWalk(1 / 3), 10)  # rho = 2
     assert hit_before(s, HittingQuery(0, 1, 3)) == pytest.approx(6 / 7, rel=1e-14)
