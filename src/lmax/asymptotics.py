@@ -222,12 +222,12 @@ def estimate_constant(
     ns = grid[np.append(True, grid[1:] != grid[:-1])]  # np.unique, without its hash pass
     # The samples, then the two points of the drift indicator.
     at = np.append(ns, [n_hi, n_hi // 2])
+    lp, ls = series.at(np.append(at - 1, at))  # the rows before, then the rows
     if s.target is ShapeTarget.PRODUCT:
-        log_exact = series.log_prod[at]
+        log_exact = lp[len(at):]
     else:
         log_exact = np.empty(len(at))
-        ls = series.log_prefix_sum
-        _law(series.spec, at, series.log_prod[at], ls[at - 1], ls[at], log_exact)
+        _law(series.spec, at, lp[len(at):], ls[: len(at)], ls[len(at):], log_exact)
     log_shape_at = log_shape(s, at)
     log_c_at = log_exact - log_shape_at
     log_c = log_c_at[:-2]

@@ -132,8 +132,7 @@ def series_diagnostic(series: ProductSeries) -> SeriesDiagnostic:
     if n < 2:
         raise RangeError(f"series_diagnostic needs a table to n >= 2, got n_max = {n}")
     nh = n // 2
-    lh = float(series.log_prefix_sum[nh])
-    lm = float(series.log_prefix_sum[n])
+    lh, lm = series.at([nh, n])[1].tolist()
     return SeriesDiagnostic(
         n_half=nh,
         n_max=n,

@@ -22,7 +22,7 @@ Conventions shared by all subcommands:
   grow with the table, and the bytes are exactly those of rendering the
   whole table at once.  ``dist`` computes its rows block by block as it
   writes them (``excursion.max_pmf_blocks``), so it holds a few blocks of
-  the table whatever ``--n-max``; the other commands slice their columns.
+  the table whatever ``--n-max``; the one-row commands read a lazy table.
 * The JSON meta block carries the full walk parameters plus everything
   needed to reproduce the run (seed included); re-running with the same
   parameters and package version reproduces the bytes.  Wall-clock
@@ -233,9 +233,9 @@ def cmd_classify(args, spec) -> tuple[dict, dict]:
     c = classify(spec)
     # The diagnostic compares the sums at n_max // 2 and n_max, so n_max >= 2.
     n_max = _depth("--n-max", args.n_max, least=2)
-    from .series import build
+    from .series import lazy
 
-    diag = series_diagnostic(build(spec, n_max))
+    diag = series_diagnostic(lazy(spec, n_max))
     fields = {"n_max": args.n_max, "growth_exponent": diag.growth_exponent,
               "log_sum_at_n_max": diag.log_sum_max}
     columns = {
@@ -250,7 +250,7 @@ def cmd_asympt(args, spec) -> tuple[dict, dict]:
     import numpy as np
 
     from .asymptotics import ShapeTarget, estimate_constant, resolve_shape
-    from .series import build
+    from .series import lazy
 
     target = ShapeTarget(args.target)
     shape = resolve_shape(spec, target)
@@ -263,7 +263,7 @@ def cmd_asympt(args, spec) -> tuple[dict, dict]:
         raise ConfigError(f"--n-lo must be >= {shape.n_min_valid} and below --n-hi {n_hi}, "
                           f"got {n_lo}")
     samples = _depth("--samples", args.samples)  # the length of the sample grid
-    fit = estimate_constant(build(spec, n_hi), shape, n_lo, n_hi, samples=samples)
+    fit = estimate_constant(lazy(spec, n_hi), shape, n_lo, n_hi, samples=samples)
     with np.errstate(over="ignore", under="ignore"):
         columns = {
             "n": fit.ns,
@@ -297,9 +297,9 @@ def cmd_hit(args, spec) -> tuple[dict, dict]:
         p = _hit_constant(spec.p, q)
     else:
         from .first_passage import hit_before
-        from .series import build
+        from .series import lazy
 
-        p = hit_before(build(spec, depth), q)
+        p = hit_before(lazy(spec, depth), q)
     columns = {"a": [args.a], "k": [args.k], "b": [args.b], "probability": [p]}
     # hit_*: the walk's own "k" and "b" are in the meta too.
     return {"hit_a": args.a, "hit_k": args.k, "hit_b": args.b}, columns
@@ -311,11 +311,9 @@ def cmd_return(args, spec) -> tuple[dict, dict]:
         raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
     n = _depth("--min-terms", args.min_terms)
     from .first_passage import return_prob
-    from .series import build, entryless
-    from .spec import ConstantWalk
+    from .series import lazy
 
-    # A constant walk's return probability, (1 - p)/p, reads no entry.
-    rp = return_prob(entryless(spec, n) if isinstance(spec, ConstantWalk) else build(spec, n))
+    rp = return_prob(lazy(spec, n))
     width = rp.upper - rp.lower
     met = width <= args.tolerance
     if not met:

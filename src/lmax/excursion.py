@@ -118,6 +118,8 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     n_max = int(n_max)
     if not 1 <= n_max <= series.n_max:
         raise RangeError(f"n_max={n_max} outside series range 1..{series.n_max}")
+    if series.log_prod is None:
+        raise RangeError("a lazy table holds no entries to tabulate the law from: build it")
     log_pmf, pmf, cumulative = np.empty(n_max + 1), np.empty(n_max + 1), np.empty(n_max + 1)
     log_pmf[0], pmf[0], cumulative[0] = -np.inf, 0.0, 0.0
     lp, ls = series.log_prod, series.log_prefix_sum
@@ -196,10 +198,11 @@ def tail_mass(table: MaxPmfTable, n: int) -> TailMass:
     n = table._check(n)
     series = table.series
     rp = return_prob(series)
+    lp, ls = series.at([n, n - 1])  # log P_n is lp[0], log S_(n-1) is ls[1]
     if rp.method == "geometric-tail":
-        value = rp.value if n == 1 else math.exp(series.log_prod[n] - series.log_prefix_sum[n - 1])
+        value = rp.value if n == 1 else math.exp(lp[0] - ls[1])
         return TailMass(n=n, value=value, lower=value, upper=value, exact=True)
-    escape = math.exp(-float(series.log_prefix_sum[n - 1]))  # 1/S_(n-1)
+    escape = math.exp(-ls[1])  # 1/S_(n-1)
     return TailMass(
         n=n,
         value=max(0.0, escape - (1.0 - rp.value)),

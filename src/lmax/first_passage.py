@@ -64,8 +64,8 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
     the closed form (``_hit_constant``) lies within 4 ulp of the exact
     ratio at the tables' rounded L at any depth; the driftless walk gets
     the correctly rounded (b - k)/(b - a).  A perturbed walk sums its
-    window of the table, whose ``log_prod`` rounding, which grows with
-    depth, sets the accuracy.
+    window of the table (``ProductSeries.at``), whose ``log_prod``
+    rounding, which grows with depth, sets the accuracy.
 
     Raises:
         RangeError: if ``b - 1 > series.n_max``.
@@ -78,10 +78,9 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
         raise RangeError(f"query needs products up to {q.b - 1}, table stops at {series.n_max}")
     if isinstance(series.spec, ConstantWalk):
         return _hit_constant(series.spec.p, q)
-    log_prod = series.log_prod
-    top = log_prod[q.a : q.b].max()
-    size = min(_SUM_LEAF, q.b - q.a)
-    buf = np.empty(size)
+    log_prod = series.at(range(q.a, q.b))[0]  # entries a .. b - 1: a slice of a held table
+    top = log_prod.max()
+    buf = np.empty(min(_SUM_LEAF, q.b - q.a))
 
     def shifted_sum(lo: int, hi: int) -> float:
         """sum(exp(log_prod[lo:hi] - top)), one piece of ``buf`` at a time."""
@@ -92,8 +91,8 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
             pieces.append(_exp(t, t).sum())
         return math.fsum(pieces)
 
-    num = shifted_sum(q.k, q.b)
-    return num / (shifted_sum(q.a, q.k) + num)
+    num = shifted_sum(q.k - q.a, q.b - q.a)
+    return num / (shifted_sum(0, q.k - q.a) + num)
 
 
 @dataclass(frozen=True)
@@ -145,8 +144,8 @@ def _bracket(series: ProductSeries) -> tuple[float, float]:
     spec, n = series.spec, series.n_max
     beta, m = abs(spec.b), max(n, spec.i0)
     lam = 4.0 * abs(float(signed_drift_array(spec, np.array([m]))[0]))
-    table = (float(series.log_prefix_sum[n]), float(series.log_prod[n]),
-             float(log_rho_array(spec, np.array([1]))[0]))
+    log_p, log_s = series.at([n])
+    table = (float(log_s[0]), float(log_p[0]), float(log_rho_array(spec, np.array([1]))[0]))
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax, ctx.Emin = 40, decimal.MAX_EMAX, decimal.MIN_EMIN
         D, b = decimal.Decimal, decimal.Decimal(beta)

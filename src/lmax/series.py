@@ -10,8 +10,8 @@ Both logs are computed in fixed-size blocks of entries.  ``blocks``
 yields them one block at a time, in two reused block buffers, for a
 caller that reads the table once in order (``lmax dist``); ``build``
 runs the same steps into the two arrays of a whole table, for random
-access, and allocates nothing else of the table's length.  Each family
-has one step:
+access; ``lazy`` holds none and runs them for the entries ``at`` reads,
+the one reader of single entries.  Each family has one step:
 
 * Constant walks have one odds ratio r = e^L, and Feller's gambler's-ruin
   sums are closed forms (*An Introduction to Probability Theory*, vol. 1,
@@ -38,7 +38,7 @@ has one step:
 The last block is computed whole like every other: a constant entry is a
 function of n alone, and every perturbed block starts from fixed seams,
 so an entry does not depend on how far its table goes, nor on whether it
-was streamed or built.
+was streamed, built or read from a lazy table.
 
 Against 40- and 50-digit oracles, ``log_prod[n]`` lies within 2 ulp of
 |log P_n| and ``log_prefix_sum[n]`` within 2 ulp of log S_n on the walks
@@ -61,7 +61,7 @@ from .errors import RangeError
 from .walk import ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array
 
 __all__ = [
-    "ProductSeries", "build", "blocks", "entryless", "log_odds", "check_budget",
+    "ProductSeries", "build", "blocks", "lazy", "log_odds", "check_budget",
     "table_budget", "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV",
 ]
 
@@ -71,8 +71,8 @@ __all__ = [
 # whole number of BLOCKs (at most 64 KB more each), and a block step's
 # scratch is a few arrays of BLOCK entries.  A MaxPmfTable built on the
 # table adds three more (log_pmf, pmf, cumulative).  ``blocks`` holds two
-# BLOCK buffers and the step's scratch whatever n, so ``lmax dist`` holds
-# a few blocks at any depth.
+# BLOCK buffers and the step's scratch whatever n, so ``lmax dist``, like
+# a lazy table's ``at``, holds a few blocks at any depth.
 BLOCK = 1 << 13   # entries per block: the scan's scratch stays in cache
 _CHUNK = 8 * BLOCK  # entries per step where a whole table is filled entry by entry
 _WIDE = 700.0     # widest span of logs that one block sums through exp
@@ -87,15 +87,46 @@ class ProductSeries:
         spec: the walk the table was built from.
         n_max: last tabulated index.
         log_prod: ``log_prod[n] = sum_{i<=n} log rho_i``; entry 0 is the
-            empty product, log 1 = 0.
+            empty product, log 1 = 0.  None on a ``lazy`` table.
         log_prefix_sum: ``log(1 + sum_{j<=n} rho_1...rho_j)``; entry 0 is
-            the empty sum, log 1 = 0.
+            the empty sum, log 1 = 0.  None on a ``lazy`` table.
     """
 
     spec: WalkSpec
     n_max: int
-    log_prod: np.ndarray
-    log_prefix_sum: np.ndarray
+    log_prod: np.ndarray | None
+    log_prefix_sum: np.ndarray | None
+
+    def at(self, sites) -> tuple[np.ndarray, np.ndarray]:
+        """``(log_prod, log_prefix_sum)`` at ``sites``: ints in any order, or a range of step 1.
+
+        A held table is indexed, a range sliced.  A lazy table runs the blocks
+        that hold a site (a perturbed walk's scan, every block to the last)
+        and keeps the entries read, ``build``'s bits; it copies a range block
+        by block, with no index array.  Raises RangeError for a site outside 0..n_max.
+        """
+        if ranged := isinstance(sites, range) and sites.step == 1:
+            first, last = sites.start, sites.stop - 1
+        else:
+            sites = np.asarray(sites, dtype=np.int64)
+            first, last = (int(sites.min()), int(sites.max())) if sites.size else (0, -1)
+        if first <= last and (first < 0 or last > self.n_max):
+            raise RangeError(f"sites {first}..{last} outside the table's 0..{self.n_max}")
+        if self.log_prod is not None:
+            sites = slice(first, last + 1) if ranged else sites
+            return self.log_prod[sites], self.log_prefix_sum[sites]
+        constant = isinstance(self.spec, ConstantWalk)
+        los = range(first - first % BLOCK if constant else 0, last + 1, BLOCK)
+        if not ranged:  # each site once, in order; ``inverse`` puts them back
+            sites, inverse = np.unique(sites, return_inverse=True)
+            los = (np.unique(sites // BLOCK) * BLOCK).tolist() if constant else los
+        out_p, out_s = np.empty(len(sites)), np.empty(len(sites))
+        for lo, lp, ls in _fill(self.spec, los, np.empty(BLOCK), np.empty(BLOCK)):
+            a, b = max(first, lo), max(first, lo, min(last + 1, lo + BLOCK))  # the block's sites
+            i, j = (a - first, b - first) if ranged else np.searchsorted(sites, (a, b))
+            src = slice(a - lo, b - lo) if ranged else sites[i:j] - lo
+            out_p[i:j], out_s[i:j] = lp[src], ls[src]
+        return (out_p, out_s) if ranged else (out_p[inverse], out_s[inverse])
 
 
 # exp of anything below -745.14 rounds to +0.0, which numpy's exp reaches on
@@ -163,16 +194,16 @@ def _depth(n_max) -> int:
     return n_max
 
 
-def _fill(spec: WalkSpec, n_max: int, log_prod: np.ndarray, log_prefix_sum: np.ndarray):
-    """Run the walk's block step over entries 0..n_max; yield ``(lo, lp, ls)`` per block.
+def _fill(spec: WalkSpec, los, log_prod: np.ndarray, log_prefix_sum: np.ndarray):
+    """Run the walk's block step on the blocks starting at ``los``; yield ``(lo, lp, ls)`` each.
 
     ``lp`` and ``ls`` are the BLOCK-entry windows of ``log_prod`` and
     ``log_prefix_sum`` that hold entries lo .. lo + BLOCK - 1: the arrays
     are either a whole table, rounded up to whole blocks, or one block
-    each, which every block reuses.
+    each, which every block reuses.  A perturbed walk's ``los`` are every block from 0.
     """
     step = _ConstantStep(spec) if isinstance(spec, ConstantWalk) else _PerturbedScan(spec)
-    for lo in range(0, n_max + 1, BLOCK):
+    for lo in los:
         at = lo % len(log_prod)
         lp, ls = log_prod[at : at + BLOCK], log_prefix_sum[at : at + BLOCK]
         step(lo, lp, ls)
@@ -199,20 +230,15 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
         _on_threads(lambda a: step(a, log_prod[a : a + _CHUNK], log_prefix_sum[a : a + _CHUNK]),
                     range(0, size, _CHUNK), 2)
     else:
-        for _ in _fill(spec, n_max, log_prod, log_prefix_sum):
+        for _ in _fill(spec, range(0, n_max + 1, BLOCK), log_prod, log_prefix_sum):
             pass
     return ProductSeries(spec=spec, n_max=n_max, log_prod=log_prod[: n_max + 1],
                          log_prefix_sum=log_prefix_sum[: n_max + 1])
 
 
-def entryless(spec: ConstantWalk, n_max: int) -> ProductSeries:
-    """A table of a constant walk over 1..n_max that holds no entry.
-
-    For the closed forms that read none: ``hit_before`` and ``return_prob``
-    on a constant walk.  ``n_max`` is not checked against the budget; a
-    caller that reports a depth checks it.
-    """
-    return ProductSeries(spec, n_max, np.empty(0), np.empty(0))
+def lazy(spec: WalkSpec, n_max: int) -> ProductSeries:
+    """Checked as ``build``, a table of entries 0..n_max with no arrays: ``at`` computes its reads."""
+    return ProductSeries(spec, _depth(n_max), None, None)
 
 
 def blocks(spec: WalkSpec, n_max: int):
@@ -227,7 +253,7 @@ def blocks(spec: WalkSpec, n_max: int):
         ResourceError, ConfigError: as ``build``, when called.
     """
     n_max = _depth(n_max)
-    fill = _fill(spec, n_max, np.empty(BLOCK), np.empty(BLOCK))
+    fill = _fill(spec, range(0, n_max + 1, BLOCK), np.empty(BLOCK), np.empty(BLOCK))
     return ((lo, lp[: n_max + 1 - lo], ls[: n_max + 1 - lo]) for lo, lp, ls in fill)
 
 

@@ -556,33 +556,45 @@ def test_dist_streams_in_bounded_address_space():
     assert size > 3_000_000 * 30
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux only")
-def test_constant_hit_builds_no_table():
-    # A constant walk's closed form reads no entry, so a window near the
-    # 2e7 budget runs in a 250 MB address space that its two tables
-    # (320 MB) would not fit.
-    argv = [sys.executable, "-m", "lmax", "hit", "--p", "0.6",
-            "--a", "19999000", "--k", "19999010", "--b", "19999500"]
-    out = subprocess.run(argv, capture_output=True, preexec_fn=_limit_address_space(250 << 20))
-    assert (out.returncode, out.stderr) == (0, b"")
-    assert out.stdout.endswith(b"\n19999000,19999010,19999500,0.017341529915832633\n"), out.stdout
+# The one-row commands at the 2e7 budget, their last lines, and the call one
+# entry past it.  Each reads at most a few blocks' worth of entries.
+ONE_ROW_CALLS = {
+    "return --p 0.6 --min-terms 20000000":
+        "0.6666666666666667,0.6666666666666667,0.6666666666666667,20000000,geometric-tail,true",
+    "classify --p 0.4 --n-max 20000000": "positive-recurrent,criterion,apparently divergent",
+    "asympt --p 0.4 --n-hi 20000000": "20000000,0.0,0.0,1.0",
+    "hit --p 0.6 --a 19999000 --k 19999010 --b 19999500":
+        "19999000,19999010,19999500,0.017341529915832633",
+    "return --sign plus --K 2 --B 1.5 --min-terms 20000000":
+        "0.155988089190908,0.155988088919917,0.15598808946189902,20000000,integral-bound,true",
+    "classify --sign plus --K 2 --B 1.5 --n-max 20000000":
+        "transient,criterion,apparently divergent",
+    "asympt --sign plus --K 2 --B 1.5 --n-hi 20000000":
+        "20000000,1.5154414660983974e-11,7.253878419937576e-10,0.020891464929066718",
+    "hit --sign plus --K 2 --B 1.5 --a 19999000 --k 19999010 --b 19999500":
+        "19999000,19999010,19999500,0.9799997331273373",
+}
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux only")
-def test_constant_return_builds_no_table(monkeypatch):
-    # (1 - p)/p reads no entry, so a depth at the 2e7 budget runs in a 250 MB
-    # address space that its two tables (320 MB) would not fit; one entry
-    # past the budget still exits 1.
+@pytest.mark.parametrize("cmd", ONE_ROW_CALLS,
+                         ids=lambda cmd: cmd.split()[0] + (" --p" if "--p" in cmd else " --sign plus"))
+def test_one_row_commands_hold_no_table(monkeypatch, cmd):
+    # A depth at the 2e7 budget runs in a 250 MB address space that its two
+    # tables (320 MB) would not fit: a constant walk computes the blocks that
+    # hold the entries read, a perturbed walk streams its blocks to the last
+    # one.  One entry past the budget still exits 1.
     monkeypatch.delenv("LMAX_MAX_TABLE", raising=False)
-    argv = [sys.executable, "-m", "lmax", "return", "--p", "0.6", "--min-terms"]
     limit = _limit_address_space(250 << 20)
-    out = subprocess.run([*argv, "20000000"], capture_output=True, preexec_fn=limit)
+    out = subprocess.run([sys.executable, "-m", "lmax", *cmd.split()], capture_output=True,
+                         preexec_fn=limit)
     assert (out.returncode, out.stderr) == (0, b"")
-    assert out.stdout.endswith(b"\n0.6666666666666667,0.6666666666666667,0.6666666666666667,"
-                               b"20000000,geometric-tail,true\n"), out.stdout
-    out = subprocess.run([*argv, "20000001"], capture_output=True, preexec_fn=limit)
+    assert out.stdout.decode().splitlines()[-1] == ONE_ROW_CALLS[cmd]
+    past = cmd.replace("20000000", "20000001").replace("--b 19999500", "--b 20000002")
+    out = subprocess.run([sys.executable, "-m", "lmax", *past.split()], capture_output=True,
+                         preexec_fn=limit)
     assert (out.returncode, out.stdout) == (1, b"")
-    assert out.stderr.startswith(b"error: --min-terms=20000001 exceeds the table budget")
+    assert b"exceeds the table budget of 20000000 entries" in out.stderr
 
 
 # Calls that compute no table, and the numpy they load: none.

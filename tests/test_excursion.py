@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import threading
@@ -22,7 +23,7 @@ from lmax import (
 )
 from lmax import excursion
 from lmax.excursion import max_pmf_blocks
-from lmax.series import BLOCK
+from lmax.series import BLOCK, lazy
 
 from _oracles import closed_masses, geometric_pmf, symmetric_pmf, telescoping_pmf
 
@@ -116,6 +117,19 @@ def test_range_errors():
     t = max_pmf_table(s, 10)
     with pytest.raises(RangeError):
         tail_mass(t, 11)
+
+
+@pytest.mark.parametrize("spec", [ConstantWalk(0.6), PerturbedWalk(1, 2.0, "plus")], ids=str)
+def test_a_lazy_table_holds_no_law(spec):
+    # The law needs every entry, and a lazy table holds none: a RangeError
+    # that says so, where reading its absent arrays would be a TypeError.
+    # tail_mass reads its two entries through the table's series, so a law
+    # whose series is lazy gives the held one's bits.
+    with pytest.raises(RangeError, match="holds no entries"):
+        tail_mass(max_pmf_table(lazy(spec, 50), 50), 7)
+    held = max_pmf_table(build(spec, 50), 50)
+    for n in (1, 7, 50):
+        assert tail_mass(dataclasses.replace(held, series=lazy(spec, 50)), n) == tail_mass(held, n)
 
 
 @given(p=st.floats(0.15, 0.85), n=st.integers(2, 300))

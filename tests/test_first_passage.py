@@ -20,7 +20,7 @@ from lmax import (
     hit_before,
     return_prob,
 )
-from lmax.series import log_odds
+from lmax.series import lazy, log_odds
 from lmax.walk import signed_drift_array
 
 from _oracles import hit_prob_from_drifts, hit_probs_banded, return_prob_from_drifts, ulps
@@ -440,7 +440,7 @@ def test_hit_before_constant_within_four_ulp(p, seed):
     # and holds none answers windows to 2e7.  The oracle takes the tables'
     # own rounded L, so this measures the closed form alone.
     L = log_odds(p)
-    s = ProductSeries(ConstantWalk(p), 2 * 10**7, np.empty(0), np.empty(0))
+    s = lazy(ConstantWalk(p), 2 * 10**7)
     windows = _windows(seed, 40, (2, 5000), 20_000)
     windows += _windows(seed, 40, (2, 10**6), 2 * 10**7 - 10**6)
     windows += [(31, 132, 138), (100, 131, 200),

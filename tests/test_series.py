@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lmax import ConstantWalk, PerturbedWalk, RangeError, ResourceError, build, max_pmf_table, rho
 from lmax import _native
 from lmax.series import (
-    _CHUNK, BLOCK, MAX_TABLE_ENV, _exp, _on_threads, _PerturbedScan, blocks, log_odds,
+    _CHUNK, BLOCK, MAX_TABLE_ENV, _exp, _on_threads, _PerturbedScan, blocks, lazy, log_odds,
 )
 
 from _oracles import (
@@ -56,11 +56,22 @@ def test_range_errors():
         build(ConstantWalk(0.5), 0)
 
 
+@pytest.mark.parametrize("make", [build, lazy])
+def test_reads_outside_the_table_raise_range_error(make):
+    table = make(PerturbedWalk(1, 2.0, "plus"), 100)
+    for sites in ([-1], [0, 101], np.array([5, 101]), range(-1, 3), range(99, 102)):
+        with pytest.raises(RangeError, match="outside the table's 0..100"):
+            table.at(sites)
+    assert [len(a) for a in table.at([])] == [len(a) for a in table.at(range(7, 7))] == [0, 0]
+    assert table.at(range(100, 101))[1].tobytes() == table.at([100])[1].tobytes()
+
+
 def test_budget_enforced(monkeypatch):
     monkeypatch.setenv(MAX_TABLE_ENV, "500")
-    with pytest.raises(ResourceError):
-        build(ConstantWalk(0.5), 501)
-    assert build(ConstantWalk(0.5), 500).n_max == 500
+    for make in (build, lazy):
+        with pytest.raises(ResourceError):
+            make(ConstantWalk(0.5), 501)
+        assert make(ConstantWalk(0.5), 500).n_max == 500
 
 
 BRUTE_SPECS = [
@@ -227,9 +238,26 @@ def test_first_rows_of_a_depth_two_table_within_two_ulp():
 
 DEPTH_SPECS = [
     PerturbedWalk(3, -1.0, "minus"), PerturbedWalk(2, 1.5, "plus"), PerturbedWalk(1, 1.0, "minus"),
-    PerturbedWalk(1, 1e6, "minus"), ConstantWalk(0.4), ConstantWalk(0.5), ConstantWalk(0.6),
-    ConstantWalk(0.7), ConstantWalk(1 - 2**-53),
+    PerturbedWalk(1, 1e6, "minus"), PerturbedWalk(1, 2.2, "plus"), PerturbedWalk(2, 1.5, "minus"),
+    ConstantWalk(0.4), ConstantWalk(0.5), ConstantWalk(0.6), ConstantWalk(0.7),
+    ConstantWalk(1 - 2**-53),
 ]
+
+# Sites a lazy table is read at: out of order and repeated, at the head
+# rounded once (below 32), the block seams and the chunk seams.
+SEAM_SITES = [65536, 0, 8192, 1, 31, 32, 8191, 65535, 1, 65536, 32]
+
+
+def _lazy_reads(spec, n, want):
+    """``lazy(spec, n).at`` over the range 0..n and at the seams to n, against the arrays ``want``."""
+    table = lazy(spec, n)
+    got = table.at(range(n + 1))
+    assert got[0].tobytes() == want[0][: n + 1].tobytes()
+    assert got[1].tobytes() == want[1][: n + 1].tobytes()
+    sites = [s for s in SEAM_SITES if s <= n] + [n, n // 2, n]
+    got = table.at(sites)
+    assert got[0].tobytes() == want[0][sites].tobytes(), sites
+    assert got[1].tobytes() == want[1][sites].tobytes(), sites
 
 
 @pytest.mark.parametrize("spec", DEPTH_SPECS, ids=str)
@@ -237,11 +265,13 @@ def test_entries_do_not_depend_on_table_depth(spec):
     # A constant walk's entry is a function of n alone, and every perturbed
     # block, the last one too, is computed whole from fixed seams, so a
     # table is bitwise the head of any deeper one.
+    # A lazy table's entries are the deep table's too.
     deep = build(spec, 3 * BLOCK)
     for n in (1, 5, 300, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7):
         series = build(spec, n)
         assert np.array_equal(series.log_prod, deep.log_prod[: n + 1])
         assert np.array_equal(series.log_prefix_sum, deep.log_prefix_sum[: n + 1])
+        _lazy_reads(spec, n, (deep.log_prod, deep.log_prefix_sum))
 
 
 class _NoScans:
@@ -334,8 +364,9 @@ def _digest(*arrays) -> str:
 
 @pytest.mark.parametrize("spec", DEPTH_SPECS, ids=str)
 def test_built_and_streamed_tables_agree_on_both_kernels(monkeypatch, spec):
-    # build and blocks, on the compiled sum and on numpy's, and (for the
-    # constant walks that split it) build on one core and on two.
+    # build, blocks and a lazy table's reads, on the compiled sum and on
+    # numpy's, and (for the constant walks that split it) build on one
+    # core and on two.
     if _native._kernel()[0] is None:
         pytest.fail(f"the native library did not load: {_native.kernel_info().reason}")
     real = _native._kernel
@@ -350,6 +381,7 @@ def test_built_and_streamed_tables_agree_on_both_kernels(monkeypatch, spec):
                 digests.add(_digest(series.log_prod, series.log_prefix_sum))
             parts = list(zip(*((lp.copy(), ls.copy()) for _, lp, ls in blocks(spec, n))))
             digests.add(_digest(np.concatenate(parts[0]), np.concatenate(parts[1])))
+            _lazy_reads(spec, n, (series.log_prod, series.log_prefix_sum))
         assert len(digests) == 1, n
 
 
