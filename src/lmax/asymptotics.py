@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import _integer, check_depth
 from .constant import _constant_logs
-from .errors import ConfigError, DomainError, RangeError
+from .errors import DomainError, RangeError
 from .excursion import _law
 from .series import ProductSeries
 from .walk import ConstantWalk, WalkSpec, _least_site, _log_above
@@ -207,8 +208,10 @@ def estimate_constant(
 
     Requires ``n_min_valid <= n_lo < n_hi <= series.n_max`` and
     ``n_hi // 2 >= n_min_valid`` so the drift indicator is well defined.
+
+    Non-integers raise ``RangeError``; ``samples`` is a size for ``budget.check_depth``.
     """
-    n_lo, n_hi = int(n_lo), int(n_hi)
+    n_lo, n_hi = _integer("n_lo", n_lo), _integer("n_hi", n_hi)
     if not (s.n_min_valid <= n_lo < n_hi <= series.n_max):
         raise RangeError(
             f"need n_min_valid={s.n_min_valid} <= n_lo < n_hi <= n_max={series.n_max}, "
@@ -216,8 +219,7 @@ def estimate_constant(
         )
     if n_hi // 2 < s.n_min_valid:
         raise RangeError(f"n_hi//2={n_hi // 2} below validity threshold {s.n_min_valid}")
-    if samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {samples}")
+    samples = check_depth("samples", samples)  # the length of the sample grid
     grid = np.sort(np.geomspace(n_lo, n_hi, samples).round().astype(np.int64))
     ns = grid[np.append(True, grid[1:] != grid[:-1])]  # np.unique, without its hash pass
     # The samples, then the two points of the drift indicator.

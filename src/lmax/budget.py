@@ -1,20 +1,22 @@
-"""The entry budget of every table, streamed or built.
+"""The entry budget of every table, streamed or built, and the one check of a size.
 
 One table of length n holds two float64 arrays of n+1 entries (about
 320 MB at the default budget; ``series`` lists what else it allocates).
-The budget bounds every table and can be changed only through the
-environment variable ``LMAX_MAX_TABLE``.  Measured peak RSS: see the
-README's *Table budget*.  This module imports no numpy, so a call that
-only checks a depth against the budget does not load it.
+``check_depth`` holds every size to the budget, and refuses a non-integer
+one: a table's depth, ``estimate_constant``'s samples, the simulator's bins
+and blocks.  The budget can be changed only through ``$LMAX_MAX_TABLE``.
+Measured peak RSS: see the README's *Table budget*.  This module imports
+no numpy, so a call that only checks a size against the budget does not load it.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 
-from .errors import ConfigError, ResourceError
+from .errors import ConfigError, RangeError, ResourceError
 
-__all__ = ["DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV", "table_budget", "check_budget"]
+__all__ = ["DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV", "table_budget", "check_depth"]
 
 DEFAULT_MAX_ENTRIES = 20_000_000
 MAX_TABLE_ENV = "LMAX_MAX_TABLE"
@@ -41,11 +43,21 @@ def table_budget() -> tuple[int, str]:
     return budget, MAX_TABLE_ENV
 
 
-def check_budget(what: str, n: int) -> None:
-    """Raise ``ResourceError`` if ``n`` entries, named ``what``, exceed ``table_budget()``."""
+def _integer(what: str, n) -> int:
+    """``n`` as an int: a Python or numpy integer, never a float; else ``RangeError``."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise RangeError(f"{what} must be an integer, got {n!r}") from None
+
+
+def check_depth(what: str, n, least: int = 1) -> int:
+    """Size ``what`` as an int: RangeError unless an integer >= ``least``, ResourceError past budget."""
+    n = _integer(what, n)
+    if n < least:
+        raise RangeError(f"{what} must be >= {least}, got {n}")
     limit = table_budget()[0]
     if n > limit:
-        raise ResourceError(
-            f"{what}={n} exceeds the table budget of {limit} entries "
-            f"(set ${MAX_TABLE_ENV} to change it)"
-        )
+        raise ResourceError(f"{what}={n} exceeds the table budget of {limit} entries "
+                            f"(set ${MAX_TABLE_ENV} to change it)")
+    return n

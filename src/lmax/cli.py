@@ -1,7 +1,7 @@
 """Command-line front end; every subcommand emits CSV or JSON on stdout.
 
 Every call takes one path through ``main``: parse the arguments, parse
-the walk (``walk.spec_from_params`` decides what each family needs),
+the walk (``spec.spec_from_params`` decides what each family needs),
 run the subcommand's ``cmd_*(args, spec)``, which returns its meta fields
 and its columns, then emit them with the walk parameters, ``command``
 and ``version`` added to the meta.  No walk is parsed for ``info``.
@@ -49,7 +49,7 @@ import warnings
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .budget import check_budget
+from .budget import check_depth
 from .errors import ConfigError, ConvergenceWarning, DomainError, RangeError, ResourceError
 
 if TYPE_CHECKING:
@@ -201,24 +201,13 @@ def _numeric(column) -> bool:
     return isinstance(column, range)
 
 
-def _depth(flag: str, n: int, least: int = 1) -> int:
-    """``n`` as a table depth or length: at least ``least`` and within the table budget.
-
-    Either error names ``flag``.
-    """
-    if n < least:
-        raise ConfigError(f"{flag} must be >= {least}, got {n}")
-    check_budget(flag, n)
-    return n
-
-
 # Each cmd_* imports the modules it runs once its arguments are checked, so
 # that a call loads only what its command needs: no numpy for --version,
 # --help, an argument error or a constant walk's hit.
 
 
 def cmd_dist(args, spec) -> tuple[dict, tuple]:
-    n_max = _depth("--n-max", args.n_max)
+    n_max = check_depth("--n-max", args.n_max)
     from .excursion import max_pmf_blocks
 
     # One chunk of rows per block of the table: nothing of its length is held.
@@ -232,7 +221,7 @@ def cmd_classify(args, spec) -> tuple[dict, dict]:
 
     c = classify(spec)
     # The diagnostic compares the sums at n_max // 2 and n_max, so n_max >= 2.
-    n_max = _depth("--n-max", args.n_max, least=2)
+    n_max = check_depth("--n-max", args.n_max, least=2)
     from .series import lazy
 
     diag = series_diagnostic(lazy(spec, n_max))
@@ -254,7 +243,7 @@ def cmd_asympt(args, spec) -> tuple[dict, dict]:
 
     target = ShapeTarget(args.target)
     shape = resolve_shape(spec, target)
-    n_hi = _depth("--n-hi", args.n_hi)
+    n_hi = check_depth("--n-hi", args.n_hi)
     # The drift indicator compares c(n_hi) with c(n_hi // 2): both must be valid.
     if n_hi // 2 < shape.n_min_valid:
         raise ConfigError(f"--n-hi must be >= {2 * shape.n_min_valid} on this walk, got {n_hi}")
@@ -262,7 +251,7 @@ def cmd_asympt(args, spec) -> tuple[dict, dict]:
     if not shape.n_min_valid <= n_lo < n_hi:
         raise ConfigError(f"--n-lo must be >= {shape.n_min_valid} and below --n-hi {n_hi}, "
                           f"got {n_lo}")
-    samples = _depth("--samples", args.samples)  # the length of the sample grid
+    samples = check_depth("--samples", args.samples)  # the length of the sample grid
     fit = estimate_constant(lazy(spec, n_hi), shape, n_lo, n_hi, samples=samples)
     with np.errstate(over="ignore", under="ignore"):
         columns = {
@@ -288,8 +277,7 @@ def cmd_hit(args, spec) -> tuple[dict, dict]:
     from .spec import ConstantWalk, HittingQuery
 
     q = HittingQuery(a=args.a, k=args.k, b=args.b)
-    depth = max(1, args.b - 1)  # the products reach index b - 1
-    check_budget(f"--b {args.b}: table depth", depth)
+    depth = check_depth(f"--b {args.b}: table depth", max(1, args.b - 1))  # products to b - 1
     if isinstance(spec, ConstantWalk):
         # hit_before's closed form for a constant walk: no table, no numpy.
         from .constant import _hit_constant
@@ -309,7 +297,7 @@ def cmd_return(args, spec) -> tuple[dict, dict]:
     # The library reports the bracket; judging its width is this command's job.
     if not args.tolerance >= 0:
         raise ConfigError(f"--tolerance must be >= 0, got {args.tolerance}")
-    n = _depth("--min-terms", args.min_terms)
+    n = check_depth("--min-terms", args.min_terms)
     from .first_passage import return_prob
     from .series import lazy
 

@@ -41,6 +41,7 @@ from typing import Any
 
 import numpy as np
 
+from .budget import _integer
 from .errors import RangeError
 from .series import _CHUNK, BLOCK, ProductSeries, _exp, _on_threads, blocks
 from .walk import WalkSpec, step_up_prob
@@ -70,11 +71,13 @@ class MaxPmfTable:
     cumulative: np.ndarray
     series: ProductSeries = field(repr=False)
 
-    def _check(self, n: int) -> int:
-        n = int(n)
-        if not 1 <= n <= self.n_max:
-            raise RangeError(f"n={n} outside table range 1..{self.n_max}")
-        return n
+
+def _row(what: str, n, n_max: int) -> int:
+    """``n`` as an int row, named ``what``; ``RangeError`` unless an integer in 1..n_max."""
+    n = _integer(what, n)
+    if not 1 <= n <= n_max:
+        raise RangeError(f"{what}={n} outside table range 1..{n_max}")
+    return n
 
 
 def _law(spec: WalkSpec, rows, log_p, log_s_prev, log_s, log_pmf, pmf=None, cumulative=None):
@@ -113,11 +116,9 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     bool mask of its rows.
 
     Raises:
-        RangeError: if ``n_max`` exceeds the series range (or is < 1).
+        RangeError: if ``n_max`` is not an integer, or lies outside 1..``series.n_max``.
     """
-    n_max = int(n_max)
-    if not 1 <= n_max <= series.n_max:
-        raise RangeError(f"n_max={n_max} outside series range 1..{series.n_max}")
+    n_max = _row("n_max", n_max, series.n_max)
     if series.log_prod is None:
         raise RangeError("a lazy table holds no entries to tabulate the law from: build it")
     log_pmf, pmf, cumulative = np.empty(n_max + 1), np.empty(n_max + 1), np.empty(n_max + 1)
@@ -150,7 +151,7 @@ def max_pmf_blocks(spec: WalkSpec, n_max: int):
     block overwrites, and nothing else of the table's length is held.
 
     Raises:
-        ResourceError, ConfigError: as ``series.build``, when called.
+        RangeError, ResourceError, ConfigError: as ``series.build``, when called.
     """
     table = blocks(spec, n_max)
     log_s = np.empty(BLOCK + 1)  # log S from entry lo - 1 on
@@ -195,7 +196,7 @@ def tail_mass(table: MaxPmfTable, n: int) -> TailMass:
     """
     from .first_passage import return_prob  # the one use of first_passage here
 
-    n = table._check(n)
+    n = _row("n", n, table.n_max)
     series = table.series
     rp = return_prob(series)
     lp, ls = series.at([n, n - 1])  # log P_n is lp[0], log S_(n-1) is ls[1]

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import _native
 from ._native import KernelInfo, kernel_info
-from .budget import check_budget
+from .budget import check_depth
 from .errors import ConfigError, RangeError
 from .series import _on_threads
 from .walk import WalkSpec, step_up_prob_array
@@ -175,11 +175,10 @@ def run(config: SimConfig) -> SimResult:
 
     Raises:
         ResourceError: if the ``cap_height - 1`` bins or the number of
-            blocks exceed the table budget (``budget.check_budget``).
+            blocks exceed the table budget (``budget.check_depth``).
     """
-    check_budget("cap_height-1", config.cap_height - 1)
-    n_blocks = -(-config.excursions // BLOCK)
-    check_budget("excursion blocks", n_blocks)
+    check_depth("cap_height-1", config.cap_height - 1)
+    n_blocks = check_depth("excursion blocks", -(-config.excursions // BLOCK))
     # p[0] is never consulted: hitting 0 ends the excursion first.
     p = step_up_prob_array(config.spec, np.arange(config.cap_height))
     lib = _native._kernel()[0]  # here, in the caller's thread, before any other starts

@@ -55,13 +55,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .budget import DEFAULT_MAX_ENTRIES, MAX_TABLE_ENV, check_budget, table_budget
+from .budget import DEFAULT_MAX_ENTRIES, MAX_TABLE_ENV, check_depth, table_budget
 from .constant import _constant_logs, log_odds
 from .errors import RangeError
 from .walk import ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array
 
 __all__ = [
-    "ProductSeries", "build", "blocks", "lazy", "log_odds", "check_budget",
+    "ProductSeries", "build", "blocks", "lazy", "log_odds", "check_depth",
     "table_budget", "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV",
 ]
 
@@ -103,12 +103,15 @@ class ProductSeries:
         A held table is indexed, a range sliced.  A lazy table runs the blocks
         that hold a site (a perturbed walk's scan, every block to the last)
         and keeps the entries read, ``build``'s bits; it copies a range block
-        by block, with no index array.  Raises RangeError for a site outside 0..n_max.
+        by block, with no index array.  RangeError: a site not an integer or outside 0..n_max.
         """
         if ranged := isinstance(sites, range) and sites.step == 1:
             first, last = sites.start, sites.stop - 1
         else:
-            sites = np.asarray(sites, dtype=np.int64)
+            sites = np.asarray(sites)
+            if sites.size and sites.dtype.kind not in "iu":
+                raise RangeError(f"sites must be integers, got {sites.dtype} values")
+            sites = sites.astype(np.int64, copy=False)
             first, last = (int(sites.min()), int(sites.max())) if sites.size else (0, -1)
         if first <= last and (first < 0 or last > self.n_max):
             raise RangeError(f"sites {first}..{last} outside the table's 0..{self.n_max}")
@@ -185,15 +188,6 @@ def _on_threads(work, items: range, workers: int, state=tuple) -> list:
     return states
 
 
-def _depth(n_max) -> int:
-    """``n_max`` as an int, checked to be >= 1 and within ``table_budget()``."""
-    n_max = int(n_max)
-    if n_max < 1:
-        raise RangeError(f"n_max must be >= 1, got {n_max}")
-    check_budget("n_max", n_max)
-    return n_max
-
-
 def _fill(spec: WalkSpec, los, log_prod: np.ndarray, log_prefix_sum: np.ndarray):
     """Run the walk's block step on the blocks starting at ``los``; yield ``(lo, lp, ls)`` each.
 
@@ -218,11 +212,11 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
         n_max: last index (>= 1).
 
     Raises:
-        ResourceError: if ``n_max`` exceeds ``table_budget()``: the
-            ``LMAX_MAX_TABLE`` environment variable, or 2e7 entries.
+        RangeError, ResourceError: if ``n_max`` is not an integer >= 1, or exceeds
+            ``table_budget()``: ``$LMAX_MAX_TABLE``, or 2e7 (``budget.check_depth``).
         ConfigError: if ``LMAX_MAX_TABLE`` is not an integer >= 1.
     """
-    n_max = _depth(n_max)
+    n_max = check_depth("n_max", n_max)
     size = -(-(n_max + 1) // BLOCK) * BLOCK
     log_prod, log_prefix_sum = np.empty(size), np.empty(size)
     if isinstance(spec, ConstantWalk):
@@ -238,7 +232,7 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
 
 def lazy(spec: WalkSpec, n_max: int) -> ProductSeries:
     """Checked as ``build``, a table of entries 0..n_max with no arrays: ``at`` computes its reads."""
-    return ProductSeries(spec, _depth(n_max), None, None)
+    return ProductSeries(spec, check_depth("n_max", n_max), None, None)
 
 
 def blocks(spec: WalkSpec, n_max: int):
@@ -250,9 +244,9 @@ def blocks(spec: WalkSpec, n_max: int):
     next block overwrites, so a caller copies what it keeps.
 
     Raises:
-        ResourceError, ConfigError: as ``build``, when called.
+        RangeError, ResourceError, ConfigError: as ``build``, when called.
     """
-    n_max = _depth(n_max)
+    n_max = check_depth("n_max", n_max)
     fill = _fill(spec, range(0, n_max + 1, BLOCK), np.empty(BLOCK), np.empty(BLOCK))
     return ((lo, lp[: n_max + 1 - lo], ls[: n_max + 1 - lo]) for lo, lp, ls in fill)
 

@@ -128,6 +128,9 @@ class HittingQuery(_Record):
     b: int
 
     def __init__(self, a: int, k: int, b: int):
+        for name, level in (("a", a), ("k", k), ("b", b)):
+            if not _number(level, "integer"):
+                raise RangeError(f"level {name} must be an integer, got {level!r}")
         if not (0 <= a <= k <= b and a < b):
             raise RangeError(f"need 0 <= a <= k <= b with a < b, got a={a}, k={k}, b={b}")
         self._set(a=a, k=k, b=b)

@@ -232,6 +232,10 @@ def test_fit_range_errors():
         estimate_constant(series, s, 100, 90)  # empty window
     with pytest.raises(RangeError):
         estimate_constant(series, s, 4, 7)  # drift midpoint below threshold
+    with pytest.raises(RangeError, match="n_lo must be an integer"):
+        estimate_constant(series, s, 10.5, 1000)  # int() would take row 10
+    with pytest.raises(RangeError, match="n_hi must be an integer"):
+        estimate_constant(series, s, 10, np.float64(1000.0))
 
 
 def test_shape_tracks_exact_pmf():

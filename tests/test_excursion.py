@@ -111,12 +111,16 @@ def test_log_and_linear_agree():
 
 
 def test_range_errors():
+    # A row past the table, or a non-integer one, which int() would truncate.
     s = build(ConstantWalk(0.5), 10)
-    with pytest.raises(RangeError):
-        max_pmf_table(s, 11)
+    for n_max in (11, 0, 10.5, np.float64(10.0)):
+        with pytest.raises(RangeError):
+            max_pmf_table(s, n_max)
     t = max_pmf_table(s, 10)
-    with pytest.raises(RangeError):
-        tail_mass(t, 11)
+    for n in (11, 0, 7.9, np.float64(7.0)):
+        with pytest.raises(RangeError):
+            tail_mass(t, n)
+    assert tail_mass(t, np.int64(7)) == tail_mass(t, 7)
 
 
 @pytest.mark.parametrize("spec", [ConstantWalk(0.6), PerturbedWalk(1, 2.0, "plus")], ids=str)

@@ -63,6 +63,16 @@ def test_query_validation():
         HittingQuery(0, 5, 3)
     with pytest.raises(RangeError):  # a < b: the window has no site
         HittingQuery(3, 3, 3)
+    # A float level is refused on either family, not truncated by the constant
+    # closed form nor left to fail in range(); numpy integers are levels.
+    for spec in (ConstantWalk(0.6), PerturbedWalk(1, 2.0, "plus")):
+        table = build(spec, 10)
+        for real in (1.5, np.float64(2.0)):
+            for name, levels in (("a", (real, 3, 5)), ("k", (0, real, 5)), ("b", (0, 1, real + 4))):
+                with pytest.raises(RangeError, match=f"level {name} must be an integer"):
+                    hit_before(table, HittingQuery(*levels))
+        want = hit_before(table, HittingQuery(0, 2, 5))
+        assert hit_before(table, HittingQuery(*map(np.int64, (0, 2, 5)))) == want
 
 
 def test_series_too_short():

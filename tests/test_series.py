@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmax import ConstantWalk, PerturbedWalk, RangeError, ResourceError, build, max_pmf_table, rho
+from lmax import (
+    ConstantWalk, PerturbedWalk, RangeError, ResourceError, ShapeTarget, SimConfig, build,
+    estimate_constant, max_pmf_table, resolve_shape, rho, run,
+)
 from lmax import _native
 from lmax.series import (
     _CHUNK, BLOCK, MAX_TABLE_ENV, _exp, _on_threads, _PerturbedScan, blocks, lazy, log_odds,
@@ -62,16 +65,35 @@ def test_reads_outside_the_table_raise_range_error(make):
     for sites in ([-1], [0, 101], np.array([5, 101]), range(-1, 3), range(99, 102)):
         with pytest.raises(RangeError, match="outside the table's 0..100"):
             table.at(sites)
+    for sites in ([1.7], np.array([5.0]), [3, 2.5], np.array([1.7]).astype(np.float32)):
+        with pytest.raises(RangeError, match="must be integers"):
+            table.at(sites)
     assert [len(a) for a in table.at([])] == [len(a) for a in table.at(range(7, 7))] == [0, 0]
     assert table.at(range(100, 101))[1].tobytes() == table.at([100])[1].tobytes()
 
 
 def test_budget_enforced(monkeypatch):
+    # One check of every size: a non-integer or a size below 1 is a RangeError,
+    # a size past the budget a ResourceError, from the library as from the CLI.
     monkeypatch.setenv(MAX_TABLE_ENV, "500")
-    for make in (build, lazy):
-        with pytest.raises(ResourceError):
+    for make in (build, lazy, blocks):
+        for bad in (2.5, np.float64(2.0), 0, -3):
+            with pytest.raises(RangeError, match="n_max must be"):
+                make(ConstantWalk(0.5), bad)
+        with pytest.raises(ResourceError, match="n_max=501 exceeds the table budget of 500"):
             make(ConstantWalk(0.5), 501)
-        assert make(ConstantWalk(0.5), 500).n_max == 500
+    for make in (build, lazy):
+        assert make(ConstantWalk(0.5), np.int64(500)).n_max == 500
+    spec = PerturbedWalk(1, 2.0, "plus")
+    shape = resolve_shape(spec, ShapeTarget.MAX_PMF)
+    with pytest.raises(ResourceError, match="samples=9223372036854775808 exceeds"):
+        estimate_constant(lazy(spec, 100), shape, 10, 100, samples=2**63)
+    for samples in (0, 4.0):
+        with pytest.raises(RangeError, match="samples must be"):
+            estimate_constant(lazy(spec, 100), shape, 10, 100, samples=samples)
+    with pytest.raises(ResourceError, match="cap_height-1=501 exceeds"):
+        run(SimConfig(spec=spec, excursions=10, seed=1, cap_height=502))
+    assert run(SimConfig(spec=spec, excursions=10, seed=1, cap_height=501)).total == 10
 
 
 BRUTE_SPECS = [
