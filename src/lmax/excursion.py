@@ -109,7 +109,7 @@ def _law(spec: WalkSpec, rows, log_p, log_s_prev, log_s, log_pmf, pmf=None, cumu
 def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     """Build the full table for n = 1..n_max, in chunks of ``_CHUNK`` rows.
 
-    Where there are two chunks and ``os.cpu_count()`` gives two cores, two
+    Where there are two chunks and the process may run on two CPUs, two
     threads take the chunks in turn (``series._on_threads``); each row
     depends on its own entries alone, so the columns are bit for bit those
     of one pass.  Only a chunk whose pmf underflows takes scratch: one

@@ -38,7 +38,7 @@ import numpy as np
 from .classify import is_recurrent
 from .constant import _hit_constant
 from .errors import RangeError
-from .series import ProductSeries, _exp
+from .series import ProductSeries, _exp, _on_threads
 from .spec import HittingQuery
 from .walk import ConstantWalk, log_rho_array, rho, signed_drift_array
 
@@ -50,8 +50,25 @@ __all__ = [
 ]
 
 
-# Longest piece of a window that ``hit_before`` shifts and exponentiates at once.
+# Longest piece of a window that ``hit_before`` sums at once.
 _SUM_LEAF = 1 << 16
+# numpy's pairwise ``sum`` adds up to this many terms in one loop; a longer
+# piece it splits in two at the top (``_halves``).
+_PAIRWISE_LEAF = 128
+
+
+def _halves(lo: int, hi: int) -> list[slice]:
+    """Entries lo..hi - 1 as numpy's pairwise ``sum`` splits them at the top: one slice or two.
+
+    For n = hi - lo > 128 the halves meet at n2 = n//2 - (n//2) % 8, and
+    ``sum`` of the whole is ``sum`` of the first half plus ``sum`` of the
+    second, bit for bit, for terms that are not -0.0.
+    """
+    n = hi - lo
+    if n <= _PAIRWISE_LEAF:
+        return [slice(lo, hi)]
+    n2 = n // 2 - (n // 2) % 8
+    return [slice(lo, lo + n2), slice(lo + n2, hi)]
 
 
 def hit_before(series: ProductSeries, q: HittingQuery) -> float:
@@ -65,7 +82,14 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
     ratio at the tables' rounded L at any depth; the driftless walk gets
     the correctly rounded (b - k)/(b - a).  A perturbed walk sums its
     window of the table (``ProductSeries.at``), whose ``log_prod``
-    rounding, which grows with depth, sets the accuracy.
+    rounding, which grows with depth, sets the accuracy.  Each side of
+    ``k`` is cut into pieces of ``_SUM_LEAF`` entries, each piece into the
+    two halves numpy's pairwise ``sum`` makes (``_halves``).  A window
+    longer than one piece takes its largest log, then its shifted and
+    exponentiated halves, on two threads, each with a buffer of half a
+    piece; the caller adds each piece's halves as ``sum`` does and takes
+    ``math.fsum`` of each side's pieces.  So the bits do not depend on the
+    threads, and the scratch is that of one piece on one thread.
 
     Raises:
         RangeError: if ``b - 1 > series.n_max``.
@@ -79,20 +103,32 @@ def hit_before(series: ProductSeries, q: HittingQuery) -> float:
     if isinstance(series.spec, ConstantWalk):
         return _hit_constant(series.spec.p, q)
     log_prod = series.at(range(q.a, q.b))[0]  # entries a .. b - 1: a slice of a held table
-    top = log_prod.max()
-    buf = np.empty(min(_SUM_LEAF, q.b - q.a))
+    m, w = q.k - q.a, q.b - q.a
+    pieces = [(side, _halves(i, min(i + _SUM_LEAF, hi)))
+              for side, (lo, hi) in enumerate(((0, m), (m, w))) for i in range(lo, hi, _SUM_LEAF)]
+    parts = [h for _, halves in pieces for h in halves]
+    items, workers = range(len(parts)), 2 if w > _SUM_LEAF else 1
+    tops, sums = np.empty(len(parts)), np.empty(len(parts))
 
-    def shifted_sum(lo: int, hi: int) -> float:
-        """sum(exp(log_prod[lo:hi] - top)), one piece of ``buf`` at a time."""
-        pieces = []
-        for i in range(lo, hi, _SUM_LEAF):
-            t = buf[: min(_SUM_LEAF, hi - i)]
-            np.subtract(log_prod[i : i + len(t)], top, out=t)
-            pieces.append(_exp(t, t).sum())
-        return math.fsum(pieces)
+    def part_max(j: int) -> None:
+        tops[j] = log_prod[parts[j]].max()
 
-    num = shifted_sum(q.k - q.a, q.b - q.a)
-    return num / (shifted_sum(0, q.k - q.a) + num)
+    def shifted_sum(j: int, buf: np.ndarray) -> None:
+        """sum(exp(log_prod[part] - top)) of part j, through this thread's buffer."""
+        t = buf[: parts[j].stop - parts[j].start]
+        np.subtract(log_prod[parts[j]], top, out=t)
+        sums[j] = _exp(t, t).sum()
+
+    _on_threads(part_max, items, workers)
+    top = tops.max()
+    longest = max(h.stop - h.start for h in parts)
+    _on_threads(shifted_sum, items, workers, lambda: (np.empty(longest),))
+    part_sums, side_sums = iter(sums), ([], [])
+    for side, halves in pieces:
+        first = next(part_sums)
+        side_sums[side].append(first + next(part_sums) if len(halves) == 2 else first)
+    num = math.fsum(side_sums[1])
+    return num / (math.fsum(side_sums[0]) + num)
 
 
 @dataclass(frozen=True)

@@ -167,11 +167,12 @@ class SimResult:
 def run(config: SimConfig) -> SimResult:
     """Simulate the configured number of excursions; see the stream rules above.
 
-    The caller's thread and up to ``workers - 1`` more, at most
-    ``os.cpu_count()`` in all and never more than there are blocks, each
-    take the next block index until none is left (``series._on_threads``);
-    the output does not depend on their number.  The first call in a
-    process loads the kernel (see ``kernel_info``).
+    The caller's thread and up to ``workers - 1`` more, at most the CPUs
+    the process may run on (``series._usable_cpus``) in all and never more
+    than there are blocks, each take the next block index until none is
+    left (``series._on_threads``); the output does not depend on their
+    number.  The first call in a process loads the kernel (see
+    ``kernel_info``).
 
     Raises:
         ResourceError: if the ``cap_height - 1`` bins or the number of

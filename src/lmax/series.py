@@ -32,8 +32,12 @@ the one reader of single entries.  Each family has one step:
   (``cumsum`` and TwoSum passes); both add in the same order, so their
   bits agree.  ``exp``, ``log1p`` and ``atanh`` stay numpy calls.  S_n
   is summed in linear space, anchored at the largest log so far, so no
-  ``log`` or ``exp`` argument is a difference of large terms.  Each block
-  depends on the one before, so this scan runs on one thread.
+  ``log`` or ``exp`` argument is a difference of large terms.  log rho_i
+  depends on i alone, so ``build`` fills it into its ``log_prod`` on two
+  threads first, a block at a time; the scan reads it from there.  Each
+  block of the scan depends on the one before, so the scan runs on one
+  thread, and ``blocks`` and a lazy table evaluate log rho block by block
+  as they scan.
 
 The last block is computed whole like every other: a constant entry is a
 function of n alone, and every perturbed block starts from fixed seams,
@@ -58,7 +62,7 @@ from . import _native
 from .budget import DEFAULT_MAX_ENTRIES, MAX_TABLE_ENV, check_depth, table_budget
 from .constant import _constant_logs, log_odds
 from .errors import RangeError
-from .walk import ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array
+from .walk import BlockScratch, ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array
 
 __all__ = [
     "ProductSeries", "build", "blocks", "lazy", "log_odds", "check_depth",
@@ -124,7 +128,7 @@ class ProductSeries:
             sites, inverse = np.unique(sites, return_inverse=True)
             los = (np.unique(sites // BLOCK) * BLOCK).tolist() if constant else los
         out_p, out_s = np.empty(len(sites)), np.empty(len(sites))
-        for lo, lp, ls in _fill(self.spec, los, np.empty(BLOCK), np.empty(BLOCK)):
+        for lo, lp, ls in _fill(self.spec, los):
             a, b = max(first, lo), max(first, lo, min(last + 1, lo + BLOCK))  # the block's sites
             i, j = (a - first, b - first) if ranged else np.searchsorted(sites, (a, b))
             src = slice(a - lo, b - lo) if ranged else sites[i:j] - lo
@@ -151,17 +155,27 @@ def _exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(x, out=out, where=mask)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else ``os.cpu_count()``.
+
+    Under ``taskset -c 0`` the mask holds one CPU, however many the machine has.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _on_threads(work, items: range, workers: int, state=tuple) -> list:
     """Call ``work(item, *s)`` for every item, on this thread and up to ``workers - 1`` more.
 
-    ``workers`` is clamped to the items and to ``os.cpu_count()``, and no
+    ``workers`` is clamped to the items and to ``_usable_cpus()``, and no
     thread starts for one.  Each thread makes its own ``s = state()`` and
     takes the next item of one shared iterator until none is left: under
     the GIL each item goes to one thread.  An error or Ctrl-C on any thread
     stops every thread after its current item, and is raised here once all
     have returned.  Returns the states, one per thread.
     """
-    workers = min(workers, len(items), os.cpu_count() or 1)
+    workers = min(workers, len(items), _usable_cpus())
     items, states, errors = iter(items), [], []
 
     def loop() -> None:
@@ -188,18 +202,16 @@ def _on_threads(work, items: range, workers: int, state=tuple) -> list:
     return states
 
 
-def _fill(spec: WalkSpec, los, log_prod: np.ndarray, log_prefix_sum: np.ndarray):
+def _fill(spec: WalkSpec, los):
     """Run the walk's block step on the blocks starting at ``los``; yield ``(lo, lp, ls)`` each.
 
-    ``lp`` and ``ls`` are the BLOCK-entry windows of ``log_prod`` and
-    ``log_prefix_sum`` that hold entries lo .. lo + BLOCK - 1: the arrays
-    are either a whole table, rounded up to whole blocks, or one block
-    each, which every block reuses.  A perturbed walk's ``los`` are every block from 0.
+    ``lp`` and ``ls`` hold entries lo .. lo + BLOCK - 1 of the two logs, in
+    two BLOCK buffers that every block reuses.  A perturbed walk's ``los``
+    are every block from 0.
     """
     step = _ConstantStep(spec) if isinstance(spec, ConstantWalk) else _PerturbedScan(spec)
+    lp, ls = np.empty(BLOCK), np.empty(BLOCK)
     for lo in los:
-        at = lo % len(log_prod)
-        lp, ls = log_prod[at : at + BLOCK], log_prefix_sum[at : at + BLOCK]
         step(lo, lp, ls)
         yield lo, lp, ls
 
@@ -224,10 +236,33 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
         _on_threads(lambda a: step(a, log_prod[a : a + _CHUNK], log_prefix_sum[a : a + _CHUNK]),
                     range(0, size, _CHUNK), 2)
     else:
-        for _ in _fill(spec, range(0, n_max + 1, BLOCK), log_prod, log_prefix_sum):
-            pass
+        _log_rho_ahead(spec, log_prod)
+        scan = _PerturbedScan(spec, filled=True)
+        for lo in range(0, size, BLOCK):
+            scan(lo, log_prod[lo : lo + BLOCK], log_prefix_sum[lo : lo + BLOCK])
     return ProductSeries(spec=spec, n_max=n_max, log_prod=log_prod[: n_max + 1],
                          log_prefix_sum=log_prefix_sum[: n_max + 1])
+
+
+def _log_rho_ahead(spec: PerturbedWalk, log_prod: np.ndarray) -> None:
+    """log rho_i into ``log_prod[i]`` for every site of its whole blocks, on two threads.
+
+    The threads take pieces in turn and share one array of float offsets.
+    Two threads gain little on pieces of one BLOCK, whose many short numpy
+    calls pass the interpreter lock back and forth.  A k = 1 chain runs in
+    the output itself, so its pieces are ``_CHUNK`` entries long; a k >= 2
+    chain holds three buffers a thread, so its pieces are two BLOCKs long,
+    and the scratch stays under 1 MB.  Entry 0 is left as it is.
+    """
+    width = min(_CHUNK if spec.k == 1 else 2 * BLOCK, len(log_prod))
+    offsets = np.arange(width, dtype=np.float64)
+
+    def fill(lo: int, scratch: BlockScratch) -> None:
+        first, stop = max(lo, 1), min(lo + width, len(log_prod))
+        log_rho_array(spec, range(first, stop), log_prod[first:stop], scratch)
+
+    _on_threads(fill, range(0, len(log_prod), width), 2,
+                lambda: (BlockScratch(spec.k, width, offsets),))
 
 
 def lazy(spec: WalkSpec, n_max: int) -> ProductSeries:
@@ -247,7 +282,7 @@ def blocks(spec: WalkSpec, n_max: int):
         RangeError, ResourceError, ConfigError: as ``build``, when called.
     """
     n_max = check_depth("n_max", n_max)
-    fill = _fill(spec, range(0, n_max + 1, BLOCK), np.empty(BLOCK), np.empty(BLOCK))
+    fill = _fill(spec, range(0, n_max + 1, BLOCK))
     return ((lo, lp[: n_max + 1 - lo], ls[: n_max + 1 - lo]) for lo, lp, ls in fill)
 
 
@@ -334,10 +369,14 @@ class _PerturbedScan:
     a new largest.  A block whose anchors span more than ``_WIDE`` nats,
     which exp cannot bridge (a frozen drift with |delta| near 1/2), is folded
     by ``np.logaddexp.accumulate`` from the carry instead.
+
+    ``filled``: each block's ``lp`` holds log rho of its sites on entry
+    (``build`` fills them ahead); else the step evaluates them into ``z``.
     """
 
-    def __init__(self, spec: PerturbedWalk):
+    def __init__(self, spec: PerturbedWalk, filled: bool = False):
         self.spec = spec
+        self.drift = None if filled else BlockScratch(spec.k, BLOCK)
         self.prod = (0.0, 0.0)     # log P_(lo-1) as hi + lo
         self.psum = (0.0, 0.0)     # log S_(lo-1) as hi + lo
         self.z = np.empty(BLOCK + 1)
@@ -378,7 +417,10 @@ class _PerturbedScan:
         p_hi, p_lo = self.prod
         z = self.z[: m + 1]
         z[0] = p_lo
-        z[1:] = log_rho_array(self.spec, np.arange(lo, lo + m, dtype=np.int64))
+        if self.drift is None:
+            z[1:] = lp
+        else:
+            log_rho_array(self.spec, range(lo, lo + m), z[1:], self.drift)
         w = self._cumsum(m, p_hi)
         np.add(w[1:], p_hi, out=lp)
         self.prod = _two_sum(p_hi, float(w[-1]))

@@ -18,7 +18,7 @@ always steps to 1):
 
 The down/up odds ratio ``rho(spec, i) = q_i / p_i`` drives every exact
 formula downstream; ``rho`` gives one entry and, for perturbed walks,
-``log_rho_array`` the log over a site array.  The families themselves
+``log_rho_array`` the log over a site array or range.  The families themselves
 and their parameter checks are in ``spec``, which imports no numpy; they
 are exported here too.
 
@@ -42,6 +42,7 @@ __all__ = [
     "ConstantWalk",
     "PerturbedWalk",
     "WalkSpec",
+    "BlockScratch",
     "iterated_log",
     "compute_i0",
     "step_up_prob",
@@ -76,15 +77,43 @@ def iterated_log(m: int, x: float) -> float:
     return value
 
 
-def _perturbation_array(k: int, x: np.ndarray, b: float) -> np.ndarray:
-    """lam(k, x, b) over a float array whose iterated-log chain is positive."""
-    total = 0.0
-    chain = level = x       # running product x * log x * ... * log_t x; iterate log_t x
-    for _ in range(k - 1):
-        total = total + 1.0 / chain
-        level = np.log(level)
-        chain = chain * level
-    return total + b / chain
+def _perturbation_array(k: int, x: np.ndarray, b: float, out=None, level=None, term=None):
+    """lam(k, x, b) into ``out`` over a float array x whose iterated-log chain is positive.
+
+    The chain runs in place: x becomes the running product x log x ...
+    log_t x (so k >= 2 overwrites it), ``level`` the iterate log_t x and
+    ``term`` each term past the first, with the operations and the order of
+    ``total = 0.0; total + 1/chain ... + b/chain``.  Each buffer is the length of x and
+    made where None; ``out`` may be x for k = 1.
+    """
+    out = np.empty_like(x) if out is None else out
+    np.divide(1.0 if k > 1 else b, x, out=out)
+    np.add(0.0, out, out=out)  # total = 0.0 + the first term
+    if k > 1:
+        level = np.empty_like(x) if level is None else level
+        term = np.empty_like(x) if term is None else term
+    src = x
+    for t in range(k - 1):
+        np.log(src, out=level)
+        src = level
+        x *= level
+        np.divide(1.0 if t < k - 2 else b, x, out=term)
+        out += term
+    return out
+
+
+class BlockScratch:
+    """Buffers of the drift chain over ranges of at most ``width`` sites.
+
+    ``offsets`` holds 0.0 .. width - 1, a range's float sites less its
+    start; it is only read, so threads may share one.  The chain's three
+    buffers (k >= 2) are written on every call: one scratch per thread.
+    """
+
+    def __init__(self, k: int, width: int, offsets: np.ndarray | None = None):
+        self.offsets = np.arange(width, dtype=np.float64) if offsets is None else offsets
+        self.chain, self.level, self.term = (
+            (np.empty(width), np.empty(width), np.empty(width)) if k > 1 else (None, None, None))
 
 
 def _least_site(crossed, what: str) -> int:
@@ -159,15 +188,37 @@ def rho(spec: WalkSpec, i: int) -> float:
     return (1.0 - 2.0 * d) / (1.0 + 2.0 * d)
 
 
-def signed_drift_array(spec: PerturbedWalk, i: np.ndarray) -> np.ndarray:
-    """Vectorized ``delta_i`` of a perturbed walk over an integer site array (all entries >= 1)."""
-    i = np.asarray(i)
-    if i.size and i.min() < 1:
-        raise DomainError("site indices must be >= 1")
-    # Frozen region: evaluate lam at i0; live region: vectorized chain.
-    x = np.maximum(i, spec.i0).astype(np.float64)
-    r = _perturbation_array(spec.k, x, spec.b) / 4.0
-    return r if spec.sign == "plus" else -r
+def signed_drift_array(spec: PerturbedWalk, i, out=None, scratch: BlockScratch | None = None):
+    """Vectorized ``delta_i`` of a perturbed walk over sites >= 1: an integer array or a range.
+
+    A range of step 1 runs the chain in place, from the float sites
+    ``scratch.offsets + start`` (a ``BlockScratch``, made for the call where
+    None), with no site array built; below 2**53, where those sums are
+    exact, the bits are those of the integer array of the same sites.  The
+    result goes to ``out`` where given.
+    """
+    if isinstance(i, range) and i.step == 1:
+        if i and i.start < 1:
+            raise DomainError("site indices must be >= 1")
+        m = len(i)
+        scratch = BlockScratch(spec.k, m) if scratch is None else scratch
+        out = np.empty(m) if out is None else out
+        x = out if spec.k == 1 else scratch.chain[:m]
+        np.add(scratch.offsets[:m], float(i.start), out=x)
+        if i.start < spec.i0:  # frozen region: evaluate lam at i0
+            np.maximum(x, float(spec.i0), out=x)
+        level, term = (None, None) if spec.k == 1 else (scratch.level[:m], scratch.term[:m])
+    else:
+        i = np.asarray(i)
+        if i.size and i.min() < 1:
+            raise DomainError("site indices must be >= 1")
+        # Frozen region: evaluate lam at i0; live region: vectorized chain.
+        x = np.maximum(i, spec.i0).astype(np.float64)
+        level = term = None
+        out = x if out is None and spec.k == 1 else out
+    r = _perturbation_array(spec.k, x, spec.b, out, level, term)
+    r *= 0.25  # lam / 4 bit for bit, as both round the same real, at a third of the cost
+    return r if spec.sign == "plus" else np.negative(r, out=r)
 
 
 def step_up_prob_array(spec: WalkSpec, i: np.ndarray) -> np.ndarray:
@@ -187,14 +238,16 @@ def step_up_prob_array(spec: WalkSpec, i: np.ndarray) -> np.ndarray:
     return p
 
 
-def log_rho_array(spec: PerturbedWalk, i: np.ndarray) -> np.ndarray:
+def log_rho_array(spec: PerturbedWalk, i, out=None, scratch: BlockScratch | None = None):
     """Vectorized ``log rho_i = log((1 - 2 delta)/(1 + 2 delta)) = -2 atanh(2 delta)`` of a perturbed walk.
 
-    One ``arctanh`` per entry; it is odd bit for bit, so the adjoint walk
-    (the other sign) gets ``-log rho`` exactly.  Constant walks have one
-    odds ratio, which ``series`` rounds once (``log_odds``).
+    Sites, ``out`` and ``scratch`` as ``signed_drift_array``, whose result
+    the three steps overwrite.  One ``arctanh`` per entry; it is odd bit for
+    bit, so the adjoint walk (the other sign) gets ``-log rho`` exactly.
+    Constant walks have one odds ratio, which ``series`` rounds once
+    (``log_odds``).
     """
-    d = signed_drift_array(spec, i)
+    d = signed_drift_array(spec, i, out, scratch)
     d *= 2.0
     np.arctanh(d, out=d)
     d *= -2.0

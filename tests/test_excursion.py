@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import threading
 
 import mpmath as mp
@@ -22,6 +21,7 @@ from lmax import (
     tail_mass,
 )
 from lmax import excursion
+from lmax import series as series_module
 from lmax.excursion import max_pmf_blocks
 from lmax.series import BLOCK, lazy
 
@@ -308,7 +308,7 @@ THREADED_DEPTHS = [2 * excursion._CHUNK, 2 * excursion._CHUNK + 3 * BLOCK + 7,
 def test_table_is_the_streamed_law_bit_for_bit(monkeypatch, spec, cores):
     # --p 0.43's pmf underflows past row 2700, so its chunks take the masked
     # exp; on one core the table is one pass, on two it is two threads.
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: cores)
     series = build(spec, THREADED_DEPTHS[-1])
     for n in THREADED_DEPTHS:
         table = max_pmf_table(series, n)
@@ -325,7 +325,7 @@ def test_table_thread_error_reaches_the_caller(monkeypatch):
     # as they ask for them, so the failing chunk is picked by the thread that
     # runs it; the other thread holds its first chunk until the failing
     # thread has taken one, so each thread gets a chunk.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
     law = excursion._law
     n = 2 * excursion._CHUNK + 5  # three chunks
     series = build(ConstantWalk(0.5), n)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -20,6 +22,7 @@ from lmax import (
     hit_before,
     return_prob,
 )
+from lmax import series as series_module
 from lmax.series import lazy, log_odds
 from lmax.walk import signed_drift_array
 
@@ -338,9 +341,10 @@ def test_return_prob_width_at_depth(spec, width):
 
 
 def test_hit_before_scratch_per_entry():
-    # The window is shifted and exponentiated one _SUM_LEAF piece at a time
-    # through one buffer, and a mask for a piece whose terms underflow, so
-    # the scratch is at most 576 KiB however long the window.  A constant walk reads no entry (its closed form).
+    # The window is shifted and exponentiated half a _SUM_LEAF piece at a
+    # time by each of two threads, each through its own buffer and a mask
+    # for a half whose terms underflow, so the scratch is about 576 KiB
+    # however long the window.  A constant walk reads no entry (its closed form).
     for n in (10**6, 4 * 10**6):
         series = build(PerturbedWalk(1, 2.5, "plus"), n)
         tracemalloc.start()
@@ -385,6 +389,77 @@ SUM_SPECS = [
     (PerturbedWalk(1, 1.0, "minus"), "right"),
     (PerturbedWalk(3, -1.0, "minus"), "right"),
 ]
+
+
+def _piece_sums_ratio(logs, m: int, leaf: int) -> float:
+    """One thread's ratio, as ``hit_before`` formed it with whole pieces: fsum of each piece's ``np.sum``."""
+    top = logs.max()
+
+    def side(lo, hi):
+        return math.fsum(np.exp(logs[i : min(i + leaf, hi)] - top).sum() for i in range(lo, hi, leaf))
+
+    num = side(m, len(logs))
+    return num / (side(0, m) + num)
+
+
+@pytest.mark.parametrize("leaf", [None, 128, 1000])
+def test_hit_before_same_bits_on_one_thread_and_two(monkeypatch, leaf):
+    # Windows either side of 128 (numpy's pairwise leaf), 32768 (half a
+    # piece) and 65536 (a piece), split at both ends and in the middle: on
+    # one CPU and on two, the bits of whole pieces summed on one thread.
+    if leaf is not None:
+        monkeypatch.setattr(first_passage, "_SUM_LEAF", leaf)
+    leaf = first_passage._SUM_LEAF
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
+    lengths = [n + d for n in (128, 32768, 65536) for d in (-1, 0, 1)] + [2 * 65536 + 129]
+    series = {spec: build(spec, max(lengths) + 40) for spec, _ in SUM_SPECS}
+    with np.errstate(under="ignore"):
+        for spec, s in series.items():
+            for w in lengths:
+                a = w % 37
+                for m in sorted({1, 128, 129, w // 2, w - 1} & set(range(1, w))):
+                    q = HittingQuery(a, a + m, a + w)
+                    want = _piece_sums_ratio(s.log_prod[a : a + w], m, leaf)
+                    for cpus in (1, 2):
+                        monkeypatch.setattr(series_module, "_usable_cpus", lambda c=cpus: c)
+                        before = len(started)
+                        got = hit_before(s, q)
+                        assert got == want, (spec, q, cpus)
+                        assert (len(started) > before) == (cpus == 2 and w > leaf), (q, cpus)
+
+
+def test_threaded_tables_and_windows_under_a_short_switch_interval(monkeypatch):
+    # Two threads swapped every microsecond: build's log rho fill and
+    # hit_before's parts each write slots of their own, so the bits are
+    # those of one thread.
+    spec, n = PerturbedWalk(2, 1.5, "minus"), 5 * first_passage._SUM_LEAF + 77
+    windows = [(0, 1, n + 1), (3, 70_000, n - 5), (65_536, 200_000, n + 1)]
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 1)
+    want = build(spec, n)
+    hits = [hit_before(want, HittingQuery(*w)) for w in windows]
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = build(spec, n)
+        assert got.log_prod.tobytes() == want.log_prod.tobytes()
+        assert got.log_prefix_sum.tobytes() == want.log_prefix_sum.tobytes()
+        assert [hit_before(got, HittingQuery(*w)) for w in windows] == hits
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_piece_halves_are_numpys_pairwise_sum():
+    # hit_before adds a piece's two halves as numpy's pairwise sum does, at
+    # n2 = n//2 - (n//2) % 8 above 128 terms: check it on every piece length
+    # up to _SUM_LEAF, so that a numpy that sums otherwise fails here.
+    terms = np.exp(np.random.default_rng(7).uniform(-40.0, 0.0, first_passage._SUM_LEAF))
+    for n in range(1, len(terms) + 1):
+        halves = first_passage._halves(0, n)
+        assert halves[0].start == 0 and halves[-1].stop == n and len(halves) == 1 + (n > 128)
+        got = terms[halves[0]].sum() + (terms[halves[1]].sum() if n > 128 else 0.0)
+        assert got == terms[:n].sum(), n
 
 
 @pytest.mark.parametrize("case", range(len(SUM_SPECS)), ids=lambda i: str(SUM_SPECS[i][0]))

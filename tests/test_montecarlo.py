@@ -3,11 +3,11 @@ import json
 import math
 import os
 import random
+import select
 import signal
 import subprocess
 import sys
 import threading
-import time
 import warnings
 
 import mpmath
@@ -31,6 +31,7 @@ from lmax import (
     run,
 )
 from lmax import _native
+from lmax import series as series_module
 from lmax.montecarlo import KernelInfo, kernel_info
 
 
@@ -120,17 +121,17 @@ def test_worker_threads_are_clamped(monkeypatch):
     cfg = dict(spec=ConstantWalk(0.3), excursions=n, seed=3, cap_steps=100, cap_height=16)
     base = run(SimConfig(**cfg))
     assert (started, tallies) == ([0], [1])  # one worker starts no thread at all
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 64)
     wide = run(SimConfig(**cfg, workers=10_000))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
     narrow = run(SimConfig(**cfg, workers=10_000))
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 1)
     single = run(SimConfig(**cfg, workers=10_000))
     # min(workers, blocks, cores) workers: the caller's thread and the rest new.
     assert tallies == [1, 3, 2, 1]
     assert started == [0, 2, 1, 0]
     # One task per worker, not one per block: each takes blocks until none is left.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
     many = run(SimConfig(**{**cfg, "excursions": 40 * BLOCK}, workers=10_000))
     assert (started[-1], tallies[-1]) == (1, 2)
     assert many.counts.sum() + many.censored_height + many.censored_steps == 40 * BLOCK
@@ -139,10 +140,14 @@ def test_worker_threads_are_clamped(monkeypatch):
         assert (r.censored_height, r.censored_steps) == (base.censored_height, base.censored_steps)
 
 
+def _one_step_args(blocks):
+    """``simulate`` arguments for ``blocks`` blocks whose excursions each take one step."""
+    return ["simulate", "--p", "0.5", "--cap-steps", "1", "--cap-height", "2",
+            "--excursions", str(blocks * BLOCK)]
+
+
 def _one_step_simulate(blocks):
-    """A ``simulate`` call of ``blocks`` blocks whose excursions each take one step."""
-    return [sys.executable, "-m", "lmax", "simulate", "--p", "0.5", "--cap-steps", "1",
-            "--cap-height", "2", "--excursions", str(blocks * BLOCK)]
+    return [sys.executable, "-m", "lmax", *_one_step_args(blocks)]
 
 
 # Runs argv and prints its exit code and peak RSS.  A child's peak counts its
@@ -166,16 +171,41 @@ def test_peak_rss_does_not_grow_with_blocks():
     assert peak_mb(5000) <= peak_mb(10) + 4
 
 
+# Runs ``python -m lmax`` on the arguments past the first, which names a file
+# descriptor: one byte is written to it as the simulator starts its first
+# block, when the kernel is loaded and the run is inside its blocks.
+_MARK_FIRST_BLOCK = """import os, runpy, sys
+from lmax import montecarlo
+fd, on_threads = int(sys.argv.pop(1)), montecarlo._on_threads
+def marked(work, items, *rest):
+    def first_marked(item, *state):
+        if item == items[0]:
+            os.write(fd, b"1")
+        work(item, *state)
+    return on_threads(first_marked, items, *rest)
+montecarlo._on_threads = marked
+runpy.run_module("lmax", run_name="__main__")
+"""
+
+
 def test_interrupt_ends_a_long_run_promptly():
-    # About 6 s on one 2-core x86_64 worker, so the run is still going at 1.5 s.
-    proc = subprocess.Popen(_one_step_simulate(20_000), stdout=subprocess.DEVNULL,
-                            stderr=subprocess.PIPE, text=True)
+    # The interrupt comes once the run is inside its blocks (about 6 s of
+    # them on one 2-core x86_64 worker), not at a fixed time: on a loaded
+    # machine the kernel may still be building then, and an interrupted
+    # gcc left a second stderr line ("warning: subprocess ... is still running").
+    read_fd, write_fd = os.pipe()
+    argv = [sys.executable, "-c", _MARK_FIRST_BLOCK, str(write_fd), *_one_step_args(20_000)]
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                            pass_fds=(write_fd,))
+    os.close(write_fd)
     try:
-        time.sleep(1.5)
+        ready = select.select([read_fd], [], [], 120)[0]
+        assert ready and os.read(read_fd, 1) == b"1", "the run never reached its blocks"
         assert proc.poll() is None, "the run ended before the interrupt"
         proc.send_signal(signal.SIGINT)
         _, err = proc.communicate(timeout=2)  # each task stops after the block it is running
     finally:
+        os.close(read_fd)
         proc.kill()
         proc.communicate()
     assert proc.returncode == 130

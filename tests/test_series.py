@@ -16,9 +16,12 @@ from lmax import (
     estimate_constant, max_pmf_table, resolve_shape, rho, run,
 )
 from lmax import _native
+from lmax import series as series_module
 from lmax.series import (
-    _CHUNK, BLOCK, MAX_TABLE_ENV, _exp, _on_threads, _PerturbedScan, blocks, lazy, log_odds,
+    _CHUNK, BLOCK, MAX_TABLE_ENV, _exp, _on_threads, _PerturbedScan, _usable_cpus, blocks, lazy,
+    log_odds,
 )
+from lmax.walk import BlockScratch, log_rho_array, signed_drift_array
 
 from _oracles import (
     brute_prefix_sum,
@@ -387,8 +390,7 @@ def _digest(*arrays) -> str:
 @pytest.mark.parametrize("spec", DEPTH_SPECS, ids=str)
 def test_built_and_streamed_tables_agree_on_both_kernels(monkeypatch, spec):
     # build, blocks and a lazy table's reads, on the compiled sum and on
-    # numpy's, and (for the constant walks that split it) build on one
-    # core and on two.
+    # numpy's, and build on one core and on two.
     if _native._kernel()[0] is None:
         pytest.fail(f"the native library did not load: {_native.kernel_info().reason}")
     real = _native._kernel
@@ -398,13 +400,45 @@ def test_built_and_streamed_tables_agree_on_both_kernels(monkeypatch, spec):
         for kernel in (real, lambda: python):
             monkeypatch.setattr(_native, "_kernel", kernel)
             for cores in (1, 2):
-                monkeypatch.setattr(os, "cpu_count", lambda: cores)
+                monkeypatch.setattr(series_module, "_usable_cpus", lambda: cores)
                 series = build(spec, n)
                 digests.add(_digest(series.log_prod, series.log_prefix_sum))
             parts = list(zip(*((lp.copy(), ls.copy()) for _, lp, ls in blocks(spec, n))))
             digests.add(_digest(np.concatenate(parts[0]), np.concatenate(parts[1])))
             _lazy_reads(spec, n, (series.log_prod, series.log_prefix_sum))
         assert len(digests) == 1, n
+
+
+@pytest.mark.parametrize("spec", [s for s in DEPTH_SPECS if isinstance(s, PerturbedWalk)], ids=str)
+def test_drift_on_a_range_is_the_int_array_path(spec):
+    # The in-place chain from float offsets, with and without held scratch,
+    # gives the integer path's bits: below i0 (frozen), across it, and deep.
+    scratch, out = BlockScratch(spec.k, BLOCK), np.empty(BLOCK)
+    starts = sorted({1, 2, max(1, spec.i0 - 3), spec.i0, spec.i0 + 1, BLOCK + 1, 10**7, 2**40})
+    for fn in (signed_drift_array, log_rho_array):
+        for lo in starts:
+            for m in (1, 7, BLOCK):
+                want = fn(spec, np.arange(lo, lo + m)).tobytes()
+                assert fn(spec, range(lo, lo + m)).tobytes() == want, (fn, lo, m)
+                got = fn(spec, range(lo, lo + m), out[:m], scratch)
+                assert np.shares_memory(got, out) and got.tobytes() == want, (fn, lo, m)
+
+
+def test_threads_clamp_to_the_usable_cpus(monkeypatch):
+    # The affinity mask, not the machine's count, where the OS has one
+    # (under ``taskset -c 0``, one CPU of two); no thread starts for one.
+    assert _usable_cpus() == (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                              else os.cpu_count() or 1)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _usable_cpus() == 1
+    assert len(_on_threads(lambda i: None, range(10), 2)) == 1 and not started
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _usable_cpus() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
 
 
 def test_wide_frozen_drift_stays_finite():
@@ -444,7 +478,7 @@ def test_an_error_on_one_thread_stops_the_other(monkeypatch):
     # The started thread fails on its first item while the caller's thread
     # holds its own; the caller's then runs no other item, and the error is
     # raised in the caller once the threads have joined.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
     caller = threading.current_thread()
     held, entered, ran, started = threading.Event(), threading.Event(), [], []
 
