@@ -34,10 +34,10 @@ the one reader of single entries.  Each family has one step:
   is summed in linear space, anchored at the largest log so far, so no
   ``log`` or ``exp`` argument is a difference of large terms.  log rho_i
   depends on i alone, so ``build`` fills it into its ``log_prod`` on two
-  threads first, a block at a time; the scan reads it from there.  Each
-  block of the scan depends on the one before, so the scan runs on one
-  thread, and ``blocks`` and a lazy table evaluate log rho block by block
-  as they scan.
+  threads first; the scan reads it from there.  Each block of the scan
+  depends on the one before, so the scan runs on one thread, and
+  ``blocks`` and a lazy table fill log rho into each block's buffer just
+  before they scan it.
 
 The last block is computed whole like every other: a constant entry is a
 function of n alone, and every perturbed block starts from fixed seams,
@@ -207,11 +207,17 @@ def _fill(spec: WalkSpec, los):
 
     ``lp`` and ``ls`` hold entries lo .. lo + BLOCK - 1 of the two logs, in
     two BLOCK buffers that every block reuses.  A perturbed walk's ``los``
-    are every block from 0.
+    are every block from 0, and log rho of each block's sites goes into
+    ``lp`` before the scan reads it there, as in ``build``.
     """
-    step = _ConstantStep(spec) if isinstance(spec, ConstantWalk) else _PerturbedScan(spec)
+    constant = isinstance(spec, ConstantWalk)
+    step = _ConstantStep(spec) if constant else _PerturbedScan()
+    drift = None if constant else BlockScratch(spec.k, BLOCK)
     lp, ls = np.empty(BLOCK), np.empty(BLOCK)
     for lo in los:
+        if drift is not None:
+            first = max(lo, 1)
+            log_rho_array(spec, range(first, lo + BLOCK), lp[first - lo :], drift)
         step(lo, lp, ls)
         yield lo, lp, ls
 
@@ -237,7 +243,7 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
                     range(0, size, _CHUNK), 2)
     else:
         _log_rho_ahead(spec, log_prod)
-        scan = _PerturbedScan(spec, filled=True)
+        scan = _PerturbedScan()
         for lo in range(0, size, BLOCK):
             scan(lo, log_prod[lo : lo + BLOCK], log_prefix_sum[lo : lo + BLOCK])
     return ProductSeries(spec=spec, n_max=n_max, log_prod=log_prod[: n_max + 1],
@@ -252,7 +258,9 @@ def _log_rho_ahead(spec: PerturbedWalk, log_prod: np.ndarray) -> None:
     calls pass the interpreter lock back and forth.  A k = 1 chain runs in
     the output itself, so its pieces are ``_CHUNK`` entries long; a k >= 2
     chain holds three buffers a thread, so its pieces are two BLOCKs long,
-    and the scratch stays under 1 MB.  Entry 0 is left as it is.
+    and the scratch stays under 1 MB.  Two-BLOCK pieces for k = 1 too cost
+    the deep-table benchmark 4% of its entries per second (``BENCH_39.json``).
+    Entry 0 is left as it is.
     """
     width = min(_CHUNK if spec.k == 1 else 2 * BLOCK, len(log_prod))
     offsets = np.arange(width, dtype=np.float64)
@@ -370,13 +378,11 @@ class _PerturbedScan:
     which exp cannot bridge (a frozen drift with |delta| near 1/2), is folded
     by ``np.logaddexp.accumulate`` from the carry instead.
 
-    ``filled``: each block's ``lp`` holds log rho of its sites on entry
-    (``build`` fills them ahead); else the step evaluates them into ``z``.
+    Each block's ``lp`` holds log rho of its sites on entry; the step
+    overwrites it with log P.
     """
 
-    def __init__(self, spec: PerturbedWalk, filled: bool = False):
-        self.spec = spec
-        self.drift = None if filled else BlockScratch(spec.k, BLOCK)
+    def __init__(self):
         self.prod = (0.0, 0.0)     # log P_(lo-1) as hi + lo
         self.psum = (0.0, 0.0)     # log S_(lo-1) as hi + lo
         self.z = np.empty(BLOCK + 1)
@@ -417,10 +423,7 @@ class _PerturbedScan:
         p_hi, p_lo = self.prod
         z = self.z[: m + 1]
         z[0] = p_lo
-        if self.drift is None:
-            z[1:] = lp
-        else:
-            log_rho_array(self.spec, range(lo, lo + m), z[1:], self.drift)
+        z[1:] = lp
         w = self._cumsum(m, p_hi)
         np.add(w[1:], p_hi, out=lp)
         self.prod = _two_sum(p_hi, float(w[-1]))

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmax import (
-    ConstantWalk, PerturbedWalk, RangeError, ResourceError, ShapeTarget, SimConfig, build,
-    estimate_constant, max_pmf_table, resolve_shape, rho, run,
+    ConstantWalk, HittingQuery, PerturbedWalk, RangeError, ResourceError, ShapeTarget, SimConfig,
+    build, estimate_constant, hit_before, max_pmf_table, resolve_shape, rho, run,
 )
 from lmax import _native
 from lmax import series as series_module
@@ -337,7 +337,7 @@ def _sums_on_both_kernels(z, carry):
         pytest.fail(f"the native library did not load: {_native.kernel_info().reason}")
     sums = []
     for compiled in (True, False):
-        scan = _PerturbedScan(PerturbedWalk(1, 2.0, "plus"))
+        scan = _PerturbedScan()
         if not compiled:
             scan.scan = None
         scan.z[: len(z)] = z
@@ -439,6 +439,47 @@ def test_threads_clamp_to_the_usable_cpus(monkeypatch):
     assert _usable_cpus() == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _usable_cpus() == 1
+
+
+def _threaded_answers(spec, n):
+    """Digest of build's two tables and max_pmf_table's law at depth n, and three hit windows."""
+    series = build(spec, n)
+    law = max_pmf_table(series, n)
+    with np.errstate(under="ignore"):
+        hits = [hit_before(series, HittingQuery(*w)) for w in ((0, 1, n), (3, 70_000, n - 5),
+                                                                  (1, 2, 2 * _CHUNK + 9))]
+    return _digest(series.log_prod, series.log_prefix_sum, law.log_pmf, law.pmf,
+                   law.cumulative), hits
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask on this OS")
+def test_a_one_cpu_mask_starts_no_thread(monkeypatch):
+    # With _usable_cpus left alone and the mask narrowed to one CPU (as
+    # ``taskset -c 0`` runs the process), the constant fill, the log rho
+    # fill, the law and the hit windows start no thread, and give the bits
+    # of the one-thread run.  Forced to two CPUs, every part starts threads
+    # at this depth, with the same bits.
+    n, specs = 2 * _CHUNK + 3 * BLOCK + 7, (ConstantWalk(0.43), PerturbedWalk(1, 2.0, "plus"),
+                                            PerturbedWalk(2, 1.5, "minus"))
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        assert _usable_cpus() == 1
+        got = [_threaded_answers(spec, n) for spec in specs]
+    finally:
+        os.sched_setaffinity(0, mask)
+    assert not started
+    for cpus in (1, 2):
+        monkeypatch.setattr(series_module, "_usable_cpus", lambda c=cpus: c)
+        for spec, answers in zip(specs, got):
+            before = len(started)
+            assert _threaded_answers(spec, n) == answers, (spec, cpus)
+            # build and max_pmf_table start one each; a perturbed walk's three
+            # windows two each, for their largest log and for their sums.
+            want = 2 + 6 * isinstance(spec, PerturbedWalk) if cpus == 2 else 0
+            assert len(started) - before == want, (spec, cpus)
 
 
 def test_wide_frozen_drift_stays_finite():
