@@ -415,9 +415,15 @@ def _compile(gcc: str, out_dir: str, name: str) -> str:
         with open(src, "w") as f:
             f.write(_C_SOURCE.replace("LMAX_G_TABLE", _g_table()))
         out = os.path.join(work, name)
-        proc = subprocess.run([gcc, *_CFLAGS, src, "-o", out], capture_output=True, text=True)
+        with subprocess.Popen([gcc, *_CFLAGS, src, "-o", out], stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True) as proc:
+            try:
+                err = proc.communicate()[1]
+            finally:  # reap gcc after Ctrl-C too, which ``with`` alone does not do
+                proc.kill()
+                proc.wait()
         if proc.returncode:
-            raise _BuildError(f"gcc exited {proc.returncode}: {proc.stderr.strip()[:300]}")
+            raise _BuildError(f"gcc exited {proc.returncode}: {err.strip()[:300]}")
         path = os.path.join(out_dir, name)
         os.replace(out, path)
     return path

@@ -40,7 +40,7 @@ from .constant import _hit_constant
 from .errors import RangeError
 from .series import ProductSeries, _exp, _on_threads
 from .spec import HittingQuery
-from .walk import ConstantWalk, log_rho_array, rho, signed_drift_array
+from .walk import ConstantWalk, rho, signed_drift_array
 
 __all__ = [
     "HittingQuery",
@@ -162,9 +162,9 @@ def _bracket(series: ProductSeries) -> tuple[float, float]:
     I = (log_{k-1}(M+1))^(1-beta)/(beta - 1) and E = M lam_M^3/(24(1 - lam_M^2/4)).
 
     Each end is evaluated in 40-digit ``decimal`` from the three table
-    doubles log S_N, log P_N and log rho_f = -2 atanh(2 delta), each taken
-    as within 2 ulp and moved 2 ulp toward that end, which rises with all
-    three; the double drift lam_M is taken as it is.  T's main term is
+    doubles log S_N, log P_N and log rho_f, the table's log P_1 (site 1 <=
+    i0), each taken as within 2 ulp and moved 2 ulp toward that end, which
+    rises with all three; the double drift lam_M is taken as it is.  T's main term is
     summed in logs and exponentiated once, so no power of a deep level
     overflows.  Each 40-digit operation errs by 5e-40 of its result; the
     logs summed into log T stay below 1e18 in size (|b| and the sites are
@@ -179,9 +179,9 @@ def _bracket(series: ProductSeries) -> tuple[float, float]:
 
     spec, n = series.spec, series.n_max
     beta, m = abs(spec.b), max(n, spec.i0)
-    lam = 4.0 * abs(float(signed_drift_array(spec, np.array([m]))[0]))
-    log_p, log_s = series.at([n])
-    table = (float(log_s[0]), float(log_p[0]), float(log_rho_array(spec, np.array([1]))[0]))
+    lam = 4.0 * abs(float(signed_drift_array(spec, range(m, m + 1))[0]))
+    log_p, log_s = series.at([1, n])
+    table = (float(log_s[1]), float(log_p[1]), float(log_p[0]))
     with decimal.localcontext() as ctx:
         ctx.prec, ctx.Emax, ctx.Emin = 40, decimal.MAX_EMAX, decimal.MIN_EMIN
         D, b = decimal.Decimal, decimal.Decimal(beta)

@@ -181,7 +181,7 @@ def run(config: SimConfig) -> SimResult:
     check_depth("cap_height-1", config.cap_height - 1)
     n_blocks = check_depth("excursion blocks", -(-config.excursions // BLOCK))
     # p[0] is never consulted: hitting 0 ends the excursion first.
-    p = step_up_prob_array(config.spec, np.arange(config.cap_height))
+    p = step_up_prob_array(config.spec, range(config.cap_height))
     lib = _native._kernel()[0]  # here, in the caller's thread, before any other starts
     block = _block_py if lib is None else functools.partial(_block_c, lib)
 

@@ -18,7 +18,7 @@ always steps to 1):
 
 The down/up odds ratio ``rho(spec, i) = q_i / p_i`` drives every exact
 formula downstream; ``rho`` gives one entry and, for perturbed walks,
-``log_rho_array`` the log over a site array or range.  The families themselves
+``log_rho_array`` the log over a range of sites.  The families themselves
 and their parameter checks are in ``spec``, which imports no numpy; they
 are exported here too.
 
@@ -106,14 +106,14 @@ class BlockScratch:
     """Buffers of the drift chain over ranges of at most ``width`` sites.
 
     ``offsets`` holds 0.0 .. width - 1, a range's float sites less its
-    start; it is only read, so threads may share one.  The chain's three
-    buffers (k >= 2) are written on every call: one scratch per thread.
+    start; it is only read, so threads may share one.  ``chain`` holds the
+    three buffers of a k >= 2 chain (product, level, term), written on every
+    call: one scratch per thread.
     """
 
     def __init__(self, k: int, width: int, offsets: np.ndarray | None = None):
         self.offsets = np.arange(width, dtype=np.float64) if offsets is None else offsets
-        self.chain, self.level, self.term = (
-            (np.empty(width), np.empty(width), np.empty(width)) if k > 1 else (None, None, None))
+        self.chain = tuple(np.empty(width) for _ in range(3)) if k > 1 else None
 
 
 def _least_site(crossed, what: str) -> int:
@@ -162,9 +162,18 @@ def compute_i0(k: int, b: float) -> int:
     return _least_site(small, f"i0 of the depth-{k} walk with b={b:g}")
 
 
-def _at(array_fn, spec: WalkSpec, i) -> float:
-    """Entry ``i`` of an array-path function: how the scalar API evaluates."""
-    return float(array_fn(spec, np.array([i]))[0])
+def _sites(i, lowest: int) -> range:
+    """``i``, checked to be a range of step 1 (the one site form) over sites >= ``lowest``."""
+    if not isinstance(i, range) or i.step != 1:
+        raise TypeError(f"sites must be a range of step 1, got {i!r:.60}")
+    if i and i.start < lowest:
+        raise DomainError(f"site indices must be >= {lowest}")
+    return i
+
+
+def _at(array_fn, spec: WalkSpec, i: int) -> float:
+    """Entry ``i`` of an array function on the one-site range: how the scalar API evaluates."""
+    return float(array_fn(spec, range(i, i + 1))[0])
 
 
 def step_up_prob(spec: WalkSpec, i: int) -> float:
@@ -188,64 +197,48 @@ def rho(spec: WalkSpec, i: int) -> float:
     return (1.0 - 2.0 * d) / (1.0 + 2.0 * d)
 
 
-def signed_drift_array(spec: PerturbedWalk, i, out=None, scratch: BlockScratch | None = None):
-    """Vectorized ``delta_i`` of a perturbed walk over sites >= 1: an integer array or a range.
+def signed_drift_array(spec: PerturbedWalk, i: range, out=None, scratch: BlockScratch | None = None):
+    """Vectorized ``delta_i`` of a perturbed walk over a range of sites >= 1, of step 1.
 
-    A range of step 1 runs the chain in place, from the float sites
-    ``scratch.offsets + start`` (a ``BlockScratch``, made for the call where
-    None), with no site array built; below 2**53, where those sums are
-    exact, the bits are those of the integer array of the same sites.  The
-    result goes to ``out`` where given.
+    The chain runs in place from the float sites ``scratch.offsets + start``
+    (a ``BlockScratch``, made where None), with no site array built; below
+    2**53 those sums are the integer sites exactly, and each entry is that
+    of its one-site range.  The result goes to ``out`` where given.
     """
-    if isinstance(i, range) and i.step == 1:
-        if i and i.start < 1:
-            raise DomainError("site indices must be >= 1")
-        m = len(i)
-        scratch = BlockScratch(spec.k, m) if scratch is None else scratch
-        out = np.empty(m) if out is None else out
-        x = out if spec.k == 1 else scratch.chain[:m]
-        np.add(scratch.offsets[:m], float(i.start), out=x)
-        if i.start < spec.i0:  # frozen region: evaluate lam at i0
-            np.maximum(x, float(spec.i0), out=x)
-        level, term = (None, None) if spec.k == 1 else (scratch.level[:m], scratch.term[:m])
-    else:
-        i = np.asarray(i)
-        if i.size and i.min() < 1:
-            raise DomainError("site indices must be >= 1")
-        # Frozen region: evaluate lam at i0; live region: vectorized chain.
-        x = np.maximum(i, spec.i0).astype(np.float64)
-        level = term = None
-        out = x if out is None and spec.k == 1 else out
+    m = len(_sites(i, 1))
+    scratch = BlockScratch(spec.k, m) if scratch is None else scratch
+    out = np.empty(m) if out is None else out
+    x, level, term = (out, None, None) if spec.k == 1 else (a[:m] for a in scratch.chain)
+    np.add(scratch.offsets[:m], float(i.start), out=x)
+    if i.start < spec.i0:  # frozen region: evaluate lam at i0
+        np.maximum(x, float(spec.i0), out=x)
     r = _perturbation_array(spec.k, x, spec.b, out, level, term)
     r *= 0.25  # lam / 4 bit for bit, as both round the same real, at a third of the cost
     return r if spec.sign == "plus" else np.negative(r, out=r)
 
 
-def step_up_prob_array(spec: WalkSpec, i: np.ndarray) -> np.ndarray:
-    """Vectorized ``p_i`` over an integer site array (all entries >= 0).
+def step_up_prob_array(spec: WalkSpec, i: range) -> np.ndarray:
+    """Vectorized ``p_i`` over a range of sites >= 0, of step 1 (errors as ``signed_drift_array``).
 
     The origin reflects (``p_0 = 1``).  Constant walks return ``spec.p``
     itself, since ``0.5 + (p - 0.5)`` is not exact (p = 0.1).
     """
-    i = np.asarray(i)
-    if i.size and i.min() < 0:
-        raise DomainError("site indices must be >= 0")
-    if isinstance(spec, ConstantWalk):
-        p = np.full(i.shape, spec.p)
-    else:
-        p = 0.5 + signed_drift_array(spec, np.maximum(i, 1))
-    p[i == 0] = 1.0
+    origin = int(bool(_sites(i, 0)) and i.start == 0)  # where the sites >= 1 start
+    p = np.full(len(i), spec.p if isinstance(spec, ConstantWalk) else 0.5)
+    if isinstance(spec, PerturbedWalk):
+        p[origin:] += signed_drift_array(spec, i[origin:])
+    p[:origin] = 1.0
     return p
 
 
-def log_rho_array(spec: PerturbedWalk, i, out=None, scratch: BlockScratch | None = None):
+def log_rho_array(spec: PerturbedWalk, i: range, out=None, scratch: BlockScratch | None = None):
     """Vectorized ``log rho_i = log((1 - 2 delta)/(1 + 2 delta)) = -2 atanh(2 delta)`` of a perturbed walk.
 
-    Sites, ``out`` and ``scratch`` as ``signed_drift_array``, whose result
-    the three steps overwrite.  One ``arctanh`` per entry; it is odd bit for
-    bit, so the adjoint walk (the other sign) gets ``-log rho`` exactly.
-    Constant walks have one odds ratio, which ``series`` rounds once
-    (``log_odds``).
+    Sites (a range of step 1), ``out`` and ``scratch`` as
+    ``signed_drift_array``, whose result the three steps overwrite.  One
+    ``arctanh`` per entry; it is odd bit for bit, so the adjoint walk (the
+    other sign) gets ``-log rho`` exactly.  Constant walks have one odds
+    ratio, which ``series`` rounds once (``log_odds``).
     """
     d = signed_drift_array(spec, i, out, scratch)
     d *= 2.0

@@ -169,7 +169,7 @@ def drift_log_tables(spec, n_max: int, rows) -> dict:
             p = decimal.Decimal(spec.p)
             rhos = [(one - p) / p] * n_max
         else:
-            deltas = map(decimal.Decimal, signed_drift_array(spec, np.arange(1, n_max + 1)).tolist())
+            deltas = map(decimal.Decimal, signed_drift_array(spec, range(1, n_max + 1)).tolist())
             rhos = ((one - two * d) / (one + two * d) for d in deltas)
         prod, total = one, one
         for n, r in enumerate(rhos, start=1):
@@ -195,7 +195,7 @@ def return_prob_from_drifts(spec, m: int = 4000) -> mp.mpf:
     assert spec.k == 1 and m >= spec.i0
     with mp.workdps(50):
         prod, total = mp.mpf(1), mp.mpf(1)
-        for d in signed_drift_array(spec, np.arange(1, m + 1)).tolist():
+        for d in signed_drift_array(spec, range(1, m + 1)).tolist():
             d = mp.mpf(d)
             prod *= (1 - 2 * d) / (1 + 2 * d)
             total += prod

@@ -146,7 +146,7 @@ def test_hit_before_matches_mpmath_sum_at_depth():
     # 50-digit ratio of product sums, 0.99999952376065080472...: 0.15 ulp off.
     spec = PerturbedWalk(2, 2.0, "minus")
     a, k, b = 0, 3, 500
-    exact = hit_prob_from_drifts(signed_drift_array(spec, np.arange(1, b)), a, k, b)
+    exact = hit_prob_from_drifts(signed_drift_array(spec, range(1, b)), a, k, b)
     got = hit_before(build(spec, b - 1), HittingQuery(a, k, b))
     assert got == 0.9999995237606508
     assert abs(mpmath.mpf(got) - exact) < 2.0**-53

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import mpmath
@@ -450,7 +451,7 @@ def test_second_load_reuses_cached_file(fresh_kernel, monkeypatch):
     def no_gcc(*args, **kwargs):
         raise AssertionError("gcc ran on a cache hit")
 
-    monkeypatch.setattr(subprocess, "run", no_gcc)
+    monkeypatch.setattr(subprocess, "Popen", no_gcc)
     monkeypatch.setattr(_native.shutil, "which", lambda name: None)
     assert kernel_info() == KernelInfo("c", None)
     assert [f.name for f in fresh_kernel.iterdir()] == [so.name]
@@ -501,6 +502,41 @@ def test_concurrent_first_builds_both_load_c(tmp_path):
     # One library, and no temporary directory of either build left behind.
     (name,) = [f.name for f in (tmp_path / "lmax").iterdir()]
     assert name.startswith("native-") and name.endswith(".so")
+
+
+# A gcc that records its pid, then sleeps until it is killed.
+_SLOW_GCC = """#!/bin/sh
+echo $$ > "$0.pid.tmp" && mv "$0.pid.tmp" "$0.pid"
+exec sleep 60
+"""
+
+
+def test_interrupt_during_first_build_reaps_gcc(tmp_path):
+    # Ctrl-C while the kernel builds: exit 130, one stderr line, and gcc
+    # killed and waited for, so no "subprocess ... is still running" warning.
+    gcc = tmp_path / "bin" / "gcc"
+    gcc.parent.mkdir()
+    gcc.write_text(_SLOW_GCC)
+    gcc.chmod(0o755)
+    pid_file = tmp_path / "bin" / "gcc.pid"
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+           "PATH": f"{gcc.parent}{os.pathsep}{os.environ.get('PATH', '')}"}
+    proc = subprocess.Popen([sys.executable, "-m", "lmax", *_one_step_args(1)], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not pid_file.exists():
+            assert proc.poll() is None and time.monotonic() < deadline, "gcc never started"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == 130
+    assert err == "error: interrupted\n"
+    with pytest.raises(ProcessLookupError):  # killed and reaped before lmax exited
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_kernel_pruned_before_load_falls_back(fresh_kernel, monkeypatch):

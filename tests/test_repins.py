@@ -161,7 +161,7 @@ def _return_errors(cmd: str, spec) -> dict:
 def _hit_errors(cmd: str, spec, a: int, k: int, b: int) -> dict:
     cols, rows, _ = _output(cmd)
     row = dict(zip(cols, rows[0]))
-    exact = hit_prob_from_drifts(signed_drift_array(spec, np.arange(1, b)), a, k, b)
+    exact = hit_prob_from_drifts(signed_drift_array(spec, range(1, b)), a, k, b)
     with mp.workdps(50):
         return {"probability": [ulps(row["probability"], exact)]}
 

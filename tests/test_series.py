@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from lmax import (
     ConstantWalk, HittingQuery, PerturbedWalk, RangeError, ResourceError, ShapeTarget, SimConfig,
-    build, estimate_constant, hit_before, max_pmf_table, resolve_shape, rho, run,
+    build, estimate_constant, hit_before, max_pmf_table, resolve_shape, return_prob, rho, run,
+    step_up_prob,
 )
 from lmax import _native
 from lmax import series as series_module
@@ -21,7 +22,7 @@ from lmax.series import (
     _CHUNK, BLOCK, MAX_TABLE_ENV, _exp, _on_threads, _PerturbedScan, _usable_cpus, blocks, lazy,
     log_odds,
 )
-from lmax.walk import BlockScratch, log_rho_array, signed_drift_array
+from lmax.walk import BlockScratch, _perturbation_array, log_rho_array, signed_drift_array
 
 from _oracles import (
     brute_prefix_sum,
@@ -409,19 +410,69 @@ def test_built_and_streamed_tables_agree_on_both_kernels(monkeypatch, spec):
         assert len(digests) == 1, n
 
 
-@pytest.mark.parametrize("spec", [s for s in DEPTH_SPECS if isinstance(s, PerturbedWalk)], ids=str)
+def _drift_of_integer_sites(spec, sites):
+    """delta at integer sites as the int-array path formed it: lam at max(i, i0) as a double, /4, signed."""
+    x = np.maximum(np.array(sites), spec.i0).astype(np.float64)
+    r = _perturbation_array(spec.k, x, spec.b) * 0.25
+    return r if spec.sign == "plus" else -r
+
+
+def _log_rho_of_integer_sites(spec, sites):
+    return np.arctanh(_drift_of_integer_sites(spec, sites) * 2.0) * -2.0
+
+
+_PERTURBED_DEPTH_SPECS = [s for s in DEPTH_SPECS if isinstance(s, PerturbedWalk)]
+
+
+@pytest.mark.parametrize("spec", _PERTURBED_DEPTH_SPECS, ids=str)
 def test_drift_on_a_range_is_the_int_array_path(spec):
     # The in-place chain from float offsets, with and without held scratch,
-    # gives the integer path's bits: below i0 (frozen), across it, and deep.
+    # gives the bits of the integer sites' recipe, which the drift no longer
+    # takes: below i0 (frozen), across it, and deep.
     scratch, out = BlockScratch(spec.k, BLOCK), np.empty(BLOCK)
     starts = sorted({1, 2, max(1, spec.i0 - 3), spec.i0, spec.i0 + 1, BLOCK + 1, 10**7, 2**40})
-    for fn in (signed_drift_array, log_rho_array):
+    for fn, ref in ((signed_drift_array, _drift_of_integer_sites),
+                    (log_rho_array, _log_rho_of_integer_sites)):
         for lo in starts:
             for m in (1, 7, BLOCK):
-                want = fn(spec, np.arange(lo, lo + m)).tobytes()
+                want = ref(spec, np.arange(lo, lo + m)).tobytes()
                 assert fn(spec, range(lo, lo + m)).tobytes() == want, (fn, lo, m)
                 got = fn(spec, range(lo, lo + m), out[:m], scratch)
                 assert np.shares_memory(got, out) and got.tobytes() == want, (fn, lo, m)
+
+
+# return_prob's (lower, upper) on the transient walks of DEPTH_SPECS, as
+# recorded before the bracket read log rho_f off its table (entry 1).
+_RETURN_BRACKETS = {
+    PerturbedWalk(2, 1.5, "plus"): {
+        1: ("0x1.ff94573214436p-4", "0x1.7163bbc5f8f6bp-3"),
+        2: ("0x1.ff94573214437p-4", "0x1.7163bbc5f8f6bp-3"),
+        10**5: ("0x1.3f76a5cdfee9ap-3", "0x1.3f76b80c40696p-3"),
+    },
+    PerturbedWalk(1, 2.2, "plus"): {
+        1: ("0x1.3cf33574bdd31p-2", "0x1.7a13a8f554702p-2"),
+        2: ("0x1.3cf33574bdd32p-2", "0x1.7a13a8f554701p-2"),
+        10**5: ("0x1.58fbe49ec2c36p-2", "0x1.58fbe49ed7ee7p-2"),
+    },
+}
+
+
+@pytest.mark.parametrize("spec", _PERTURBED_DEPTH_SPECS, ids=str)
+def test_scalar_values_are_the_table_block_entries(spec):
+    # rho, step_up_prob and a one-site log_rho_array read their site's
+    # double from a BLOCK-wide range of the sites around it, bit for bit.
+    sites = {1, spec.i0 - 1, spec.i0, spec.i0 + 1, BLOCK, BLOCK + 1, 10**7, 2**40, 2**53 - 1}
+    for i in sorted(sites - {0}):
+        lo = max(1, i - i % BLOCK)
+        block = range(lo, lo + BLOCK)
+        d, log_r = signed_drift_array(spec, block)[i - lo], log_rho_array(spec, block)[i - lo]
+        assert rho(spec, i).hex() == ((1.0 - 2.0 * d) / (1.0 + 2.0 * d)).hex(), i
+        assert step_up_prob(spec, i).hex() == (0.5 + d).hex(), i
+        assert float(log_rho_array(spec, range(i, i + 1))[0]).hex() == float(log_r).hex(), i
+    # The return bracket takes log rho_f as the table's entry 1: below, at and past i0.
+    for n, want in _RETURN_BRACKETS.get(spec, {}).items():
+        got = return_prob(build(spec, n))
+        assert (got.lower.hex(), got.upper.hex()) == want, n
 
 
 def test_threads_clamp_to_the_usable_cpus(monkeypatch):

@@ -47,7 +47,7 @@ def test_iterated_log_domain():
 def test_perturbation_values():
     # 4 * delta_i is lam(k, i, b) exactly on "plus" walks; each site is past i0.
     def lam(k, b, i):
-        return 4 * signed_drift_array(PerturbedWalk(k, b, "plus"), np.array([i]))[0]
+        return 4 * signed_drift_array(PerturbedWalk(k, b, "plus"), range(i, i + 1))[0]
 
     assert lam(1, 2.0, 4) == 0.5
     assert lam(1, -1.0, 10) == -0.1
@@ -144,12 +144,12 @@ def test_i0_strictness():
 
 
 def test_drift_term_freeze():
-    d = signed_drift_array(PerturbedWalk(1, 1.0, "plus"), np.array([1, 10]))
-    assert d[0] == 0.25
-    assert d[1] == pytest.approx(0.025, rel=1e-15)
+    w1 = PerturbedWalk(1, 1.0, "plus")
+    assert signed_drift_array(w1, range(1, 2))[0] == 0.25
+    assert signed_drift_array(w1, range(10, 11))[0] == pytest.approx(0.025, rel=1e-15)
     w4 = PerturbedWalk(1, 4.0, "plus")
     assert w4.i0 == 3
-    d1, d3 = signed_drift_array(w4, np.array([1, 3]))
+    d1, d3 = (signed_drift_array(w4, range(i, i + 1))[0] for i in (1, 3))
     assert d1 == d3 == pytest.approx(1 / 3, rel=1e-15)
 
 
@@ -199,8 +199,9 @@ def test_sites_below_one_rejected():
     for walk in (spec, ConstantWalk(0.4)):
         with pytest.raises(DomainError, match="site index must be >= 1, got 0"):
             rho(walk, 0)
-    with pytest.raises(DomainError, match="site indices must be >= 1"):
-        signed_drift_array(spec, np.array([3, 0, 5]))
+    for sites in (range(0, 6), range(0, 1)):
+        with pytest.raises(DomainError, match="site indices must be >= 1"):
+            signed_drift_array(spec, sites)
 
 
 @pytest.mark.parametrize("key", ["p", "k", "b", "sign"])
@@ -232,7 +233,7 @@ def test_sign_symmetry_bitwise(b, i):
     assert plus.i0 == minus.i0
     assert step_up_prob(plus, i) == step_up_prob(minus, i)
     assert rho(plus, i) == rho(minus, i)
-    assert log_rho_array(plus, np.array([i]))[0] == log_rho_array(minus, np.array([i]))[0]
+    assert log_rho_array(plus, range(i, i + 1))[0] == log_rho_array(minus, range(i, i + 1))[0]
 
 
 @given(
@@ -245,7 +246,7 @@ def test_adjoint_inverts_log_rho_bitwise(b, k, i):
     # Swapping up/down probabilities negates log rho with no rounding at all.
     up = PerturbedWalk(k, b, "plus")
     down = PerturbedWalk(k, b, "minus")
-    assert log_rho_array(down, np.array([i]))[0] == -log_rho_array(up, np.array([i]))[0]
+    assert log_rho_array(down, range(i, i + 1))[0] == -log_rho_array(up, range(i, i + 1))[0]
 
 
 def test_adjoint_rho_reciprocal_to_an_ulp():
@@ -257,20 +258,20 @@ def test_adjoint_rho_reciprocal_to_an_ulp():
 
 def test_log_rho_bounded_by_frozen_drift():
     spec = PerturbedWalk(1, 4.0, "minus")
-    r0 = abs(signed_drift_array(spec, np.array([spec.i0]))[0])
+    r0 = abs(signed_drift_array(spec, range(spec.i0, spec.i0 + 1))[0])
     bound = math.log((0.5 + r0) / (0.5 - r0)) * (1 + 1e-12)
-    assert np.all(np.abs(log_rho_array(spec, np.arange(1, 2000))) <= bound)
+    assert np.all(np.abs(log_rho_array(spec, range(1, 2000))) <= bound)
 
 
 def test_rho_tends_to_one():
     for spec in (PerturbedWalk(1, 3.0, "plus"), PerturbedWalk(2, -2.0, "minus")):
         for i in (10_000, 1_000_000):
-            lam = 4 * abs(signed_drift_array(spec, np.array([i]))[0])
+            lam = 4 * abs(signed_drift_array(spec, range(i, i + 1))[0])
             assert abs(rho(spec, i) - 1.0) < 2.0 * lam + 1e-12
 
 
 def test_array_paths_match_scalar_bitwise():
-    idx = np.arange(1, 3000, dtype=np.int64)
+    idx = range(1, 3000)
     for spec in (
         ConstantWalk(0.37),
         PerturbedWalk(1, 0.5, "plus"),
@@ -278,23 +279,24 @@ def test_array_paths_match_scalar_bitwise():
         PerturbedWalk(3, -1.0, "plus"),
     ):
         p = step_up_prob_array(spec, idx)
-        for i in idx.tolist():
+        for i in idx:
             assert p[i - 1] == step_up_prob(spec, i)
         if isinstance(spec, PerturbedWalk):
             d = signed_drift_array(spec, idx)
-            for i in idx.tolist():
+            for i in idx:
                 assert rho(spec, i) == (1.0 - 2.0 * d[i - 1]) / (1.0 + 2.0 * d[i - 1])
 
 
 def test_step_up_prob_array_reflects_and_keeps_constant_p():
     # 0.5 + (0.1 - 0.5) != 0.1, so the constant family must not go through the drift.
-    p = step_up_prob_array(ConstantWalk(0.1), np.arange(4))
+    p = step_up_prob_array(ConstantWalk(0.1), range(4))
     assert p.tolist() == [1.0, 0.1, 0.1, 0.1]
     assert step_up_prob(ConstantWalk(0.1), 7) == 0.1
-    q = step_up_prob_array(PerturbedWalk(1, 1.0, "minus"), np.arange(3))
+    q = step_up_prob_array(PerturbedWalk(1, 1.0, "minus"), range(3))
     assert q.tolist() == [1.0, 0.25, 0.5 - 0.125]
-    with pytest.raises(DomainError):
-        step_up_prob_array(ConstantWalk(0.1), np.array([2, -1]))
+    for spec in (ConstantWalk(0.1), PerturbedWalk(1, 1.0, "minus")):
+        with pytest.raises(DomainError, match="site indices must be >= 0"):
+            step_up_prob_array(spec, range(-1, 3))
 
 
 def test_numpy_scalar_parameters_accepted():
@@ -313,9 +315,20 @@ def test_numpy_scalar_parameters_accepted():
 def test_log_rho_within_an_ulp_of_mpmath(spec, sites):
     # -2 atanh(2 delta) against log((1 - 2 delta)/(1 + 2 delta)) of the same
     # double delta in 50 digits.
-    got = log_rho_array(spec, np.array(sites))
-    deltas = signed_drift_array(spec, np.array(sites))
+    got = [log_rho_array(spec, range(i, i + 1))[0] for i in sites]
+    deltas = [signed_drift_array(spec, range(i, i + 1))[0] for i in sites]
     with mpmath.workdps(50):
-        for g, d in zip(got.tolist(), deltas.tolist()):
+        for g, d in zip(got, deltas):
             want = mpmath.log((1 - 2 * mpmath.mpf(d)) / (1 + 2 * mpmath.mpf(d)))
             assert float(abs(mpmath.mpf(g) - want)) <= math.ulp(abs(float(want)))
+
+
+@pytest.mark.parametrize("sites", [np.array([1, 2]), [1, 2], range(1, 9, 2)], ids=repr)
+def test_sites_other_than_a_step_one_range_rejected(sites):
+    # The one site form is a range of step 1; an array, a list or a stride is a TypeError.
+    spec = PerturbedWalk(2, 1.5, "plus")
+    calls = [(signed_drift_array, spec), (log_rho_array, spec), (step_up_prob_array, spec),
+             (step_up_prob_array, ConstantWalk(0.4))]
+    for fn, walk in calls:
+        with pytest.raises(TypeError, match="sites must be a range of step 1"):
+            fn(walk, sites)
