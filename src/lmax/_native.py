@@ -31,7 +31,16 @@ one on a tie of length and the even one on a tie of distance, which is the
 digit string of CPython's ``repr`` (Gay's dtoa, mode 0).  The 126-bit powers
 of ten it multiplies by are computed here with Python integers and pasted
 into the source only when it is compiled, so a cache hit neither computes
-nor checksums them.
+nor checksums them.  The digit string, scaled to 17 digits, is a first
+digit and two halves of 8 that are converted side by side in 32-bit
+lanes, as Ryū's printer does (Adams, "Ryū: fast float-to-string
+conversion", PLDI 2018), and the zeros that end the halves are dropped by
+counting zero bytes.  Each cell and separator is laid out with stores of
+a fixed size that end within ``CELL_MAX`` bytes of its start, and the
+cursor then moves by its length, so ``render_rows`` gives the kernel
+``CELL_MAX`` bytes a cell and nothing past that room is written.  A
+``range`` of step 1 (the ``n`` column of ``dist`` and ``simulate``) is
+an ASCII counter in the kernel, which adds one a row.
 """
 
 from __future__ import annotations
@@ -163,7 +172,15 @@ void lmax_scan(const double *z, double *s, int64_t n, double carry)
 #define Q_MIN (-1074)
 #define C_MIN (1ULL << 52)
 #define MASK63 0x7fffffffffffffffULL
-#define CELL_MAX 24 /* "-2.2250738585072014e-308"; an int64 needs 20 */
+/* The widest cell is "-2.2250738585072014e-308"; an int64 needs 20 bytes.
+   A cell or separator is written with stores that end by CELL_MAX bytes
+   past its start, and the next one starts where its text ends. */
+#define CELL_MAX 24
+#define ASCII0 0x3030303030303030ULL
+
+#if __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "the renderer stores digits as little-endian words"
+#endif
 
 static const uint64_t G[][2] = {
 LMAX_G_TABLE
@@ -173,6 +190,13 @@ static const char DIGITS2[] =
     "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
     "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
     "8081828384858687888990919293949596979899";
+
+/* 10^0 to 10^17; a double's shortest digits number at most 17. */
+static const uint64_t POW10[18] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL, 100000000ULL,
+    1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL, 10000000000000ULL,
+    100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL, 100000000000000000ULL,
+};
 
 /* floor(log10(2^e)), floor(log10(3/4 2^e)) and floor(log2(10^e)) for |e| < 2^20. */
 static inline int flog10pow2(int e) { return (int)((int64_t)e * 661971961083LL >> 41); }
@@ -211,151 +235,229 @@ static uint64_t shortest(int q, uint64_t c, int *e)
     uint64_t s = vb >> 2, sp10 = s / 10 * 10, tp10 = sp10 + 10, t = s + 1;
     *e = k;
     int upin = vbl + out <= sp10 << 2, wpin = (tp10 << 2) + out <= vbr;
-    if (upin != wpin) return upin ? sp10 : tp10;
     int uin = vbl + out <= s << 2, win = (t << 2) + out <= vbr;
-    if (uin != win) return uin ? s : t;
     int64_t cmp = (int64_t)(vb - ((s + t) << 1));
-    return cmp < 0 || (cmp == 0 && !(s & 1)) ? s : t;
+    /* Computed whole and picked without a branch: which case holds
+       depends on the value's last digits, and a branch would guess it. */
+    uint64_t r = s + ((cmp > 0) | ((cmp == 0) & (int)s));
+    r = uin != win ? s + win : r;
+    return upin != wpin ? sp10 + 10 * wpin : r;
 }
 
-/* The decimal digits of u > 0, written to end at *end; returns their start. */
-static inline char *digits(char *end, uint64_t u)
+/* The eight decimal digits of v < 10^8 as the bytes of a word, the first
+   digit in the lowest byte, each as a value 0-9.  v splits into two halves
+   of 4 digits, each half into 2 and each of those into 1, every split done
+   in all lanes of the word at once: x 10486 >> 20 is x / 100 for x < 10^4,
+   and x 103 >> 10 is x / 10 for x < 100. */
+static inline uint64_t bcd8(uint32_t v)
 {
-    while (u >= 100) {
-        uint64_t r = u % 100;
-        u /= 100;
-        end -= 2;
-        memcpy(end, DIGITS2 + 2 * r, 2);
+    uint64_t hi = v / 10000, x = hi | (uint64_t)(v - (uint32_t)hi * 10000) << 32;
+    uint64_t q = x * 10486 >> 20 & 0x0000007f0000007fULL;
+    x = q | (x - q * 100) << 16;
+    q = x * 103 >> 10 & 0x000f000f000f000fULL;
+    return q | (x - q * 10) << 8;
+}
+
+/* v < 10^8 in decimal at p, with one 8-byte store. */
+static inline char *put_small(char *p, uint32_t v)
+{
+    uint64_t b = bcd8(v);
+    int lead = b ? __builtin_ctzll(b) >> 3 : 7; /* zeros before the first digit; 0 keeps one */
+    uint64_t a = (b + ASCII0) >> 8 * lead;
+    memcpy(p, &a, 8);
+    return p + 8 - lead;
+}
+
+/* u in decimal at p; the stores end by p + 20. */
+static inline char *put_uint(char *p, uint64_t u)
+{
+    if (u < 100000000) return put_small(p, (uint32_t)u);
+    uint64_t hi = u / 100000000;
+    uint64_t lo = bcd8((uint32_t)(u - hi * 100000000)) + ASCII0;
+    if (hi < 100000000)
+        p = put_small(p, (uint32_t)hi);
+    else {
+        uint64_t top = hi / 100000000;
+        uint64_t mid = bcd8((uint32_t)(hi - top * 100000000)) + ASCII0;
+        p = put_small(p, (uint32_t)top);
+        memcpy(p, &mid, 8);
+        p += 8;
     }
-    if (u >= 10) {
-        end -= 2;
-        memcpy(end, DIGITS2 + 2 * u, 2);
-    } else
-        *--end = (char)('0' + u);
-    return end;
+    memcpy(p, &lo, 8);
+    return p + 8;
 }
 
-static char *put_int(char *p, int64_t v)
+static inline char *put_int(char *p, int64_t v)
 {
-    uint64_t u = (uint64_t)v;
-    char buf[20], *end = buf + sizeof buf, *d = end;
-    if (v < 0) {
-        *p++ = '-';
-        u = 0 - u;
-    }
-    if (u)
-        d = digits(end, u);
-    else
-        *--d = '0';
-    memcpy(p, d, (size_t)(end - d));
-    return p + (end - d);
+    *p = '-';
+    p += v < 0;
+    return put_uint(p, v < 0 ? 0 - (uint64_t)v : (uint64_t)v);
 }
 
-/* repr(x): positional for 1e-4 <= |x| < 1e16, else d.ddde+XX; words and
-   len hold the spellings of inf, -inf and nan. */
-static char *put_double(char *p, double x, const char *const *words, const size_t *len)
+/* repr(x): positional for 1e-4 <= |x| < 1e16, else d.ddde+XX; pad and len
+   hold the spellings of inf, -inf and nan.  The stores end by p + 24. */
+static inline char *put_double(char *p, double x, const char (*pad)[CELL_MAX], const size_t *len)
 {
-    uint64_t bits, f;
+    uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
     uint64_t frac = bits & (C_MIN - 1);
     int be = (int)(bits >> 52) & 0x7ff, e;
     if (be == 0x7ff) {
         int i = frac ? 2 : (int)(bits >> 63);
-        memcpy(p, words[i], len[i]);
+        memcpy(p, pad[i], CELL_MAX);
         return p + len[i];
     }
-    if (bits >> 63) *p++ = '-';
-    if (be == 0) {
-        if (!frac) {
-            memcpy(p, "0.0", 3);
+    *p = '-';
+    p += bits >> 63;
+    if (!(bits << 1)) {
+        memcpy(p, "0.0", 4);
+        return p + 3;
+    }
+    int q = (be ? be : 1) - 1075;
+    uint64_t c = frac | (uint64_t)(be != 0) << 52;
+    if (-53 < q && q <= 0 && !(c & ((1ULL << -q) - 1))) { /* an integer below 2^53 < 10^16 */
+        uint64_t v = c >> -q;
+        if (v < 10) { /* 1.0, the cumulative law's last value, and the other one-digit ones */
+            uint32_t w = (uint32_t)('0' + v) | '.' << 8 | '0' << 16;
+            memcpy(p, &w, 4);
             return p + 3;
         }
-        f = shortest(Q_MIN, frac, &e);
-    } else {
-        uint64_t c = C_MIN | frac;
-        int q = be - 1075;
-        if (-53 < q && q <= 0 && !(c & ((1ULL << -q) - 1))) { /* an integer below 2^53 */
-            f = c >> -q;
-            e = 0;
-        } else
-            f = shortest(q, c, &e);
+        p = put_uint(p, v);
+        memcpy(p, ".0", 2);
+        return p + 2;
     }
-    while (f % 10 == 0) {
-        f /= 10;
-        e++;
-    }
-    char buf[20], *end = buf + sizeof buf, *d = digits(end, f);
-    int n = (int)(end - d), dp = n + e; /* x = 0.d1d2...dn 10^dp */
+    uint64_t f = shortest(q, c, &e);
+    /* f < 10^17 has nd digits, 16 or 17 unless x is subnormal.  Scaled to
+       17, it is a first digit and two halves of 8, converted side by
+       side; the zeros that end the halves are not significant, which
+       leaves n digits. */
+    int t = (64 - __builtin_clzll(f)) * 1233 >> 12;
+    int nd = f >= POW10[15] ? 16 + (f >= POW10[16]) : t + (f >= POW10[t]);
+    uint64_t f17 = f * POW10[17 - nd], hi = f17 / 100000000;
+    uint32_t top = (uint32_t)(hi / 100000000);
+    uint64_t bm = bcd8((uint32_t)hi - top * 100000000), bl = bcd8((uint32_t)(f17 - hi * 100000000));
+    int n = bl ? 17 - (__builtin_clzll(bl) >> 3) : bm ? 9 - (__builtin_clzll(bm) >> 3) : 1;
+    int dp = nd + e; /* x = 0.d1d2...dn 10^dp */
+    uint64_t am = bm + ASCII0, al = bl + ASCII0;
+    char d0 = (char)('0' + top);
     if (-4 < dp && dp <= 16) {
         if (dp <= 0) {
-            memcpy(p, "0.000", 2 - dp);
+            memcpy(p, "0.000000", 8);
             p += 2 - dp;
-            memcpy(p, d, n);
-            p += n;
-        } else if (dp < n) {
-            memcpy(p, d, dp);
-            p += dp;
-            *p++ = '.';
-            memcpy(p, d + dp, n - dp);
-            p += n - dp;
-        } else {
-            memcpy(p, d, n);
-            p += n;
-            memset(p, '0', dp - n);
-            p += dp - n;
-            memcpy(p, ".0", 2);
-            p += 2;
+        } else if (dp < n) { /* the point goes in after digit dp, at byte dp - 1 of am:al */
+            int k = dp - 1;
+            uint64_t m = (1ULL << 8 * (k & 7)) - 1, dot = (uint64_t)'.' << 8 * (k & 7);
+            p[0] = d0;
+            p[17] = (char)(al >> 56);
+            if (k < 8) {
+                al = al << 8 | am >> 56;
+                am = (am & m) | dot | (am & ~m) << 8;
+            } else
+                al = (al & m) | dot | (al & ~m) << 8;
+            memcpy(p + 1, &am, 8);
+            memcpy(p + 9, &al, 8);
+            return p + n + 1;
+        } else { /* digits n + 1 to 17 are zeros, and dp <= 16 */
+            p[0] = d0;
+            memcpy(p + 1, &am, 8);
+            memcpy(p + 9, &al, 8);
+            memcpy(p + dp, ".0", 2);
+            return p + dp + 2;
         }
-        return p;
+        p[0] = d0;
+        memcpy(p + 1, &am, 8);
+        memcpy(p + 9, &al, 8);
+        return p + n;
     }
-    *p++ = d[0];
-    if (n > 1) {
-        *p++ = '.';
-        memcpy(p, d + 1, n - 1);
-        p += n - 1;
-    }
+    p[0] = d0;
+    p[1] = '.';
+    memcpy(p + 2, &am, 8);
+    memcpy(p + 10, &al, 8);
+    p += n > 1 ? n + 1 : 1;
     int x10 = dp - 1;
-    *p++ = 'e';
-    *p++ = x10 < 0 ? '-' : '+';
-    if (x10 < 0) x10 = -x10;
-    if (x10 >= 100) {
-        *p++ = (char)('0' + x10 / 100);
-        x10 %= 100;
+    unsigned ax = x10 < 0 ? -x10 : x10;
+    p[0] = 'e';
+    p[1] = x10 < 0 ? '-' : '+';
+    if (ax >= 100) {
+        p[2] = (char)('0' + ax / 100);
+        ax %= 100;
+        p++;
     }
-    memcpy(p, DIGITS2 + 2 * x10, 2);
-    return p + 2;
+    memcpy(p + 2, DIGITS2 + 2 * ax, 2);
+    return p + 4;
 }
 
-/* Render n_rows rows of n_cols int64 or float64 columns into out[0:cap]:
-   words[0], the rows joined by words[1], the cells of a row joined by
-   words[2], then words[3]; words[4..6] spell inf, -inf and nan.  Returns
-   the bytes written, or -1 if cap could be too small. */
+/* A separator, with one CELL_MAX-byte store when it fits: a cell's CELL_MAX
+   bytes of room follow it. */
+static inline char *put_word(char *p, const char *w, const char *pad, size_t len)
+{
+    if (len <= CELL_MAX)
+        memcpy(p, pad, CELL_MAX);
+    else
+        memcpy(p, w, len);
+    return p + len;
+}
+
+/* A counted column's 64 bytes: its first value as an int64, which the
+   kernel replaces by the counter's length, then the counter's ASCII
+   digits, ending at byte COUNTER_END and with zeros before them. */
+#define COUNTER_END 40
+
+/* Render n_rows rows of n_cols columns into out[0:cap]: words[0], the rows
+   joined by words[1], the cells of a row joined by words[2], then words[3];
+   words[4..6] spell inf, -inf and nan.  kind[j] says what cols[j] points
+   at: 0 int64 and 1 float64 cells, 2 a counted column (the values v, v + 1,
+   ... from v >= 0 below 2^63; see COUNTER_END), which the kernel writes to.
+   A row may take n_cols CELL_MAX + (n_cols - 1) len(words[2]) bytes, plus
+   len(words[1]) after the first.  Returns the bytes written, or -1 if
+   cap could be too small; nothing is written at or past out + cap. */
 int64_t lmax_render(char *out, int64_t cap, int64_t n_rows, int64_t n_cols,
-                    const int64_t *is_float, const void *const *cols, const char *const *words)
+                    const int64_t *kind, void *const *cols, const char *const *words)
 {
     size_t len[7];
-    for (int i = 0; i < 7; i++) len[i] = strlen(words[i]);
-    if (len[4] > CELL_MAX || len[5] > CELL_MAX || len[6] > CELL_MAX) return -1;
-    int64_t row_max = n_cols * (CELL_MAX + (int64_t)len[2]) + (int64_t)len[1];
+    char pad[7][CELL_MAX];
+    for (int i = 0; i < 7; i++) {
+        len[i] = strlen(words[i]);
+        memset(pad[i], 0, CELL_MAX);
+        memcpy(pad[i], words[i], len[i] < CELL_MAX ? len[i] : CELL_MAX);
+    }
+    if (n_cols < 1 || len[4] > CELL_MAX || len[5] > CELL_MAX || len[6] > CELL_MAX) return -1;
+    for (int64_t j = 0; j < n_cols; j++) {
+        if (kind[j] != 2) continue;
+        int64_t *c = cols[j], v = c[0];
+        char digits[24], *d = digits;
+        if (v < 0) return -1;
+        int64_t n = put_uint(d, (uint64_t)v) - d;
+        memset(c, 0, 64);
+        memcpy((char *)c + COUNTER_END - n, digits, n);
+        c[0] = n;
+    }
+    int64_t row_max = n_cols * CELL_MAX + (n_cols - 1) * (int64_t)len[2];
     char *p = out, *end = out + cap;
     if (cap < (int64_t)(len[0] + len[3])) return -1;
     memcpy(p, words[0], len[0]);
     p += len[0];
     for (int64_t r = 0; r < n_rows; r++) {
-        if (end - p < row_max + (int64_t)len[3]) return -1;
-        if (r) {
-            memcpy(p, words[1], len[1]);
-            p += len[1];
-        }
+        if (end - p < (r ? (int64_t)len[1] : 0) + row_max + (int64_t)len[3]) return -1;
+        if (r) p = put_word(p, words[1], pad[1], len[1]);
         for (int64_t j = 0; j < n_cols; j++) {
-            if (j) {
-                memcpy(p, words[2], len[2]);
-                p += len[2];
-            }
-            if (is_float[j])
-                p = put_double(p, ((const double *)cols[j])[r], words + 4, len + 4);
-            else
+            if (j) p = put_word(p, words[2], pad[2], len[2]);
+            if (kind[j] == 1)
+                p = put_double(p, ((const double *)cols[j])[r], pad + 4, len + 4);
+            else if (kind[j] == 0)
                 p = put_int(p, ((const int64_t *)cols[j])[r]);
+            else { /* print the counter, then add one to it */
+                int64_t *c = cols[j], n = c[0];
+                char *last = (char *)c + COUNTER_END - 1, *d = last;
+                memcpy(p, last + 1 - n, CELL_MAX);
+                p += n;
+                while (*d == '9') *d-- = '0';
+                if (d <= last - n) {
+                    *d = '1';
+                    c[0] = n + 1;
+                } else
+                    ++*d;
+            }
         }
     }
     memcpy(p, words[3], len[3]);
@@ -498,28 +600,44 @@ def render_rows(lib: ctypes.CDLL, columns: list, words: tuple[str, ...],
     ``words`` is (head, row separator, cell separator, tail, inf, -inf,
     nan), all ASCII.  Ints are decimal and floats ``repr``, nonfinite ones
     spelled by the last three words; the text is ``head``, the rows joined
-    by the row separator, then ``tail``.  It is rendered into ``buf``, grown
-    to the room the rows may take (24 bytes a cell) and kept for the next
-    call, and returned as a memoryview of its used part, for a binary
-    stream to take as it is; the next render into ``buf`` overwrites it,
-    and ``buf`` cannot grow while the view is held.
+    by the row separator, then ``tail``.  A range of step 1 inside
+    [0, 2^63) is not expanded: the kernel counts it, an ASCII counter that
+    gains one a row.  Any other range is expanded into an int64 array.
+    The text is rendered into ``buf``, grown to the room the rows may take
+    (24 bytes a cell plus the separators) and kept for the next call, and
+    returned as a memoryview of its used part, for a binary stream to take
+    as it is; the next render into ``buf`` overwrites it, and ``buf``
+    cannot grow while the view is held.
     """
-    arrays = [np.arange(c.start, c.stop, c.step, dtype=np.int64) if isinstance(c, range)
-              else np.ascontiguousarray(c) for c in columns]
-    if any(a.dtype not in (np.int64, np.float64) or a.ndim != 1 for a in arrays):
-        raise TypeError("render_rows takes 1-D int64 and float64 columns")
-    n_rows, n_cols = len(arrays[0]), len(arrays)
-    if any(len(a) != n_rows for a in arrays) or len(words) != 7:
+    kinds, arrays, lengths = [], [], []
+    for c in columns:
+        if isinstance(c, range) and c.step == 1 and 0 <= c.start and c.stop <= 2**63:
+            # The kernel reads the first value and keeps its counter in the other 56 bytes.
+            kinds.append(2)
+            arrays.append(np.array([c.start, 0, 0, 0, 0, 0, 0, 0], dtype=np.int64))
+            lengths.append(len(c))
+            continue
+        a = (np.arange(c.start, c.stop, c.step, dtype=np.int64) if isinstance(c, range)
+             else np.ascontiguousarray(c))
+        if a.dtype not in (np.int64, np.float64) or a.ndim != 1:
+            raise TypeError("render_rows takes 1-D int64 and float64 columns")
+        kinds.append(int(a.dtype == np.float64))
+        arrays.append(a)
+        lengths.append(len(a))
+    n_rows, n_cols = lengths[0], len(arrays)
+    if lengths.count(n_rows) != n_cols or len(words) != 7:
         raise ValueError("columns differ in length, or words are not the seven render_rows takes")
     head, row_sep, cell_sep, tail = words[:4]
-    cap = len(head) + len(tail) + n_rows * (n_cols * (_CELL_MAX + len(cell_sep)) + len(row_sep))
+    # lmax_render's worst case: CELL_MAX bytes a cell, and every separator.
+    cap = (len(head) + len(tail) + n_rows * (n_cols * _CELL_MAX + (n_cols - 1) * len(cell_sep))
+           + max(n_rows - 1, 0) * len(row_sep))
     if len(buf) < max(cap, 1):  # a bytearray exports no address while empty
         buf += bytes(max(cap, 1) - len(buf))
-    is_float = np.array([a.dtype == np.float64 for a in arrays], dtype=np.int64)
+    kind = np.array(kinds, dtype=np.int64)
     ptrs = (ctypes.c_void_p * n_cols)(*(a.ctypes.data for a in arrays))
     texts = (ctypes.c_char_p * len(words))(*(w.encode("ascii") for w in words))
     at = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-    used = lib.lmax_render(at, cap, n_rows, n_cols, is_float.ctypes.data, ptrs, texts)
+    used = lib.lmax_render(at, cap, n_rows, n_cols, kind.ctypes.data, ptrs, texts)
     if used < 0:
         raise RuntimeError("lmax_render needs more room than render_rows gave it")
     return memoryview(buf)[:used]

@@ -14,8 +14,9 @@ Conventions shared by all subcommands:
   as ``repr`` renders them (shortest round-trip) in both formats, so the
   numeric strings are identical.  Table columns (ranges and int64 or
   float64 arrays) go through the compiled renderer in ``_native``, which
-  writes ``repr``'s bytes at a small part of its cost; other columns, and every
-  column when the library cannot load, go through ``_cells``, the
+  writes ``repr``'s bytes at a small part of its cost and counts a
+  ``range`` column such as ``n`` without expanding it; other columns, and
+  every column when the library cannot load, go through ``_cells``, the
   reference the renderer is tested against.
 * Output streams: rows are rendered in chunks and each chunk's bytes go
   straight to stdout's binary buffer, so memory for the text does not
