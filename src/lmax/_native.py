@@ -3,8 +3,10 @@
 ``_C_SOURCE`` holds every kernel: the simulator (``lmax_block``, see
 ``montecarlo``), which draws its uniforms from the Philox generator
 ``lmax_uniforms``, the row renderer (``lmax_render``, see
-``render_rows``) and the compensated block sum of a perturbed walk's
-tables (``lmax_scan``, see ``series``).  The first call that needs one
+``render_rows``), and for a perturbed walk's tables (see ``series``) the
+compensated block sum ``lmax_scan`` and ``lmax_products``, which runs
+the log P half of the scan over many blocks in one call, so a thread
+holds the GIL only between such calls.  The first call that needs one
 loads the library, building it with the system
 ``gcc -O2 -ffp-contract=off -shared -fPIC`` on a cache miss; the second
 flag keeps gcc from fusing a product and a sum into one FMA, which would
@@ -13,7 +15,7 @@ shared object is cached in ``$XDG_CACHE_HOME/lmax`` (or ``~/.cache/lmax``)
 under a name keyed by a 64-bit checksum (CRC-32 and Adler-32) of the source
 template, the flags and the machine type; builds go through a temporary
 file and ``os.replace``, so concurrent first calls are safe.  A build
-writes its own file and deletes none: a library is about 24 kB, and a new
+writes its own file and deletes none: a library is about 28 kB, and a new
 name appears only when the source, the flags or the machine change.  An
 unwritable cache falls back to a per-process temporary directory.  The
 cache exists because every CLI call is a fresh process: a build costs
@@ -161,6 +163,29 @@ void lmax_scan(const double *z, double *s, int64_t n, double carry)
         err += e;
         s[i] = si + err;
         prev = si;
+    }
+}
+
+/* series._PerturbedScan.products over entries lo .. lo + n - 1: x
+   holds log rho there and is overwritten with log P, block by block, the
+   blocks cut at the multiples of block.  pair[0] + pair[1] is the carried
+   log P before x[0], updated as series._two_sum updates it.  Each block is
+   the numpy reference's steps: z = [pair[1], x...], s = the lmax_scan of z
+   with carry pair[0], then x = s[1:] + pair[0].  z and s hold block + 1. */
+void lmax_products(double *x, int64_t lo, int64_t n, int64_t block, double *z, double *s,
+                   double *pair)
+{
+    for (int64_t i = 0, m; i < n; i += m) {
+        double hi = pair[0];
+        m = block - (lo + i) % block;
+        m = m < n - i ? m : n - i;
+        z[0] = pair[1];
+        memcpy(z + 1, x + i, m * sizeof *x);
+        lmax_scan(z, s, m + 1, hi);
+        for (int64_t j = 0; j < m; j++) x[i + j] = s[j + 1] + hi;
+        double w = s[m], t = hi + w, u = t - hi;
+        pair[0] = t;
+        pair[1] = (hi - (t - u)) + (w - u);
     }
 }
 
@@ -572,6 +597,8 @@ def _load_c() -> ctypes.CDLL:
     lib.lmax_render.restype = c64
     lib.lmax_scan.argtypes = [ptr, ptr, c64, ctypes.c_double]
     lib.lmax_scan.restype = None
+    lib.lmax_products.argtypes = [ptr, c64, c64, c64, ptr, ptr, ptr]
+    lib.lmax_products.restype = None
     return lib
 
 

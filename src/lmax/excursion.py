@@ -92,7 +92,7 @@ def _law(spec: WalkSpec, rows, log_p, log_s_prev, log_s, log_pmf, pmf=None, cumu
     np.subtract(log_p, log_s_prev, out=log_pmf)
     np.subtract(log_pmf, log_s, out=log_pmf)
     one = slice(0, int(rows.start == 1)) if isinstance(rows, range) else np.equal(rows, 1)
-    p1 = step_up_prob(spec, 1)
+    p1 = step_up_prob(spec, 1) if len(log_pmf[one]) else math.nan  # only read where row 1 is
     log_pmf[one] = math.log1p(-p1)
     if pmf is not None:
         with np.errstate(under="ignore"):

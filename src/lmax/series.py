@@ -22,22 +22,17 @@ the one reader of single entries.  Each family has one step:
   chunks of ``_CHUNK`` entries, which two threads take in turn where
   there are two cores (``_on_threads``, which ``max_pmf_table`` and the
   simulator use too).
-* Perturbed walks scan log rho_i = -2 atanh(2 delta_i) in fixed-size
-  blocks.  Both running sums are compensated (Higham, *Accuracy and
-  Stability of Numerical Algorithms*, §4): a running sum per block, with
-  the rounding error of each of its additions recovered exactly and summed
-  alongside, added to an unevaluated (hi, lo) pair that is carried into
-  the next block.  The block sum is the compiled ``lmax_scan`` of
-  ``_native`` where the library loads, else its numpy reference
-  (``cumsum`` and TwoSum passes); both add in the same order, so their
-  bits agree.  ``exp``, ``log1p`` and ``atanh`` stay numpy calls.  S_n
-  is summed in linear space, anchored at the largest log so far, so no
-  ``log`` or ``exp`` argument is a difference of large terms.  log rho_i
-  depends on i alone, so ``build`` fills it into its ``log_prod`` on two
-  threads first; the scan reads it from there.  Each block of the scan
-  depends on the one before, so the scan runs on one thread, and
-  ``blocks`` and a lazy table fill log rho into each block's buffer just
-  before they scan it.
+* Perturbed walks scan log rho_i = -2 atanh(2 delta_i) block by block in
+  two halves: log P sums log rho, and log S sums the P_j in linear space,
+  anchored at the largest log so far, so that no ``log`` or ``exp``
+  argument is a difference of large terms.  Both sums are compensated
+  (Higham, *Accuracy and Stability of Numerical Algorithms*, §4): a block's
+  running sum, with the rounding errors of its additions recovered exactly
+  and summed alongside, is added to a (hi, lo) pair carried into the next
+  block.  The block sum is the compiled ``lmax_scan`` of ``_native`` where
+  the library loads, else its numpy reference, which adds in the same order;
+  ``exp``, ``log1p`` and ``atanh`` stay numpy calls.  The log P half never
+  reads log S, so ``build`` runs the halves as a two-thread pipeline.
 
 The last block is computed whole like every other: a constant entry is a
 function of n alone, and every perturbed block starts from fixed seams,
@@ -62,21 +57,18 @@ from . import _native
 from .budget import DEFAULT_MAX_ENTRIES, MAX_TABLE_ENV, check_depth, table_budget
 from .constant import _constant_logs, log_odds
 from .errors import RangeError
-from .walk import BlockScratch, ConstantWalk, PerturbedWalk, WalkSpec, log_rho_array
+from .walk import BlockScratch, ConstantWalk, WalkSpec, log_rho_array
 
 __all__ = [
     "ProductSeries", "build", "blocks", "lazy", "log_odds", "check_depth",
     "table_budget", "DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV",
 ]
 
-# One table of length n holds two float64 arrays of n+1 entries (~320 MB
-# at the default budget, ``budget.DEFAULT_MAX_ENTRIES``), and ``build``
-# allocates nothing else of that length: both arrays are rounded up to a
-# whole number of BLOCKs (at most 64 KB more each), and a block step's
-# scratch is a few arrays of BLOCK entries.  A MaxPmfTable built on the
-# table adds three more (log_pmf, pmf, cumulative).  ``blocks`` holds two
-# BLOCK buffers and the step's scratch whatever n, so ``lmax dist``, like
-# a lazy table's ``at``, holds a few blocks at any depth.
+# One table of length n holds two float64 arrays of n+1 entries (~320 MB at
+# the default budget, ``budget.DEFAULT_MAX_ENTRIES``), rounded up to whole
+# BLOCKs, and ``build`` allocates nothing else of that length: its scratch is
+# under 1 MB.  A MaxPmfTable adds three more (log_pmf, pmf, cumulative).
+# ``blocks``, like a lazy table's ``at``, holds a few blocks at any depth.
 BLOCK = 1 << 13   # entries per block: the scan's scratch stays in cache
 _CHUNK = 8 * BLOCK  # entries per step where a whole table is filled entry by entry
 _WIDE = 700.0     # widest span of logs that one block sums through exp
@@ -173,7 +165,7 @@ def _on_threads(work, items: range, workers: int, state=tuple) -> list:
     takes the next item of one shared iterator until none is left: under
     the GIL each item goes to one thread.  An error or Ctrl-C on any thread
     stops every thread after its current item, and is raised here once all
-    have returned.  Returns the states, one per thread.
+    have returned (at once, if it came as they started).  Returns the states.
     """
     workers = min(workers, len(items), _usable_cpus())
     items, states, errors = iter(items), [], []
@@ -190,8 +182,12 @@ def _on_threads(work, items: range, workers: int, state=tuple) -> list:
             errors.append(exc)
 
     threads = [threading.Thread(target=loop) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
+    try:
+        for thread in threads:
+            thread.start()
+    except BaseException as exc:  # a Ctrl-C as they start: each stops after its item
+        errors.append(exc)
+        raise
     try:
         loop()
     finally:
@@ -206,24 +202,31 @@ def _fill(spec: WalkSpec, los):
     """Run the walk's block step on the blocks starting at ``los``; yield ``(lo, lp, ls)`` each.
 
     ``lp`` and ``ls`` hold entries lo .. lo + BLOCK - 1 of the two logs, in
-    two BLOCK buffers that every block reuses.  A perturbed walk's ``los``
-    are every block from 0, and log rho of each block's sites goes into
-    ``lp`` before the scan reads it there, as in ``build``.
+    two BLOCK buffers that every block reuses.  A perturbed walk's ``los`` are
+    every block from 0; log rho goes into ``lp``, then both halves run in turn.
     """
     constant = isinstance(spec, ConstantWalk)
     step = _ConstantStep(spec) if constant else _PerturbedScan()
     drift = None if constant else BlockScratch(spec.k, BLOCK)
     lp, ls = np.empty(BLOCK), np.empty(BLOCK)
     for lo in los:
-        if drift is not None:
+        if constant:
+            step(lo, lp, ls)
+        else:
             first = max(lo, 1)
             log_rho_array(spec, range(first, lo + BLOCK), lp[first - lo :], drift)
-        step(lo, lp, ls)
+            step.products(lo, lp)
+            step.sums(lo, lp, ls)
         yield lo, lp, ls
 
 
 def build(spec: WalkSpec, n_max: int) -> ProductSeries:
     """Tabulate log products and log prefix sums over entries 0..n_max, block by block.
+
+    A perturbed table is a pipeline, the two items of ``_on_threads``: stage 0 fills
+    log rho a piece at a time (``_CHUNK`` entries for k = 1, two BLOCKs for k >= 2),
+    stage 1 follows into log S, and the product half runs in stage 0 for k = 1, in
+    stage 1 for k >= 2, whose drift chain is longer.  Either ends the other within a piece.
 
     Args:
         spec: walk to tabulate.
@@ -241,36 +244,41 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
         step = _ConstantStep(spec, _CHUNK)
         _on_threads(lambda a: step(a, log_prod[a : a + _CHUNK], log_prefix_sum[a : a + _CHUNK]),
                     range(0, size, _CHUNK), 2)
-    else:
-        _log_rho_ahead(spec, log_prod)
-        scan = _PerturbedScan()
-        for lo in range(0, size, BLOCK):
-            scan(lo, log_prod[lo : lo + BLOCK], log_prefix_sum[lo : lo + BLOCK])
-    return ProductSeries(spec=spec, n_max=n_max, log_prod=log_prod[: n_max + 1],
-                         log_prefix_sum=log_prefix_sum[: n_max + 1])
+        return ProductSeries(spec, n_max, log_prod[: n_max + 1], log_prefix_sum[: n_max + 1])
+    width = min(_CHUNK if spec.k == 1 else 2 * BLOCK, size)
+    ready, count, ended = [], threading.Semaphore(0), threading.Event()  # pieces of log P
 
+    def stage(item: int) -> None:
+        try:
+            scan = _PerturbedScan(sums=item == 1) if item or spec.k == 1 else None
+            if item == 0:
+                drift = BlockScratch(spec.k, width)
+                for lo in range(0, size, width):
+                    if ended.is_set():
+                        return
+                    first, stop = max(lo, 1), min(lo + width, size)
+                    log_rho_array(spec, range(first, stop), log_prod[first:stop], drift)
+                    if scan is not None:
+                        scan.products(lo, log_prod[lo:stop])
+                    ready.append(lo)
+                    count.release()
+                return
+            while count.acquire() and (lo := ready.pop(0)) is not None:  # None: stage 0 ended
+                stop = min(lo + width, size)
+                if spec.k > 1:
+                    scan.products(lo, log_prod[lo:stop])
+                for a in range(lo, stop, BLOCK):
+                    scan.sums(a, log_prod[a : a + BLOCK], log_prefix_sum[a : a + BLOCK])
+        finally:
+            ended.set()
+            ready.append(None)
+            count.release()
 
-def _log_rho_ahead(spec: PerturbedWalk, log_prod: np.ndarray) -> None:
-    """log rho_i into ``log_prod[i]`` for every site of its whole blocks, on two threads.
-
-    The threads take pieces in turn and share one array of float offsets.
-    Two threads gain little on pieces of one BLOCK, whose many short numpy
-    calls pass the interpreter lock back and forth.  A k = 1 chain runs in
-    the output itself, so its pieces are ``_CHUNK`` entries long; a k >= 2
-    chain holds three buffers a thread, so its pieces are two BLOCKs long,
-    and the scratch stays under 1 MB.  Two-BLOCK pieces for k = 1 too cost
-    the deep-table benchmark 4% of its entries per second (``BENCH_39.json``).
-    Entry 0 is left as it is.
-    """
-    width = min(_CHUNK if spec.k == 1 else 2 * BLOCK, len(log_prod))
-    offsets = np.arange(width, dtype=np.float64)
-
-    def fill(lo: int, scratch: BlockScratch) -> None:
-        first, stop = max(lo, 1), min(lo + width, len(log_prod))
-        log_rho_array(spec, range(first, stop), log_prod[first:stop], scratch)
-
-    _on_threads(fill, range(0, len(log_prod), width), 2,
-                lambda: (BlockScratch(spec.k, width, offsets),))
+    try:
+        _on_threads(stage, range(2), -(-size // width))
+    finally:  # a Ctrl-C as the thread starts leaves stage 0 running there
+        ended.set()
+    return ProductSeries(spec, n_max, log_prod[: n_max + 1], log_prefix_sum[: n_max + 1])
 
 
 def lazy(spec: WalkSpec, n_max: int) -> ProductSeries:
@@ -358,7 +366,7 @@ def _two_sum_err(a, b, s, t, out):
 
 
 class _PerturbedScan:
-    """Block step of a perturbed walk: two compensated scans carried across blocks.
+    """A perturbed walk's scan in two halves: ``products``, log rho to log P, and ``sums``, log S.
 
     Each scan is a ``cumsum`` over the block from 0, added to a carried
     (hi, lo) pair that TwoSum updates exactly from block to block.  While a
@@ -368,42 +376,33 @@ class _PerturbedScan:
     every addition); deeper, the carry's rounding dominates and the errors
     of the short sums are below it.
 
-    ``log P``: the scan of log rho.  ``S``: the terms e_j = exp(log P_j - A)
-    anchored at the larger of the carried ``log S`` and the block's largest
-    log, and ``log S_j = a_j + log1p(R_j)``, with a_j the largest of the
-    carried ``log S`` and ``log P_i``, i <= j, and R_j = S_j e^(-a_j) - 1 >= 0.
-    R_j is formed without cancellation where it can be: from the block's sum
-    alone while the carry is the largest, from the sum before j where j sets
-    a new largest.  A block whose anchors span more than ``_WIDE`` nats,
-    which exp cannot bridge (a frozen drift with |delta| near 1/2), is folded
-    by ``np.logaddexp.accumulate`` from the carry instead.
-
-    Each block's ``lp`` holds log rho of its sites on entry; the step
-    overwrites it with log P.
+    ``sums``: the terms e_j = exp(log P_j - A) are anchored at the larger of
+    the carried ``log S`` and the block's largest log, and ``log S_j = a_j +
+    log1p(R_j)``, with a_j the largest of the carried ``log S`` and
+    ``log P_i``, i <= j, and R_j = S_j e^(-a_j) - 1 >= 0.  R_j is formed
+    without cancellation where it can be: from the block's sum alone while
+    the carry is the largest, from the sum before j where j sets a new
+    largest.  A block whose anchors span more than ``_WIDE`` nats, which
+    exp cannot bridge (a frozen drift with |delta| near 1/2), is folded by
+    ``np.logaddexp.accumulate`` from the carry instead.
     """
 
-    def __init__(self):
-        self.prod = (0.0, 0.0)     # log P_(lo-1) as hi + lo
-        self.psum = (0.0, 0.0)     # log S_(lo-1) as hi + lo
-        self.z = np.empty(BLOCK + 1)
-        self.s = np.empty(BLOCK + 1)
-        self.c = np.empty(BLOCK + 1)
-        self.t = np.empty(BLOCK)
-        self.a = np.empty(BLOCK)
-        self.mask = np.empty(BLOCK, dtype=bool)
-        lib = _native._kernel()[0]
-        self.scan = None if lib is None else lib.lmax_scan
+    def __init__(self, sums: bool = True):
+        self.lib = _native._kernel()[0]
+        self.z, self.s = np.empty(BLOCK + 1), np.empty(BLOCK + 1)
+        self.c = np.empty(BLOCK + 1) if sums or self.lib is None else None
+        self.t = np.empty(BLOCK) if self.lib is None else None
+        self.a, self.mask = (np.empty(BLOCK), np.empty(BLOCK, dtype=bool)) if sums else (None, None)
         self.zs = self.z.ctypes.data, self.s.ctypes.data  # both scans start at entry 0
+        self.pair = np.zeros(2)    # log P_(lo-1) as hi + lo
+        self.psum = (0.0, 0.0)     # log S_(lo-1) as hi + lo
 
     def _cumsum(self, m: int, carry: float) -> np.ndarray:
-        """``cumsum(z)`` over m + 1 entries, compensated unless it stays below ``carry / 256``.
-
-        The compiled ``lmax_scan`` where the library loaded, else numpy: the
-        same additions in the same order, so the same bits.
-        """
+        """``cumsum(z)`` over m + 1 entries, compensated unless it stays below ``carry / 256``:
+        ``lmax_scan`` where the library loaded, else numpy, with the same additions and bits."""
         z, s = self.z[: m + 1], self.s[: m + 1]
-        if self.scan is not None:
-            self.scan(*self.zs, m + 1, carry)
+        if self.lib is not None:
+            self.lib.lmax_scan(*self.zs, m + 1, carry)
             return s
         np.cumsum(z, out=s)
         if 256.0 * max(s.max(), -s.min()) > abs(carry):
@@ -414,20 +413,31 @@ class _PerturbedScan:
             s += c
         return s
 
-    def __call__(self, lo: int, lp: np.ndarray, ls: np.ndarray) -> None:
-        """Entries ``lo .. lo + BLOCK - 1`` of both tables into ``lp`` and ``ls``."""
-        if lo == 0:
-            lp[0] = ls[0] = 0.0    # the empty product; S_0 = 1
-            lp, ls, lo = lp[1:], ls[1:], 1
-        m = len(lp)
-        p_hi, p_lo = self.prod
-        z = self.z[: m + 1]
-        z[0] = p_lo
-        z[1:] = lp
-        w = self._cumsum(m, p_hi)
-        np.add(w[1:], p_hi, out=lp)
-        self.prod = _two_sum(p_hi, float(w[-1]))
+    def products(self, lo: int, x: np.ndarray) -> None:
+        """Entries ``lo .. lo + len(x) - 1``, in blocks cut at BLOCK's multiples: log rho to log P.
 
+        A block's log P is ``cumsum([lo, log rho ...])`` with carry hi, plus hi.  The
+        compiled ``lmax_products`` runs every block in one call, without the GIL.
+        """
+        if lo == 0:
+            x[0] = 0.0             # the empty product
+            x, lo = x[1:], 1
+        if self.lib is not None:
+            self.lib.lmax_products(x.ctypes.data, lo, x.size, BLOCK, *self.zs, self.pair.ctypes.data)
+            return
+        for part in np.split(x, range(BLOCK - lo % BLOCK, len(x), BLOCK)) if len(x) else ():
+            p_hi, self.z[0] = float(self.pair[0]), self.pair[1]
+            self.z[1 : len(part) + 1] = part
+            w = self._cumsum(len(part), p_hi)
+            np.add(w[1:], p_hi, out=part)
+            self.pair[:] = _two_sum(p_hi, float(w[-1]))
+
+    def sums(self, lo: int, lp: np.ndarray, ls: np.ndarray) -> None:
+        """Entries ``lo .. lo + BLOCK - 1`` of log S into ``ls``, from log P in ``lp``."""
+        if lo == 0:
+            ls[0] = 0.0            # S_0 = 1
+            lp, ls = lp[1:], ls[1:]
+        m = len(lp)
         h_hi, h_lo = self.psum
         top = float(lp.max())
         if top <= h_hi:
@@ -441,9 +451,8 @@ class _PerturbedScan:
         a = np.maximum.accumulate(lp, out=self.a[:m])
         np.maximum(a, h_hi, out=a)
         if top - a[0] > _WIDE:
-            z[0] = h_hi
-            z[1:] = lp
-            np.logaddexp.accumulate(z, out=self.s[: m + 1])
+            self.z[0], self.z[1 : m + 1] = h_hi, lp
+            np.logaddexp.accumulate(self.z[: m + 1], out=self.s[: m + 1])
             ls[:] = self.s[1 : m + 1]
             self.psum = (float(ls[-1]), 0.0)
             return

@@ -106,13 +106,12 @@ class BlockScratch:
     """Buffers of the drift chain over ranges of at most ``width`` sites.
 
     ``offsets`` holds 0.0 .. width - 1, a range's float sites less its
-    start; it is only read, so threads may share one.  ``chain`` holds the
-    three buffers of a k >= 2 chain (product, level, term), written on every
-    call: one scratch per thread.
+    start.  ``chain`` holds the three buffers of a k >= 2 chain (product,
+    level, term), written on every call: one scratch per thread.
     """
 
-    def __init__(self, k: int, width: int, offsets: np.ndarray | None = None):
-        self.offsets = np.arange(width, dtype=np.float64) if offsets is None else offsets
+    def __init__(self, k: int, width: int):
+        self.offsets = np.arange(width, dtype=np.float64)
         self.chain = tuple(np.empty(width) for _ in range(3)) if k > 1 else None
 
 

@@ -343,3 +343,24 @@ def test_table_thread_error_reaches_the_caller(monkeypatch):
         monkeypatch.setattr(excursion, "_law", failing)
         with pytest.raises(MemoryError, match=f"{where} thread"):
             max_pmf_table(series, n)
+
+
+@pytest.mark.parametrize("spec", [ConstantWalk(0.43), PerturbedWalk(2, 1.5, "plus")], ids=str)
+def test_the_law_reads_p1_only_where_row_one_is(monkeypatch, spec):
+    # Row 1 is pinned to p_1 = step_up_prob(spec, 1): the whole table's
+    # chunks and the streamed blocks evaluate it once, for the one chunk or
+    # block that holds row 1, and the rows keep their bits.
+    n = 2 * excursion._CHUNK + 3 * BLOCK + 7
+    series = build(spec, n)
+    table = max_pmf_table(series, n)
+    streamed = [(rows, *(a.copy() for a in law)) for rows, *law in max_pmf_blocks(spec, n)]
+    calls, real = [], excursion.step_up_prob
+    monkeypatch.setattr(excursion, "step_up_prob", lambda s, i: calls.append(i) or real(s, i))
+    again = max_pmf_table(series, n)
+    assert calls == [1]
+    for got, want in zip((again.log_pmf, again.pmf, again.cumulative),
+                         (table.log_pmf, table.pmf, table.cumulative)):
+        assert got.tobytes() == want.tobytes()
+    for (rows, *got), (_, *want) in zip(max_pmf_blocks(spec, n), streamed):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], rows
+    assert calls == [1, 1]

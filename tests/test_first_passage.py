@@ -430,21 +430,24 @@ def test_hit_before_same_bits_on_one_thread_and_two(monkeypatch, leaf):
 
 
 def test_threaded_tables_and_windows_under_a_short_switch_interval(monkeypatch):
-    # Two threads swapped every microsecond: build's log rho fill and
-    # hit_before's parts each write slots of their own, so the bits are
-    # those of one thread.
-    spec, n = PerturbedWalk(2, 1.5, "minus"), 5 * first_passage._SUM_LEAF + 77
+    # Two threads swapped every microsecond: build's two stages hand each
+    # piece over once it is written (the product half with log rho for
+    # k = 1, with log S for k = 2), and hit_before's parts each write slots
+    # of their own, so the bits are those of one thread.
+    specs = (PerturbedWalk(1, 2.0, "plus"), PerturbedWalk(2, 1.5, "minus"))
+    n = 5 * first_passage._SUM_LEAF + 77
     windows = [(0, 1, n + 1), (3, 70_000, n - 5), (65_536, 200_000, n + 1)]
     monkeypatch.setattr(series_module, "_usable_cpus", lambda: 1)
-    want = build(spec, n)
-    hits = [hit_before(want, HittingQuery(*w)) for w in windows]
+    wants = [build(spec, n) for spec in specs]
+    hits = [hit_before(wants[-1], HittingQuery(*w)) for w in windows]
     monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = build(spec, n)
-        assert got.log_prod.tobytes() == want.log_prod.tobytes()
-        assert got.log_prefix_sum.tobytes() == want.log_prefix_sum.tobytes()
+        for spec, want in zip(specs, wants):
+            got = build(spec, n)
+            assert got.log_prod.tobytes() == want.log_prod.tobytes(), spec
+            assert got.log_prefix_sum.tobytes() == want.log_prefix_sum.tobytes(), spec
         assert [hit_before(got, HittingQuery(*w)) for w in windows] == hits
     finally:
         sys.setswitchinterval(interval)

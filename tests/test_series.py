@@ -1,7 +1,9 @@
 import hashlib
 import math
 import os
+import signal
 import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -310,7 +312,7 @@ class _NoScans:
 
 
 def _refuse_scan(*args):
-    raise AssertionError("lmax_scan used")
+    raise AssertionError("a compiled scan used")
 
 
 def test_constant_tables_scan_nothing(monkeypatch):
@@ -323,24 +325,30 @@ def test_constant_tables_scan_nothing(monkeypatch):
     want = build(ConstantWalk(0.4), 2 * BLOCK)
     lib, info = _native._kernel()
     if lib is not None:
-        monkeypatch.setattr(_native, "_kernel", lambda: (SimpleNamespace(lmax_scan=_refuse_scan), info))
+        lib = SimpleNamespace(lmax_scan=_refuse_scan, lmax_products=_refuse_scan)
+        monkeypatch.setattr(_native, "_kernel", lambda: (lib, info))
     monkeypatch.setattr(lmax.series, "np", _NoScans())
     got = build(ConstantWalk(0.4), 2 * BLOCK)
     assert np.array_equal(got.log_prod, want.log_prod)
     assert np.array_equal(got.log_prefix_sum, want.log_prefix_sum)
-    with pytest.raises(AssertionError, match="cumsum" if lib is None else "lmax_scan"):
+    with pytest.raises(AssertionError, match="cumsum" if lib is None else "a compiled scan"):
         build(PerturbedWalk(1, 2.0, "plus"), 10)
+
+
+def _scans_on_both_kernels():
+    """A ``_PerturbedScan`` on the compiled kernel and one on numpy, each with its own scratch."""
+    if _native._kernel()[0] is None:
+        pytest.fail(f"the native library did not load: {_native.kernel_info().reason}")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "_kernel", lambda: (None, _native.KernelInfo("python", "forced")))
+        numpy_scan = _PerturbedScan()
+    return _PerturbedScan(), numpy_scan
 
 
 def _sums_on_both_kernels(z, carry):
     """``_PerturbedScan._cumsum`` of ``z`` on the compiled kernel and on numpy, as bytes."""
-    if _native._kernel()[0] is None:
-        pytest.fail(f"the native library did not load: {_native.kernel_info().reason}")
     sums = []
-    for compiled in (True, False):
-        scan = _PerturbedScan()
-        if not compiled:
-            scan.scan = None
+    for scan in _scans_on_both_kernels():
         scan.z[: len(z)] = z
         sums.append(scan._cumsum(len(z) - 1, carry).tobytes())
     return sums
@@ -381,6 +389,39 @@ def test_compiled_block_sum_is_the_numpy_sum_bit_for_bit(length):
                 assert compiled == numpy, (z[:8], carry)
 
 
+def _products_on_both_kernels(lo, x, pair):
+    """``products`` over entries lo.. holding ``x`` from ``pair``, on both kernels, as bytes."""
+    out = []
+    for scan in _scans_on_both_kernels():
+        got = x.copy()
+        scan.pair[:] = pair
+        scan.products(lo, got)
+        out.append((got.tobytes(), scan.pair.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("length", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_compiled_product_half_is_the_numpy_half_bit_for_bit(length):
+    # lmax_products over a piece: its blocks cut at BLOCK's multiples, from
+    # lo = 0 (the empty product) and from lo > 0 on and off a seam, with a
+    # carried lo of 0 and not, carried hi at and either side of the
+    # 256 max|s| switch of the first block's sum, and a NaN and -0.0 entry.
+    rng = np.random.default_rng(length)
+    for lo in (0, 5, BLOCK - 2, 3 * BLOCK):
+        x = rng.standard_normal(length) * 1e-3
+        pieces = [x, np.where(np.arange(length) == length // 2, np.nan, x), np.full(length, -0.0)]
+        pieces[2][length // 3 :] = x[length // 3 :]
+        for z in pieces:
+            first = z[int(lo == 0) : BLOCK - lo % BLOCK]     # the first block's log rho
+            for p_lo in (0.0, 1e-17, -0.0):
+                with np.errstate(invalid="ignore"):
+                    sums = np.abs(np.cumsum(np.concatenate([[p_lo], first])))
+                top = float(sums[np.isfinite(sums)].max(initial=0.0))
+                for p_hi in (0.0, top * 255.0, top * 256.0, top * 257.0, -top * 256.0, 40.0):
+                    compiled, numpy = _products_on_both_kernels(lo, z, (p_hi, p_lo))
+                    assert compiled == numpy, (lo, z[:4], p_hi, p_lo)
+
+
 def _digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -391,12 +432,14 @@ def _digest(*arrays) -> str:
 @pytest.mark.parametrize("spec", DEPTH_SPECS, ids=str)
 def test_built_and_streamed_tables_agree_on_both_kernels(monkeypatch, spec):
     # build, blocks and a lazy table's reads, on the compiled sum and on
-    # numpy's, and build on one core and on two.
+    # numpy's, and build on one core and on two; one depth ends a block
+    # past two of build's pieces.
     if _native._kernel()[0] is None:
         pytest.fail(f"the native library did not load: {_native.kernel_info().reason}")
     real = _native._kernel
     python = (None, _native.KernelInfo("python", "forced"))
-    for n in (1, BLOCK - 1, BLOCK + 1, 2 * _CHUNK + 3 * BLOCK + 7):
+    piece = 2 * BLOCK if isinstance(spec, PerturbedWalk) and spec.k > 1 else _CHUNK  # build's
+    for n in (1, BLOCK - 1, BLOCK + 1, 2 * piece + BLOCK + 1, 2 * _CHUNK + 3 * BLOCK + 7):
         digests = set()
         for kernel in (real, lambda: python):
             monkeypatch.setattr(_native, "_kernel", kernel)
@@ -531,6 +574,149 @@ def test_a_one_cpu_mask_starts_no_thread(monkeypatch):
             # windows two each, for their largest log and for their sums.
             want = 2 + 6 * isinstance(spec, PerturbedWalk) if cpus == 2 else 0
             assert len(started) - before == want, (spec, cpus)
+
+
+def test_a_ctrl_c_as_threads_start_stops_them_after_their_item(monkeypatch):
+    # A Ctrl-C that lands in Thread.start once the thread runs is raised at
+    # once, and the started thread runs at most the item it had taken.
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    start, ran, before = threading.Thread.start, [], threading.active_count()
+
+    def interrupted(thread):
+        start(thread)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(threading.Thread, "start", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        _on_threads(lambda item: (ran.append(item), time.sleep(0.01)), range(10), 2)
+    _join_others()
+    assert len(ran) <= 1 and threading.active_count() == before
+
+
+def _join_others():
+    """Wait for every other thread, as a thread that a Ctrl-C left running ends by itself."""
+    for thread in threading.enumerate():
+        if thread is not threading.current_thread():
+            thread.join(10)
+
+
+def _counted(real, calls, fail_at=0, exc=None):
+    """``real``, its calls counted in ``calls``; call ``fail_at`` raises ``exc()`` instead."""
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise exc()
+        return real(*args, **kwargs)
+    return wrapped
+
+
+def _build_within(spec, n, seconds=30.0):
+    """``build(spec, n)`` on a helper thread: what it raised; a failure if it still runs."""
+    raised = []
+
+    def target():
+        try:
+            build(spec, n)
+        except BaseException as exc:  # handed to the test
+            raised.append(exc)
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), "build hung"
+    return raised
+
+
+# Pieces of log rho are _CHUNK entries for k = 1 and 2 BLOCKs for k = 2.
+_PIPELINE_SPECS = [PerturbedWalk(1, 2.0, "plus"), PerturbedWalk(2, 1.5, "minus")]
+
+
+@pytest.mark.parametrize("spec", _PIPELINE_SPECS, ids=str)
+def test_an_error_in_the_log_rho_stage_is_raised_by_build(monkeypatch, spec):
+    # log_rho_array fails on its third piece: build raises that error, the
+    # sum stage stops where log P stops instead of waiting, and the thread
+    # that build started has ended.
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    before, pieces = threading.active_count(), []
+    monkeypatch.setattr(series_module, "log_rho_array",
+                        _counted(log_rho_array, pieces, 3, lambda: MemoryError("piece 3")))
+    raised = _build_within(spec, 4 * _CHUNK - 5)
+    assert len(raised) == 1 and isinstance(raised[0], MemoryError), raised
+    assert len(pieces) == 3
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("spec,scratch,sums", [
+    (_PIPELINE_SPECS[0], "BlockScratch", None), (_PIPELINE_SPECS[1], "BlockScratch", None),
+    (_PIPELINE_SPECS[0], "_PerturbedScan", False), (_PIPELINE_SPECS[1], "_PerturbedScan", True),
+], ids=str)
+def test_an_error_in_a_stage_s_scratch_is_raised_by_build(monkeypatch, spec, scratch, sums):
+    # One stage fails as it makes its scratch, before any piece: the log rho
+    # stage's drift chain or its product scan (k = 1), or the sum stage's
+    # scan (k = 2).  build raises it, and the other stage does not wait.
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    before, real = threading.active_count(), getattr(series_module, scratch)
+
+    def refused(*args, **kwargs):
+        if sums is None or kwargs.get("sums", True) == sums:
+            raise MemoryError(scratch)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(series_module, scratch, refused)
+    raised = _build_within(spec, 4 * _CHUNK - 5)
+    assert len(raised) == 1 and isinstance(raised[0], MemoryError), raised
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("spec", _PIPELINE_SPECS, ids=str)
+def test_an_error_in_the_sum_stage_stops_the_log_rho_stage(monkeypatch, spec):
+    # The sum half fails on its fifth block: build raises that error, and
+    # the log rho stage starts at most one more piece after it.
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    before, pieces, sums, at_failure = threading.active_count(), [], [], []
+
+    def failure():
+        at_failure.append(len(pieces))
+        return ArithmeticError("block 5")
+
+    monkeypatch.setattr(series_module, "log_rho_array", _counted(log_rho_array, pieces))
+    monkeypatch.setattr(_PerturbedScan, "sums", _counted(_PerturbedScan.sums, sums, 5, failure))
+    raised = _build_within(spec, 16 * _CHUNK - 5)
+    assert len(raised) == 1 and isinstance(raised[0], ArithmeticError), raised
+    assert len(sums) == 5 and len(pieces) <= at_failure[0] + 1
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no signal to a thread on this OS")
+@pytest.mark.parametrize("spec", _PIPELINE_SPECS, ids=str)
+def test_ctrl_c_ends_the_log_rho_stage_within_one_piece(monkeypatch, spec):
+    # SIGINT goes to the main thread while log rho fills its third piece, on
+    # whichever thread runs that stage.  build raises KeyboardInterrupt, and
+    # once the main thread has taken the signal, which may wait for the
+    # interpreter lock, the log rho stage starts at most one more piece.
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    before, pieces, at_interrupt = threading.active_count(), [], []
+
+    def fill(*args, **kwargs):
+        pieces.append(None)
+        if len(pieces) == 3:
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        return log_rho_array(*args, **kwargs)
+
+    def interrupt(signum, frame):
+        at_interrupt.append(len(pieces))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(series_module, "log_rho_array", fill)
+    handler = signal.signal(signal.SIGINT, interrupt)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            build(spec, 16 * _CHUNK - 5)
+    finally:
+        signal.signal(signal.SIGINT, handler)
+    _join_others()  # if the signal landed as build started its thread
+    assert len(at_interrupt) == 1 and 3 <= len(pieces) <= at_interrupt[0] + 1
+    assert threading.active_count() == before
 
 
 def test_wide_frozen_drift_stays_finite():
