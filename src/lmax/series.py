@@ -157,41 +157,45 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _on_threads(work, items: range, workers: int, state=tuple) -> list:
+def _on_threads(work, items: range, workers: int, state=tuple, stop=None) -> list:
     """Call ``work(item, *s)`` for every item, on this thread and up to ``workers - 1`` more.
 
     ``workers`` is clamped to the items and to ``_usable_cpus()``, and no
     thread starts for one.  Each thread makes its own ``s = state()`` and
     takes the next item of one shared iterator until none is left: under
     the GIL each item goes to one thread.  An error or Ctrl-C on any thread
-    stops every thread after its current item, and is raised here once all
-    have returned (at once, if it came as they started).  Returns the states.
+    sets ``stop``, an Event (a new one if None), before any thread is joined:
+    every thread stops after its current item, and an item that waits on
+    another's polls it.  The error is raised here once all have returned (at
+    once, if it came as they started).  Returns the states.
     """
     workers = min(workers, len(items), _usable_cpus())
     items, states, errors = iter(items), [], []
+    stop = threading.Event() if stop is None else stop
 
     def loop() -> None:
         try:
             s = state()
             states.append(s)
             for item in items:
-                if errors:
+                if stop.is_set():
                     break
                 work(item, *s)
         except BaseException as exc:  # re-raised below, in the caller's thread
+            stop.set()
             errors.append(exc)
 
-    threads = [threading.Thread(target=loop) for _ in range(workers - 1)]
+    threads, started = [threading.Thread(target=loop) for _ in range(workers - 1)], []
     try:
         for thread in threads:
             thread.start()
-    except BaseException as exc:  # a Ctrl-C as they start: each stops after its item
-        errors.append(exc)
-        raise
-    try:
+            started.append(thread)
         loop()
+    except BaseException:  # a Ctrl-C as they start, or outside loop's own handler
+        stop.set()
+        raise
     finally:
-        for thread in threads:
+        for thread in started:
             thread.join()
     if errors:
         raise errors[0]
@@ -224,9 +228,10 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
     """Tabulate log products and log prefix sums over entries 0..n_max, block by block.
 
     A perturbed table is a pipeline, the two items of ``_on_threads``: stage 0 fills
-    log rho a piece at a time (``_CHUNK`` entries for k = 1, two BLOCKs for k >= 2),
-    stage 1 follows into log S, and the product half runs in stage 0 for k = 1, in
-    stage 1 for k >= 2, whose drift chain is longer.  Either ends the other within a piece.
+    log rho and runs the product half into log P a piece at a time (``_CHUNK``
+    entries for k = 1, two BLOCKs for k >= 2, whose drift chain holds three
+    buffers), and stage 1 follows with the sum half into log S.  A failure in
+    either sets ``stop``, which ends the other within a piece.
 
     Args:
         spec: walk to tabulate.
@@ -246,38 +251,27 @@ def build(spec: WalkSpec, n_max: int) -> ProductSeries:
                     range(0, size, _CHUNK), 2)
         return ProductSeries(spec, n_max, log_prod[: n_max + 1], log_prefix_sum[: n_max + 1])
     width = min(_CHUNK if spec.k == 1 else 2 * BLOCK, size)
-    ready, count, ended = [], threading.Semaphore(0), threading.Event()  # pieces of log P
+    ready, stop = threading.Semaphore(0), threading.Event()  # pieces of log P; a failure
 
     def stage(item: int) -> None:
-        try:
-            scan = _PerturbedScan(sums=item == 1) if item or spec.k == 1 else None
-            if item == 0:
-                drift = BlockScratch(spec.k, width)
-                for lo in range(0, size, width):
-                    if ended.is_set():
-                        return
-                    first, stop = max(lo, 1), min(lo + width, size)
-                    log_rho_array(spec, range(first, stop), log_prod[first:stop], drift)
-                    if scan is not None:
-                        scan.products(lo, log_prod[lo:stop])
-                    ready.append(lo)
-                    count.release()
-                return
-            while count.acquire() and (lo := ready.pop(0)) is not None:  # None: stage 0 ended
-                stop = min(lo + width, size)
-                if spec.k > 1:
-                    scan.products(lo, log_prod[lo:stop])
-                for a in range(lo, stop, BLOCK):
-                    scan.sums(a, log_prod[a : a + BLOCK], log_prefix_sum[a : a + BLOCK])
-        finally:
-            ended.set()
-            ready.append(None)
-            count.release()
+        scan = _PerturbedScan(sums=item == 1)
+        if item == 0:
+            drift = BlockScratch(spec.k, width)
+            for lo in range(0, size, width):
+                if stop.is_set():
+                    return
+                first, end = max(lo, 1), min(lo + width, size)
+                log_rho_array(spec, range(first, end), log_prod[first:end], drift)
+                scan.products(lo, log_prod[lo:end])
+                ready.release()
+            return
+        for lo in range(0, size, BLOCK):
+            while lo % width == 0 and not ready.acquire(timeout=0.05):
+                if stop.is_set():  # stage 0 stopped short of this piece
+                    return
+            scan.sums(lo, log_prod[lo : lo + BLOCK], log_prefix_sum[lo : lo + BLOCK])
 
-    try:
-        _on_threads(stage, range(2), -(-size // width))
-    finally:  # a Ctrl-C as the thread starts leaves stage 0 running there
-        ended.set()
+    _on_threads(stage, range(2), -(-size // width), stop=stop)
     return ProductSeries(spec, n_max, log_prod[: n_max + 1], log_prefix_sum[: n_max + 1])
 
 
@@ -472,7 +466,8 @@ class _PerturbedScan:
         f = self.c[1 : m + 1]                      # e^(A - a_j), compensated
         g = self.z[1 : m + 1]
         np.subtract(top, a, out=f)
-        _two_sum_err(top, -a, f, ls, out=g)
+        _two_sum_err(top, np.negative(a, out=a), f, ls, out=g)
+        np.negative(a, out=a)                      # exact both ways: a is a_j again
         np.exp(f, out=f)
         g *= f
         f += g

@@ -646,14 +646,14 @@ def test_an_error_in_the_log_rho_stage_is_raised_by_build(monkeypatch, spec):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("spec,scratch,sums", [
-    (_PIPELINE_SPECS[0], "BlockScratch", None), (_PIPELINE_SPECS[1], "BlockScratch", None),
-    (_PIPELINE_SPECS[0], "_PerturbedScan", False), (_PIPELINE_SPECS[1], "_PerturbedScan", True),
+@pytest.mark.parametrize("spec", _PIPELINE_SPECS, ids=str)
+@pytest.mark.parametrize("scratch,sums", [
+    ("BlockScratch", None), ("_PerturbedScan", False), ("_PerturbedScan", True),
 ], ids=str)
 def test_an_error_in_a_stage_s_scratch_is_raised_by_build(monkeypatch, spec, scratch, sums):
     # One stage fails as it makes its scratch, before any piece: the log rho
-    # stage's drift chain or its product scan (k = 1), or the sum stage's
-    # scan (k = 2).  build raises it, and the other stage does not wait.
+    # stage's drift chain or its product scan, or the sum stage's scan.
+    # build raises it, and the other stage does not wait.
     monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
     before, real = threading.active_count(), getattr(series_module, scratch)
 
@@ -665,6 +665,42 @@ def test_an_error_in_a_stage_s_scratch_is_raised_by_build(monkeypatch, spec, scr
     monkeypatch.setattr(series_module, scratch, refused)
     raised = _build_within(spec, 4 * _CHUNK - 5)
     assert len(raised) == 1 and isinstance(raised[0], MemoryError), raised
+    assert threading.active_count() == before
+
+
+def test_a_ctrl_c_as_the_caller_takes_the_log_rho_stage_is_raised_by_build(monkeypatch):
+    # The started thread takes the sum stage and waits for log P; the Ctrl-C
+    # lands as the caller's thread takes the log rho stage, before that stage
+    # runs a line.  build raises it, and the sum stage stops waiting.
+    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    real, before = series_module._on_threads, threading.active_count()
+    caller, taken = [], threading.Event()
+
+    class Stages:
+        """``range(2)``, stage 1 to the started thread; the caller is interrupted as it takes 0."""
+
+        def __len__(self):
+            return 2
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            if threading.current_thread() is caller[0]:
+                taken.wait(10)
+                raise KeyboardInterrupt
+            if taken.is_set():
+                raise StopIteration
+            taken.set()
+            return 1
+
+    def on_threads(work, items, *args, **kwargs):
+        caller.append(threading.current_thread())
+        return real(work, Stages(), *args, **kwargs)
+
+    monkeypatch.setattr(series_module, "_on_threads", on_threads)
+    raised = _build_within(_PIPELINE_SPECS[0], 4 * _CHUNK - 5)
+    assert len(raised) == 1 and isinstance(raised[0], KeyboardInterrupt), raised
     assert threading.active_count() == before
 
 
