@@ -72,6 +72,29 @@ _C_SOURCE = r"""
 #define PHILOX_W0 0x9E3779B97F4A7C15ULL
 #define PHILOX_W1 0xBB67AE8584CAA73BULL
 
+/* Advance the counter ctr[0..3] by one and write the four words of its
+   block to x. */
+static inline void philox(uint64_t *x, const uint64_t *key, uint64_t *ctr)
+{
+    if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0) ++ctr[3];
+    uint64_t x0 = ctr[0], x1 = ctr[1], x2 = ctr[2], x3 = ctr[3];
+    uint64_t k0 = key[0], k1 = key[1];
+    for (int r = 0; r < 10; r++) {
+        unsigned __int128 a = (unsigned __int128)PHILOX_M0 * x0;
+        unsigned __int128 b = (unsigned __int128)PHILOX_M1 * x2;
+        x0 = (uint64_t)(b >> 64) ^ x1 ^ k0;
+        x1 = (uint64_t)b;
+        x2 = (uint64_t)(a >> 64) ^ x3 ^ k1;
+        x3 = (uint64_t)a;
+        k0 += PHILOX_W0;
+        k1 += PHILOX_W1;
+    }
+    x[0] = x0;
+    x[1] = x1;
+    x[2] = x2;
+    x[3] = x3;
+}
+
 /* u[0:n] = the doubles Generator(Philox(key, counter=ctr)).random(n)
    returns, (x >> 11) 2^-53 of each word x.  ctr[0..3] holds the counter
    last used and is advanced by ceil(n / 4); a last block's spare words
@@ -79,49 +102,53 @@ _C_SOURCE = r"""
 void lmax_uniforms(double *u, int64_t n, const uint64_t *key, uint64_t *ctr)
 {
     for (int64_t i = 0; i < n; i += 4) {
-        if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0) ++ctr[3];
-        uint64_t x0 = ctr[0], x1 = ctr[1], x2 = ctr[2], x3 = ctr[3];
-        uint64_t k0 = key[0], k1 = key[1];
-        for (int r = 0; r < 10; r++) {
-            unsigned __int128 a = (unsigned __int128)PHILOX_M0 * x0;
-            unsigned __int128 b = (unsigned __int128)PHILOX_M1 * x2;
-            x0 = (uint64_t)(b >> 64) ^ x1 ^ k0;
-            x1 = (uint64_t)b;
-            x2 = (uint64_t)(a >> 64) ^ x3 ^ k1;
-            x3 = (uint64_t)a;
-            k0 += PHILOX_W0;
-            k1 += PHILOX_W1;
-        }
-        const uint64_t x[4] = {x0, x1, x2, x3};
+        uint64_t x[4];
+        philox(x, key, ctr);
         for (int w = 0; w < 4 && i + w < n; w++) u[i + w] = (double)(x[w] >> 11) * 0x1p-53;
     }
 }
 
 /* The simulator: block j's n_exc excursions on the stream keyed (seed, j),
-   drawn LMAX_DRAWS at a time; montecarlo._block_py, its reference, repeats
-   this loop line for line in Python. */
+   drawn LMAX_DRAWS at a time.  montecarlo._block_py, its reference, runs
+   the same loop in Python and departs from it in form only.  It steps up
+   iff u < p[pos] for the uniform u = X 2^-53 of the word's top 53 bits
+   X = x >> 11; here the step compares X with t[pos] = ceil(p[pos] 2^53)
+   (montecarlo._thresholds), which is the same test: 2^53 is a power of
+   two, so p 2^53 is exact and u < p iff X < p 2^53, and for an integer X
+   and a real y, X < y iff X < ceil(y) (y <= ceil(y) < y + 1).  The step
+   takes no branch on that test, which goes either way at random on a walk
+   near 1/2, and no double is made of the draw.  totals[0] and totals[1]
+   count the excursions censored at cap_height and at cap_steps, and
+   totals[2] gains every step taken. */
 #define LMAX_DRAWS 256
-void lmax_block(uint64_t seed, uint64_t j, int64_t n_exc, int64_t *counts, int64_t *censored,
-                const double *p, int64_t cap_steps, int64_t cap_height)
+void lmax_block(uint64_t seed, uint64_t j, int64_t n_exc, int64_t *counts, int64_t *totals,
+                const int64_t *t, int64_t cap_steps, int64_t cap_height)
 {
     const uint64_t key[2] = {seed, j};
     uint64_t ctr[4] = {0, 0, 0, 0};
-    double u[LMAX_DRAWS];
-    int64_t i = LMAX_DRAWS;
+    int64_t x[LMAX_DRAWS];
+    int64_t i = LMAX_DRAWS, walked = 0;
     for (; n_exc > 0; n_exc--) {
         int64_t pos = 1, steps = 0, m = 1;
         while (pos > 0 && pos < cap_height && steps < cap_steps) {
             if (i == LMAX_DRAWS) {
-                lmax_uniforms(u, LMAX_DRAWS, key, ctr);
+                for (int w = 0; w < LMAX_DRAWS; w += 4) {
+                    uint64_t y[4];
+                    philox(y, key, ctr);
+                    for (int v = 0; v < 4; v++) x[w + v] = (int64_t)(y[v] >> 11);
+                }
                 i = 0;
             }
-            if (u[i++] < p[pos]) { if (++pos > m) m = pos; } else pos -= 1;
+            pos += 2 * (x[i++] < t[pos]) - 1;
+            m = pos > m ? pos : m;
             steps += 1;
         }
+        walked += steps;
         if (pos == 0) counts[m] += 1;
-        else if (pos >= cap_height) censored[0] += 1;
-        else censored[1] += 1;
+        else if (pos >= cap_height) totals[0] += 1;
+        else totals[1] += 1;
     }
+    totals[2] += walked;
 }
 
 /* The prefix scan of series._PerturbedScan, one block at a time:
@@ -591,7 +618,7 @@ def _load_c() -> ctypes.CDLL:
     c64, cu64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
     lib.lmax_uniforms.argtypes = [f64, c64, u64, u64]
     lib.lmax_uniforms.restype = None
-    lib.lmax_block.argtypes = [cu64, cu64, c64, i64, i64, f64, c64, c64]
+    lib.lmax_block.argtypes = [cu64, cu64, c64, i64, i64, i64, c64, c64]
     lib.lmax_block.restype = None
     lib.lmax_render.argtypes = [ptr, c64, c64, c64, ptr, ptr, ptr]
     lib.lmax_render.restype = c64

@@ -25,7 +25,7 @@ else, and ``_law`` is its one implementation: ``log_pmf``, ``pmf`` and
 q_1 = 1 - p_1, which a difference of logs loses for tiny p_1.  Every
 path to the law calls it: ``max_pmf_table`` once per chunk of a whole
 table, for random access, with two threads taking the chunks in turn
-(``series._on_threads``); ``max_pmf_blocks`` once per block of ``series.blocks``,
+(``_threads._on_threads``); ``max_pmf_blocks`` once per block of ``series.blocks``,
 carrying log S_(lo-1) from the block before, for a reader that takes
 the rows once in order (``lmax dist``) in memory bounded by a block;
 ``asymptotics`` at its sample rows.  The linear pmf column flushes to 0
@@ -43,7 +43,8 @@ import numpy as np
 
 from .budget import _integer
 from .errors import RangeError
-from .series import _CHUNK, BLOCK, ProductSeries, _exp, _on_threads, blocks
+from ._threads import _on_threads
+from .series import _CHUNK, BLOCK, ProductSeries, _exp, blocks
 from .walk import WalkSpec, step_up_prob
 
 __all__ = [
@@ -110,7 +111,7 @@ def max_pmf_table(series: ProductSeries, n_max: int) -> MaxPmfTable:
     """Build the full table for n = 1..n_max, in chunks of ``_CHUNK`` rows.
 
     Where there are two chunks and the process may run on two CPUs, two
-    threads take the chunks in turn (``series._on_threads``); each row
+    threads take the chunks in turn (``_threads._on_threads``); each row
     depends on its own entries alone, so the columns are bit for bit those
     of one pass.  Only a chunk whose pmf underflows takes scratch: one
     bool mask of its rows.

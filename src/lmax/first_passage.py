@@ -38,7 +38,8 @@ import numpy as np
 from .classify import is_recurrent
 from .constant import _hit_constant
 from .errors import RangeError
-from .series import ProductSeries, _exp, _on_threads
+from ._threads import _on_threads
+from .series import ProductSeries, _exp
 from .spec import HittingQuery
 from .walk import ConstantWalk, rho, signed_drift_array
 

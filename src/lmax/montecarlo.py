@@ -17,8 +17,8 @@ reproduced elsewhere):
   from the following value.
 * One uniform per step, stepping up iff ``u < p_site``.
 * The caller's thread and up to ``workers - 1`` more each take the next
-  block index until none is left (``series._on_threads``, which the table
-  fills use too), and add their blocks into their own int64 tallies;
+  block index until none is left (``_threads._on_threads``, which the
+  table fills use too), and add their blocks into their own int64 tallies;
   ``run`` adds those up: integer sums, so neither order nor worker count
   changes them.
 
@@ -33,6 +33,11 @@ Each block is one call of a C function, ``lmax_block`` in the package's
 native library (``_native``, which builds, caches and loads it).  It draws
 the stream itself, 256 values at a time into a buffer on the C stack, so
 the C path allocates no uniform array and never imports ``numpy.random``.
+It keeps each draw an integer: it steps up iff X = x >> 11 is below the
+site's threshold t = ceil(p 2^53), which ``run`` makes once per run in
+``p``'s own buffer (``_thresholds``).  That is the test ``u < p``, since
+u = X 2^-53 and p 2^53 are exact and an integer is below a real y iff it
+is below ceil(y); and the step takes no branch on it.
 The first ``run`` in a process loads the library.  ctypes releases the GIL
 during the call, so the threads run blocks in parallel.  If the
 library cannot be built or loaded, ``_block_py`` runs the same loop line
@@ -40,6 +45,7 @@ for line in Python, on numpy's Philox drawn 65536 values at a time; it is
 also the reference the tests compare the C kernel against.
 ``kernel_info()`` names the kernel in use and the reason for a fallback.
 Both kernels consume the same stream, so tallies do not depend on which ran.
+Each also counts the steps it takes (``SimResult.steps``).
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from . import _native
 from ._native import KernelInfo, kernel_info
 from .budget import check_depth
 from .errors import ConfigError, RangeError
-from .series import _on_threads
+from ._threads import _on_threads
 from .walk import WalkSpec, step_up_prob_array
 
 if TYPE_CHECKING:
@@ -71,8 +77,13 @@ BLOCK = 16_384
 _CHUNK = 65_536
 
 
-def _block_py(seed, j, n_exc, counts, censored, p, cap_steps, cap_height):
-    """Run block ``j`` as ``lmax_block`` does, on numpy's Philox, ``_CHUNK`` values at a time."""
+def _block_py(seed, j, n_exc, counts, totals, p, cap_steps, cap_height):
+    """Run block ``j`` as ``lmax_block`` does, on numpy's Philox, ``_CHUNK`` values at a time.
+
+    ``p`` holds the step-up probabilities, and a step compares the uniform
+    with one of them.  ``totals`` gains the excursions censored at
+    ``cap_height`` and at ``cap_steps``, and the steps taken.
+    """
     # Only this path needs numpy's generator, and with it hashlib and OpenSSL.
     from numpy.random import Generator, Philox
 
@@ -92,24 +103,47 @@ def _block_py(seed, j, n_exc, counts, censored, p, cap_steps, cap_height):
                 pos -= 1
             i += 1
             steps += 1
+        totals[2] += steps
         if pos == 0:
             counts[m] += 1
         elif pos >= cap_height:
-            censored[0] += 1
+            totals[0] += 1
         else:
-            censored[1] += 1
+            totals[1] += 1
 
 
 _INT64_MAX = 2**63 - 1
 
 
-def _block_c(lib, seed, j, n_exc, counts, censored, p, cap_steps, cap_height):
-    """Run block ``j`` as ``_block_py`` does, on ``lib.lmax_block``, which draws its own stream."""
+def _thresholds(p: np.ndarray) -> np.ndarray:
+    """Turn step-up probabilities in [0, 1] into ``lmax_block``'s thresholds, in place.
+
+    Returns ``p``'s own buffer as int64, t = ceil(p 2^53), converted
+    ``_CHUNK`` entries at a time, so no temporary outgrows a chunk.  A draw
+    X = x >> 11 < 2^53 then steps up iff X < t, which is ``u < p`` for
+    u = X 2^-53: scaling by 2^53 is exact, so u < p iff X < p 2^53, and an
+    integer is below a real y iff it is below ceil(y).  t <= 2^53 is exact
+    in a double and in an int64.
+    """
+    t = p.view(np.int64)
+    for a in range(0, p.size, _CHUNK):
+        chunk = p[a : a + _CHUNK]
+        chunk *= 2.0**53
+        np.ceil(chunk, out=chunk)
+        t[a : a + _CHUNK] = chunk
+    return t
+
+
+def _block_c(lib, seed, j, n_exc, counts, totals, t, cap_steps, cap_height):
+    """Run block ``j`` as ``_block_py`` does, on ``lib.lmax_block``, which draws its own stream.
+
+    ``t`` holds the thresholds ``_thresholds`` makes of ``_block_py``'s ``p``.
+    """
     # ndpointer checks dtype and layout; C indexes these up to cap_height - 1.
-    if censored.size != 2 or min(counts.size, p.size) < cap_height:
+    if totals.size != 3 or min(counts.size, t.size) < cap_height:
         raise ValueError("kernel arrays are shorter than the walker state needs")
     # ctypes wraps ints past 64 bits silently; no excursion takes 2**63 steps.
-    lib.lmax_block(seed, j, n_exc, counts, censored, p, min(cap_steps, _INT64_MAX), cap_height)
+    lib.lmax_block(seed, j, n_exc, counts, totals, t, min(cap_steps, _INT64_MAX), cap_height)
 
 
 @dataclass(frozen=True)
@@ -148,12 +182,14 @@ class SimResult:
 
     counts has length cap_height with slot 0 unused; conservation holds by
     construction: counts.sum() + censored_height + censored_steps == total.
+    steps is the number of walk steps all excursions took, one uniform each.
     """
 
     counts: np.ndarray
     censored_height: int
     censored_steps: int
     total: int
+    steps: int
 
     @property
     def cap_height(self) -> int:
@@ -168,11 +204,11 @@ def run(config: SimConfig) -> SimResult:
     """Simulate the configured number of excursions; see the stream rules above.
 
     The caller's thread and up to ``workers - 1`` more, at most the CPUs
-    the process may run on (``series._usable_cpus``) in all and never more
-    than there are blocks, each take the next block index until none is
-    left (``series._on_threads``); the output does not depend on their
+    the process may run on (``_threads._usable_cpus``) in all and never
+    more than there are blocks, each take the next block index until none
+    is left (``_threads._on_threads``); the output does not depend on their
     number.  The first call in a process loads the kernel (see
-    ``kernel_info``).
+    ``kernel_info``); on the C kernel, ``p`` becomes its thresholds once.
 
     Raises:
         ResourceError: if the ``cap_height - 1`` bins or the number of
@@ -183,22 +219,26 @@ def run(config: SimConfig) -> SimResult:
     # p[0] is never consulted: hitting 0 ends the excursion first.
     p = step_up_prob_array(config.spec, range(config.cap_height))
     lib = _native._kernel()[0]  # here, in the caller's thread, before any other starts
-    block = _block_py if lib is None else functools.partial(_block_c, lib)
+    if lib is not None:
+        block, p = functools.partial(_block_c, lib), _thresholds(p)
+    else:
+        block = _block_py
 
-    def tally(j, counts, censored):
+    def tally(j, counts, totals):
         size = min(BLOCK, config.excursions - j * BLOCK)
-        block(config.seed, j, size, counts, censored, p, config.cap_steps, config.cap_height)
+        block(config.seed, j, size, counts, totals, p, config.cap_steps, config.cap_height)
 
     def zeros():  # each thread's own tallies
-        return np.zeros(config.cap_height, dtype=np.int64), np.zeros(2, dtype=np.int64)
+        return np.zeros(config.cap_height, dtype=np.int64), np.zeros(3, dtype=np.int64)
 
     tallies = _on_threads(tally, range(n_blocks), config.workers, zeros)
-    counts, censored = (sum(arrays) for arrays in zip(*tallies))
+    counts, totals = (sum(arrays) for arrays in zip(*tallies))
     return SimResult(
         counts=counts,
-        censored_height=int(censored[0]),
-        censored_steps=int(censored[1]),
+        censored_height=int(totals[0]),
+        censored_steps=int(totals[1]),
         total=config.excursions,
+        steps=int(totals[2]),
     )
 
 

@@ -22,7 +22,7 @@ from lmax import (
     hit_before,
     return_prob,
 )
-from lmax import series as series_module
+from lmax import _threads as threads_module
 from lmax.series import lazy, log_odds
 from lmax.walk import signed_drift_array
 
@@ -422,7 +422,7 @@ def test_hit_before_same_bits_on_one_thread_and_two(monkeypatch, leaf):
                     q = HittingQuery(a, a + m, a + w)
                     want = _piece_sums_ratio(s.log_prod[a : a + w], m, leaf)
                     for cpus in (1, 2):
-                        monkeypatch.setattr(series_module, "_usable_cpus", lambda c=cpus: c)
+                        monkeypatch.setattr(threads_module, "_usable_cpus", lambda c=cpus: c)
                         before = len(started)
                         got = hit_before(s, q)
                         assert got == want, (spec, q, cpus)
@@ -437,10 +437,10 @@ def test_threaded_tables_and_windows_under_a_short_switch_interval(monkeypatch):
     specs = (PerturbedWalk(1, 2.0, "plus"), PerturbedWalk(2, 1.5, "minus"))
     n = 5 * first_passage._SUM_LEAF + 77
     windows = [(0, 1, n + 1), (3, 70_000, n - 5), (65_536, 200_000, n + 1)]
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 1)
     wants = [build(spec, n) for spec in specs]
     hits = [hit_before(wants[-1], HittingQuery(*w)) for w in windows]
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

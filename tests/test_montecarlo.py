@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -32,8 +33,11 @@ from lmax import (
     run,
 )
 from lmax import _native
-from lmax import series as series_module
+from lmax import _threads as threads_module
 from lmax.montecarlo import KernelInfo, kernel_info
+from lmax.walk import step_up_prob_array
+
+from test_series import DEPTH_SPECS
 
 
 def _loaded_libs():
@@ -122,17 +126,17 @@ def test_worker_threads_are_clamped(monkeypatch):
     cfg = dict(spec=ConstantWalk(0.3), excursions=n, seed=3, cap_steps=100, cap_height=16)
     base = run(SimConfig(**cfg))
     assert (started, tallies) == ([0], [1])  # one worker starts no thread at all
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 64)
     wide = run(SimConfig(**cfg, workers=10_000))
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
     narrow = run(SimConfig(**cfg, workers=10_000))
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 1)
     single = run(SimConfig(**cfg, workers=10_000))
     # min(workers, blocks, cores) workers: the caller's thread and the rest new.
     assert tallies == [1, 3, 2, 1]
     assert started == [0, 2, 1, 0]
     # One task per worker, not one per block: each takes blocks until none is left.
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
     many = run(SimConfig(**{**cfg, "excursions": 40 * BLOCK}, workers=10_000))
     assert (started[-1], tallies[-1]) == (1, 2)
     assert many.counts.sum() + many.censored_height + many.censored_steps == 40 * BLOCK
@@ -211,6 +215,43 @@ def test_interrupt_ends_a_long_run_promptly():
         proc.communicate()
     assert proc.returncode == 130
     assert err == "error: interrupted\n"
+
+
+def test_simulate_loads_no_table_module():
+    # The simulator takes its threads from _threads, not from series.
+    code = (
+        "import contextlib, io, sys, lmax.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert lmax.cli.main(['simulate', '--p', '0.5', '--excursions', '100', '--seed', '1',\n"
+        "                          '--workers', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('lmax.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = eval(out.stdout)
+    assert "lmax.montecarlo" in loaded and "lmax._threads" in loaded
+    assert "lmax.series" not in loaded, loaded
+
+
+def test_steps_are_counted_alike_on_both_kernels_and_any_workers(monkeypatch):
+    # 2 full blocks and a remainder, on one worker and on two.
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
+    cfg = dict(spec=PerturbedWalk(1, 0.5, "plus"), excursions=2 * BLOCK + 321, seed=5,
+               cap_steps=3000, cap_height=40)
+    steps = set()
+    for name, lib in _loaded_libs().items():
+        _use(monkeypatch, name, lib)
+        for workers in (1, 2):
+            r = run(SimConfig(**cfg, workers=workers))
+            steps.add(r.steps)
+            # An excursion ending at 0 with maximum m took 2m - 1 steps or more,
+            # one censored at the height 39 or more, and one censored at the steps 3000.
+            least = (2 * np.arange(40) - 1) @ r.counts + 39 * r.censored_height
+            assert least + 3000 * r.censored_steps <= r.steps, (name, workers)
+    assert len(steps) == 1
+    # One step each, when a step ends every excursion.
+    one = run(SimConfig(ConstantWalk(0.5), 3 * BLOCK, seed=1, cap_steps=1, cap_height=2))
+    assert one.steps == 3 * BLOCK
 
 
 def test_rerun_is_identical():
@@ -301,13 +342,67 @@ def test_c_uniforms_carry_across_counter_words(lib, counter):
 
 
 def _tally(lib, case, blocks):
-    """Blocks ``j + i`` for i in ``blocks`` added into one tally on ``lib`` (None: ``_block_py``)."""
+    """Blocks ``j + i`` for i in ``blocks`` added into one tally on ``lib`` (None: ``_block_py``).
+
+    The C kernel takes ``p`` as ``run`` gives it, turned into thresholds.
+    """
     p, seed, j, n_exc, cap_steps, cap_height = case
-    block = montecarlo._block_py if lib is None else functools.partial(montecarlo._block_c, lib)
-    counts, censored = np.zeros(cap_height, np.int64), np.zeros(2, np.int64)
+    if lib is None:
+        block = montecarlo._block_py
+    else:
+        block, p = functools.partial(montecarlo._block_c, lib), montecarlo._thresholds(p.copy())
+    counts, totals = np.zeros(cap_height, np.int64), np.zeros(3, np.int64)
     for i in blocks:
-        block(seed, j + i, n_exc, counts, censored, p, cap_steps, cap_height)
-    return counts.tolist(), censored.tolist()
+        block(seed, j + i, n_exc, counts, totals, p, cap_steps, cap_height)
+    return counts.tolist(), totals.tolist()
+
+
+def _assert_thresholds_decide_as_uniforms(p, draws):
+    """At each p and each draw X < 2^53: X < t exactly when X 2^-53 < p, for t = ``_thresholds(p)``.
+
+    t is also checked against ceil(p 2^53) in rational arithmetic.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    t = montecarlo._thresholds(p.copy())
+    assert t.tolist() == [math.ceil(Fraction(x) * 2**53) for x in p.tolist()]
+    for x in draws(t):
+        x = np.broadcast_to(x, p.shape)
+        ok = (x >= 0) & (x < 2**53)
+        by_threshold = x < t
+        by_uniform = x.astype(np.float64) * 2.0**-53 < p  # exact: x < 2^53
+        assert np.array_equal(by_threshold[ok], by_uniform[ok]), p[ok][by_threshold[ok] != by_uniform[ok]]
+
+
+@pytest.mark.parametrize("spec", DEPTH_SPECS, ids=str)
+def test_thresholds_decide_as_uniforms_on_the_depth_walks(spec):
+    # Every step-up probability of the first 1000 sites, at the draws either side of its threshold.
+    _assert_thresholds_decide_as_uniforms(step_up_prob_array(spec, range(1000)),
+                                          lambda t: (t - 1, t))
+
+
+def test_thresholds_decide_as_uniforms_at_multiples_of_two_to_minus_53():
+    ks = [0, 1, 2, 3, *range(2**52 - 3, 2**52 + 4), *range(2**53 - 3, 2**53 + 1)]
+    exact = np.array(ks, dtype=np.float64) * 2.0**-53
+    above, below = np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf)
+    p = np.concatenate([exact, above, below, [0.0, 1.0, 5e-324]])
+    t = montecarlo._thresholds(p.copy())
+    # k 2^-53 has threshold k, and anything just above it k + 1 (k + 2 past 1.0,
+    # where the doubles are 2^-52 apart).
+    assert t[: len(ks)].tolist() == ks
+    assert t[len(ks) : 2 * len(ks)].tolist() == [k + 1 + (k == 2**53) for k in ks]
+    assert t[-3:].tolist() == [0, 2**53, 1]
+    ks = np.array(ks, dtype=np.int64)
+    k_all = np.concatenate([ks, ks, ks, [0, 2**53, 0]])
+    _assert_thresholds_decide_as_uniforms(
+        p, lambda t: (t - 1, t, t + 1, k_all - 1, k_all, k_all + 1, 0, 2**53 - 1))
+
+
+def test_thresholds_reuse_the_buffer_past_one_chunk():
+    p = np.random.default_rng(3).random(2 * montecarlo._CHUNK + 5)
+    want = np.ceil(p * 2.0**53).astype(np.int64)
+    t = montecarlo._thresholds(p)
+    assert np.shares_memory(t, p) and t.dtype == np.int64
+    assert np.array_equal(t, want)
 
 
 @st.composite
@@ -334,9 +429,10 @@ def _block_case(draw):
 @example(case=(np.array([1.0, 0.5, 0.5, 0.5]), 7, 3, montecarlo._CHUNK + 1, 40, 4))
 @settings(max_examples=300, deadline=None)
 def test_c_kernel_matches_python_block_by_block(lib, case):
+    # The tallies, the two censored counts and the steps taken.
     got = _tally(lib, case, [0])
     assert got == _tally(None, case, [0])
-    assert sum(got[0]) + sum(got[1]) == case[3]
+    assert sum(got[0]) + sum(got[1][:2]) == case[3]
 
 
 @given(case=_block_case())
@@ -353,18 +449,20 @@ def test_c_kernel_rejects_arrays_it_would_overrun(lib):
     import ctypes
 
     block = functools.partial(montecarlo._block_c, lib, 1, 0, 5)
-    p, censored = np.full(4, 0.5), np.zeros(2, np.int64)
+    t, totals = montecarlo._thresholds(np.full(4, 0.5)), np.zeros(3, np.int64)
     with pytest.raises(ValueError):
-        block(np.zeros(3, np.int64), censored, p, 100, 4)
+        block(np.zeros(3, np.int64), totals, t, 100, 4)
     with pytest.raises(ValueError):
-        block(np.zeros(4, np.int64), censored, p[:3], 100, 4)
+        block(np.zeros(4, np.int64), totals, t[:3], 100, 4)
     with pytest.raises(ValueError):
-        block(np.zeros(4, np.int64), censored[:1], p, 100, 4)
+        block(np.zeros(4, np.int64), totals[:2], t, 100, 4)
     with pytest.raises(ctypes.ArgumentError):
-        block(np.zeros(4, np.int32), censored, p, 100, 4)
+        block(np.zeros(4, np.int32), totals, t, 100, 4)
+    with pytest.raises(ctypes.ArgumentError):  # probabilities, not their thresholds
+        block(np.zeros(4, np.int64), totals, np.full(4, 0.5), 100, 4)
     with pytest.raises(ctypes.ArgumentError):
-        block(np.zeros(4, np.int64), censored, np.full(8, 0.5)[::2], 100, 4)
-    assert censored.tolist() == [0, 0]
+        block(np.zeros(4, np.int64), totals, montecarlo._thresholds(np.full(8, 0.5))[::2], 100, 4)
+    assert totals.tolist() == [0, 0, 0]
 
 
 # 2**63 wraps to a negative int64 and 2**64 to 0, so unclamped every excursion

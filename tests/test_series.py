@@ -19,11 +19,10 @@ from lmax import (
     step_up_prob,
 )
 from lmax import _native
+from lmax import _threads as threads_module
 from lmax import series as series_module
-from lmax.series import (
-    _CHUNK, BLOCK, MAX_TABLE_ENV, _exp, _on_threads, _PerturbedScan, _usable_cpus, blocks, lazy,
-    log_odds,
-)
+from lmax._threads import _on_threads, _usable_cpus
+from lmax.series import _CHUNK, BLOCK, MAX_TABLE_ENV, _exp, _PerturbedScan, blocks, lazy, log_odds
 from lmax.walk import BlockScratch, _perturbation_array, log_rho_array, signed_drift_array
 
 from _oracles import (
@@ -444,7 +443,7 @@ def test_built_and_streamed_tables_agree_on_both_kernels(monkeypatch, spec):
         for kernel in (real, lambda: python):
             monkeypatch.setattr(_native, "_kernel", kernel)
             for cores in (1, 2):
-                monkeypatch.setattr(series_module, "_usable_cpus", lambda: cores)
+                monkeypatch.setattr(threads_module, "_usable_cpus", lambda: cores)
                 series = build(spec, n)
                 digests.add(_digest(series.log_prod, series.log_prefix_sum))
             parts = list(zip(*((lp.copy(), ls.copy()) for _, lp, ls in blocks(spec, n))))
@@ -566,7 +565,7 @@ def test_a_one_cpu_mask_starts_no_thread(monkeypatch):
         os.sched_setaffinity(0, mask)
     assert not started
     for cpus in (1, 2):
-        monkeypatch.setattr(series_module, "_usable_cpus", lambda c=cpus: c)
+        monkeypatch.setattr(threads_module, "_usable_cpus", lambda c=cpus: c)
         for spec, answers in zip(specs, got):
             before = len(started)
             assert _threaded_answers(spec, n) == answers, (spec, cpus)
@@ -579,7 +578,7 @@ def test_a_one_cpu_mask_starts_no_thread(monkeypatch):
 def test_a_ctrl_c_as_threads_start_stops_them_after_their_item(monkeypatch):
     # A Ctrl-C that lands in Thread.start once the thread runs is raised at
     # once, and the started thread runs at most the item it had taken.
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
     start, ran, before = threading.Thread.start, [], threading.active_count()
 
     def interrupted(thread):
@@ -636,7 +635,7 @@ def test_an_error_in_the_log_rho_stage_is_raised_by_build(monkeypatch, spec):
     # log_rho_array fails on its third piece: build raises that error, the
     # sum stage stops where log P stops instead of waiting, and the thread
     # that build started has ended.
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
     before, pieces = threading.active_count(), []
     monkeypatch.setattr(series_module, "log_rho_array",
                         _counted(log_rho_array, pieces, 3, lambda: MemoryError("piece 3")))
@@ -654,7 +653,7 @@ def test_an_error_in_a_stage_s_scratch_is_raised_by_build(monkeypatch, spec, scr
     # One stage fails as it makes its scratch, before any piece: the log rho
     # stage's drift chain or its product scan, or the sum stage's scan.
     # build raises it, and the other stage does not wait.
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
     before, real = threading.active_count(), getattr(series_module, scratch)
 
     def refused(*args, **kwargs):
@@ -672,7 +671,7 @@ def test_a_ctrl_c_as_the_caller_takes_the_log_rho_stage_is_raised_by_build(monke
     # The started thread takes the sum stage and waits for log P; the Ctrl-C
     # lands as the caller's thread takes the log rho stage, before that stage
     # runs a line.  build raises it, and the sum stage stops waiting.
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
     real, before = series_module._on_threads, threading.active_count()
     caller, taken = [], threading.Event()
 
@@ -708,7 +707,7 @@ def test_a_ctrl_c_as_the_caller_takes_the_log_rho_stage_is_raised_by_build(monke
 def test_an_error_in_the_sum_stage_stops_the_log_rho_stage(monkeypatch, spec):
     # The sum half fails on its fifth block: build raises that error, and
     # the log rho stage starts at most one more piece after it.
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
     before, pieces, sums, at_failure = threading.active_count(), [], [], []
 
     def failure():
@@ -730,7 +729,7 @@ def test_ctrl_c_ends_the_log_rho_stage_within_one_piece(monkeypatch, spec):
     # whichever thread runs that stage.  build raises KeyboardInterrupt, and
     # once the main thread has taken the signal, which may wait for the
     # interpreter lock, the log rho stage starts at most one more piece.
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
     before, pieces, at_interrupt = threading.active_count(), [], []
 
     def fill(*args, **kwargs):
@@ -792,7 +791,7 @@ def test_an_error_on_one_thread_stops_the_other(monkeypatch):
     # The started thread fails on its first item while the caller's thread
     # holds its own; the caller's then runs no other item, and the error is
     # raised in the caller once the threads have joined.
-    monkeypatch.setattr(series_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
     caller = threading.current_thread()
     held, entered, ran, started = threading.Event(), threading.Event(), [], []
 
