@@ -1,13 +1,18 @@
 """The package's compiled kernels: one C source, one build, one fallback reason.
 
 ``_C_SOURCE`` holds every kernel: the simulator (``lmax_block``, see
-``montecarlo``), which draws its uniforms from the Philox generator
-``lmax_uniforms``, the row renderer (``lmax_render``, see
-``render_rows``), and for a perturbed walk's tables (see ``series``) the
-compensated block sum ``lmax_scan`` and ``lmax_products``, which runs
-the log P half of the scan over many blocks in one call, so a thread
-holds the GIL only between such calls.  The first call that needs one
-loads the library, building it with the system
+``montecarlo``), which draws from the Philox generator that
+``lmax_uniforms`` turns into numpy's uniforms, the row renderer
+(``lmax_render``, see ``render_rows``), and for a perturbed walk's
+tables (see ``series``) the compensated block sum ``lmax_scan`` and
+``lmax_products``, which runs the log P half of the scan over many
+blocks in one call, so a thread holds the GIL only between such calls.
+The simulator makes no double of a draw: it steps up iff the draw's top
+53 bits X are below the site's threshold ceil(p 2^53), which is the
+test u < p for u = X 2^-53 (2^53 scales p exactly, and an integer is
+below a real y iff it is below ceil(y)), and it steps without a branch
+on that test.  The first call that needs one loads the library,
+building it with the system
 ``gcc -O2 -ffp-contract=off -shared -fPIC`` on a cache miss; the second
 flag keeps gcc from fusing a product and a sum into one FMA, which would
 round once where numpy rounds twice, on targets that have FMA.  The
@@ -73,12 +78,15 @@ _C_SOURCE = r"""
 #define PHILOX_W1 0xBB67AE8584CAA73BULL
 
 /* Advance the counter ctr[0..3] by one and write the four words of its
-   block to x. */
+   block to x.  The ten rounds are unrolled, which -O2 alone does not do:
+   the key schedule then folds into constants and the next block's rounds
+   can start while this one's finish. */
 static inline void philox(uint64_t *x, const uint64_t *key, uint64_t *ctr)
 {
     if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0) ++ctr[3];
     uint64_t x0 = ctr[0], x1 = ctr[1], x2 = ctr[2], x3 = ctr[3];
     uint64_t k0 = key[0], k1 = key[1];
+#pragma GCC unroll 10
     for (int r = 0; r < 10; r++) {
         unsigned __int128 a = (unsigned __int128)PHILOX_M0 * x0;
         unsigned __int128 b = (unsigned __int128)PHILOX_M1 * x2;
