@@ -41,9 +41,9 @@ from typing import Any
 
 import numpy as np
 
+from ._threads import _on_threads
 from .budget import _integer
 from .errors import RangeError
-from ._threads import _on_threads
 from .series import _CHUNK, BLOCK, ProductSeries, _exp, blocks
 from .walk import WalkSpec, step_up_prob
 

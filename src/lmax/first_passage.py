@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import _on_threads
 from .classify import is_recurrent
 from .constant import _hit_constant
 from .errors import RangeError
-from ._threads import _on_threads
 from .series import ProductSeries, _exp
 from .spec import HittingQuery
 from .walk import ConstantWalk, rho, signed_drift_array

@@ -60,9 +60,9 @@ import numpy as np
 
 from . import _native
 from ._native import KernelInfo, kernel_info
+from ._threads import _on_threads
 from .budget import check_depth
 from .errors import ConfigError, RangeError
-from ._threads import _on_threads
 from .walk import WalkSpec, step_up_prob_array
 
 if TYPE_CHECKING:
