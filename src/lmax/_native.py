@@ -20,7 +20,7 @@ shared object is cached in ``$XDG_CACHE_HOME/lmax`` (or ``~/.cache/lmax``)
 under a name keyed by a 64-bit checksum (CRC-32 and Adler-32) of the source
 template, the flags and the machine type; builds go through a temporary
 file and ``os.replace``, so concurrent first calls are safe.  A build
-writes its own file and deletes none: a library is about 28 kB, and a new
+writes its own file and deletes none: a library is about 32 kB, and a new
 name appears only when the source, the flags or the machine change.  An
 unwritable cache falls back to a per-process temporary directory.  The
 cache exists because every CLI call is a fresh process: a build costs

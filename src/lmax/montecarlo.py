@@ -31,13 +31,14 @@ tolerance by the step-censored fraction to cover that residual bias.
 
 Each block is one call of a C function, ``lmax_block`` in the package's
 native library (``_native``, which builds, caches and loads it).  It draws
-the stream itself, 256 values at a time into a buffer on the C stack, so
-the C path allocates no uniform array and never imports ``numpy.random``.
-It keeps each draw an integer: it steps up iff X = x >> 11 is below the
-site's threshold t = ceil(p 2^53), which ``run`` makes once per run in
-``p``'s own buffer (``_thresholds``).  That is the test ``u < p``, since
-u = X 2^-53 and p 2^53 are exact and an integer is below a real y iff it
-is below ceil(y); and the step takes no branch on it.
+the stream itself into two 256-value buffers on the C stack, making one's
+values while its steps use the other's, so the C path allocates no
+uniform array and never imports ``numpy.random``.  It keeps each draw an
+integer: it steps up iff X = x >> 11 is below the site's threshold
+t = ceil(p 2^53), which ``run`` makes once per run in ``p``'s own buffer
+(``_thresholds``).  That is the test ``u < p``, since u = X 2^-53 and
+p 2^53 are exact and an integer is below a real y iff it is below
+ceil(y); and the step takes no branch on it.
 The first ``run`` in a process loads the library.  ctypes releases the GIL
 during the call, so the threads run blocks in parallel.  If the
 library cannot be built or loaded, ``_block_py`` runs the same loop line
@@ -120,10 +121,8 @@ def _thresholds(p: np.ndarray) -> np.ndarray:
 
     Returns ``p``'s own buffer as int64, t = ceil(p 2^53), converted
     ``_CHUNK`` entries at a time, so no temporary outgrows a chunk.  A draw
-    X = x >> 11 < 2^53 then steps up iff X < t, which is ``u < p`` for
-    u = X 2^-53: scaling by 2^53 is exact, so u < p iff X < p 2^53, and an
-    integer is below a real y iff it is below ceil(y).  t <= 2^53 is exact
-    in a double and in an int64.
+    X = x >> 11 steps up iff X < t, which is ``u < p`` (the module says why);
+    every t <= 2^53 is exact in a double and in an int64.
     """
     t = p.view(np.int64)
     for a in range(0, p.size, _CHUNK):

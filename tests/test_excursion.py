@@ -20,8 +20,8 @@ from lmax import (
     step_up_prob,
     tail_mass,
 )
-from lmax import excursion
 from lmax import _threads as threads_module
+from lmax import excursion
 from lmax.excursion import max_pmf_blocks
 from lmax.series import BLOCK, lazy
 

@@ -220,15 +220,15 @@ def test_interrupt_ends_a_long_run_promptly():
 def test_simulate_loads_no_table_module():
     # The simulator takes its threads from _threads, not from series.
     code = (
-        "import contextlib, io, sys, lmax.cli\n"
+        "import contextlib, io, json, sys, lmax.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert lmax.cli.main(['simulate', '--p', '0.5', '--excursions', '100', '--seed', '1',\n"
         "                          '--workers', '2']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('lmax.')))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lmax.'))))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    loaded = eval(out.stdout)
+    loaded = json.loads(out.stdout)
     assert "lmax.montecarlo" in loaded and "lmax._threads" in loaded
     assert "lmax.series" not in loaded, loaded
 
