@@ -67,7 +67,7 @@ _EXPORTS = {
     "tail_mass": "excursion",
     # monte carlo
     "BLOCK": "montecarlo",
-    "SimConfig": "montecarlo",
+    "SimConfig": "spec",
     "SimResult": "montecarlo",
     "run": "montecarlo",
     "CompareReport": "montecarlo",

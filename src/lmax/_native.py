@@ -1,9 +1,8 @@
 """The package's compiled kernels: one C source, one build, one fallback reason.
 
 ``_C_SOURCE`` holds every kernel: the simulator (``lmax_block``, see
-``montecarlo``), which draws from the Philox generator that
-``lmax_uniforms`` turns into numpy's uniforms, the row renderer
-(``lmax_render``, see ``render_rows``), and for a perturbed walk's
+``montecarlo``), which draws numpy's Philox stream itself, the row
+renderer (``lmax_render``, see ``render_rows``), and for a perturbed walk's
 tables (see ``series``) the compensated block sum ``lmax_scan`` and
 ``lmax_products``, which runs the log P half of the scan over many
 blocks in one call, so a thread holds the GIL only between such calls.
@@ -20,7 +19,7 @@ shared object is cached in ``$XDG_CACHE_HOME/lmax`` (or ``~/.cache/lmax``)
 under a name keyed by a 64-bit checksum (CRC-32 and Adler-32) of the source
 template, the flags and the machine type; builds go through a temporary
 file and ``os.replace``, so concurrent first calls are safe.  A build
-writes its own file and deletes none: a library is about 32 kB, and a new
+writes its own file and deletes none: a library is about 28 kB, and a new
 name appears only when the source, the flags or the machine change.  An
 unwritable cache falls back to a per-process temporary directory.  The
 cache exists because every CLI call is a fresh process: a build costs
@@ -77,14 +76,15 @@ _C_SOURCE = r"""
 #define PHILOX_W0 0x9E3779B97F4A7C15ULL
 #define PHILOX_W1 0xBB67AE8584CAA73BULL
 
-/* Advance the counter ctr[0..3] by one and write the four words of its
-   block to x.  The ten rounds are unrolled, which -O2 does not do by
-   itself; on x86_64 that made the simulator's step about a quarter
+/* Advance the counter by one and write the four words of its block to x.
+   *ctr is the counter's low word; the three above it stay 0, since a
+   block's counter starts at 0 and would need 2^64 blocks, 2^66 draws, to
+   carry out of that word.  The ten rounds are unrolled, which -O2 does not
+   do by itself; on x86_64 that made the simulator's step about a quarter
    cheaper, with the same words. */
 static inline void philox(uint64_t *x, const uint64_t *key, uint64_t *ctr)
 {
-    if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0) ++ctr[3];
-    uint64_t x0 = ctr[0], x1 = ctr[1], x2 = ctr[2], x3 = ctr[3];
+    uint64_t x0 = ++*ctr, x1 = 0, x2 = 0, x3 = 0;
     uint64_t k0 = key[0], k1 = key[1];
 #pragma GCC unroll 10
     for (int r = 0; r < 10; r++) {
@@ -101,19 +101,6 @@ static inline void philox(uint64_t *x, const uint64_t *key, uint64_t *ctr)
     x[1] = x1;
     x[2] = x2;
     x[3] = x3;
-}
-
-/* u[0:n] = the doubles Generator(Philox(key, counter=ctr)).random(n)
-   returns, (x >> 11) 2^-53 of each word x.  ctr[0..3] holds the counter
-   last used and is advanced by ceil(n / 4); a last block's spare words
-   are dropped. */
-void lmax_uniforms(double *u, int64_t n, const uint64_t *key, uint64_t *ctr)
-{
-    for (int64_t i = 0; i < n; i += 4) {
-        uint64_t x[4];
-        philox(x, key, ctr);
-        for (int w = 0; w < 4 && i + w < n; w++) u[i + w] = (double)(x[w] >> 11) * 0x1p-53;
-    }
 }
 
 /* x[0:4] = the top 53 bits, x >> 11, of the next four words. */
@@ -143,14 +130,14 @@ void lmax_block(uint64_t seed, uint64_t j, int64_t n_exc, int64_t *counts, int64
                 const int64_t *t, int64_t cap_steps, int64_t cap_height)
 {
     const uint64_t key[2] = {seed, j};
-    uint64_t ctr[4] = {0, 0, 0, 0};
+    uint64_t ctr = 0;
     int64_t buf[2][LMAX_DRAWS], *x = buf[0], *next = buf[1];
     int64_t i = 0, walked = 0;
-    for (int w = 0; w < LMAX_DRAWS; w += 4) draws(x + w, key, ctr);
+    for (int w = 0; w < LMAX_DRAWS; w += 4) draws(x + w, key, &ctr);
     for (; n_exc > 0; n_exc--) {
         int64_t pos = 1, steps = 0, m = 1;
         while (pos > 0 && pos < cap_height && steps < cap_steps) {
-            if (i % 4 == 0) draws(next + i, key, ctr);
+            if (i % 4 == 0) draws(next + i, key, &ctr);
             pos += 2 * (x[i++] < t[pos]) - 1;
             m = pos > m ? pos : m;
             steps += 1;
@@ -631,11 +618,8 @@ def _load_c() -> ctypes.CDLL:
         # Should the file go (a user clears the cache) before this call,
         # CDLL raises OSError and the Python kernels run.
         lib = ctypes.CDLL(path)
-    f64, i64, u64 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS")
-                     for t in (np.float64, np.int64, np.uint64))
+    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
     c64, cu64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p
-    lib.lmax_uniforms.argtypes = [f64, c64, u64, u64]
-    lib.lmax_uniforms.restype = None
     lib.lmax_block.argtypes = [cu64, cu64, c64, i64, i64, i64, c64, c64]
     lib.lmax_block.restype = None
     lib.lmax_render.argtypes = [ptr, c64, c64, c64, ptr, ptr, ptr]

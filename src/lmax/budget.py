@@ -2,11 +2,13 @@
 
 One table of length n holds two float64 arrays of n+1 entries (about
 320 MB at the default budget; ``series`` lists what else it allocates).
-``check_depth`` holds every size to the budget, and refuses a non-integer
-one: a table's depth, ``estimate_constant``'s samples, the simulator's bins
-and blocks.  The budget can be changed only through ``$LMAX_MAX_TABLE``.
-Measured peak RSS: see the README's *Table budget*.  This module imports
-no numpy, so a call that only checks a size against the budget does not load it.
+``check_count`` refuses a count that is not an integer at least as large
+as its least value; ``SimConfig`` checks the simulator's counts with it.
+``check_depth`` is that check followed by the budget's, for every size
+that allocates: a table's depth, ``estimate_constant``'s samples, the
+simulator's bins and blocks.  The budget can be changed only through
+``$LMAX_MAX_TABLE``.  Measured peak RSS: see the README's *Table budget*.
+This module imports no numpy, so a call that only checks a size does not load it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 
 from .errors import ConfigError, RangeError, ResourceError
 
-__all__ = ["DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV", "table_budget", "check_depth"]
+__all__ = ["DEFAULT_MAX_ENTRIES", "MAX_TABLE_ENV", "table_budget", "check_count", "check_depth"]
 
 DEFAULT_MAX_ENTRIES = 20_000_000
 MAX_TABLE_ENV = "LMAX_MAX_TABLE"
@@ -51,11 +53,17 @@ def _integer(what: str, n) -> int:
         raise RangeError(f"{what} must be an integer, got {n!r}") from None
 
 
-def check_depth(what: str, n, least: int = 1) -> int:
-    """Size ``what`` as an int: RangeError unless an integer >= ``least``, ResourceError past budget."""
+def check_count(what: str, n, least: int = 1) -> int:
+    """Count ``what`` as an int: RangeError unless an integer >= ``least``."""
     n = _integer(what, n)
     if n < least:
         raise RangeError(f"{what} must be >= {least}, got {n}")
+    return n
+
+
+def check_depth(what: str, n, least: int = 1) -> int:
+    """Size ``what`` as an int: ``check_count``'s RangeError, or ResourceError past budget."""
+    n = check_count(what, n, least)
     limit = table_budget()[0]
     if n > limit:
         raise ResourceError(f"{what}={n} exceeds the table budget of {limit} entries "

@@ -54,8 +54,8 @@ from .budget import check_depth
 from .errors import ConfigError, ConvergenceWarning, DomainError, RangeError, ResourceError
 
 if TYPE_CHECKING:
-    from .montecarlo import SimConfig, SimResult
-    from .spec import WalkSpec
+    from .montecarlo import SimResult
+    from .spec import SimConfig, WalkSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -316,7 +316,7 @@ def cmd_return(args, spec) -> tuple[dict, dict]:
 
 
 def _sim_config(args, spec: WalkSpec) -> SimConfig:
-    from .montecarlo import SimConfig
+    from .spec import SimConfig
 
     # os.urandom, not secrets: secrets imports hashlib, and with it OpenSSL.
     seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "little")

@@ -9,9 +9,11 @@ reproduced elsewhere):
   knob.
 * Block ``j`` draws from Philox4x64-10 (Random123's constants) keyed
   ``(seed, j)``: value ``i`` of its stream is word ``i mod 4`` of
-  ``philox(counter = i // 4 + 1, key = (seed, j))``, the 256-bit counter
-  little-endian in four words, and the uniform is ``(x >> 11) * 2**-53``
-  of that word ``x``.  This is ``Generator(Philox(key=[seed, j])).random()``.
+  ``philox(counter = i // 4 + 1, key = (seed, j))``, and the uniform is
+  ``(x >> 11) * 2**-53`` of that word ``x``.  This is
+  ``Generator(Philox(key=[seed, j])).random()``.  Of the 256-bit counter,
+  little-endian in four words, only the low word moves: a block would
+  need 2**66 values to carry out of it, so the other three stay 0.
 * The block's excursions consume the stream walker-major: each excursion
   eats values in order until it ends, then the next excursion continues
   from the following value.
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -63,8 +64,9 @@ from . import _native
 from ._native import KernelInfo, kernel_info
 from ._threads import _on_threads
 from .budget import check_depth
-from .errors import ConfigError, RangeError
-from .walk import WalkSpec, step_up_prob_array
+from .errors import RangeError
+from .spec import SimConfig
+from .walk import step_up_prob_array
 
 if TYPE_CHECKING:
     from .excursion import MaxPmfTable
@@ -143,36 +145,6 @@ def _block_c(lib, seed, j, n_exc, counts, totals, t, cap_steps, cap_height):
         raise ValueError("kernel arrays are shorter than the walker state needs")
     # ctypes wraps ints past 64 bits silently; no excursion takes 2**63 steps.
     lib.lmax_block(seed, j, n_exc, counts, totals, t, min(cap_steps, _INT64_MAX), cap_height)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulation parameters; see the module docstring for the stream rules."""
-
-    spec: WalkSpec
-    excursions: int
-    seed: int
-    workers: int = 1
-    cap_steps: int = 1_000_000
-    cap_height: int = 1_000
-
-    def __post_init__(self):
-        # The C kernel takes C integers; a float or inf must fail here on both kernels.
-        for name in ("excursions", "seed", "workers", "cap_steps", "cap_height"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
-        if self.excursions < 1:
-            raise ConfigError(f"excursions must be >= 1, got {self.excursions}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.cap_steps < 1:
-            raise ConfigError(f"cap_steps must be >= 1, got {self.cap_steps}")
-        if self.cap_height < 2:
-            raise ConfigError(f"cap_height must be >= 2, got {self.cap_height}")
 
 
 @dataclass(eq=False)

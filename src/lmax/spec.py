@@ -1,13 +1,15 @@
-"""The parameters of a call, checked without numpy: a walk, and a hitting query's levels.
+"""The parameters of a call, checked without numpy: a walk, a hitting query's levels, a simulation.
 
 ``ConstantWalk`` and ``PerturbedWalk`` are the two walk families that
 ``walk`` describes; ``spec_params`` and ``spec_from_params`` turn them into
-plain dicts and back, and decide what each family needs.  Nothing here
-imports numpy, so a CLI call that fails on its arguments, or that needs no
-table, does not load it.  A numpy scalar is accepted where a Python number
-is; none can exist before numpy is loaded, so the check looks for numpy's
-types only once it is.  A perturbed walk's cutoff ``i0`` is computed as the
-tables compute the drift, by ``walk.compute_i0``, on numpy.
+plain dicts and back, and decide what each family needs.  ``SimConfig``
+holds what ``montecarlo.run`` simulates, its counts checked by
+``budget.check_count``.  Nothing here imports numpy, so a CLI call that
+fails on its arguments, or that needs no table, does not load it.  A
+numpy scalar is accepted where a Python number is; none can exist before
+numpy is loaded, so the check looks for numpy's types only once it is.
+A perturbed walk's cutoff ``i0`` is computed as the tables compute the
+drift, by ``walk.compute_i0``, on numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import sys
 from typing import Literal, Union
 
+from .budget import _integer, check_count
 from .errors import ConfigError, RangeError
 
 __all__ = [
@@ -23,6 +26,7 @@ __all__ = [
     "PerturbedWalk",
     "WalkSpec",
     "HittingQuery",
+    "SimConfig",
     "spec_params",
     "spec_from_params",
 ]
@@ -43,7 +47,7 @@ class _Record:
     ``_fields`` names the fields in order, for the repr; equality and the
     hash read the first ``_compared`` of them.  A frozen dataclass would
     do, but importing ``dataclasses`` (and with it ``inspect``) and
-    building these three classes took 12 ms more of ``lmax hit --p``,
+    building the walk and query classes took 12 ms more of ``lmax hit --p``,
     which loads no numpy and takes about 0.09 s in all (2-core x86_64,
     ``python -X importtime``).
     """
@@ -134,6 +138,37 @@ class HittingQuery(_Record):
         if not (0 <= a <= k <= b and a < b):
             raise RangeError(f"need 0 <= a <= k <= b with a < b, got a={a}, k={k}, b={b}")
         self._set(a=a, k=k, b=b)
+
+
+class SimConfig(_Record):
+    """Simulation parameters; see ``montecarlo`` for the stream rules.
+
+    ``spec`` must be a ``ConstantWalk`` or a ``PerturbedWalk``.  The counts
+    must be integers, ``cap_height`` at least 2 and the others at least 1
+    (``RangeError``), and ``seed`` must fit in 64 unsigned bits.
+    """
+
+    _fields, _compared = ("spec", "excursions", "seed", "workers", "cap_steps", "cap_height"), 6
+    spec: WalkSpec
+    excursions: int
+    seed: int
+    workers: int
+    cap_steps: int
+    cap_height: int
+
+    def __init__(self, spec: WalkSpec, excursions: int, seed: int, workers: int = 1,
+                 cap_steps: int = 1_000_000, cap_height: int = 1_000):
+        if not isinstance(spec, (ConstantWalk, PerturbedWalk)):
+            raise ConfigError(f"spec must be a ConstantWalk or a PerturbedWalk, got {spec!r}")
+        # The C kernel takes C integers; a float or inf must fail here on both kernels.
+        excursions = check_count("excursions", excursions)
+        seed = _integer("seed", seed)
+        if not 0 <= seed < 2**64:
+            raise ConfigError("seed must fit in 64 unsigned bits")
+        self._set(spec=spec, excursions=excursions, seed=seed,
+                  workers=check_count("workers", workers),
+                  cap_steps=check_count("cap_steps", cap_steps),
+                  cap_height=check_count("cap_height", cap_height, least=2))
 
 
 def spec_params(spec: WalkSpec) -> dict:

@@ -827,6 +827,17 @@ def test_simulate_huge_excursion_count_exits_one(capsys):
     assert time.perf_counter() - t0 < 5.0
 
 
+@pytest.mark.parametrize("cmd,what", [("simulate", "cap_height-1"), ("compare", "n_max")])
+def test_simulator_over_budget_line(capsys, monkeypatch, cmd, what):
+    # run's bins, or compare's exact table before them, exceed the budget: exit 1, one line.
+    monkeypatch.delenv("LMAX_MAX_TABLE", raising=False)
+    code = main([cmd, "--p", "0.5", "--excursions", "3", "--seed", "1", "--cap-height", "30000000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (f"error: {what}=29999999 exceeds the table budget of {DEFAULT_MAX_ENTRIES} "
+                   "entries (set $LMAX_MAX_TABLE to change it)\n")
+
+
 def test_compare_checks_config_before_table_budget(capsys):
     # excursions=0 is a bad argument (2), found before the 3e7-entry table
     # would exceed the budget (1).

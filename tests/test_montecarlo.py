@@ -56,26 +56,45 @@ def _use(monkeypatch, name, lib):
 def test_config_validation():
     good = dict(spec=ConstantWalk(0.5), excursions=10, seed=1)
     SimConfig(**good)
-    with pytest.raises(ConfigError):
-        SimConfig(**{**good, "excursions": 0})
-    with pytest.raises(ConfigError):
-        SimConfig(**{**good, "seed": -1})
-    with pytest.raises(ConfigError):
-        SimConfig(**{**good, "seed": 2**64})
-    with pytest.raises(ConfigError):
-        SimConfig(**{**good, "workers": 0})
-    with pytest.raises(ConfigError):
-        SimConfig(**{**good, "cap_steps": 0})
-    with pytest.raises(ConfigError):
-        SimConfig(**{**good, "cap_height": 1})
+    # The counts get budget.check_count's RangeError; the seed's range is a ConfigError.
+    for field, value in [("excursions", 0), ("workers", 0), ("cap_steps", 0), ("cap_height", 1)]:
+        least = 2 if field == "cap_height" else 1
+        with pytest.raises(RangeError, match=f"^{field} must be >= {least}, got {value}$"):
+            SimConfig(**{**good, field: value})
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="^seed must fit in 64 unsigned bits$"):
+            SimConfig(**{**good, "seed": seed})
 
 
 @pytest.mark.parametrize("field", ["excursions", "seed", "workers", "cap_steps", "cap_height"])
 @pytest.mark.parametrize("value", [1e6, float("inf"), 100.0])
 def test_config_rejects_non_integers(field, value):
     # Floats would run on the Python kernel but fail ctypes on the C one.
-    with pytest.raises(ConfigError, match=field):
+    with pytest.raises(RangeError, match=field):
         SimConfig(**{"spec": ConstantWalk(0.5), "excursions": 10, "seed": 1, field: value})
+
+
+@pytest.mark.parametrize("spec", [None, 0.5, {"family": "constant", "p": 0.9}])
+def test_config_rejects_what_is_not_a_walk(spec):
+    # Anything else once ran as the p = 1/2 walk.
+    with pytest.raises(ConfigError, match="spec must be a ConstantWalk or a PerturbedWalk"):
+        SimConfig(spec, 1000, seed=1, cap_steps=100, cap_height=10)
+
+
+def test_config_is_one_read_only_record():
+    import lmax
+
+    assert lmax.SimConfig is lmax.montecarlo.SimConfig is lmax.spec.SimConfig
+    cfg = SimConfig(ConstantWalk(0.5), 10, seed=1)
+    assert cfg == SimConfig(spec=ConstantWalk(0.5), excursions=10, seed=1, workers=1,
+                            cap_steps=1_000_000, cap_height=1_000)
+    assert hash(cfg) == hash(SimConfig(ConstantWalk(0.5), 10, 1))
+    assert cfg != SimConfig(ConstantWalk(0.5), 10, seed=2)
+    assert repr(cfg) == ("SimConfig(spec=ConstantWalk(p=0.5), excursions=10, seed=1, "
+                         "workers=1, cap_steps=1000000, cap_height=1000)")
+    for field in ("spec", "excursions", "seed", "workers", "cap_steps", "cap_height"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, field, 2)
 
 
 def test_config_accepts_numpy_integers():
@@ -233,6 +252,22 @@ def test_simulate_loads_no_table_module():
     assert "lmax.series" not in loaded, loaded
 
 
+@pytest.mark.parametrize("argv,err", [
+    ("simulate --p 0.5 --excursions 0", "error: excursions must be >= 1, got 0\n"),
+    ("compare --p 0.5 --excursions 3 --seed -1", "error: seed must fit in 64 unsigned bits\n"),
+], ids=["simulate", "compare"])
+def test_argument_errors_load_no_numpy(argv, err):
+    # SimConfig is checked in spec, so a bad count or seed exits 2 before the simulator loads.
+    code = (
+        "import json, sys, lmax.cli\n"
+        "code = lmax.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in ('numpy', 'lmax.montecarlo') if m in sys.modules)]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv.split()], capture_output=True, text=True)
+    assert json.loads(out.stdout) == [2, []]
+    assert out.stderr == err
+
+
 def test_steps_are_counted_alike_on_both_kernels_and_any_workers(monkeypatch):
     # 2 full blocks and a remainder, on one worker and on two.
     monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
@@ -296,49 +331,6 @@ def test_run_tallies_pinned(monkeypatch, cfg, height, steps, counts):
 @pytest.fixture(scope="module")
 def lib():
     return _loaded_libs()["c"]
-
-
-def _numpy_uniforms(seed, j, n, counter=(0, 0, 0, 0)):
-    from numpy.random import Generator, Philox
-
-    key = np.array([seed, j], dtype=np.uint64)
-    return Generator(Philox(key=key, counter=np.array(counter, np.uint64))).random(n)
-
-
-def _c_uniforms(lib, seed, j, sizes, counter=(0, 0, 0, 0)):
-    """Successive lmax_uniforms calls of the given sizes, joined, and the counter after them."""
-    key, ctr = np.array([seed, j], np.uint64), np.array(counter, np.uint64)
-    parts = []
-    for n in sizes:
-        parts.append(np.full(n, np.nan))
-        lib.lmax_uniforms(parts[-1], n, key, ctr)
-    return np.concatenate(parts), ctr
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
-@pytest.mark.parametrize("j", [0, 1, 2**40])
-def test_c_uniforms_match_numpy_philox(lib, seed, j):
-    # One call of a length that is no multiple of four, and the block
-    # kernel's 256-value refills run on past several buffer boundaries.
-    for sizes in ([1], [3], [1001], [256] * 5):
-        got, ctr = _c_uniforms(lib, seed, j, sizes)
-        want = _numpy_uniforms(seed, j, sum(sizes))
-        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), sizes
-        assert ctr.tolist() == [-(-sum(sizes) // 4), 0, 0, 0]
-
-
-@pytest.mark.parametrize("counter", [
-    (2**64 - 3, 0, 0, 0),
-    (2**64 - 1, 2**64 - 1, 0, 0),
-    (2**64 - 2, 2**64 - 1, 2**64 - 1, 9),
-    (2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1),  # wraps to zero
-])
-def test_c_uniforms_carry_across_counter_words(lib, counter):
-    got, ctr = _c_uniforms(lib, 2**64 - 1, 2**40, [256, 256], counter)
-    want = _numpy_uniforms(2**64 - 1, 2**40, 512, counter)
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-    value = sum(c << (64 * w) for w, c in enumerate(counter)) + 128
-    assert ctr.tolist() == [(value >> (64 * w)) % 2**64 for w in range(4)]
 
 
 def _tally(lib, case, blocks):
