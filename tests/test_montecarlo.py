@@ -349,6 +349,32 @@ def _tally(lib, case, blocks):
     return counts.tolist(), totals.tolist()
 
 
+def _c_draws_below(lib, seed, j, n, t):
+    """How many of the first ``n`` draws X = x >> 11 of block ``j``'s stream ``lib`` finds below ``t``.
+
+    With cap_height 2 each excursion takes one step from 1, up to the cap
+    iff its draw is below ``t[1]``, so the height-censored count is the answer.
+    """
+    counts, totals = np.zeros(2, np.int64), np.zeros(3, np.int64)
+    montecarlo._block_c(lib, seed, j, n, counts, totals, np.array([0, t], np.int64), 1, 2)
+    return totals[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("j", [0, 1, 2**40])
+def test_c_uniforms_match_numpy_philox(lib, seed, j):
+    # Draw i of lmax_block is X when the first i + 1 draws hold one more
+    # below X + 1, and none more below X, than the first i.  1280 draws run
+    # past several of the kernel's 256-value refills.
+    from numpy.random import Generator, Philox
+
+    u = Generator(Philox(key=np.array([seed, j], dtype=np.uint64))).random(1280)
+    for i, x in enumerate((u * 2.0**53).astype(np.int64).tolist()):  # exact: u = X 2^-53
+        got = [_c_draws_below(lib, seed, j, i + 1, t) - _c_draws_below(lib, seed, j, i, t)
+               for t in (x, x + 1)]
+        assert got == [0, 1], i
+
+
 def _assert_thresholds_decide_as_uniforms(p, draws):
     """At each p and each draw X < 2^53: X < t exactly when X 2^-53 < p, for t = ``_thresholds(p)``.
 
