@@ -2,6 +2,8 @@
 
 One table of length n holds two float64 arrays of n+1 entries (about
 320 MB at the default budget; ``series`` lists what else it allocates).
+``_integer`` is the package's one test of an integer, ``operator.index``:
+``spec`` checks a walk's depth and a query's levels with it.
 ``check_count`` refuses a count that is not an integer at least as large
 as its least value; ``SimConfig`` checks the simulator's counts with it.
 ``check_depth`` is that check followed by the budget's, for every size

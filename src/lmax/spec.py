@@ -5,11 +5,14 @@
 plain dicts and back, and decide what each family needs.  ``SimConfig``
 holds what ``montecarlo.run`` simulates, its counts checked by
 ``budget.check_count``.  Nothing here imports numpy, so a CLI call that
-fails on its arguments, or that needs no table, does not load it.  A
-numpy scalar is accepted where a Python number is; none can exist before
-numpy is loaded, so the check looks for numpy's types only once it is.
-A perturbed walk's cutoff ``i0`` is computed as the tables compute the
-drift, by ``walk.compute_i0``, on numpy.
+fails on its arguments, or that needs no table, does not load it.  An
+integer (a walk's depth k, a query's levels, a count) passes
+``budget``'s one rule, ``operator.index``: numpy integers and 0-d
+integer arrays pass, floats do not.  A numpy float is accepted where a
+Python one is; none can exist before numpy is loaded, so the check looks
+for numpy's type only once it is.  A perturbed walk's cutoff ``i0`` is
+computed as the tables compute the drift, by ``walk.compute_i0``, on
+numpy.
 """
 
 from __future__ import annotations
@@ -34,11 +37,10 @@ __all__ = [
 Sign = Literal["plus", "minus"]
 
 
-def _number(x, kind: str) -> bool:
-    """Whether ``x`` is a Python int (``kind="integer"``) or real, or a numpy one of that kind."""
+def _number(x) -> bool:
+    """Whether ``x`` is a Python int or float, or a numpy float."""
     np = sys.modules.get("numpy")
-    types = (int,) if kind == "integer" else (int, float)
-    return isinstance(x, types) or (np is not None and isinstance(x, getattr(np, kind)))
+    return isinstance(x, (int, float)) or (np is not None and isinstance(x, np.floating))
 
 
 class _Record:
@@ -88,7 +90,7 @@ class ConstantWalk(_Record):
     p: float
 
     def __init__(self, p: float):
-        if not (_number(p, "floating") and 0.0 < p < 1.0):
+        if not (_number(p) and 0.0 < p < 1.0):
             raise ConfigError(f"step-up probability must lie in (0, 1), got {p}")
         self._set(p=float(p))
 
@@ -109,15 +111,19 @@ class PerturbedWalk(_Record):
     i0: int
 
     def __init__(self, k: int, b: float, sign: Sign):
-        if not (_number(k, "integer") and k >= 1):
+        try:
+            depth = _integer("k", k)
+        except RangeError:
+            depth = 0  # not an integer: refused below, with the same message
+        if depth < 1:
             raise ConfigError(f"perturbation depth k must be a positive integer, got {k}")
-        if not (_number(b, "floating") and math.isfinite(b)):
+        if not (_number(b) and math.isfinite(b)):
             raise ConfigError(f"perturbation coefficient b must be finite, got {b}")
         if sign not in ("plus", "minus"):
             raise ConfigError(f'sign must be "plus" or "minus", got {sign!r}')
         from .walk import compute_i0  # the drift on numpy, as the tables evaluate it
 
-        self._set(k=int(k), b=float(b), sign=sign, i0=compute_i0(int(k), float(b)))
+        self._set(k=depth, b=float(b), sign=sign, i0=compute_i0(depth, float(b)))
 
 
 WalkSpec = Union[ConstantWalk, PerturbedWalk]
@@ -132,9 +138,8 @@ class HittingQuery(_Record):
     b: int
 
     def __init__(self, a: int, k: int, b: int):
-        for name, level in (("a", a), ("k", k), ("b", b)):
-            if not _number(level, "integer"):
-                raise RangeError(f"level {name} must be an integer, got {level!r}")
+        a, k, b = (_integer(f"level {name}", level)
+                   for name, level in (("a", a), ("k", k), ("b", b)))
         if not (0 <= a <= k <= b and a < b):
             raise RangeError(f"need 0 <= a <= k <= b with a < b, got a={a}, k={k}, b={b}")
         self._set(a=a, k=k, b=b)

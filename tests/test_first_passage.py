@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -341,10 +340,10 @@ def test_return_prob_width_at_depth(spec, width):
 
 
 def test_hit_before_scratch_per_entry():
-    # The window is shifted and exponentiated half a _SUM_LEAF piece at a
-    # time by each of two threads, each through its own buffer and a mask
-    # for a half whose terms underflow, so the scratch is about 576 KiB
-    # however long the window.  A constant walk reads no entry (its closed form).
+    # The window is shifted and exponentiated one _SUM_LEAF piece at a time
+    # through one buffer, with a mask for a piece whose terms underflow, so
+    # the scratch is about 576 KiB however long the window.  A constant walk
+    # reads no entry (its closed form).
     for n in (10**6, 4 * 10**6):
         series = build(PerturbedWalk(1, 2.5, "plus"), n)
         tracemalloc.start()
@@ -392,7 +391,7 @@ SUM_SPECS = [
 
 
 def _piece_sums_ratio(logs, m: int, leaf: int) -> float:
-    """One thread's ratio, as ``hit_before`` formed it with whole pieces: fsum of each piece's ``np.sum``."""
+    """The ratio of each side's fsum of its pieces' ``np.sum``, pieces ``leaf`` long."""
     top = logs.max()
 
     def side(lo, hi):
@@ -403,17 +402,19 @@ def _piece_sums_ratio(logs, m: int, leaf: int) -> float:
 
 
 @pytest.mark.parametrize("leaf", [None, 128, 1000])
-def test_hit_before_same_bits_on_one_thread_and_two(monkeypatch, leaf):
+def test_hit_before_starts_no_thread_on_two_cpus(monkeypatch, leaf):
     # Windows either side of 128 (numpy's pairwise leaf), 32768 (half a
-    # piece) and 65536 (a piece), split at both ends and in the middle: on
-    # one CPU and on two, the bits of whole pieces summed on one thread.
+    # piece) and 65536 (a piece), split at both ends and in the middle: with
+    # two CPUs to use, the caller's thread alone sums them, to the bits of
+    # whole pieces summed by np.sum and added by math.fsum.
     if leaf is not None:
         monkeypatch.setattr(first_passage, "_SUM_LEAF", leaf)
     leaf = first_passage._SUM_LEAF
-    started, start = [], threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
     lengths = [n + d for n in (128, 32768, 65536) for d in (-1, 0, 1)] + [2 * 65536 + 129]
     series = {spec: build(spec, max(lengths) + 40) for spec, _ in SUM_SPECS}
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
     with np.errstate(under="ignore"):
         for spec, s in series.items():
             for w in lengths:
@@ -421,48 +422,8 @@ def test_hit_before_same_bits_on_one_thread_and_two(monkeypatch, leaf):
                 for m in sorted({1, 128, 129, w // 2, w - 1} & set(range(1, w))):
                     q = HittingQuery(a, a + m, a + w)
                     want = _piece_sums_ratio(s.log_prod[a : a + w], m, leaf)
-                    for cpus in (1, 2):
-                        monkeypatch.setattr(threads_module, "_usable_cpus", lambda c=cpus: c)
-                        before = len(started)
-                        got = hit_before(s, q)
-                        assert got == want, (spec, q, cpus)
-                        assert (len(started) > before) == (cpus == 2 and w > leaf), (q, cpus)
-
-
-def test_threaded_tables_and_windows_under_a_short_switch_interval(monkeypatch):
-    # Two threads swapped every microsecond: build's two stages hand each
-    # piece over once it is written (the product half with log rho for
-    # k = 1, with log S for k = 2), and hit_before's parts each write slots
-    # of their own, so the bits are those of one thread.
-    specs = (PerturbedWalk(1, 2.0, "plus"), PerturbedWalk(2, 1.5, "minus"))
-    n = 5 * first_passage._SUM_LEAF + 77
-    windows = [(0, 1, n + 1), (3, 70_000, n - 5), (65_536, 200_000, n + 1)]
-    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 1)
-    wants = [build(spec, n) for spec in specs]
-    hits = [hit_before(wants[-1], HittingQuery(*w)) for w in windows]
-    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for spec, want in zip(specs, wants):
-            got = build(spec, n)
-            assert got.log_prod.tobytes() == want.log_prod.tobytes(), spec
-            assert got.log_prefix_sum.tobytes() == want.log_prefix_sum.tobytes(), spec
-        assert [hit_before(got, HittingQuery(*w)) for w in windows] == hits
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_piece_halves_are_numpys_pairwise_sum():
-    # hit_before adds a piece's two halves as numpy's pairwise sum does, at
-    # n2 = n//2 - (n//2) % 8 above 128 terms: check it on every piece length
-    # up to _SUM_LEAF, so that a numpy that sums otherwise fails here.
-    terms = np.exp(np.random.default_rng(7).uniform(-40.0, 0.0, first_passage._SUM_LEAF))
-    for n in range(1, len(terms) + 1):
-        halves = first_passage._halves(0, n)
-        assert halves[0].start == 0 and halves[-1].stop == n and len(halves) == 1 + (n > 128)
-        got = terms[halves[0]].sum() + (terms[halves[1]].sum() if n > 128 else 0.0)
-        assert got == terms[:n].sum(), n
+                    assert hit_before(s, q) == want, (spec, q)
+    assert not started
 
 
 @pytest.mark.parametrize("case", range(len(SUM_SPECS)), ids=lambda i: str(SUM_SPECS[i][0]))

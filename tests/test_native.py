@@ -9,6 +9,7 @@ covered in ``test_cli``, whose digests hold on both paths.
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -162,6 +163,17 @@ def test_import_version_and_one_row_commands_load_no_library(tmp_path):
     assert out.stdout == "0\n"
     assert not (tmp_path / "cache").exists()
 
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # The source and flags _compile builds, with every -Wall and -Wextra
+    # warning made an error, so that a kernel added later keeps gcc silent.
+    src = tmp_path / "lmax.c"
+    src.write_text(_native._C_SOURCE.replace("LMAX_G_TABLE", _native._g_table()))
+    flags = (*_native._CFLAGS, "-Wall", "-Wextra", "-Werror")
+    out = subprocess.run(["gcc", *flags, str(src), "-o", str(tmp_path / "lmax.so")],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_render_rows_reuses_one_buffer(lib):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -549,9 +550,9 @@ def _threaded_answers(spec, n):
 def test_a_one_cpu_mask_starts_no_thread(monkeypatch):
     # With _usable_cpus left alone and the mask narrowed to one CPU (as
     # ``taskset -c 0`` runs the process), the constant fill, the log rho
-    # fill, the law and the hit windows start no thread, and give the bits
-    # of the one-thread run.  Forced to two CPUs, every part starts threads
-    # at this depth, with the same bits.
+    # fill and the law start no thread, and they and the hit windows give
+    # the bits of the one-thread run.  Forced to two CPUs, build and the law
+    # start threads at this depth, with the same bits.
     n, specs = 2 * _CHUNK + 3 * BLOCK + 7, (ConstantWalk(0.43), PerturbedWalk(1, 2.0, "plus"),
                                             PerturbedWalk(2, 1.5, "minus"))
     started, start = [], threading.Thread.start
@@ -569,10 +570,28 @@ def test_a_one_cpu_mask_starts_no_thread(monkeypatch):
         for spec, answers in zip(specs, got):
             before = len(started)
             assert _threaded_answers(spec, n) == answers, (spec, cpus)
-            # build and max_pmf_table start one each; a perturbed walk's three
-            # windows two each, for their largest log and for their sums.
-            want = 2 + 6 * isinstance(spec, PerturbedWalk) if cpus == 2 else 0
-            assert len(started) - before == want, (spec, cpus)
+            # build and max_pmf_table start one each; the hit windows none.
+            assert len(started) - before == (2 if cpus == 2 else 0), (spec, cpus)
+
+
+def test_threaded_tables_under_a_short_switch_interval(monkeypatch):
+    # Two threads swapped every microsecond: build's two stages hand each
+    # piece over once it is written (the product half with log rho for
+    # k = 1, with log S for k = 2), so the bits are those of one thread.
+    specs = (PerturbedWalk(1, 2.0, "plus"), PerturbedWalk(2, 1.5, "minus"))
+    n = 5 * _CHUNK + 77
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 1)
+    wants = [build(spec, n) for spec in specs]
+    monkeypatch.setattr(threads_module, "_usable_cpus", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for spec, want in zip(specs, wants):
+            got = build(spec, n)
+            assert got.log_prod.tobytes() == want.log_prod.tobytes(), spec
+            assert got.log_prefix_sum.tobytes() == want.log_prefix_sum.tobytes(), spec
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_a_ctrl_c_as_threads_start_stops_them_after_their_item(monkeypatch):
